@@ -1,16 +1,17 @@
 """Benchmark harness (driver contract, BASELINE.md).
 
 Headline metric: validated images/sec — the full stats + drift + constraint
-validation pass over the ``bench`` synthetic images fixture (256k images,
+validation pass over the ``bench`` synthetic images fixture (400k rows,
 FIXTURES.md). Also times every ``queries()`` entry over $GRAFT_SF_DIR.
 
 Prints ONE JSON line:
   {"metric": "validated_images_per_sec", "value": <headline seconds>,
    "unit": "sec", "images_per_sec": ..., "queries": {name: sec}, ...}
 
-``--scaling`` runs the headline pass twice in fresh processes at
-RAY_GRAFT_CPUS=8 and =32 on the same pre-generated input (the sandbox proxy
-for the N vs 4N cluster-size criterion) and prints throughputs + efficiency.
+``--scaling`` runs the headline pass twice in fresh processes at 4 and 16
+CPUs (GRAFT_SCALE_LO / GRAFT_SCALE_HI) on the same pre-generated input (the
+sandbox proxy for the N vs 4N cluster-size criterion) and prints throughputs
++ efficiency.
 """
 
 from __future__ import annotations

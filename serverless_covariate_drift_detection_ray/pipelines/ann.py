@@ -1768,6 +1768,10 @@ def ann_pq_rerank_topk(sf_dir: str, c: int = PQ_RERANK_C):
                            zero_copy_batch=True)
             .groupby("query_id").map_groups(head_c, batch_format="pandas")
             .to_pandas())  # ≤ N_QUERIES × c rows by construction
+    if cand.empty:  # degenerate corpus: no rows beyond the query prefix
+        return pa.table({"query_id": pa.array([], pa.int64()),
+                         "neighbor_id": pa.array([], pa.int64()),
+                         "cos": pa.array([], pa.float64())})
     cand_ids = np.sort(np.unique(cand.neighbor_id.to_numpy(np.int64)))
     wrapped2 = {"ref": ray.put(cand_ids.astype(np.uint64))}
 

@@ -20,6 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.stats import chi2_test_counts, ks_2samp
+from ..sources.fragmented import cluster_cpus, data_blocks
 from .config import scratch_root
 
 
@@ -31,11 +32,10 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None):
 
 def _read_blocked(sf_dir: str, table: str, columns: list[str] | None = None,
                   rows_per_block: int = 262_144, floor: int = 4):
-    """Read with a row-count-scaled block count (parquet metadata, no data
-    read). Ray's default split (~2 blocks/CPU) hands a shuffle 64+ blocks
-    per side even for a 15k-row table, and the sort exchange charges per
-    (block x partition) — measured ~2 s of pure fixed cost on a 165k-row
-    anti-join. Blocks must track DATA, not CPUs, on the shuffle feed side."""
+    """Read with a row-count-scaled block count from parquet metadata (no
+    data read): ``sources.fragmented.data_blocks``, the one policy the
+    image-table key reads share. Ray's default split hands a shuffle 64+
+    blocks per side even for a 15k-row table."""
     import pyarrow.parquet as pq
 
     import ray.data
@@ -53,7 +53,7 @@ def _read_blocked(sf_dir: str, table: str, columns: list[str] | None = None,
         sch = pa.schema([sch.field(c) for c in columns])
     return ray.data.read_parquet(
         f"{sf_dir}/{table}.parquet", columns=columns, schema=sch,
-        override_num_blocks=max(floor, n // rows_per_block))
+        override_num_blocks=data_blocks(n, rows_per_block, floor))
 
 
 def _pa_from_pandas(df, **kw):
@@ -72,10 +72,7 @@ def _read_cpu_blocked(sf_dir: str, table: str,
     output parallelism (= input block count) must track CPUs, not just rows
     (measured on the fuzzy join: 4 blocks -> 13 s, 32 -> 3 s on the same
     input). The data-scaled term still takes over at corpus scale."""
-    import ray
-
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    return _read_blocked(sf_dir, table, columns, floor=max(4, ncpu))
+    return _read_blocked(sf_dir, table, columns, floor=max(4, cluster_cpus()))
 
 
 def _salt_buckets(sf_dir: str, table: str, rows_per_bucket: int = 2_000_000,

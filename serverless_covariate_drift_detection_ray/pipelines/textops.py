@@ -1703,12 +1703,16 @@ def bpe_tokenize_documents(sf_dir: str, n_merges: int = BPE_MERGES):
     import ray
 
     st = os.stat(f"{sf_dir}/documents.parquet")
-    key = (sf_dir, st.st_size, st.st_mtime_ns, n_merges)
+    src = (sf_dir, st.st_size, st.st_mtime_ns)
+    key = (src, n_merges)
     merges = _BPE_MERGE_CACHE.get(key)
     if merges is None:
         merges_tbl = bpe_train_documents(sf_dir, n_merges).to_pandas()
         merges = list(zip(merges_tbl.left, merges_tbl.right))
-        _BPE_MERGE_CACHE.clear()  # one live corpus at a time — no leak
+        # one live corpus at a time (no leak), but keep its other n_merges
+        # tables — alternating values on one corpus must not retrain
+        for k in [k for k in _BPE_MERGE_CACHE if k[0] != src]:
+            del _BPE_MERGE_CACHE[k]
         _BPE_MERGE_CACHE[key] = merges
     wrapped = {"ref": ray.put(merges)}
     ds = _read_docs(sf_dir, ["doc_id", "text"])

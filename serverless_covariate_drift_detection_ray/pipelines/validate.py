@@ -1,13 +1,16 @@
 """The main validation DAG (SURVEY.md §3.2):
 
-    read(images) [fragment-partitioned, finished partitions filtered out]
-      → map_batches(FeaturizeAndSketch)          [actor pool; bytes never shuffle]
+    read(images) [a block per fragment, >= CPUs; finished partitions skipped]
+      → map_batches(featurize_task)              [stateless tasks; bytes never shuffle]
       → split: violations | per-block partials
-      → groupby(partition_id) merge partials     [shuffle #1 — tiny: sketch rows]
-      → map_batches(DriftTestActor)              [actor pool holding ref state]
-      ‖ pruned re-read → uniqueness groupby      [shuffle #2 — id/count rows]
-      ‖ pruned re-read → phash band groupby      [shuffle #3 — band rows]
+      → merge partials per partition → drift     [stripe tasks, drift fused in;
+                                                  groupby past the driver cap]
+      ‖ pruned key re-read → uniqueness groupby  [shuffle #1 — id/count rows]
+      ‖ pruned key re-read → phash band groupby  [shuffle #2 — band rows]
       → per-partition commit (verdicts + violations + column_stats + lineage)
+
+Block counts come from the manifest (``sources.fragmented.read_blocks``) and
+are reported as ``summary["read_blocks"]``.
 
 Verdict/violation/stat volumes are orders of magnitude below the input, so the
 final assembly collects them driver-side and writes resumable per-partition
@@ -25,10 +28,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..sources.fragmented import TableManifest, read_images
+from ..sources.fragmented import TableManifest, read_blocks, read_images
 from ..stages.constraints import VIOLATION_SCHEMA, check_neardup, check_uniqueness
-from ..stages.drift import (TS_FORMAT, VERDICT_SCHEMA, DriftTestActor,  # noqa: F401
-                            drift_verdicts_batch)
+from ..stages.drift import TS_FORMAT, VERDICT_SCHEMA, drift_verdicts_batch
 from ..stages.featurize import FeaturizeAndSketch
 from ..state.checkpoint import CheckpointStore, config_fingerprint
 from ..state.partials import PartialState
@@ -314,6 +316,10 @@ def validate(
 
     stage_t = {}
     constraint_t = {}
+    # the layout this run reads with: the featurize read's planned blocks,
+    # and the key read's materialized ones (set by build_constraints)
+    summary["read_blocks"] = {
+        "images": read_blocks(manifest.select_fragments(set(todo)), None)}
 
     def build_constraints():
         # bg_* times are thread-side wall — they OVERLAP the featurize stage
@@ -323,6 +329,7 @@ def validate(
             manifest, columns=["image_id", "phash", "partition_id"]
         ).materialize()
         constraint_t["bg_ids_read"] = time.time() - t
+        summary["read_blocks"]["keys"] = ids_ds.num_blocks()
         # setup only: the screens' driver-side collects and numpy passes are
         # free to overlap featurize (they use no cluster CPU); the final
         # shuffle datasets execute later — overlapping them would just

@@ -505,3 +505,62 @@ def test_len_band_explode_pairs_exactly_once(lengths):
             if abs(lengths[a] - lengths[b]) <= max_dist}
     assert set(seen) == want
     assert all(v == 1 for v in seen.values()), seen.most_common(3)
+
+
+def test_bpe_cache_keeps_sibling_merge_counts(ray_session, tmp_path,
+                                              monkeypatch):
+    """Alternating n_merges on ONE corpus trains once per value: a miss
+    evicts only other corpora's merge tables, never the same corpus's
+    other n_merges entries. A second corpus still evicts the first."""
+    from serverless_covariate_drift_detection_ray.pipelines import (
+        textops as tx)
+
+    t = pa.table({
+        "doc_id": pa.array(np.arange(4, dtype=np.int64)),
+        "text": pa.array(["the cat sat", "the cat ran", "a dog sat there",
+                          "the the the"]),
+    })
+    corpus = tmp_path / "a"
+    corpus.mkdir()
+    pq.write_table(t, str(corpus / "documents.parquet"))
+    trained = []
+    train = tx.bpe_train_documents
+
+    def counting_train(sf_dir, n_merges):
+        trained.append((sf_dir, n_merges))
+        return train(sf_dir, n_merges)
+
+    monkeypatch.setattr(tx, "_BPE_MERGE_CACHE", {})
+    monkeypatch.setattr(tx, "bpe_train_documents", counting_train)
+    outs = {}
+    for n in (2, 4, 2, 4, 2):
+        outs.setdefault(n, []).append(
+            tx.bpe_tokenize_documents(str(corpus), n).to_pandas()
+            .sort_values("doc_id").reset_index(drop=True))
+    assert trained == [(str(corpus), 2), (str(corpus), 4)]
+    for frames in outs.values():  # cached tables tokenize identically
+        for f in frames[1:]:
+            pd.testing.assert_frame_equal(frames[0], f)
+
+    other = tmp_path / "b"
+    other.mkdir()
+    pq.write_table(t.slice(0, 2), str(other / "documents.parquet"))
+    tx.bpe_tokenize_documents(str(other), 2)
+    assert {k[1] for k in tx._BPE_MERGE_CACHE} == {2}
+    assert {k[0][0] for k in tx._BPE_MERGE_CACHE} == {str(other)}
+
+
+def test_ann_pq_rerank_degenerate_corpus_returns_empty(ray_session, tmp_path):
+    """A corpus with no rows beyond the query prefix has no candidates:
+    the rerank returns the empty (query_id, neighbor_id, cos) table the
+    other ANN ops return, not an opaque stack/attribute error."""
+    from serverless_covariate_drift_detection_ray.pipelines.ann import (
+        N_QUERIES, ann_pq_rerank_topk)
+
+    emb = pq.read_table(f"{SF}/embeddings.parquet").slice(0, N_QUERIES)
+    pq.write_table(emb, str(tmp_path / "embeddings.parquet"))
+    out = ann_pq_rerank_topk(str(tmp_path))
+    assert out.num_rows == 0
+    assert out.schema == pa.schema([("query_id", pa.int64()),
+                                    ("neighbor_id", pa.int64()),
+                                    ("cos", pa.float64())])

@@ -202,6 +202,70 @@ def test_zone_map_pruning(ray_session, tmp_path):
     assert [f.id for f in man.select_fragments(predicate=("v", "==", 15))] == [0, 1]
 
 
+def test_read_images_blocks_follow_manifest(ray_session, tmp_path):
+    """read_images' contract: the block count comes from the manifest, not
+    Ray's CPU-scaled split. A key read (no ``bytes``) gets
+    ``max(4, rows // 262_144)`` blocks; a bytes read one block per selected
+    fragment, raised to the CPU count when fragments are fewer. Resume
+    (``skip_partitions``) and pruned (``predicate``) reads follow the same
+    rule over the fragments they keep, and every row survives."""
+    import numpy as np
+
+    from serverless_covariate_drift_detection_ray.sources.fragmented import (
+        FragmentInfo,
+        TableManifest,
+        cluster_cpus,
+        read_blocks,
+        read_images,
+        write_fragment,
+    )
+
+    ncpu = cluster_cpus()
+    n_frags = ncpu + 2  # more fragments than CPUs; pairs per partition
+    root = str(tmp_path / "blocks")
+    os.makedirs(root)
+    man = TableManifest(root=root)
+    for fid in range(n_frags):
+        v = np.arange(fid * 10, fid * 10 + 10, dtype=np.int64)
+        t = pa.table({
+            "image_id": pa.array([f"i{x:03d}" for x in v]),
+            "bytes": pa.array([bytes([x % 256]) * 64 for x in v], pa.binary()),
+            "v": pa.array(v),
+            "fragment_id": pa.array(np.full(10, fid, np.int64)),
+            "partition_id": pa.array(np.full(10, fid // 2, np.int32)),
+        })
+        man.fragments.append(write_fragment(root, fid, fid // 2, t))
+    man.partitions = {p: {} for p in range(n_frags // 2)}
+    man.save()
+    man = TableManifest.load(root)
+    rows = 10 * n_frags
+
+    def read(**kw):
+        ds = read_images(man, **kw).materialize()
+        return ds.num_blocks(), ds.count()
+
+    # key read: the data-scaled floor, whatever the fragment count
+    assert read(columns=["image_id", "partition_id"]) == (4, rows)
+    # bytes read: one block per fragment once fragments outnumber CPUs
+    assert read() == (n_frags, rows)
+    assert read(columns=["image_id", "bytes"]) == (n_frags, rows)
+    # resume keeps 2 fragments (< CPUs): raised to the CPU count
+    skip = set(range(1, n_frags // 2))
+    assert read(skip_partitions=skip) == (ncpu, 20)
+    assert read(columns=["image_id"], skip_partitions=skip) == (4, 20)
+    # zone-map pruning keeps fragments 3.. (rows filtered inside fragment 2
+    # do not change the manifest-sized count)
+    kept = n_frags - 2
+    assert read(predicate=("v", ">=", 25)) == (max(kept, ncpu), rows - 25)
+    assert read(columns=["image_id", "v"], predicate=("v", ">=", 25)) \
+        == (4, rows - 25)
+    # the data term takes over past 4 x 262_144 key rows
+    big = [FragmentInfo(id=i, file="", rows=262_144 * 3, partition_id=0)
+           for i in range(3)]
+    assert read_blocks(big, ["image_id"]) == 9
+    assert read_blocks(big, None) == max(3, ncpu)
+
+
 def test_snapshot_time_travel(ray_session, tmp_path):
     """create_snapshot pins the pre-compaction manifest: gc keeps its
     files, load(version=) reads the exact old data, and drop_snapshot +
