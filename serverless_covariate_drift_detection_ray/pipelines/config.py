@@ -43,14 +43,13 @@ class EngineConfig:
     neardup_hamming_max: int = 2       # bucket-verify threshold
     neardup_min_cluster: int = 3       # cluster size that counts as a violation
     batch_size: int = 1024             # binary-heavy rows → modest batches
-    featurize_concurrency: int | None = None  # None = stateless tasks autoscale
-    drift_concurrency: int = 4
     freeze_time: str | None = None     # fixed verdict timestamp for byte-stable goldens
     quarantine: bool = False           # opt-in dead-letter sink (re-reads violating fragments)
     quarantine_max_rows: int = 1_000_000  # skip (with a summary note) beyond this
     # drift-check plugins (§2.10): registered names or custom Check instances
-    # (instances are cloudpickled by value into the actor pool, so custom
-    # checks need not be importable on workers) — see stages/checks.py
+    # (instances are cloudpickled by value with the config into the drift
+    # tasks, so custom checks need not be importable on workers) — see
+    # stages/checks.py
     drift_checks: tuple = ("ks", "chi2", "mmd", "caption_cms", "pca_mmd")
 
     def sample_threshold(self, fraction: float) -> int:

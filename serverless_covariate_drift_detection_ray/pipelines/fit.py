@@ -1,7 +1,10 @@
-"""Fit job: freeze the reference window state (SURVEY.md §3.1 → engine mapping).
+"""Fit job, and the featurize + merge passes every pipeline shares.
 
-``read(reference partitions) → map_batches(FeaturizeAndSketch) →
-groupby-merge partials → median-heuristic σ → save reference_state/``.
+``read(reference partitions) → featurize_partials → split_reduced →
+merge_per_partition → merge in partition_id order → median-heuristic σ →
+save reference_state/``. ``validate()`` runs the same three passes over the
+partitions it tests (with the drift checks fused into the merge), and
+``score_window`` fans large windows out through ``featurize_partials``.
 
 The reference analogue: encode the detector split and ``detector.fit(X_ref)``
 (/root/reference/ml/training.py:423-460).
@@ -9,13 +12,33 @@ The reference analogue: encode the detector split and ``detector.fit(X_ref)``
 
 from __future__ import annotations
 
+from functools import partial
+
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..sources.fragmented import TableManifest, read_images
-from ..stages.featurize import FeaturizeAndSketch
+from ..stages.constraints import VIOLATION_SCHEMA
+from ..stages.drift import VERDICT_SCHEMA, drift_verdicts_batch
+from ..stages.featurize import featurize_task
 from ..state.partials import PartialState
 from ..state.reference import ReferenceState
 from .config import EngineConfig
+
+# reduced-stream rows (partials + domain violations) the driver will collect;
+# beyond this the split/merge runs distributed (a pathological partition where
+# every row violates must not ride through the driver)
+REDUCED_DRIVER_MAX = 500_000
+
+# partial-state rows above which the per-partition merge runs as a distributed
+# groupby instead of driver-submitted stripe tasks (~100 KB per partial row)
+DRIVER_MERGE_MAX_PARTIALS = 20_000
+
+# one merged sketch state per partition: what the drift checks and the
+# commit consume
+STATE_ROW_SCHEMA = pa.schema([("partition_id", pa.int32()),
+                              ("state", pa.binary()), ("n_rows", pa.int64())])
 
 
 def merge_partials_table(batch: pa.Table, cfg: EngineConfig) -> PartialState:
@@ -25,45 +48,134 @@ def merge_partials_table(batch: pa.Table, cfg: EngineConfig) -> PartialState:
     return PartialState.merge_many(states, cfg.ref_sample_cap)
 
 
-def _merged_partition_state(manifest: TableManifest, pids: set[int],
-                            cfg: EngineConfig) -> PartialState:
-    """Featurize+sketch the given partitions and return ONE merged state.
+def _merged_state_row(pid: int, merged: PartialState) -> pa.Table:
+    """THE single-row ``STATE_ROW_SCHEMA`` table — one definition shared by
+    both merge branches so the shape can't silently fork."""
+    return pa.table({"partition_id": [int(pid)], "state": [merged.to_bytes()],
+                     "n_rows": [merged.n_rows]}, schema=STATE_ROW_SCHEMA)
 
-    Tree reduction: pre-merge per partition in tasks so the driver only
-    collects ONE state row per partition (bounded by partition count),
-    never one row per block — at 100 TB the block-level partials would be
-    GBs of sketch blobs."""
-    import ray
 
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    skip = set(manifest.partition_ids()) - pids
-    ds = read_images(manifest, skip_partitions=skip)
-    reduced = ds.map_batches(
-        FeaturizeAndSketch,
-        fn_constructor_args=(cfg, None),
+def featurize_partials(ds, cfg: EngineConfig,
+                       manifest_broadcast: dict | None = None):
+    """THE featurize pass: stateless ``featurize_task`` tasks over ``ds``,
+    materialized. Ray fuses the parquet read into the same task and shares
+    every CPU between read and compute, so the pass runs at any cluster
+    size; the output is a few KB per block (sketch partials + violation
+    rows), so the bytes never enter a shuffle."""
+    return ds.map_batches(
+        partial(featurize_task, cfg=cfg, manifest_broadcast=manifest_broadcast),
         batch_format="pyarrow",
         batch_size=cfg.batch_size,
         zero_copy_batch=True,
-        concurrency=cfg.featurize_concurrency or max(2, ncpu - 2),
-    )
-    partials = reduced.map_batches(
-        lambda t: t.filter(pa.compute.equal(t["kind"], "partial")).select(
-            ["partition_id", "state", "n_rows"]
-        ),
-        batch_format="pyarrow",
-    )
+    ).materialize()
 
-    def merge_group(batch: pa.Table) -> pa.Table:
-        ps = merge_partials_table(batch, cfg)
-        return pa.table({
-            "partition_id": batch["partition_id"].slice(0, 1),
-            "state": pa.array([ps.to_bytes()], pa.binary()),
-            "n_rows": pa.array([ps.n_rows], pa.int64()),
-        })
 
-    per_part = partials.groupby("partition_id").map_groups(
-        merge_group, batch_format="pyarrow")
-    return merge_partials_table(pa.Table.from_pylist(per_part.take_all()), cfg)
+def split_reduced(reduced):
+    """Split the featurize output into (violation rows, partial rows).
+
+    The reduced stream is a few KB per input block — collect it once on the
+    driver and split locally while it provably fits (REDUCED_DRIVER_MAX);
+    the partials then come back as a ``pa.Table``. Beyond that the split
+    stays distributed and the partials come back as a Dataset."""
+    import ray.data
+
+    if reduced.count() <= REDUCED_DRIVER_MAX:
+        tbl = pa.concat_tables(list(
+            reduced.iter_batches(batch_size=1 << 16, batch_format="pyarrow")))
+        violations = ray.data.from_arrow(
+            tbl.filter(pc.equal(tbl["kind"], "violation"))
+            .select(VIOLATION_SCHEMA.names).cast(VIOLATION_SCHEMA))
+        return violations, tbl.filter(
+            pc.equal(tbl["kind"], "partial")).select(STATE_ROW_SCHEMA.names)
+
+    def keep(kind: str, cols: list[str]):
+        def fn(batch: pa.Table) -> pa.Table:
+            return batch.filter(pc.equal(batch["kind"], kind)).select(cols)
+        return fn
+
+    violations = reduced.map_batches(
+        keep("violation", VIOLATION_SCHEMA.names), batch_format="pyarrow",
+        zero_copy_batch=True,
+    ).map_batches(lambda t: t.cast(VIOLATION_SCHEMA), batch_format="pyarrow")
+    return violations, reduced.map_batches(
+        keep("partial", STATE_ROW_SCHEMA.names), batch_format="pyarrow",
+        zero_copy_batch=True)
+
+
+def _merge_stripe(tbl: pa.Table, pids: list, cfg: EngineConfig,
+                  ref_state_dir: str | None) -> tuple:
+    out = [_merged_state_row(pid, merge_partials_table(
+        tbl.filter(pc.equal(tbl["partition_id"], int(pid))), cfg))
+        for pid in pids]
+    merged = pa.concat_tables(out)
+    if ref_state_dir is None:
+        return merged, VERDICT_SCHEMA.empty_table()
+    return merged, drift_verdicts_batch(merged, cfg=cfg,
+                                        ref_state_dir=ref_state_dir)
+
+
+def merge_per_partition(partials, cfg: EngineConfig,
+                        ref_state_dir: str | None = None) -> tuple:
+    """Merge the partial rows into one state row per partition; returns
+    ``(per-partition rows sorted by partition_id, drift verdicts)``, the
+    verdicts empty unless ``ref_state_dir`` is given.
+
+    Driver-collected partials within DRIVER_MERGE_MAX_PARTIALS merge in a
+    handful of stripe tasks — the merge is GIL-bound Python (driver threads
+    measured 1.5 s serial vs 3.1 s under an 8-thread pool), so parallelism
+    must be process-level, and stripes rather than per-partition tasks
+    keep the submit overhead down. With ``ref_state_dir`` each stripe runs
+    the drift checks on its merged rows as soon as its merge finishes (the
+    stateless ``drift_verdicts_batch`` kernel, warm-worker module cache).
+    Beyond the gate — or when the split stayed distributed — the same merge
+    runs as a groupby on ``partition_id``."""
+    import ray
+
+    if isinstance(partials, pa.Table) and \
+            partials.num_rows <= DRIVER_MERGE_MAX_PARTIALS:
+        pids = np.unique(partials["partition_id"].to_numpy())
+        n_stripes = min(8, pids.size)
+        tbl_ref = ray.put(partials)
+        stripe = ray.remote(_merge_stripe)
+        chunks = ray.get([
+            stripe.remote(tbl_ref, pids[i::n_stripes].tolist(), cfg,
+                          ref_state_dir) for i in range(n_stripes)])
+        rows = [m for m, _ in chunks]
+        verdicts = [v for _, v in chunks]
+    else:
+        import ray.data
+
+        if isinstance(partials, pa.Table):
+            partials = ray.data.from_arrow(partials)
+
+        def merge_group(batch: pa.Table) -> pa.Table:
+            pid = int(batch["partition_id"][0].as_py())
+            return _merged_state_row(pid, merge_partials_table(batch, cfg))
+
+        grouped = partials.groupby("partition_id").map_groups(
+            merge_group, batch_format="pyarrow").materialize()
+        rows = list(grouped.iter_batches(batch_size=None,
+                                         batch_format="pyarrow"))
+        verdicts = [] if ref_state_dir is None else list(grouped.map_batches(
+            partial(drift_verdicts_batch, cfg=cfg, ref_state_dir=ref_state_dir),
+            batch_format="pyarrow", batch_size=None,
+        ).iter_batches(batch_size=None, batch_format="pyarrow"))
+    per_part = pa.concat_tables(
+        [STATE_ROW_SCHEMA.empty_table(), *rows]).sort_by("partition_id")
+    return per_part, pa.concat_tables(
+        [VERDICT_SCHEMA.empty_table(),
+         *(v.cast(VERDICT_SCHEMA) for v in verdicts)])
+
+
+def _merged_partition_state(manifest: TableManifest, pids: set[int],
+                            cfg: EngineConfig) -> PartialState:
+    """Featurize+sketch the given partitions and return ONE merged state:
+    the per-partition rows merged in partition_id order."""
+    skip = set(manifest.partition_ids()) - pids
+    reduced = featurize_partials(read_images(manifest, skip_partitions=skip), cfg)
+    _, partials = split_reduced(reduced)
+    per_part, _ = merge_per_partition(partials, cfg)
+    return merge_partials_table(per_part, cfg)
 
 
 def fit(manifest_dir: str, out_state_dir: str, cfg: EngineConfig | None = None,

@@ -816,13 +816,15 @@ def _hourly_mean_frame(sf_dir: str) -> pd.DataFrame:
     (hour, type) → (n, sum) partials, salted single-key merge, and a
     (event_type, hour)-sorted driver frame with the per-window mean — hours
     × types rows, metadata-sized by construction; raw values never leave
-    their blocks."""
+    their blocks. NULL values count in neither the sum nor ``n`` (SQL
+    ``AVG`` semantics; the twins filter ``value IS NOT NULL``)."""
     from ..functions.hashing import hash64
 
     n_buckets = _salt_buckets(sf_dir, "events")
     ds = _read_blocked(sf_dir, "events", ["ts", "event_type", "value"])
 
     def partial(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(pc.is_valid(batch["value"]))
         hour = pc.floor_temporal(batch["ts"], unit="hour")
         # exact INTEGER micro-unit sums (FLOOR(v*1e6+0.5) is the same
         # double→int map in both engines, and int64 addition is
@@ -958,7 +960,7 @@ WITH RECURSIVE m AS (
          COUNT(*)::BIGINT AS n,
          SUM(CAST(FLOOR(value * 1000000 + 0.5) AS BIGINT))::DOUBLE
            / 1000000 / COUNT(*) AS mv
-  FROM events GROUP BY 1, 2),
+  FROM events WHERE value IS NOT NULL GROUP BY 1, 2),
 st AS (
   SELECT event_type, AVG(mv) AS mu, SQRT(VAR_POP(mv)) AS sd
   FROM m GROUP BY 1),
@@ -1018,7 +1020,7 @@ WITH m AS (
   SELECT event_type, date_trunc('hour', ts) AS hour,
          SUM(CAST(FLOOR(value * 1000000 + 0.5) AS BIGINT))::DOUBLE
            / 1000000 / COUNT(*) AS mv
-  FROM events GROUP BY 1, 2),
+  FROM events WHERE value IS NOT NULL GROUP BY 1, 2),
 h AS (SELECT event_type, EXTRACT(hour FROM hour) AS hod, mv FROM m),
 p AS (SELECT event_type, hod, AVG(mv) AS pm, SQRT(VAR_POP(mv)) AS ps,
              COUNT(*)::BIGINT AS nh
@@ -1042,7 +1044,7 @@ WITH m AS (
          COUNT(*)::BIGINT AS n,
          SUM(CAST(FLOOR(value * 1000000 + 0.5) AS BIGINT))::DOUBLE
            / 1000000 / COUNT(*) AS mv
-  FROM events GROUP BY 1, 2),
+  FROM events WHERE value IS NOT NULL GROUP BY 1, 2),
 st AS (
   SELECT event_type, AVG(mv) AS mu, SQRT(VAR_POP(mv)) AS sd
   FROM m GROUP BY 1),

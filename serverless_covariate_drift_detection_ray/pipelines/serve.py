@@ -18,9 +18,9 @@ Execution shape: EXACTLY the batch pipeline's kernels —
 for the tests — so a served verdict is bit-identical to what the batch
 pass would emit for the same rows (pinned in tests). Small windows (the
 serving case) run in-process with zero Ray tasks: the callable-class stage
-is constructed directly, which is the same code path an actor pool runs.
-Windows above SERVE_DRIVER_MAX_ROWS fan out through ``map_batches`` on the
-already-initialized Ray session.
+is constructed directly, which is the same code the stateless featurize
+tasks run. Windows above SERVE_DRIVER_MAX_ROWS fan out through the batch
+pipeline's own featurize pass (``fit.featurize_partials``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import pyarrow as pa
 from ..stages.drift import VERDICT_SCHEMA, DriftTestActor
 from ..stages.featurize import FeaturizeAndSketch
 from .config import EngineConfig
-from .fit import merge_partials_table
+from .fit import featurize_partials, merge_partials_table
 
 SERVE_DRIVER_MAX_ROWS = 100_000  # in-process gate; larger windows fan out
 WINDOW_PARTITION_ID = 0  # a served window is one anonymous partition
@@ -80,23 +80,11 @@ def score_window(window, ref_state_dir: str,
     if table.num_rows <= SERVE_DRIVER_MAX_ROWS:
         reduced = FeaturizeAndSketch(cfg, None)(table)
     else:
-        import ray
         import ray.data
 
-        if ray.is_initialized():
-            ncpu = int(ray.cluster_resources().get("CPU", 8))
-        else:  # Ray Data auto-inits on execution; size the pool from the host
-            ncpu = os.cpu_count() or 8
-        reduced_ds = ray.data.from_arrow(table).map_batches(
-            FeaturizeAndSketch,
-            fn_constructor_args=(cfg, None),
-            batch_format="pyarrow",
-            batch_size=cfg.batch_size,
-            concurrency=max(2, ncpu - max(2, ncpu // 4)),
-        )
-        reduced = pa.concat_tables(
-            list(reduced_ds.iter_batches(batch_size=1 << 16,
-                                         batch_format="pyarrow")))
+        reduced = pa.concat_tables(list(
+            featurize_partials(ray.data.from_arrow(table), cfg).iter_batches(
+                batch_size=1 << 16, batch_format="pyarrow")))
 
     import numpy as np
     import pyarrow.compute as pc
@@ -112,7 +100,7 @@ def score_window(window, ref_state_dir: str,
     pid = int(pids[0]) if pids.size == 1 else WINDOW_PARTITION_ID
 
     # same per-window tests as the batch pipeline's drift stage — the state
-    # loads through DriftTestActor exactly as the actor pool would load it
+    # loads through DriftTestActor exactly as the drift tasks load it
     tester = DriftTestActor(cfg, ref_state_dir)
     rows = tester.verdicts_for_partition(pid, merged)
     verdicts = pa.Table.from_pylist(rows, schema=VERDICT_SCHEMA)

@@ -30,12 +30,11 @@ import pyarrow.parquet as pq
 
 from ..sources.fragmented import TableManifest, read_blocks, read_images
 from ..stages.constraints import VIOLATION_SCHEMA, check_neardup, check_uniqueness
-from ..stages.drift import TS_FORMAT, VERDICT_SCHEMA, drift_verdicts_batch
-from ..stages.featurize import FeaturizeAndSketch
+from ..stages.drift import TS_FORMAT, VERDICT_SCHEMA
 from ..state.checkpoint import CheckpointStore, config_fingerprint
 from ..state.partials import PartialState
 from .config import EngineConfig
-from .fit import merge_partials_table
+from .fit import featurize_partials, merge_per_partition, split_reduced
 
 CONSTRAINT_CHECKS = ("unique_image_id", "neardup_phash")
 
@@ -63,26 +62,6 @@ def _warm_fsspec_http() -> None:
 
         mod.HTTPFileSystem = HTTPFileSystem
         sys.modules["fsspec.implementations.http"] = mod
-
-# partial-state rows above which the per-partition merge runs as a distributed
-# groupby instead of on the driver (~100 KB per partial row)
-DRIVER_MERGE_MAX_PARTIALS = 20_000
-
-
-def _merged_state_row(pid: int, merged) -> "pa.Table":
-    """THE (partition_id, state, n_rows) single-row schema the drift stage
-    consumes — one definition shared by the driver-stripe, distributed-
-    groupby, and streamed merge branches so the shape can't silently fork."""
-    return pa.table({
-        "partition_id": pa.array([int(pid)], pa.int32()),
-        "state": pa.array([merged.to_bytes()], pa.binary()),
-        "n_rows": pa.array([merged.n_rows], pa.int64()),
-    })
-
-# reduced-stream rows (partials + domain violations) the driver will collect;
-# beyond this the split/merge runs distributed (a pathological partition where
-# every row violates must not ride through the driver)
-REDUCED_DRIVER_MAX = 500_000
 
 # total violation rows assembled driver-side; beyond this, violations are
 # sorted and written per partition by a distributed groupby writer
@@ -346,84 +325,23 @@ def validate(
     constraints_fut = pool.submit(build_constraints)
 
     # ---- pass 1: bytes-heavy featurize + sketch partials ----
-    # Default: STATELESS tasks (featurize_task, warm-worker module cache).
-    # Ray fuses the parquet read into the same task and shares every CPU
-    # between read and compute; an actor pool must reserve a fixed CPU split
-    # up front (and deadlocks the read stage if sized to every CPU) —
-    # measured at 400k rows / 32 CPUs: 6.2 s tasks vs 7.1 s best-split
-    # (24-actor) pool. cfg.featurize_concurrency forces the explicit actor
-    # pool (load-once-per-actor escape hatch; same output, parity-tested).
+    # stateless featurize_task tasks (warm-worker module cache) with the
+    # parquet read fused in; the broadcast id-set probes referential
+    # integrity inside the same pass
     ds = read_images(manifest, skip_partitions=finished)
     t1 = time.time()
-    if cfg.featurize_concurrency:
-        reduced = ds.map_batches(
-            FeaturizeAndSketch,
-            fn_constructor_args=(cfg, broadcast),
-            batch_format="pyarrow",
-            batch_size=cfg.batch_size,
-            zero_copy_batch=True,
-            concurrency=cfg.featurize_concurrency,
-        ).materialize()  # tiny: per-block partial rows + violation rows only
-    else:
-        from functools import partial as _fpartial
-
-        from ..stages.featurize import featurize_task
-
-        reduced = ds.map_batches(
-            _fpartial(featurize_task, cfg=cfg, manifest_broadcast=broadcast),
-            batch_format="pyarrow",
-            batch_size=cfg.batch_size,
-            zero_copy_batch=True,
-        ).materialize()  # tiny: per-block partial rows + violation rows only
+    reduced = featurize_partials(ds, cfg, broadcast)
     stage_t["featurize"] = time.time() - t1
 
-    # the reduced stream is a few KB per input block — collect it once on the
-    # driver and split locally (violations | partials) while it provably fits
-    # (REDUCED_DRIVER_MAX). Beyond that — e.g. a pathological partition where
-    # every row violates — the split and the per-partition merge both run
-    # distributed (same semantics: merge_many is commutative), keeping the
-    # driver out of the data path.
-    import ray.data
-
+    # violations | per-block partials: driver-side while the reduced stream
+    # fits, distributed beyond (fit.split_reduced)
     t1 = time.time()
-
-    def merge_group(batch: pa.Table) -> pa.Table:
-        pid = int(batch["partition_id"][0].as_py())
-        merged = merge_partials_table(batch, cfg)
-        return _merged_state_row(pid, merged)
-
-    VIOL_COLS = ["partition_id", "image_id", "check", "column", "observed", "expected"]
-    n_reduced = reduced.count()
-    partials_tbl = None
-    if n_reduced <= REDUCED_DRIVER_MAX:
-        reduced_tbl = pa.concat_tables(
-            list(reduced.iter_batches(batch_size=1 << 16, batch_format="pyarrow"))
-        )
-        domain_viol_ds = ray.data.from_arrow(
-            reduced_tbl.filter(pc.equal(reduced_tbl["kind"], "violation"))
-            .select(VIOL_COLS).cast(VIOLATION_SCHEMA)
-        )
-        partials_tbl = reduced_tbl.filter(pc.equal(reduced_tbl["kind"], "partial")).select(
-            ["partition_id", "state", "n_rows"]
-        )
-    else:
-        def keep(kind: str, cols: list[str]):
-            def fn(batch: pa.Table) -> pa.Table:
-                return batch.filter(pc.equal(batch["kind"], kind)).select(cols)
-            return fn
-
-        domain_viol_ds = reduced.map_batches(
-            keep("violation", VIOL_COLS), batch_format="pyarrow", zero_copy_batch=True
-        ).map_batches(lambda t: t.cast(VIOLATION_SCHEMA), batch_format="pyarrow")
-        partials_src = reduced.map_batches(
-            keep("partial", ["partition_id", "state", "n_rows"]),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
+    domain_viol_ds, partials = split_reduced(reduced)
     stage_t["split"] = time.time() - t1
 
     # ---- join the concurrently-built constraint pipelines, and launch
     # their union/materialize IMMEDIATELY so the constraint shuffles run
-    # while the driver merges sketch partials and the drift pool starts ----
+    # while the sketch partials merge and the drift checks run ----
     t1 = time.time()
     try:
         uniq_viol, neardup_viol = constraints_fut.result()
@@ -447,88 +365,17 @@ def validate(
     cpool = ThreadPoolExecutor(max_workers=1)
     viol_fut = cpool.submit(exec_constraints)
 
-    # ---- merge sketch partials per partition (driver when tiny, else a
-    # distributed groupby — same commutative merge) ----
+    # ---- merge sketch partials per partition, with the drift checks vs
+    # the frozen reference fused into the merge tasks (stateless tasks over
+    # the WARM featurize worker processes, the reference window loaded once
+    # per worker via the module cache in stages.drift — the reference's
+    # SingletonMeta contract). The constraint union is already executing on
+    # the helper thread, so drift and the constraint shuffles run
+    # CONCURRENTLY ----
     t1 = time.time()
-    fused_verdicts: "pa.Table | None" = None  # set by the fused stripe path
-    if partials_tbl is not None:
-        if partials_tbl.num_rows <= DRIVER_MERGE_MAX_PARTIALS:
-            # the sketch merge is GIL-bound Python (driver threads measured
-            # 1.5s serial vs 3.1s under an 8-thread pool), so parallelism
-            # must be PROCESS-level: stripe the partitions over a handful of
-            # remote tasks (inputs are KB-scale partial blobs, outputs one
-            # row per partition). Stripes, not per-partition tasks — the
-            # per-task submit/result overhead would eat the win at 1 task
-            # per partition. The DRIFT pass is fused into each stripe: the
-            # stripe's merged rows feed the same stateless
-            # drift_verdicts_batch kernel (warm-worker module cache) the
-            # dataset path uses, as soon as THIS stripe's merge finishes —
-            # no all-stripe barrier before drift starts.
-            import ray as _ray
-
-            pids_present = np.unique(partials_tbl["partition_id"].to_numpy())
-            n_stripes = max(1, min(8, pids_present.size))
-
-            @_ray.remote
-            def merge_stripe(tbl: pa.Table, pids: list, cfg_,
-                             ref_dir_: str) -> tuple:
-                # same single-row tables merge_group builds — one schema
-                # definition (_merged_state_row) serves all three branches
-                out = []
-                for pid in pids:
-                    sub = tbl.filter(pc.equal(tbl["partition_id"], int(pid)))
-                    out.append(_merged_state_row(
-                        int(pid), merge_partials_table(sub, cfg_)))
-                vt = drift_verdicts_batch(
-                    pa.concat_tables(out), cfg=cfg_, ref_state_dir=ref_dir_)
-                return out, vt
-
-            tbl_ref = _ray.put(partials_tbl)
-            stripes = [pids_present[i::n_stripes].tolist()
-                       for i in range(n_stripes)]
-            chunks = _ray.get([merge_stripe.remote(tbl_ref, s, cfg,
-                                                   ref_state_dir)
-                               for s in stripes])
-            tables = [t for chunk, _ in chunks for t in chunk]
-            tables.sort(key=lambda t: int(t["partition_id"][0].as_py()))
-            vts = [vt for _, vt in chunks if vt.num_rows]
-            fused_verdicts = (pa.concat_tables(vts) if vts
-                              else VERDICT_SCHEMA.empty_table())
-            # one single-row block per partition for downstream consumers
-            per_part = ray.data.from_arrow(tables)
-        else:
-            per_part = ray.data.from_arrow(partials_tbl).groupby("partition_id").map_groups(
-                merge_group, batch_format="pyarrow"
-            ).materialize()
-    else:
-        per_part = partials_src.groupby("partition_id").map_groups(
-            merge_group, batch_format="pyarrow"
-        ).materialize()
+    per_part, verdicts = merge_per_partition(partials, cfg, ref_state_dir)
     stage_t["merge_partials"] = time.time() - t1
-
-    # ---- drift verdicts vs frozen reference: stateless tasks over the
-    # WARM featurize worker processes, with the reference window loaded
-    # once per worker via the module cache in stages.drift (the reference's
-    # SingletonMeta contract) — fresh actor spawns cost more than this whole
-    # stage. Verdicts are tiny (per partition × check) and always collect
-    # driver-side; the constraint union is already executing on the helper
-    # thread, so drift and the constraint shuffles run CONCURRENTLY ----
-    from functools import partial as _partial
-
-    t1 = time.time()
-    if fused_verdicts is not None:
-        # driver-stripe path already computed drift inside the merge tasks
-        # (per-stripe, pipelined); only schema conformance remains here
-        verdicts = fused_verdicts.cast(VERDICT_SCHEMA)
-    else:
-        verdicts_ds = per_part.map_batches(
-            _partial(drift_verdicts_batch, cfg=cfg, ref_state_dir=ref_state_dir),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        verdicts = pa.Table.from_pylist(verdicts_ds.take_all(),
-                                        schema=VERDICT_SCHEMA)
-    stage_t["drift"] = time.time() - t1
+    stage_t["drift"] = 0.0  # fused into merge_partials
 
     t1 = time.time()
     viol_ds, n_viol = viol_fut.result()
@@ -728,7 +575,8 @@ def validate(
     # ---- per-partition commit with lineage (I/O-bound → thread pool) ----
     from concurrent.futures import ThreadPoolExecutor
 
-    states = {int(r["partition_id"]): r["state"] for r in per_part.take_all()}
+    states = dict(zip(per_part["partition_id"].to_pylist(),
+                      per_part["state"].to_pylist()))
     wall = time.time() - t0
 
     def commit_one(pid: int) -> None:

@@ -1,4 +1,4 @@
-"""Per-partition drift testing: the stateful actor-pool stage.
+"""Per-partition drift testing against the frozen reference state.
 
 ``DriftTestActor`` is the engine's analogue of the reference's Drift Detection
 Service: one frozen detector state per worker process, independent two-sample
@@ -44,9 +44,10 @@ TS_FORMAT = "%d/%m/%Y %H:%M:%S.%f"
 
 
 class DriftTestActor:
-    """Actor pool stage: ``__init__`` loads the frozen reference state once per
-    worker (the load-once-per-process singleton pattern,
-    /root/reference/detector_api/app/detector.py:38-42); ``__call__`` tests each
+    """Callable-class stage: ``__init__`` loads the frozen reference state
+    once (the load-once-per-process singleton pattern,
+    /root/reference/detector_api/app/detector.py:38-42; the worker cache in
+    ``drift_verdicts_batch`` keeps one per process); ``__call__`` tests each
     partition-state row against it."""
 
     def __init__(self, cfg: EngineConfig, ref_state_dir: str):

@@ -53,12 +53,12 @@ OUT_SCHEMA = pa.schema(
 
 class FeaturizeAndSketch:
     """Callable-class stage: the broadcast manifest-id set is fetched once per
-    worker (``ray.put`` → ``ray.get`` in ``__init__``), mirroring the
+    instance (``ray.put`` → ``ray.get`` in ``__init__``), mirroring the
     reference's singleton-per-process model cache
-    (/root/reference/detector_api/app/utils.py:4-14). Runs either as an actor
-    pool (``cfg.featurize_concurrency`` set) or — the default — via the
-    stateless ``featurize_task`` wrapper below, which keeps the same
-    load-once-per-worker contract through a module cache."""
+    (/root/reference/detector_api/app/utils.py:4-14). The pipelines run it
+    through the stateless ``featurize_task`` wrapper below, whose module
+    cache keeps one instance per worker process; ``score_window`` calls it
+    in-process."""
 
     def __init__(self, cfg: EngineConfig, manifest_broadcast: dict | None = None):
         self.cfg = cfg
@@ -68,9 +68,9 @@ class FeaturizeAndSketch:
         self.decode_thresh = np.uint64(min(cfg.sample_threshold(cfg.decode_fraction), 2**64 - 1))
         self.manifest_hashes: np.ndarray | None = None
         if manifest_broadcast is not None:
-            # The ObjectRef is wrapped in a dict so Ray does NOT resolve it at
-            # actor creation (unwrapped ctor refs deadlock actor pools — ray
-            # issue #53727); ray.get here runs once per actor = broadcast.
+            # The ObjectRef is wrapped in a dict so Ray passes it through
+            # unresolved and featurize_task can key its cache on the ref;
+            # ray.get here runs once per cached instance = broadcast.
             import ray
 
             self.manifest_hashes = ray.get(manifest_broadcast["ref"])
@@ -285,14 +285,13 @@ class FeaturizeAndSketch:
 
 
 # ---------------------------------------------------------------------------
-# Stateless-task wrapper (default execution mode; drift stage's warm-worker
-# pattern). An actor pool must reserve a fixed CPU split against the read
-# stage up front (and deadlocks if sized to every CPU); stateless tasks let
-# Ray fuse the parquet read into the same task and share all CPUs between
-# read and compute — measured on the 400k-row bench fixture at 32 CPUs:
-# 7.1 s (24-actor pool, best split) vs 6.2 s (tasks). The broadcast id-set
-# is still fetched once per WORKER process: warm workers are reused across
-# tasks and the cache is keyed by (config fingerprint, broadcast ref id).
+# Stateless-task wrapper: the one way the pipelines run the stage
+# (``pipelines.fit.featurize_partials``; the drift stage's warm-worker
+# pattern). Ray fuses the parquet read into the same task and shares every
+# CPU between read and compute, so the pass needs no reserved CPU split and
+# runs at any cluster size. The broadcast id-set is still fetched once per
+# WORKER process: warm workers are reused across tasks and the cache is
+# keyed by (config fingerprint, broadcast ref id).
 # ---------------------------------------------------------------------------
 
 _WORKER_CACHE: dict = {}

@@ -54,6 +54,41 @@ def test_query_matches_oracle(ray_session, oracle, name):
     pd.testing.assert_frame_equal(rdf, odf, check_dtype=False, check_exact=True)
 
 
+@pytest.mark.parametrize("name", ["cusum_changepoint_events",
+                                  "ewma_control_events",
+                                  "seasonality_profile_events"])
+def test_hourly_monitors_skip_null_values(ray_session, tmp_path, name):
+    """A NULL events.value counts in neither the sum nor the count of its
+    hourly mean (SQL AVG semantics), so the monitors match their DuckDB
+    twins on a table with nulled values, one all-NULL (hour, type) cell
+    included."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as e
+
+    ev = pq.read_table(f"{SF}/events.parquet")
+    hour = pc.floor_temporal(ev["ts"], unit="hour")
+    cell = pc.and_(pc.equal(hour, hour[0]),
+                   pc.equal(ev["event_type"], ev["event_type"][0]))
+    nulled = pc.or_(cell, pa.array(np.arange(ev.num_rows) % 7 == 3))
+    ev = ev.set_column(ev.schema.get_field_index("value"), "value",
+                       pc.if_else(nulled, pa.scalar(None, pa.float64()),
+                                  ev["value"]))
+    pq.write_table(ev, str(tmp_path / "events.parquet"))
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW events AS SELECT * FROM "
+                f"'{tmp_path}/events.parquet'")
+
+    rdf = _canon(_to_df(e.queries()[name](str(tmp_path))))
+    odf = _canon(con.execute(e.oracle_sql()[name]).fetchdf())
+    assert list(rdf.columns) == list(odf.columns)
+    pd.testing.assert_frame_equal(rdf, odf, check_dtype=False, check_exact=True)
+    if "n" in rdf.columns:
+        assert rdf.n.sum() == len(ev) - ev["value"].null_count
+
+
 def test_minhash_candidates_cover_exact_jaccard(ray_session):
     """MinHash-LSH output must contain every within-bucket exact-Jaccard pair
     (16 bands × 4 rows ⇒ P(miss) ≈ (1 - 0.8^4)^16 < 0.01 per pair at j=0.8)."""

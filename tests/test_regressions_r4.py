@@ -96,40 +96,6 @@ def test_uniqueness_dup_fold_gate_parity(ray_session, monkeypatch):
     pd.testing.assert_frame_equal(fold, via_rows_gate)
 
 
-def test_featurize_task_vs_actor_pool_parity(ray_session, tmp_path_factory):
-    """The default stateless-task featurize (warm-worker module cache) and
-    the explicit actor pool (cfg.featurize_concurrency) must produce
-    byte-identical verdicts and violations — the execution mode is a
-    scheduling choice, never a semantic one."""
-    import dataclasses
-    import glob
-
-    from serverless_covariate_drift_detection_ray.fixtures.gen import ensure_fixture
-    from serverless_covariate_drift_detection_ray.pipelines.config import EngineConfig
-    from serverless_covariate_drift_detection_ray.pipelines.fit import fit
-    from serverless_covariate_drift_detection_ray.pipelines.validate import validate
-
-    base = tmp_path_factory.mktemp("featmode")
-    fix = ensure_fixture("tiny")
-    cfg = EngineConfig(freeze_time="01/01/2026 00:00:00.000000")
-    ref_dir = str(base / "ref")
-    fit(fix, ref_dir, cfg)
-
-    def load(out_dir, sub):
-        files = sorted(glob.glob(os.path.join(out_dir, sub, "*", "*.parquet")))
-        return pd.concat([pq.read_table(f).to_pandas() for f in files]
-                         ).reset_index(drop=True)
-
-    outs = {}
-    for mode, c in (("tasks", cfg),
-                    ("pool", dataclasses.replace(cfg, featurize_concurrency=3))):
-        out = str(base / f"out-{mode}")
-        validate(fix, ref_dir, out, c)
-        outs[mode] = (load(out, "verdicts"), load(out, "violations"))
-    pd.testing.assert_frame_equal(outs["tasks"][0], outs["pool"][0])
-    pd.testing.assert_frame_equal(outs["tasks"][1], outs["pool"][1])
-
-
 def test_orc_roundtrip_detects_rows_lost_on_disk(ray_session):
     from serverless_covariate_drift_detection_ray.pipelines.queries import (
         orc_roundtrip_lineitem,

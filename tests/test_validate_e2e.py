@@ -12,6 +12,7 @@ import pandas as pd
 import pyarrow.parquet as pq
 import pytest
 
+from bench import _violations_digest
 from serverless_covariate_drift_detection_ray.fixtures.gen import ensure_fixture
 from serverless_covariate_drift_detection_ray.pipelines.config import EngineConfig
 from serverless_covariate_drift_detection_ray.pipelines.fit import fit
@@ -214,7 +215,6 @@ class TestReadLayout:
         samples, and both tables are sorted before they are written."""
         import pathlib
 
-        from bench import _violations_digest
         from serverless_covariate_drift_detection_ray.pipelines import validate as V
         from serverless_covariate_drift_detection_ray.sources import fragmented as F
 
@@ -244,9 +244,10 @@ class TestStreamedViolations:
     def test_streamed_path_matches_driver_path(self, run, tmp_path_factory, monkeypatch):
         """Above the driver thresholds, violations are written by a distributed
         per-partition writer; output must be byte-identical to the driver path."""
+        from serverless_covariate_drift_detection_ray.pipelines import fit as F
         from serverless_covariate_drift_detection_ray.pipelines import validate as V
 
-        monkeypatch.setattr(V, "REDUCED_DRIVER_MAX", 0)
+        monkeypatch.setattr(F, "REDUCED_DRIVER_MAX", 0)
         monkeypatch.setattr(V, "VIOLATIONS_DRIVER_MAX", 0)
         base = tmp_path_factory.mktemp("streamed")
         out2 = str(base / "out2")
@@ -265,6 +266,20 @@ class TestStreamedViolations:
         a = load(run["out_dir"], "verdicts")
         b = load(out2, "verdicts")
         pd.testing.assert_frame_equal(a, b)
+
+
+    def test_groupby_merge_matches_stripe_merge(self, run, tmp_path_factory,
+                                                monkeypatch):
+        """Past DRIVER_MERGE_MAX_PARTIALS the driver-collected partials merge
+        in a groupby with the drift checks run after it; verdicts and
+        violations must equal the stripe-task merge's."""
+        from serverless_covariate_drift_detection_ray.pipelines import fit as F
+
+        monkeypatch.setattr(F, "DRIVER_MERGE_MAX_PARTIALS", 0)
+        out = str(tmp_path_factory.mktemp("groupby_merge") / "out")
+        validate(run["fix"], run["ref_dir"], out, run["cfg"])
+        assert _verdict_files(out) == _verdict_files(run["out_dir"])
+        assert _violations_digest(out) == _violations_digest(run["out_dir"])
 
 
 class TestReportSink:
@@ -758,6 +773,76 @@ def test_score_window_matches_batch_verdicts(run):
     strict = score_window(os.path.join(run["fix"], frag.file),
                           run["ref_dir"], run["cfg"], alpha=1e-9)
     assert all(c["alpha"] == 1e-9 for c in strict["checks"])
+
+
+def test_score_window_fan_out_matches_in_process(run, monkeypatch):
+    """Windows above SERVE_DRIVER_MAX_ROWS fan out through the batch
+    pipeline's stateless featurize pass; one fragment (a single featurize
+    batch) must score exactly as the in-process path scores it."""
+    from serverless_covariate_drift_detection_ray.pipelines import serve
+
+    manifest = TableManifest.load(run["fix"])
+    pid = next(p for p, k in run["kinds"].items() if k == "violations")
+    frag = next(f for f in manifest.fragments if f.partition_id == pid)
+    assert frag.rows <= run["cfg"].batch_size
+    path = os.path.join(run["fix"], frag.file)
+
+    local = serve.score_window(path, run["ref_dir"], run["cfg"])
+    monkeypatch.setattr(serve, "SERVE_DRIVER_MAX_ROWS", 0)
+    fanned = serve.score_window(path, run["ref_dir"], run["cfg"])
+    assert local["violations"] and local["checks"]
+    for key in ("checks", "violations", "stats"):
+        # repr: NaN statistics compare equal, -0.0 and 0.0 do not
+        assert repr(fanned[key]) == repr(local[key]), key
+
+
+def _verdict_files(out_dir: str) -> dict:
+    return {os.path.relpath(f, out_dir): open(f, "rb").read()
+            for f in glob.glob(os.path.join(out_dir, "verdicts", "*",
+                                            "*.parquet"))}
+
+
+def test_fit_and_validate_finish_on_one_cpu(run, tmp_path):
+    """fit() and validate() need no CPU beyond the one a featurize task
+    runs on: under ray.init(num_cpus=1) both finish and commit the same
+    verdict files and violations as this 4-CPU session."""
+    import signal
+    import subprocess
+    import sys
+    import textwrap
+
+    out = str(tmp_path / "out")
+    script = textwrap.dedent(f"""
+        import ray
+        ray.init(address="local", num_cpus=1, include_dashboard=False,
+                 logging_level="ERROR", object_store_memory=200 * 2**20)
+        from serverless_covariate_drift_detection_ray.pipelines.config import (
+            EngineConfig)
+        from serverless_covariate_drift_detection_ray.pipelines.fit import fit
+        from serverless_covariate_drift_detection_ray.pipelines.validate import (
+            validate)
+        cfg = EngineConfig(freeze_time={run["cfg"].freeze_time!r},
+                           quarantine=True)
+        fit({run["fix"]!r}, {str(tmp_path / "ref")!r}, cfg)
+        validate({run["fix"]!r}, {str(tmp_path / "ref")!r}, {out!r}, cfg,
+                 resume=False)
+        ray.shutdown()
+    """)
+    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script], env=env, start_new_session=True,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    try:
+        log, _ = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("fit + validate did not finish in 180 s on one CPU")
+    assert proc.returncode == 0, log[-4000:]
+    one_cpu = _verdict_files(out)
+    assert one_cpu and one_cpu == _verdict_files(run["out_dir"])
+    assert _violations_digest(out) == _violations_digest(run["out_dir"])
 
 
 def test_jpeg_partition_lossy_path_end_to_end(run):
