@@ -27,6 +27,9 @@ SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 HEADLINE_ONLY = os.environ.get("GRAFT_BENCH_HEADLINE_ONLY", "") == "1"
 BENCH_SCALE = os.environ.get("GRAFT_BENCH_SCALE", "bench")
+# internal flag: the --violations pass runs its second child with it, and
+# that child forces the groupby side of validate's violations size gate
+FORCE_STREAMED_FLAG = "--force-streamed-violations"
 
 
 def _init_ray():
@@ -110,6 +113,7 @@ def run_headline(rounds: int | None = None, scale: str | None = None) -> dict:
         "images_per_sec": round(summary["rows_processed"] / wall, 1),
         "verdicts": summary["verdicts"],
         "violations": summary["violations"],
+        "violations_streamed": summary["violations_streamed"],
         "stages": summary.get("stages", {}),
         "load_at_start": load0,
         "ambient_load": AMBIENT_LOAD,
@@ -176,9 +180,9 @@ def _violations_digest(out_dir: str) -> str:
             out_dir, "violations", "partition_id=*", "violations.parquet"))):
         t = pq.read_table(f)
         if t.num_rows == 0:
-            # normalize across writers: the driver fold writes an EMPTY
-            # violations.parquet for clean partitions, the streamed writer
-            # writes no file at all — zero rows contribute nothing either way
+            # clean partitions get an empty file on both sides of the size
+            # gate; zero rows contribute nothing, so a layout that wrote no
+            # file for them would digest the same
             continue
         n_files += 1
         n_rows += t.num_rows
@@ -193,13 +197,18 @@ def _violations_digest(out_dir: str) -> str:
 
 
 def main() -> None:
+    if FORCE_STREAMED_FLAG in sys.argv:
+        from serverless_covariate_drift_detection_ray.pipelines import (
+            validate as validate_mod)
+
+        validate_mod.VIOLATIONS_DRIVER_MAX = 0
     if "--violations" in sys.argv:
         # Violation-heavy pass (fixtures.gen "violheavy": 256k rows, ~40k
         # seeded defects): run the SAME validation twice in fresh processes
-        # — default driver-fold assembly vs the FORCED distributed
-        # per-partition writer (SCDD_VIOLATIONS_DRIVER_MAX=0) — so the
-        # streamed path's cost at bench scale is a measured number
-        # (VERDICT r4 item 6), not an e2e-test assumption.
+        # — default driver collect vs the FORCED groupby side of the
+        # violations size gate (FORCE_STREAMED_FLAG) — so the streamed
+        # side's cost at bench scale is a measured number (VERDICT r4
+        # item 6), not an e2e-test assumption.
         _init_ray()
         run_headline(rounds=1, scale="violheavy")  # pre-gen fixture+ref
         import ray
@@ -207,15 +216,13 @@ def main() -> None:
         ray.shutdown()
         results, digests = {}, {}
         out_dir = f"/tmp/scdd_bench/violheavy/out-{NUM_CPUS}"
-        for label, extra in (("driver_fold", {}),
-                             ("streamed_writer",
-                              {"SCDD_VIOLATIONS_DRIVER_MAX": "0"})):
+        for label, extra in (("driver_fold", []),
+                             ("streamed_writer", [FORCE_STREAMED_FLAG])):
             env = dict(os.environ, GRAFT_BENCH_HEADLINE_ONLY="1",
                        GRAFT_BENCH_SCALE="violheavy",
-                       GRAFT_HEADLINE_ROUNDS="2", GRAFT_BENCH_LARGE="0",
-                       **extra)
+                       GRAFT_HEADLINE_ROUNDS="2", GRAFT_BENCH_LARGE="0")
             out = subprocess.run(
-                [sys.executable, os.path.abspath(__file__)], env=env,
+                [sys.executable, os.path.abspath(__file__), *extra], env=env,
                 capture_output=True, text=True, check=True,
                 cwd=os.path.dirname(os.path.abspath(__file__))).stdout
             results[label] = json.loads(out.strip().splitlines()[-1])
@@ -259,6 +266,9 @@ def main() -> None:
             "images_per_sec_streamed_writer": s["images_per_sec"],
             "streamed_overhead": round(s["value"] / d["value"], 3),
             "violations_match": d["violations"] == s["violations"],
+            # each child says which side of the size gate it took
+            "streamed_by_run": {"driver_fold": d["violations_streamed"],
+                                "streamed_writer": s["violations_streamed"]},
             # ROW-level evidence, not just counts: both paths publish the
             # same violations/partition_id=N/violations.parquet layout with
             # the same (check, image_id) within-partition order, so the
@@ -272,7 +282,9 @@ def main() -> None:
         # evidence claim regressed — a report-only false would silently
         # degrade what BASELINE.md cites
         if not (all(truth_exact.values())
-                and digests["driver_fold"] == digests["streamed_writer"]):
+                and digests["driver_fold"] == digests["streamed_writer"]
+                and s["violations_streamed"]
+                and not d["violations_streamed"]):
             sys.exit(1)
         return
 
@@ -366,6 +378,7 @@ def main() -> None:
         "sec_all_rounds": headline["sec_all_rounds"],
         "verdicts": headline["verdicts"],
         "violations": headline["violations"],
+        "violations_streamed": headline["violations_streamed"],
         "stages": headline["stages"],
         "load_at_start": headline["load_at_start"],
         "quiet": headline["quiet"],

@@ -76,8 +76,8 @@ SCALES = {
     ),
     # violation-heavy variant (bench payload sizes, 256k rows, ~40k seeded
     # defects): measures the violation assembly/write path under real
-    # pressure — bench --violations runs it twice, driver-fold vs the
-    # FORCED distributed per-partition writer (SCDD_VIOLATIONS_DRIVER_MAX=0)
+    # pressure — bench --violations runs it twice, driver collect vs the
+    # FORCED groupby side of validate's violations size gate
     "violheavy": (
         4000,
         [("reference", 8), ("clean", 16), ("violations-dense", 40)],

@@ -3450,7 +3450,7 @@ def partition_roundtrip_events(sf_dir: str):
     st = os.stat(src)
     # cache key = source content fingerprint (size + mtime), so a
     # regenerated fixture with the same row count can't serve stale data
-    root = f"{scratch_root()}/scdd_query/{tag}/events_by_type_{st.st_size}_{int(st.st_mtime)}"
+    root = f"{scratch_root()}/scdd_query/{tag}/events_by_type_{st.st_size}_{st.st_mtime_ns}"
     _ensure_staged_cache(root, lambda tmp: _read_blocked(
         sf_dir, "events", ["event_type", "value"]).write_parquet(
         tmp, partition_cols=["event_type"]))

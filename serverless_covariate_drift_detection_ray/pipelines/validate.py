@@ -7,15 +7,20 @@
                                                   groupby past the driver cap]
       ‖ pruned key re-read → uniqueness groupby  [shuffle #1 — id/count rows]
       ‖ pruned key re-read → phash band groupby  [shuffle #2 — band rows]
-      → per-partition commit (verdicts + violations + column_stats + lineage)
+      → violations size gate: driver collect up to VIOLATIONS_DRIVER_MAX,
+                              groupby("partition_id") beyond it
+      → one writer per partition (_write_partition_violations; clean
+        partitions get an empty file)
+      → quarantine from the written files        [cfg.quarantine]
+      → per-partition commit (verdicts + column_stats + lineage)
 
 Block counts come from the manifest (``sources.fragmented.read_blocks``) and
 are reported as ``summary["read_blocks"]``.
 
-Verdict/violation/stat volumes are orders of magnitude below the input, so the
-final assembly collects them driver-side and writes resumable per-partition
-parquet through ``CheckpointStore``; at 10^12-row scale the same tables stream
-through ``write_parquet(partition_cols=...)`` instead — the layout is identical.
+The size gate only decides where each partition's violation rows are
+gathered: both sides hand them to the same writer, so the files, the
+per-check counts, the quarantine and the commit do not depend on which side
+ran (``summary["violations_streamed"]`` says which did).
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import pyarrow.parquet as pq
 from ..sources.fragmented import TableManifest, read_blocks, read_images
 from ..stages.constraints import VIOLATION_SCHEMA, check_neardup, check_uniqueness
 from ..stages.drift import TS_FORMAT, VERDICT_SCHEMA
+from ..state.atomic import atomic_publish
 from ..state.checkpoint import CheckpointStore, config_fingerprint
 from ..state.partials import PartialState
 from .config import EngineConfig
@@ -63,19 +69,35 @@ def _warm_fsspec_http() -> None:
         mod.HTTPFileSystem = HTTPFileSystem
         sys.modules["fsspec.implementations.http"] = mod
 
-# total violation rows assembled driver-side; beyond this, violations are
-# sorted and written per partition by a distributed groupby writer
+# total violation rows collected to the driver; beyond this, each partition's
+# rows reach the writer through a groupby instead (set 0 to force that side)
 VIOLATIONS_DRIVER_MAX = 1_000_000
 
+# what _write_partition_violations returns: one row per constraint check plus
+# "__domain__" for every other check
+VIOLATION_COUNTS_SCHEMA = pa.schema([("partition_id", pa.int32()),
+                                     ("check", pa.string()),
+                                     ("n", pa.int64())])
 
-def _violations_driver_max() -> int:
-    """Effective driver-fold gate, env-overridable PER CALL (same contract
-    as config.scratch_root — honored without re-importing): bench forces
-    the streamed writer with SCDD_VIOLATIONS_DRIVER_MAX=0 to measure its
-    cost; tests monkeypatch the module constant, which stays the
-    fallback."""
-    v = os.environ.get("SCDD_VIOLATIONS_DRIVER_MAX")
-    return int(v) if v is not None else VIOLATIONS_DRIVER_MAX
+
+def _write_partition_violations(store: CheckpointStore, t: pa.Table) -> pa.Table:
+    """The one violations writer, on both sides of the size gate: sort one
+    partition's rows by (check, image_id) — byte-stable output (SURVEY.md
+    §7 "hard parts") — publish them as its violations.parquet
+    (``CheckpointStore.write_violations``) and return its per-check counts
+    (VIOLATION_COUNTS_SCHEMA)."""
+    pid = int(t["partition_id"][0].as_py())
+    t = t.sort_by([("check", "ascending"), ("image_id", "ascending")])
+    store.write_violations(pid, t)
+    checks = t["check"].to_numpy(zero_copy_only=False)
+    names = list(CONSTRAINT_CHECKS)
+    counts = [int((checks == c).sum()) for c in names]
+    return pa.table({
+        "partition_id": pa.array([pid] * (len(names) + 1), pa.int32()),
+        "check": pa.array(names + ["__domain__"]),
+        "n": pa.array(counts + [len(checks) - sum(counts)], pa.int64()),
+    }, schema=VIOLATION_COUNTS_SCHEMA)
+
 
 COLUMN_STATS_SCHEMA = pa.schema(
     [
@@ -143,26 +165,26 @@ def _swap_quarantine_partitions(qroot: str, qtmp: str, todo) -> None:
     shutil.rmtree(qtmp, ignore_errors=True)
 
 
-def _quarantine_streamed(manifest: TableManifest, out_dir: str, todo) -> int:
-    """Follow-up dead-letter job for the streamed-violations path: the
-    violating ids were never assembled driver-side, so each partition's
-    quarantine is built FROM ITS OWN written violations.parquet by a remote
-    task — read the partition's violating ids, zone-map-prune its fragments,
-    re-read only those that can match, filter, write. The one global piece
-    of state is the DUPLICATED-KEY id set (check == unique_image_id): a
-    duplicate violation is recorded once at its min-partition locus, so the
-    other partitions' copies can only be found with a cross-partition id
-    set. Those ids are collected by a first wave of tiny per-partition
-    tasks (ids only, bounded by the quarantine row gate that admitted us
-    here) and broadcast via ray.put; everything else stays per-partition.
-    Same hive layout + per-partition atomic swap as the driver path, so a
-    repair job can't tell which path ran."""
+def _quarantine(manifest: TableManifest, store: CheckpointStore, todo) -> int:
+    """Dead-letter job: each partition's quarantine is built FROM ITS OWN
+    written violations.parquet by a remote task — read the partition's
+    violating ids, zone-map-prune its fragments, re-read only those that
+    can match, filter, write. Runs after the violations writer and before
+    any lineage marker. The one global piece of state is the
+    DUPLICATED-KEY id set (check == unique_image_id): a duplicate violation
+    is recorded once at its min-partition locus, so the other partitions'
+    copies can only be found with a cross-partition id set. Those ids are
+    collected by a first wave of tiny per-partition tasks over EVERY
+    partition's file (ids only) — the locus may be a resumed partition
+    whose committed file holds the row — and broadcast via ray.put;
+    everything else stays per-partition. Output is
+    quarantine/partition_id=N/quarantine.parquet, swapped in per partition
+    (_swap_quarantine_partitions)."""
     import shutil
 
     import ray
 
-    viol_root = os.path.join(out_dir, "violations")
-    qroot = os.path.join(out_dir, "quarantine")
+    qroot = os.path.join(store.out_dir, "quarantine")
     qtmp = f"{qroot}.tmp.{os.getpid()}"
     shutil.rmtree(qtmp, ignore_errors=True)
     os.makedirs(qtmp, exist_ok=True)
@@ -172,13 +194,9 @@ def _quarantine_streamed(manifest: TableManifest, out_dir: str, todo) -> int:
         frags_of.setdefault(f.partition_id, []).append(
             (os.path.join(manifest.root, f.file), (f.stats or {}).get("image_id")))
 
-    def _vfile(pid: int) -> str:
-        return os.path.join(viol_root, f"partition_id={pid}",
-                            "violations.parquet")
-
     @ray.remote
     def dup_ids_of(pid: int) -> np.ndarray:
-        vfile = _vfile(pid)
+        vfile = store.violations_path(pid)
         if not os.path.exists(vfile):
             return np.empty(0, dtype=object)
         t = pq.read_table(vfile, columns=["image_id", "check"])
@@ -186,7 +204,8 @@ def _quarantine_streamed(manifest: TableManifest, out_dir: str, todo) -> int:
         return (t["image_id"].drop_null()
                 .to_numpy(zero_copy_only=False).astype(object))
 
-    dup_parts = ray.get([dup_ids_of.remote(pid) for pid in todo])
+    dup_parts = ray.get([dup_ids_of.remote(pid)
+                         for pid in manifest.partition_ids()])
     dup_ids = np.unique(np.concatenate([p for p in dup_parts if p.size])
                         ) if any(p.size for p in dup_parts) else \
         np.empty(0, dtype=object)
@@ -194,7 +213,7 @@ def _quarantine_streamed(manifest: TableManifest, out_dir: str, todo) -> int:
 
     @ray.remote
     def quarantine_partition(pid: int) -> int:
-        vfile = _vfile(pid)
+        vfile = store.violations_path(pid)
         own = np.empty(0, dtype=object)
         if os.path.exists(vfile):
             # null ids (image_id_nonnull violations) can't be re-identified
@@ -212,8 +231,8 @@ def _quarantine_streamed(manifest: TableManifest, out_dir: str, todo) -> int:
                 if not (lo_i < sorted_bad.size and sorted_bad[lo_i] <= st[1]):
                     continue
             elif not own.size:
-                # stats-less legacy fragment with no local violations:
-                # mirror the driver path's flagged-partition fallback scope
+                # stats-less legacy fragment: only a partition with its own
+                # violations is searched
                 continue
             t = pq.read_table(path)
             m = np.isin(t["image_id"].to_numpy(zero_copy_only=False), bad)
@@ -226,8 +245,6 @@ def _quarantine_streamed(manifest: TableManifest, out_dir: str, todo) -> int:
             out = out.drop_columns(["partition_id"])
         d = os.path.join(qtmp, f"partition_id={pid}")
         os.makedirs(d, exist_ok=True)
-        from ..state.atomic import atomic_publish
-
         atomic_publish(os.path.join(d, "quarantine.parquet"),
                        lambda tmp: pq.write_table(out, tmp))
         return out.num_rows
@@ -385,77 +402,55 @@ def validate(
     ts = cfg.freeze_time or time.strftime("%d/%m/%Y %H:%M:%S.000000", time.gmtime())
     assert TS_FORMAT  # format documented in stages.drift
 
-    violations = None  # driver-side table when small, None when streamed
-    if n_viol <= _violations_driver_max():
-        violations = pa.concat_tables(
-            list(viol_ds.iter_batches(batch_size=1 << 16, batch_format="pyarrow"))
-        ) if n_viol else VIOLATION_SCHEMA.empty_table()
-        # byte-stable ordering (SURVEY.md §7 "hard parts")
-        violations = violations.sort_by(
-            [("partition_id", "ascending"), ("check", "ascending"), ("image_id", "ascending")]
-        )
-        vp = violations["partition_id"].to_numpy(zero_copy_only=False)
-        vc = violations["check"].to_numpy(zero_copy_only=False)
-        viol_counts = {}
-        for pid in todo:
-            sel = vp == pid
-            viol_counts[pid] = {
-                "total": int(sel.sum()),
-                **{c: int((sel & (vc == c)).sum()) for c in CONSTRAINT_CHECKS},
-                "domain": int((sel & ~np.isin(vc, CONSTRAINT_CHECKS)).sum()),
-            }
-    else:
-        # distributed per-partition writer: each group sorts its rows by
-        # (check, image_id) and writes violations.parquet atomically into the
-        # store layout BEFORE any lineage marker lands; returns counts only
-        viol_root = os.path.join(out_dir, "violations")
+    # ---- violations: the size gate only picks how each partition's rows
+    # reach the one writer; every todo partition's file lands before the
+    # quarantine reads it and before any lineage marker. commit_io times
+    # the writes; it leaves out the driver collect but holds the groupby's
+    # shuffle, which runs fused with the writes ----
+    streamed = n_viol > VIOLATIONS_DRIVER_MAX
+    with ThreadPoolExecutor(max_workers=8) as wpool:
+        if streamed:
+            todo_set = set(todo)
 
-        def write_group(batch: pa.Table) -> pa.Table:
-            pid = int(batch["partition_id"][0].as_py())
-            t = batch.sort_by([("check", "ascending"), ("image_id", "ascending")])
-            d = os.path.join(viol_root, f"partition_id={pid}")
-            os.makedirs(d, exist_ok=True)
-            from ..state.atomic import atomic_publish
+            def write_group(t: pa.Table) -> pa.Table:
+                # a duplicate's min locus can be a resumed partition: its
+                # committed file stays, as on the driver side
+                if t["partition_id"][0].as_py() not in todo_set:
+                    return VIOLATION_COUNTS_SCHEMA.empty_table()
+                return _write_partition_violations(store, t)
 
-            atomic_publish(os.path.join(d, "violations.parquet"),
-                           lambda tmp: pq.write_table(t, tmp,
-                                                      compression="zstd"))
-            checks = t["check"].to_numpy(zero_copy_only=False)
-            names = list(CONSTRAINT_CHECKS)
-            counts = [int((checks == c).sum()) for c in names]
-            return pa.table({
-                "partition_id": pa.array([pid] * (len(names) + 1), pa.int32()),
-                "check": pa.array(names + ["__domain__"]),
-                "n": pa.array(counts + [int(len(checks) - sum(counts))], pa.int64()),
-            })
+            t1 = time.time()
+            counts = viol_ds.groupby("partition_id").map_groups(
+                write_group, batch_format="pyarrow").take_all()
+        else:
+            collected = pa.concat_tables(list(viol_ds.iter_batches(
+                batch_size=1 << 16, batch_format="pyarrow"))
+            ) if n_viol else VIOLATION_SCHEMA.empty_table()
 
-        cdf = viol_ds.groupby("partition_id").map_groups(
-            write_group, batch_format="pyarrow").to_pandas()
+            def write_slice(pid: int) -> list[dict]:
+                t = collected.filter(pc.equal(collected["partition_id"], pid))
+                return (_write_partition_violations(store, t).to_pylist()
+                        if t.num_rows else [])
+
+            t1 = time.time()
+            counts = [r for rows in wpool.map(write_slice, todo) for r in rows]
         viol_counts = {pid: {"total": 0, "domain": 0,
                              **{c: 0 for c in CONSTRAINT_CHECKS}} for pid in todo}
-        for _, r in cdf.iterrows():
-            d = viol_counts.setdefault(int(r.partition_id), {
-                "total": 0, "domain": 0, **{c: 0 for c in CONSTRAINT_CHECKS}})
-            key = "domain" if r.check == "__domain__" else r.check
-            d[key] += int(r.n)
-            d["total"] += int(r.n)
-        # partitions with ZERO violations this run never enter write_group,
-        # so a violations.parquet left by a PRIOR run (different config, or
-        # resume=False rerun) would otherwise be committed as this run's
-        # output with violation_count=0 — remove it before commit_one's
-        # exists() check so read_all/quarantine can't serve stale rows
-        for pid in todo:
-            if viol_counts.get(pid, {}).get("total", 0) == 0:
-                stale = os.path.join(viol_root, f"partition_id={pid}",
-                                     "violations.parquet")
-                if os.path.exists(stale):
-                    os.remove(stale)
+        for r in counts:
+            d = viol_counts[r["partition_id"]]
+            d["domain" if r["check"] == "__domain__" else r["check"]] += r["n"]
+            d["total"] += r["n"]
+        # clean partitions get an empty file, which also replaces any file a
+        # prior run left there
+        list(wpool.map(
+            lambda pid: store.write_violations(pid, VIOLATION_SCHEMA.empty_table()),
+            [pid for pid in todo if not viol_counts[pid]["total"]]))
+    stage_t["commit_io"] = time.time() - t1
 
     # constraint verdict rows (per partition × constraint check)
     c_rows = []
     for pid in todo:
-        cnts = viol_counts.get(pid, {"total": 0, "domain": 0,
-                                     **{c: 0 for c in CONSTRAINT_CHECKS}})
+        cnts = viol_counts[pid]
         for check in CONSTRAINT_CHECKS:
             n_bad = cnts[check]
             c_rows.append({
@@ -472,75 +467,16 @@ def validate(
         [verdicts, pa.Table.from_pylist(c_rows, schema=VERDICT_SCHEMA)]
     ).sort_by([("partition_id", "ascending"), ("check", "ascending"), ("column", "ascending")])
 
-    # ---- quarantine (dead-letter) sink: violating rows' FULL payloads ----
-    # a pruned re-read of only the violating partitions' fragments, filtered
-    # to the violating ids (broadcast once), written per-partition so a
+    # ---- quarantine (dead-letter) sink: violating rows' FULL payloads,
+    # re-read from only the fragments that can hold a violating id, so a
     # repair job can re-ingest exactly what failed. Row payloads never ride
-    # through the validation shuffles — this is the only stage that touches
-    # them again, and it reads just the affected fragments.
+    # through the validation shuffles. The gate counts violation ROWS, an
+    # upper bound on the violating ids ----
     summary["quarantined"] = 0
-    if cfg.quarantine and violations is not None:
+    if cfg.quarantine:
         tq = time.time()
-        # null ids (image_id_nonnull violations) can't be re-identified by
-        # key — drop them before the (object-dtype, sort-based) unique
-        bad_ids = np.unique(
-            violations["image_id"].drop_null()
-            .to_numpy(zero_copy_only=False).astype(object))
-        bad_pids = {int(p) for p in
-                    violations["partition_id"].to_numpy(zero_copy_only=False)}
-        if bad_ids.size <= cfg.quarantine_max_rows:
-            import shutil
-
-            bad_ref = {"ref": ray.put(bad_ids)}
-
-            def qfilter(batch: pa.Table) -> pa.Table:
-                bad = ray.get(bad_ref["ref"])
-                m = np.isin(
-                    batch["image_id"].to_numpy(zero_copy_only=False), bad)
-                return batch.filter(pa.array(m))
-
-            # fragment pruning: a fragment is re-read only if its
-            # image_id zone map can contain a violating id (sorted-probe
-            # intersection). The probe runs over ALL partitions, not just
-            # the flagged ones, so every copy of a cross-partition
-            # duplicated key is quarantined — a unique_image_id violation
-            # is recorded once at its min-partition locus, but the other
-            # partitions' copies match here by id. Stats-less legacy
-            # fragments (no zone map) fall back to the flagged-partition
-            # scope.
-            sorted_bad = np.sort(bad_ids)
-            todo_set = set(todo)  # resumed partitions keep no dead letters
-
-            def frag_may_match(f) -> bool:
-                if f.partition_id not in todo_set:
-                    return False
-                st = (f.stats or {}).get("image_id")
-                if st is None:
-                    return f.partition_id in bad_pids
-                lo_i = int(np.searchsorted(sorted_bad, st[0], side="left"))
-                return lo_i < sorted_bad.size and sorted_bad[lo_i] <= st[1]
-
-            frag_paths = [os.path.join(manifest.root, f.file)
-                          for f in manifest.fragments if frag_may_match(f)]
-            import ray.data as ray_data  # noqa: F401 (used below)
-
-            qroot = os.path.join(out_dir, "quarantine")
-            qtmp = f"{qroot}.tmp.{os.getpid()}"
-            shutil.rmtree(qtmp, ignore_errors=True)
-            nq = 0
-            if frag_paths:
-                ray_data.read_parquet(frag_paths).map_batches(
-                    qfilter, batch_format="pyarrow").write_parquet(
-                    qtmp, partition_cols=["partition_id"])
-                for dirpath, _, files in os.walk(qtmp):
-                    for f in files:
-                        if f.endswith(".parquet"):
-                            nq += pq.ParquetFile(
-                                os.path.join(dirpath, f)).metadata.num_rows
-            else:  # clean run: nothing to write, but stale dirs still clear
-                os.makedirs(qtmp, exist_ok=True)
-            _swap_quarantine_partitions(qroot, qtmp, todo)
-            summary["quarantined"] = nq
+        if n_viol <= cfg.quarantine_max_rows:
+            summary["quarantined"] = _quarantine(manifest, store, todo)
         else:
             summary["quarantine_skipped"] = "violations exceed quarantine_max_rows"
             import shutil
@@ -550,31 +486,8 @@ def validate(
                 shutil.rmtree(os.path.join(qroot, f"partition_id={pid}"),
                               ignore_errors=True)
         stage_t["quarantine"] = time.time() - tq
-    elif cfg.quarantine and violations is None:
-        # streamed-violations path: ids were never assembled driver-side —
-        # build the dead-letter sink FROM the written per-partition violation
-        # files (same zone-map-pruned re-read, one remote task per partition).
-        # The gate is the total violation ROW count (known without a collect;
-        # an upper bound on the driver path's unique-id count, so it can only
-        # skip more conservatively).
-        tq = time.time()
-        if n_viol <= cfg.quarantine_max_rows:
-            summary["quarantined"] = _quarantine_streamed(
-                manifest, out_dir, todo)
-        else:
-            summary["quarantine_skipped"] = (
-                "violations exceed quarantine_max_rows")
-            import shutil
-
-            qroot = os.path.join(out_dir, "quarantine")
-            for pid in todo:  # stale dead-letter rows would mislead repair
-                shutil.rmtree(os.path.join(qroot, f"partition_id={pid}"),
-                              ignore_errors=True)
-        stage_t["quarantine"] = time.time() - tq
 
     # ---- per-partition commit with lineage (I/O-bound → thread pool) ----
-    from concurrent.futures import ThreadPoolExecutor
-
     states = dict(zip(per_part["partition_id"].to_pylist(),
                       per_part["state"].to_pylist()))
     wall = time.time() - t0
@@ -584,37 +497,22 @@ def validate(
         col_stats = pa.Table.from_pylist(
             _column_stats_rows(pid, ps) if ps else [], schema=COLUMN_STATS_SCHEMA
         )
-        vmask = pc.equal(verdicts["partition_id"], pid)
-        if violations is not None:
-            violm = violations.filter(pc.equal(violations["partition_id"], pid))
-            vcount = violm.num_rows
-        else:
-            # streamed path: the distributed writer already landed this
-            # partition's file (if it had any violations); empty otherwise
-            fpath = os.path.join(out_dir, "violations",
-                                 f"partition_id={pid}", "violations.parquet")
-            if os.path.exists(fpath):
-                violm = None
-                vcount = viol_counts.get(pid, {}).get("total", 0)
-            else:
-                violm = VIOLATION_SCHEMA.empty_table()
-                vcount = 0
         store.commit_partition(
             partition_id=pid,
             fragment_ids=manifest.fragments_of(pid),
-            verdicts=verdicts.filter(vmask),
-            violations=violm,
+            verdicts=verdicts.filter(pc.equal(verdicts["partition_id"], pid)),
+            violations=None,  # already written above
             column_stats=col_stats,
             stats_blob=states.get(pid, b""),
             wall_s=wall / max(len(todo), 1),
-            violation_count=vcount,
+            violation_count=viol_counts[pid]["total"],
             config_hash=cfg_hash,
         )
 
     t1 = time.time()
     with ThreadPoolExecutor(max_workers=8) as pool:
         list(pool.map(commit_one, todo))
-    stage_t["commit_io"] = time.time() - t1
+    stage_t["commit_io"] += time.time() - t1
 
     stage_t["commit"] = time.time() - t0 - sum(stage_t.values())
     stage_t.update(constraint_t)  # overlapped thread-side walls, reported only
@@ -624,7 +522,7 @@ def validate(
         "rows_per_s": rows_todo / wall if wall > 0 else float("nan"),
         "verdicts": verdicts.num_rows,
         "violations": n_viol,
-        "violations_streamed": violations is None,
+        "violations_streamed": streamed,
         "drift_flagged": int(
             pc.sum(
                 pc.and_(pc.invert(verdicts["passed"]),

@@ -93,11 +93,20 @@ class CheckpointStore:
             out.add(pid)
         return out
 
+    def _part_path(self, sub: str, partition_id: int, fname: str) -> str:
+        return os.path.join(self.out_dir, sub, f"partition_id={partition_id}", fname)
+
     def _write_part(self, sub: str, partition_id: int, table: pa.Table, fname: str) -> None:
-        d = os.path.join(self.out_dir, sub, f"partition_id={partition_id}")
-        os.makedirs(d, exist_ok=True)
-        atomic_publish(os.path.join(d, fname),
-                       lambda tmp: pq.write_table(table, tmp, compression="zstd"))
+        path = self._part_path(sub, partition_id, fname)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        atomic_publish(path, lambda tmp: pq.write_table(table, tmp, compression="zstd"))
+
+    def violations_path(self, partition_id: int) -> str:
+        return self._part_path("violations", partition_id, "violations.parquet")
+
+    def write_violations(self, partition_id: int, table: pa.Table) -> None:
+        """Publish one partition's violations.parquet atomically (zstd)."""
+        self._write_part("violations", partition_id, table, "violations.parquet")
 
     def commit_partition(
         self,
@@ -111,12 +120,14 @@ class CheckpointStore:
         violation_count: int | None = None,
         config_hash: str | None = None,
     ) -> None:
-        """``violations=None`` means the partition's violation file was already
-        streamed into the layout by a distributed writer (validate.py's
-        above-threshold path) — only the count is recorded here."""
+        """``violations=None`` means the partition's violation file is already
+        in the layout and only ``violation_count`` is recorded; it is the
+        only form ``validate()`` uses, because its one violations writer
+        runs before the quarantine. A table is written as the partition's
+        violations.parquet, for direct callers."""
         self._write_part("verdicts", partition_id, verdicts, "verdicts.parquet")
         if violations is not None:
-            self._write_part("violations", partition_id, violations, "violations.parquet")
+            self.write_violations(partition_id, violations)
             if violation_count is None:
                 violation_count = violations.num_rows
         self._write_part("column_stats", partition_id, column_stats, "column_stats.parquet")

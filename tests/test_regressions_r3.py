@@ -376,6 +376,66 @@ def test_streamed_path_clears_stale_violation_files(dup_fixture,
     assert lineage["violation_count"] == 0
 
 
+@pytest.mark.parametrize("driver_max", [None, 0], ids=["driver", "streamed"])
+def test_quarantine_over_limit_clears_stale_dead_letters(dup_fixture,
+                                                         tmp_path_factory,
+                                                         monkeypatch,
+                                                         driver_max):
+    """Past quarantine_max_rows the run writes no dead letters, says so,
+    and removes the dead letters a prior run left for the partitions it
+    re-validated, on both sides of the violations size gate."""
+    from serverless_covariate_drift_detection_ray.pipelines import validate as vmod
+
+    fx = dup_fixture
+    if driver_max is not None:
+        monkeypatch.setattr(vmod, "VIOLATIONS_DRIVER_MAX", driver_max)
+    out = str(tmp_path_factory.mktemp("qover") / "out")
+    s1 = vmod.validate(fx["fix"], fx["ref_dir"], out, fx["cfg"], resume=False)
+    assert s1["violations_streamed"] is (driver_max == 0)
+    assert s1["quarantined"] > 0 and _quarantined(out)
+
+    cfg = EngineConfig(freeze_time=fx["cfg"].freeze_time, quarantine=True,
+                       quarantine_max_rows=0)
+    s2 = vmod.validate(fx["fix"], fx["ref_dir"], out, cfg, resume=False)
+    assert s2["partitions_processed"] == 4
+    assert s2["quarantine_skipped"]
+    assert s2["quarantined"] == 0
+    assert not glob.glob(os.path.join(out, "quarantine", "partition_id=*"))
+
+
+@pytest.mark.parametrize("driver_max", [None, 0], ids=["driver", "streamed"])
+def test_resumed_duplicate_locus_keeps_its_violations(dup_fixture,
+                                                      tmp_path_factory,
+                                                      monkeypatch,
+                                                      driver_max):
+    """A duplicated key's violation row sits at its min partition (p1). A
+    resumed run that re-validates only p2 and p3 still sees that row, must
+    leave p1's committed violations.parquet as it was, and must still
+    dead-letter the p2 and p3 copies of the key."""
+    from serverless_covariate_drift_detection_ray.pipelines import validate as vmod
+
+    fx = dup_fixture
+    if driver_max is not None:
+        monkeypatch.setattr(vmod, "VIOLATIONS_DRIVER_MAX", driver_max)
+    out = str(tmp_path_factory.mktemp("qlocus") / "out")
+    vmod.validate(fx["fix"], fx["ref_dir"], out, fx["cfg"], resume=False)
+    p1 = os.path.join(out, "violations", "partition_id=1", "violations.parquet")
+    before = open(p1, "rb").read()
+    q_before = _quarantined(out)
+    assert set(pq.read_table(p1)["check"].to_pylist()) >= {
+        "unique_image_id", "image_id_nonnull"}
+    for pid in (2, 3):
+        os.remove(os.path.join(out, "lineage", f"{pid}.json"))
+    s = vmod.validate(fx["fix"], fx["ref_dir"], out, fx["cfg"])
+    assert s["partitions_processed"] == 2
+    assert s["violations_streamed"] is (driver_max == 0)
+    assert open(p1, "rb").read() == before
+    q = _quarantined(out)
+    assert (2, fx["dup_id"]) in q and (3, fx["dup_id"]) in q
+    assert q == q_before
+    assert s["quarantined"] == sum(1 for pid, _ in q if pid in (2, 3))
+
+
 def test_featurize_null_dims_and_phash_flag_not_crash(ray_session):
     """Null w/h/phash must produce *_nonnull violations instead of crashing
     the featurize task (int(NaN) raised in the dims loop; a null phash

@@ -564,3 +564,52 @@ def test_ann_pq_rerank_degenerate_corpus_returns_empty(ray_session, tmp_path):
     assert out.schema == pa.schema([("query_id", pa.int64()),
                                     ("neighbor_id", pa.int64()),
                                     ("cos", pa.float64())])
+
+
+def test_partition_roundtrip_cache_keys_on_mtime_ns(ray_session, tmp_path,
+                                                    monkeypatch):
+    """The staged events-by-type sink is keyed on (size, mtime_ns): a
+    same-size rewrite of events.parquet within the same whole second must
+    not serve the previous file's partitions. Uncompressed, dictionary-free
+    parquet keeps the size fixed when one purchase value changes."""
+    import os
+
+    import duckdb
+
+    from serverless_covariate_drift_detection_ray.pipelines.queries import (
+        PARTITION_ROUNDTRIP_SQL, partition_roundtrip_events)
+
+    monkeypatch.setenv("SCDD_SCRATCH_ROOT", str(tmp_path))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                       "data", "sf0.01", "events.parquet")
+    sf = tmp_path / "events_copy"
+    sf.mkdir()
+    dst = str(sf / "events.parquet")
+    events = pq.read_table(src)
+    second_ns = (os.stat(src).st_mtime_ns // 10**9) * 10**9
+
+    def write(t, offset_ns):
+        pq.write_table(t, dst, compression="none", use_dictionary=False)
+        os.utime(dst, ns=(second_ns, second_ns + offset_ns))
+
+    def check():
+        got = partition_roundtrip_events(str(sf)).to_pandas()
+        con = duckdb.connect()
+        con.execute(f"CREATE VIEW events AS SELECT * FROM '{dst}'")
+        want = con.execute(PARTITION_ROUNDTRIP_SQL).fetchdf()
+        assert int(got.n[0]) == int(want.n[0])
+        assert float(got.sum_value[0]) == float(want.sum_value[0])
+        return float(got.sum_value[0])
+
+    write(events, 100_000_000)
+    size = os.path.getsize(dst)
+    before = check()
+
+    values = events["value"].to_pylist()
+    row = events["event_type"].to_pylist().index("purchase")
+    values[row] += 1000.0
+    write(events.set_column(events.schema.get_field_index("value"), "value",
+                            pa.array(values, pa.float64())), 200_000_000)
+    assert os.path.getsize(dst) == size
+    assert int(os.stat(dst).st_mtime) == second_ns // 10**9
+    assert check() == pytest.approx(before + 1000.0)

@@ -709,10 +709,10 @@ def test_explain_drift_attributes_flagged_columns(ray_session, run):
 
 def test_streamed_violations_path_quarantines_identically(
         run, tmp_path_factory, monkeypatch):
-    """Forcing the distributed violation writer (VIOLATIONS_DRIVER_MAX=0)
-    must produce the SAME dead-letter rows as the driver path: the
-    follow-up job rebuilds quarantine from the written per-partition
-    violation files with the same zone-map-pruned re-read."""
+    """Forcing the groupby side of the violations size gate
+    (VIOLATIONS_DRIVER_MAX=0) must produce the SAME dead-letter rows as the
+    driver collect: both sides feed the same per-partition violation files
+    to the one quarantine job."""
     import glob
     import hashlib
 
