@@ -58,17 +58,16 @@ class EngineConfig:
 
 
 def scratch_root() -> str:
-    """Root for every staged cache and IO-roundtrip sink (partitioned-events
-    cache, jsonl/csv/orc/ipc roundtrip sinks, persistent IVF index).
+    """Root for every staged cache: the five IO-roundtrip sinks
+    (queries._staged_sink) and the persistent IVF index.
 
-    Defaults to node-local ``/tmp`` — correct single-node, and the shape
-    every docstring at those sites documents. A multi-node deployment sets
-    ``SCDD_SCRATCH_ROOT`` to shared storage (NFS / fuse-mounted object
-    store) so a cache PUBLISHED by one node resolves on every other; the
-    staged-rename publish protocol (queries._ensure_staged_cache) is
-    rename-atomic on POSIX-rename filesystems, which shared-FS mounts
-    provide. Read per call on the driver — the env var is honored without
-    restarting the engine."""
+    Defaults to node-local ``/tmp``, correct single-node. A multi-node
+    deployment sets ``SCDD_SCRATCH_ROOT`` to shared storage (NFS /
+    fuse-mounted object store) so a cache PUBLISHED by one node resolves
+    on every other; the staged-rename publish protocol
+    (queries._ensure_staged_cache) is rename-atomic on POSIX-rename
+    filesystems, which shared-FS mounts provide. Read per call on the
+    driver — the env var is honored without restarting the engine."""
     import os
 
     return os.environ.get("SCDD_SCRATCH_ROOT", "/tmp")

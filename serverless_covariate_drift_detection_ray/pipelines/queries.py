@@ -97,13 +97,15 @@ def _round(x, d: int):
 
 
 def _ensure_staged_cache(out_dir: str, write_fn) -> None:
-    """Content-fingerprinted sink cache (jsonl/csv roundtrips): per-process
+    """Content-fingerprinted sink cache (``_staged_sink``): per-process
     staging + atomic rename. Stale sibling fingerprints of the same table
     prefix are pruned before writing (regenerated fixtures change
     size/mtime and would otherwise accumulate dead dirs forever), and the
     rename fallback re-checks the published marker — an OSError there is
     only benign when a concurrent writer actually won; anything else
-    re-raises instead of leaving a confusing missing-dir failure later."""
+    re-raises instead of leaving a confusing missing-dir failure later.
+    The staging dir exists before ``write_fn`` runs: Ray's writers create
+    none for an empty dataset, and an empty table still publishes."""
     import os
     import shutil
 
@@ -120,6 +122,7 @@ def _ensure_staged_cache(out_dir: str, write_fn) -> None:
                 shutil.rmtree(os.path.join(parent, d), ignore_errors=True)
     tmp = f"{out_dir}.tmp.{os.getpid()}"
     shutil.rmtree(tmp, ignore_errors=True)
+    os.makedirs(tmp)
     write_fn(tmp)
     open(os.path.join(tmp, "_SUCCESS"), "w").close()
     try:
@@ -128,6 +131,149 @@ def _ensure_staged_cache(out_dir: str, write_fn) -> None:
         shutil.rmtree(tmp, ignore_errors=True)
         if not os.path.exists(marker):  # not a concurrent winner
             raise
+
+
+# ---------------------------------------------------------------------------
+# IO roundtrips (the resumable-output contract, SURVEY §2.1 S4): one staged
+# sink, one content-keyed block writer, one read-back fold (_io_roundtrip).
+# ---------------------------------------------------------------------------
+
+
+def _staged_sink(sf_dir: str, table: str, kind: str, name: str, write) -> str:
+    """Publish ``write(tmp)``'s output once per source content (the
+    parquet's size + mtime_ns, so a same-row-count regenerated fixture
+    can't serve stale output) via ``_ensure_staged_cache``, and return
+    ``{scratch_root()}/scdd_{kind}/{tag}/{name}_{st_size}_{st_mtime_ns}``."""
+    import os
+
+    st = os.stat(f"{sf_dir}/{table}.parquet")
+    tag = os.path.basename(os.path.normpath(sf_dir))
+    out_dir = (f"{scratch_root()}/scdd_{kind}/{tag}/"
+               f"{name}_{st.st_size}_{st.st_mtime_ns}")
+    _ensure_staged_cache(out_dir, write)
+    return out_dir
+
+
+def _write_keyed_blocks(ds, tmp: str, key_col: str, ext: str,
+                        write_table) -> None:
+    """Sink for a format Ray Data cannot write (ray 2.49 has no ORC or IPC
+    writer): ``write_table(block, path)`` runs once per block as a
+    ``map_batches`` side effect. File names are CONTENT-keyed on the
+    block's ``key_col``, so a retried task rewrites its own file instead of
+    adding one, and each file lands via ``.tmp`` + ``os.replace``, so a
+    mid-write crash never publishes a truncated file."""
+    import os
+
+    def write_block(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            # never manufacture 0-row files: an empty decode block
+            # would infer a null-typed string column downstream
+            return pa.table({"n": pa.array([0], pa.int64())})
+        from ..functions.hashing import hash64, splitmix64
+
+        ids = batch[key_col].to_numpy().astype(np.int64)
+        # Each id's hash is remixed with its POSITION before the xor
+        # fold — an order/position-invariant sum can cancel across
+        # structured key sets, a position-mixed fold only collides on
+        # a genuine 64-bit hash collision.
+        mixed = splitmix64(hash64(ids).astype(np.uint64)
+                           + splitmix64(np.arange(ids.size, dtype=np.uint64)))
+        key = int(np.bitwise_xor.reduce(mixed)
+                  ^ np.uint64(ids.size)) & 0xFFFFFFFFFFFFFFFF
+        path = os.path.join(tmp, f"part-{key:016x}.{ext}")
+        os.makedirs(tmp, exist_ok=True)  # task may land on another node
+        write_table(batch, path + ".tmp")
+        os.replace(path + ".tmp", path)
+        return pa.table({"n": pa.array([batch.num_rows], pa.int64())})
+
+    ds.map_batches(write_block, batch_format="pyarrow",
+                   zero_copy_batch=True).sum("n")  # forces execution
+
+
+def _native_io(fmt: str):
+    """(write, read) for a format Ray Data writes and reads itself."""
+    import ray.data
+
+    return (lambda ds, tmp, key_col: getattr(ds, f"write_{fmt}")(tmp),
+            lambda out_dir, src_rows: getattr(ray.data, f"read_{fmt}")(
+                out_dir, file_extensions=[fmt]))
+
+
+def _keyed_io(ext: str, write_table, nrows, read_table):
+    """(write, read) for a format Ray Data cannot write: the sink is
+    ``_write_keyed_blocks``, the source ``read_binary_files`` + a per-blob
+    ``read_table(buffer)``. The rows on disk (``nrows(path)``, footers
+    only) must equal the source's row count first, so a lost or collided
+    block file is loud instead of silently diverging from the oracle."""
+    def read(out_dir: str, src_rows: int):
+        import os
+
+        import ray.data
+
+        paths = [os.path.join(out_dir, f) for f in sorted(os.listdir(out_dir))
+                 if f.endswith("." + ext)]
+        disk_rows = sum(nrows(p) for p in paths)
+        if disk_rows != src_rows:
+            raise RuntimeError(
+                f"{ext} roundtrip: {disk_rows} rows on disk != {src_rows} "
+                f"source rows in {out_dir} — stale or collided staging; "
+                "delete the dir")
+
+        def decode(batch: pa.Table) -> pa.Table:
+            # zero-copy: each blob's buffer feeds the reader directly
+            return pa.concat_tables([read_table(pa.BufferReader(b.as_buffer()))
+                                     for b in batch["bytes"]])
+
+        return ray.data.read_binary_files(paths).map_batches(
+            decode, batch_format="pyarrow")
+
+    return (lambda ds, tmp, key_col: _write_keyed_blocks(
+        ds, tmp, key_col, ext, write_table), read)
+
+
+def _io_roundtrip(sf_dir: str, table: str, columns: list[str], project,
+                  kind: str, io, group: str, key: str,
+                  measures: dict[str, tuple[str, str]]):
+    """The roundtrip recipe: ``project`` the ``columns`` of ``table``,
+    publish them with ``io``'s write through ``_staged_sink(kind)``, read
+    them back with ``io``'s read, and fold per ``group``: ``n``,
+    ``sum_hash = Σ((key % 2^31) · 2654435761 mod 2^32)`` and each
+    ``measures`` entry ``name: (int64 column, "sum" | "min" | "max")``.
+    Batch partials merge with the same op after ``repartition(4)`` +
+    ``groupby(group)``. A source with 0 rows returns the typed empty
+    result without touching Ray, as the oracle's GROUP BY does."""
+    import pyarrow.parquet as pq
+
+    pf = pq.ParquetFile(f"{sf_dir}/{table}.parquet")
+    src_rows = pf.metadata.num_rows
+    if src_rows == 0:
+        return pa.schema(
+            [pf.schema_arrow.field(group)]
+            + [(c, pa.int64()) for c in ("n", "sum_hash", *measures)]
+        ).empty_table()
+    write, read = io
+    ds = _read_blocked(sf_dir, table, columns).map_batches(
+        project, batch_format="pyarrow", zero_copy_batch=True)
+    out_dir = _staged_sink(sf_dir, table, kind, table,
+                           lambda tmp: write(ds, tmp, key))
+    ops = {"n": "sum", "sum_hash": "sum",
+           **{m: op for m, (_, op) in measures.items()}}
+
+    def final(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby(group, sort=False).agg(ops).reset_index()
+
+    def partial(batch: pa.Table) -> pa.Table:
+        # each row is a unit partial, folded by the same ops as the merge
+        ids = batch[key].to_numpy().astype(np.int64)
+        return _pa_from_pandas(final(pd.DataFrame({
+            group: batch[group].to_pandas(), "n": np.int64(1),
+            "sum_hash": ((ids % 2147483648) * 2654435761) % 4294967296,
+            **{m: batch[c].to_numpy().astype(np.int64)
+               for m, (c, _) in measures.items()}})), preserve_index=False)
+
+    return read(out_dir, src_rows).map_batches(
+        partial, batch_format="pyarrow").repartition(4).groupby(
+        group).map_groups(final, batch_format="pandas")
 
 
 def _footer_min_max(sf_dir: str, table: str, col: str):
@@ -3436,24 +3582,17 @@ def partition_roundtrip_events(sf_dir: str):
     contract, SURVEY §2.1 S4): events stream to hive-partitioned parquet —
     one directory per event_type, never one giant file — and the readback
     opens ONLY the wanted partition's directory, so the probe is file-level
-    pruning, not a full-table scan + filter. The write is staged to a tmp
-    dir and atomically renamed (a killed writer leaves no half partition)
-    and cached per source content fingerprint so repeated calls measure the
-    pruned read."""
+    pruning, not a full-table scan + filter. The write goes through
+    ``_staged_sink`` (a killed writer leaves no half partition), cached per
+    source content so repeated calls measure the pruned read."""
     import os
 
-    import pyarrow.parquet as pq
     import ray.data
 
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    src = f"{sf_dir}/events.parquet"
-    st = os.stat(src)
-    # cache key = source content fingerprint (size + mtime), so a
-    # regenerated fixture with the same row count can't serve stale data
-    root = f"{scratch_root()}/scdd_query/{tag}/events_by_type_{st.st_size}_{st.st_mtime_ns}"
-    _ensure_staged_cache(root, lambda tmp: _read_blocked(
-        sf_dir, "events", ["event_type", "value"]).write_parquet(
-        tmp, partition_cols=["event_type"]))
+    root = _staged_sink(sf_dir, "events", "query", "events_by_type",
+                        lambda tmp: _read_blocked(
+                            sf_dir, "events", ["event_type", "value"]
+                        ).write_parquet(tmp, partition_cols=["event_type"]))
 
     part_dir = f"{root}/event_type=purchase"
     if not os.path.isdir(part_dir):  # no purchase rows: match the oracle
@@ -5610,16 +5749,9 @@ FROM orders
 
 
 def jsonl_roundtrip_events(sf_dir: str):
-    """JSONL sink + source roundtrip: project events to JSON-safe columns
-    (timestamps as epoch microseconds — JSON has no timestamp type and
-    float roundtrips are lossy), write line-delimited JSON, read it back
-    with ``ray.data.read_json``, and fold to per-type counts + an
-    order-independent id checksum. Exercises the JSON IO path end to end;
-    the oracle computes the same aggregates straight from the parquet."""
-    import ray.data
-
-    ds = _read_blocked(sf_dir, "events", ["event_id", "event_type", "ts"])
-    M = np.int64(4294967296)
+    """JSONL sink + source roundtrip (``_io_roundtrip``): Ray's
+    ``write_json`` and ``read_json`` over timestamps as epoch microseconds
+    (JSON has no timestamp type); per-type counts, id checksum, ts range."""
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -5627,47 +5759,11 @@ def jsonl_roundtrip_events(sf_dir: str):
             "event_type": batch["event_type"],
             "ts_us": batch["ts"].cast(pa.int64())})
 
-    import os
-
-    # content-fingerprinted cache + per-process staging + atomic rename
-    # (the partition_roundtrip_events sink convention): concurrent callers
-    # never see a half-written or mid-delete directory
-    st = os.stat(f"{sf_dir}/events.parquet")
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    out_dir = (f"{scratch_root()}/scdd_jsonl/{tag}/"
-               f"events_{st.st_size}_{st.st_mtime_ns}")
-    _ensure_staged_cache(out_dir, lambda tmp: ds.map_batches(
-        project, batch_format="pyarrow", zero_copy_batch=True).write_json(tmp))
-
-    back = ray.data.read_json(
-        [os.path.join(out_dir, f) for f in sorted(os.listdir(out_dir))
-         if f.endswith(".json")])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ids = batch["event_id"].to_numpy().astype(np.int64)
-        h = ((ids % 2147483648) * 2654435761) % M
-        df = pd.DataFrame({"event_type": batch["event_type"].to_pandas(),
-                           "h": h,
-                           "t": batch["ts_us"].to_numpy().astype(np.int64)})
-        g = df.groupby("event_type", sort=False)
-        return _pa_from_pandas(pd.DataFrame({
-            "event_type": list(g.groups),
-            "n": g.size().to_numpy().astype(np.int64),
-            "sum_hash": g.h.sum().to_numpy().astype(np.int64),
-            "min_ts_us": g.t.min().to_numpy().astype(np.int64),
-            "max_ts_us": g.t.max().to_numpy().astype(np.int64),
-        }), preserve_index=False)
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_type": [df.event_type.iloc[0]],
-            "n": [np.int64(df.n.sum())],
-            "sum_hash": [np.int64(df.sum_hash.sum())],
-            "min_ts_us": [np.int64(df.min_ts_us.min())],
-            "max_ts_us": [np.int64(df.max_ts_us.max())]})
-
-    return back.map_batches(partial, batch_format="pyarrow").repartition(
-        4).groupby("event_type").map_groups(final, batch_format="pandas")
+    return _io_roundtrip(sf_dir, "events", ["event_id", "event_type", "ts"],
+                         project, "jsonl", _native_io("json"),
+                         "event_type", "event_id",
+                         {"min_ts_us": ("ts_us", "min"),
+                          "max_ts_us": ("ts_us", "max")})
 
 
 JSONL_ROUNDTRIP_SQL = """
@@ -5883,62 +5979,28 @@ FROM c
 """
 
 
-def csv_roundtrip_orders(sf_dir: str):
-    """CSV sink + source roundtrip (the third IO format next to the hive
-    parquet and JSONL roundtrips): project orders to CSV-safe columns
-    (totalprice as integer cents — float text roundtrips are lossy), write
-    with ``write_csv``, read back with ``ray.data.read_csv``, and fold to
-    per-status counts, cent sums and an order-independent key checksum. The
-    oracle computes the same aggregates straight from the parquet."""
-    import os
-
-    import ray.data
-
-    ds = _read_blocked(sf_dir, "orders", ["o_orderkey", "o_orderstatus", "o_totalprice"])
-    M = np.int64(4294967296)
-
+def _cents_projection(key: str, group: str, price: str, out: str):
+    """Roundtrip projection (key as int64, group, ``price`` as integer cents
+    named ``out``): float text roundtrips are lossy, cents are exact."""
     def project(batch: pa.Table) -> pa.Table:
-        cents = np.floor(batch["o_totalprice"].to_numpy() * 100 + 0.5
-                         ).astype(np.int64)
         return pa.table({
-            "o_orderkey": batch["o_orderkey"].cast(pa.int64()),
-            "o_orderstatus": batch["o_orderstatus"],
-            "cents": pa.array(cents)})
+            key: batch[key].cast(pa.int64()), group: batch[group],
+            out: pa.array(np.floor(batch[price].to_numpy() * 100 + 0.5
+                                   ).astype(np.int64))})
 
-    # same atomic staged-rename convention as jsonl_roundtrip_events
-    st = os.stat(f"{sf_dir}/orders.parquet")
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    out_dir = f"{scratch_root()}/scdd_csv/{tag}/orders_{st.st_size}_{st.st_mtime_ns}"
-    _ensure_staged_cache(out_dir, lambda tmp: ds.map_batches(
-        project, batch_format="pyarrow", zero_copy_batch=True).write_csv(tmp))
+    return project
 
-    back = ray.data.read_csv(
-        [os.path.join(out_dir, f) for f in sorted(os.listdir(out_dir))
-         if f.endswith(".csv")])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        ids = batch["o_orderkey"].to_numpy().astype(np.int64)
-        h = ((ids % 2147483648) * 2654435761) % M
-        df = pd.DataFrame({"o_orderstatus": batch["o_orderstatus"].to_pandas(),
-                           "h": h,
-                           "c": batch["cents"].to_numpy().astype(np.int64)})
-        g = df.groupby("o_orderstatus", sort=False)
-        return _pa_from_pandas(pd.DataFrame({
-            "o_orderstatus": list(g.groups),
-            "n": g.size().to_numpy().astype(np.int64),
-            "sum_cents": g.c.sum().to_numpy().astype(np.int64),
-            "sum_hash": g.h.sum().to_numpy().astype(np.int64),
-        }), preserve_index=False)
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "o_orderstatus": [df.o_orderstatus.iloc[0]],
-            "n": [np.int64(df.n.sum())],
-            "sum_cents": [np.int64(df.sum_cents.sum())],
-            "sum_hash": [np.int64(df.sum_hash.sum())]})
-
-    return back.map_batches(partial, batch_format="pyarrow").repartition(
-        4).groupby("o_orderstatus").map_groups(final, batch_format="pandas")
+def csv_roundtrip_orders(sf_dir: str):
+    """CSV sink + source roundtrip (``_io_roundtrip``): Ray's ``write_csv``
+    and ``read_csv``; per-status counts, cent sums and key checksum."""
+    return _io_roundtrip(sf_dir, "orders",
+                         ["o_orderkey", "o_orderstatus", "o_totalprice"],
+                         _cents_projection("o_orderkey", "o_orderstatus",
+                                           "o_totalprice", "cents"),
+                         "csv", _native_io("csv"),
+                         "o_orderstatus", "o_orderkey",
+                         {"sum_cents": ("cents", "sum")})
 
 
 CSV_ROUNDTRIP_SQL = """
@@ -5952,119 +6014,23 @@ FROM orders GROUP BY o_orderstatus
 
 
 def orc_roundtrip_lineitem(sf_dir: str):
-    """ORC sink + source roundtrip — the fourth IO format, and the recipe
-    for any format Ray Data lacks a native reader for (ray 2.49 has no
-    ``read_orc``): the SINK writes one ORC file per block as a
-    ``map_batches`` side effect (pyarrow.orc; CONTENT-keyed file names so
-    a Ray task retry overwrites its own output instead of duplicating it,
-    per-file tmp+rename so a mid-write crash never publishes a truncated
-    file; the staged-rename cache publishes the directory atomically); the
-    SOURCE is ``read_binary_files`` over the file list with a per-file
-    pyarrow.orc decode inside the task. Scratch lives on node-local /tmp —
-    the same single-node assumption the jsonl/csv roundtrips share; a
-    multi-node run points the cache at shared storage."""
-    import os
+    """ORC sink + source roundtrip (``_io_roundtrip``), a format Ray Data
+    can neither write nor read (ray 2.49 has no ``read_orc``): keyed
+    pyarrow.orc blocks, rows on disk from the ORC footers, a zero-copy
+    pyarrow.orc decode per blob; per-returnflag counts, quantity cents and
+    key checksum."""
+    from pyarrow import orc
 
-    import ray.data
-
-    ds = _read_blocked(sf_dir, "lineitem",
-               ["l_orderkey", "l_returnflag", "l_quantity"])
-    M = np.int64(4294967296)
-
-    st = os.stat(f"{sf_dir}/lineitem.parquet")
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    out_dir = f"{scratch_root()}/scdd_orc/{tag}/lineitem_{st.st_size}_{st.st_mtime_ns}"
-
-    def write_blocks(tmp: str) -> None:
-        os.makedirs(tmp, exist_ok=True)  # write_csv mkdirs itself; orc won't
-
-        def write_block(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                # never manufacture 0-row files: an empty decode block
-                # would infer a null-typed string column downstream
-                return pa.table({"n": pa.array([0], pa.int64())})
-            from pyarrow import orc as _orc
-
-            from ..functions.hashing import hash64, splitmix64
-
-            ids = batch["l_orderkey"].to_numpy().astype(np.int64)
-            t = pa.table({
-                "l_orderkey": batch["l_orderkey"].cast(pa.int64()),
-                "l_returnflag": batch["l_returnflag"],
-                "qty": pa.array(np.floor(
-                    batch["l_quantity"].to_numpy() * 100 + 0.5
-                ).astype(np.int64)),
-            })
-            # content-keyed name: a retried task rewrites the SAME file.
-            # Each id's hash is remixed with its POSITION before the xor
-            # fold — an order/position-invariant sum can cancel across
-            # structured key sets, a position-mixed fold only collides on
-            # a genuine 64-bit hash collision.
-            mixed = splitmix64(hash64(ids).astype(np.uint64)
-                               + splitmix64(np.arange(ids.size,
-                                                      dtype=np.uint64)))
-            key = int(np.bitwise_xor.reduce(mixed)
-                      ^ np.uint64(ids.size)) & 0xFFFFFFFFFFFFFFFF
-            path = os.path.join(tmp, f"part-{key:016x}.orc")
-            os.makedirs(tmp, exist_ok=True)  # task may land on another node
-            _orc.write_table(t, path + ".tmp")
-            os.replace(path + ".tmp", path)
-            return pa.table({"n": pa.array([t.num_rows], pa.int64())})
-
-        total = ds.map_batches(write_block, batch_format="pyarrow",
-                               zero_copy_batch=True).sum("n")
-        assert total  # force execution; zero rows would be a broken fixture
-
-    _ensure_staged_cache(out_dir, write_blocks)
-
-    paths = [os.path.join(out_dir, f) for f in sorted(os.listdir(out_dir))
-             if f.endswith(".orc")]
-    # Cross-check ROWS ON DISK (ORC stripe footers, no data read) against the
-    # source row count: a content-key collision that overwrote a block would
-    # surface here instead of silently diverging from the oracle.
-    import pyarrow.parquet as pq_chk
-    from pyarrow import orc as _orc_chk
-
-    disk_rows = sum(_orc_chk.ORCFile(p).nrows for p in paths)
-    src_rows = pq_chk.ParquetFile(
-        f"{sf_dir}/lineitem.parquet").metadata.num_rows
-    if disk_rows != src_rows:
-        raise RuntimeError(
-            f"orc_roundtrip: {disk_rows} rows on disk != {src_rows} source "
-            f"rows in {out_dir} — stale or collided staging; delete the dir")
-
-    def decode_orc(batch: pa.Table) -> pa.Table:
-        from pyarrow import orc as _orc
-
-        col = batch["bytes"].combine_chunks() if isinstance(
-            batch["bytes"], pa.ChunkedArray) else batch["bytes"]
-        # zero-copy: each scalar's buffer feeds the reader directly
-        tables = [_orc.read_table(pa.BufferReader(col[i].as_buffer()))
-                  for i in range(len(col))]
-        t = pa.concat_tables(tables)
-        ids = t["l_orderkey"].to_numpy().astype(np.int64)
-        h = ((ids % 2147483648) * 2654435761) % M
-        df = pd.DataFrame({"l_returnflag": t["l_returnflag"].to_pandas(),
-                           "h": h, "q": t["qty"].to_numpy().astype(np.int64)})
-        g = df.groupby("l_returnflag", sort=False)
-        return _pa_from_pandas(pd.DataFrame({
-            "l_returnflag": list(g.groups),
-            "n": g.size().to_numpy().astype(np.int64),
-            "sum_qty_cents": g.q.sum().to_numpy().astype(np.int64),
-            "sum_hash": g.h.sum().to_numpy().astype(np.int64),
-        }), preserve_index=False)
-
-    back = ray.data.read_binary_files(paths)
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "l_returnflag": [df.l_returnflag.iloc[0]],
-            "n": [np.int64(df.n.sum())],
-            "sum_qty_cents": [np.int64(df.sum_qty_cents.sum())],
-            "sum_hash": [np.int64(df.sum_hash.sum())]})
-
-    return back.map_batches(decode_orc, batch_format="pyarrow").repartition(
-        4).groupby("l_returnflag").map_groups(final, batch_format="pandas")
+    return _io_roundtrip(sf_dir, "lineitem",
+                         ["l_orderkey", "l_returnflag", "l_quantity"],
+                         _cents_projection("l_orderkey", "l_returnflag",
+                                           "l_quantity", "qty"),
+                         "orc",
+                         _keyed_io("orc", orc.write_table,
+                                   lambda p: orc.ORCFile(p).nrows,
+                                   orc.read_table),
+                         "l_returnflag", "l_orderkey",
+                         {"sum_qty_cents": ("qty", "sum")})
 
 
 ORC_ROUNDTRIP_SQL = """
@@ -6077,116 +6043,36 @@ FROM lineitem GROUP BY l_returnflag
 """
 
 
+def _ipc_write(t: pa.Table, path: str) -> None:
+    with pa.OSFile(path, "wb") as sink:
+        with pa.ipc.new_file(sink, t.schema) as writer:
+            writer.write_table(t)
+
+
+def _ipc_nrows(path: str) -> int:
+    with pa.memory_map(path, "r") as mm:
+        r = pa.ipc.open_file(mm)
+        return sum(r.get_batch(i).num_rows
+                   for i in range(r.num_record_batches))
+
+
 def ipc_roundtrip_orders(sf_dir: str):
-    """Arrow IPC (Feather v2) sink + source roundtrip — the zero-copy
-    interchange format a Ray-native pipeline hands to other Arrow
-    consumers (DuckDB, polars, another Ray job) without a decode step.
-    Same retry-idempotent recipe as the ORC roundtrip: the SINK writes one
-    ``.arrow`` file per block as a ``map_batches`` side effect
-    (position-mixed content-keyed names so a task retry rewrites its own
-    file; per-file tmp+rename; staged-rename atomic directory publish),
-    the SOURCE is ``read_binary_files`` + ``pa.ipc.open_file`` over each
-    blob's buffer (zero-copy — IPC record batches alias the incoming
-    buffer). A stripe-footer row-count cross-check against the parquet
-    metadata makes a collision or stale staging loud. Engine-new: the
-    reference has no columnar-interchange IO (its services exchange JSON,
-    e.g. detector_api/app/schemas/detector.py)."""
-    import os
-
-    import ray.data
-
-    ds = _read_blocked(sf_dir, "orders",
-                       ["o_orderkey", "o_orderstatus", "o_totalprice"])
-    M = np.int64(4294967296)
-
-    st = os.stat(f"{sf_dir}/orders.parquet")
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    out_dir = f"{scratch_root()}/scdd_ipc/{tag}/orders_{st.st_size}_{st.st_mtime_ns}"
-
-    def write_blocks(tmp: str) -> None:
-        os.makedirs(tmp, exist_ok=True)
-
-        def write_block(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return pa.table({"n": pa.array([0], pa.int64())})
-            from ..functions.hashing import hash64, splitmix64
-
-            ids = batch["o_orderkey"].to_numpy().astype(np.int64)
-            t = pa.table({
-                "o_orderkey": batch["o_orderkey"].cast(pa.int64()),
-                "o_orderstatus": batch["o_orderstatus"],
-                "cents": pa.array(np.floor(
-                    batch["o_totalprice"].to_numpy() * 100 + 0.5
-                ).astype(np.int64)),
-            })
-            mixed = splitmix64(hash64(ids).astype(np.uint64)
-                               + splitmix64(np.arange(ids.size,
-                                                      dtype=np.uint64)))
-            key = int(np.bitwise_xor.reduce(mixed)
-                      ^ np.uint64(ids.size)) & 0xFFFFFFFFFFFFFFFF
-            path = os.path.join(tmp, f"part-{key:016x}.arrow")
-            os.makedirs(tmp, exist_ok=True)  # task may land on another node
-            with pa.OSFile(path + ".tmp", "wb") as sink:
-                with pa.ipc.new_file(sink, t.schema) as writer:
-                    writer.write_table(t)
-            os.replace(path + ".tmp", path)
-            return pa.table({"n": pa.array([t.num_rows], pa.int64())})
-
-        total = ds.map_batches(write_block, batch_format="pyarrow",
-                               zero_copy_batch=True).sum("n")
-        assert total  # force execution; zero rows would be a broken fixture
-
-    _ensure_staged_cache(out_dir, write_blocks)
-
-    paths = [os.path.join(out_dir, f) for f in sorted(os.listdir(out_dir))
-             if f.endswith(".arrow")]
-    # rows-on-disk cross-check from IPC footers (memory-mapped metadata,
-    # no data read) vs the parquet source count — collisions surface loudly
-    disk_rows = 0
-    for p in paths:
-        with pa.memory_map(p, "r") as mm:
-            r = pa.ipc.open_file(mm)
-            disk_rows += sum(r.get_batch(i).num_rows
-                             for i in range(r.num_record_batches))
-    import pyarrow.parquet as pq_chk
-
-    src_rows = pq_chk.ParquetFile(
-        f"{sf_dir}/orders.parquet").metadata.num_rows
-    if disk_rows != src_rows:
-        raise RuntimeError(
-            f"ipc_roundtrip: {disk_rows} rows on disk != {src_rows} source "
-            f"rows in {out_dir} — stale or collided staging; delete the dir")
-
-    def decode_ipc(batch: pa.Table) -> pa.Table:
-        col = batch["bytes"].combine_chunks() if isinstance(
-            batch["bytes"], pa.ChunkedArray) else batch["bytes"]
-        tables = [pa.ipc.open_file(pa.BufferReader(col[i].as_buffer())
-                                   ).read_all() for i in range(len(col))]
-        t = pa.concat_tables(tables)
-        ids = t["o_orderkey"].to_numpy().astype(np.int64)
-        h = ((ids % 2147483648) * 2654435761) % M
-        df = pd.DataFrame({"o_orderstatus": t["o_orderstatus"].to_pandas(),
-                           "h": h,
-                           "c": t["cents"].to_numpy().astype(np.int64)})
-        g = df.groupby("o_orderstatus", sort=False)
-        return _pa_from_pandas(pd.DataFrame({
-            "o_orderstatus": list(g.groups),
-            "n": g.size().to_numpy().astype(np.int64),
-            "sum_price_cents": g.c.sum().to_numpy().astype(np.int64),
-            "sum_hash": g.h.sum().to_numpy().astype(np.int64),
-        }), preserve_index=False)
-
-    back = ray.data.read_binary_files(paths)
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "o_orderstatus": [df.o_orderstatus.iloc[0]],
-            "n": [np.int64(df.n.sum())],
-            "sum_price_cents": [np.int64(df.sum_price_cents.sum())],
-            "sum_hash": [np.int64(df.sum_hash.sum())]})
-
-    return back.map_batches(decode_ipc, batch_format="pyarrow").repartition(
-        4).groupby("o_orderstatus").map_groups(final, batch_format="pandas")
+    """Arrow IPC (Feather v2) sink + source roundtrip (``_io_roundtrip``):
+    the zero-copy interchange format a Ray-native pipeline hands to other
+    Arrow consumers (DuckDB, polars, another Ray job). Keyed ``.arrow``
+    blocks, rows on disk summed over each file's record batches,
+    ``pa.ipc.open_file`` over each blob's buffer (the batches alias it).
+    Engine-new: the reference has no columnar-interchange IO (its services
+    exchange JSON, e.g. detector_api/app/schemas/detector.py)."""
+    return _io_roundtrip(sf_dir, "orders",
+                         ["o_orderkey", "o_orderstatus", "o_totalprice"],
+                         _cents_projection("o_orderkey", "o_orderstatus",
+                                           "o_totalprice", "cents"),
+                         "ipc",
+                         _keyed_io("arrow", _ipc_write, _ipc_nrows,
+                                   lambda buf: pa.ipc.open_file(buf).read_all()),
+                         "o_orderstatus", "o_orderkey",
+                         {"sum_price_cents": ("cents", "sum")})
 
 
 IPC_ROUNDTRIP_SQL = """

@@ -108,6 +108,35 @@ class _RunningTotals:
         })
 
 
+def _route(keys: np.ndarray, *cols: np.ndarray):
+    """Bucket router for ``_feed_bucketed``: rows go to actor
+    ``hash64(keys) % N_STREAM_BUCKETS``; yields ``(bucket, sliced cols)``
+    per bucket present. Same-submitter -> same-actor tasks run in
+    submission order, so each actor sees its keys' rows in log order."""
+    bkt = (hash64(keys) % N_STREAM_BUCKETS).astype(np.int64)
+    for b in np.unique(bkt):
+        sel = bkt == b
+        yield b, tuple(c[sel] for c in cols)
+
+
+def _route_user_values(batch: pa.Table):
+    users = batch["user_id"].to_numpy()
+    return _route(users, users, batch["value"].to_numpy())
+
+
+def _finish_running_totals(actors: list) -> pa.Table:
+    """Concatenate the ``_RunningTotals`` actors' state, rounded as the
+    oracle rounds, in user_id order."""
+    import ray
+
+    out = pd.concat(ray.get([a.finish.remote() for a in actors]),
+                    ignore_index=True)
+    out["total"] = _round(out["total"].to_numpy(), 2)
+    out["max_running"] = _round(out["max_running"].to_numpy(), 2)
+    return _pa_from_pandas(out.sort_values("user_id").reset_index(drop=True),
+                           preserve_index=False)
+
+
 def _feed_bucketed(ds, actors: list, route):
     """Shared ordered-feed scaffold: stream ``ds`` batches in order, route
     each batch's rows to bucket actors via ``route(batch) -> (bkt, calls)``
@@ -181,21 +210,9 @@ def streaming_running_totals_partitioned(sf_dir: str, n_feeders: int = 2):
                              zero_copy_batch=True)
                 .sort(["ts", "event_id"]))
 
-    def route(batch: pa.Table):
-        users = batch["user_id"].to_numpy()
-        values = batch["value"].to_numpy()
-        bkt = (hash64(users) % N_STREAM_BUCKETS).astype(np.int64)
-        for b in np.unique(bkt):
-            sel = bkt == b
-            yield b, (users[sel], values[sel])
-
-    _feed_partitioned(make_partition_ds, actors, route, n_feeders)
-    out = pd.concat(ray.get([a.finish.remote() for a in actors]),
-                    ignore_index=True)
-    out["total"] = _round(out["total"].to_numpy(), 2)
-    out["max_running"] = _round(out["max_running"].to_numpy(), 2)
-    return _pa_from_pandas(out.sort_values("user_id").reset_index(drop=True),
-                                preserve_index=False)
+    _feed_partitioned(make_partition_ds, actors, _route_user_values,
+                      n_feeders)
+    return _finish_running_totals(actors)
 
 
 def streaming_running_totals(sf_dir: str):
@@ -204,7 +221,6 @@ def streaming_running_totals(sf_dir: str):
     stateful-streaming twin of ``running_sum_events`` (which rebuffers each
     user's history per group). Oracled via SQL window functions."""
     import ray
-    from ray.data import DataContext
 
     ds = (_read_blocked(sf_dir, "events", ["user_id", "ts", "event_id", "value"])
           .sort(["ts", "event_id"]))
@@ -212,23 +228,8 @@ def streaming_running_totals(sf_dir: str):
     actor_cls = ray.remote(_RunningTotals)
     actors = [actor_cls.remote() for _ in range(N_STREAM_BUCKETS)]
 
-    def route(batch: pa.Table):
-        users = batch["user_id"].to_numpy()
-        values = batch["value"].to_numpy()
-        bkt = (hash64(users) % N_STREAM_BUCKETS).astype(np.int64)
-        # same-submitter → same-actor tasks run in submission order, so
-        # each actor sees its users' events in global ts order
-        for b in np.unique(bkt):
-            sel = bkt == b
-            yield b, (users[sel], values[sel])
-
-    _feed_bucketed(ds, actors, route)
-    out = pd.concat(ray.get([a.finish.remote() for a in actors]),
-                    ignore_index=True)
-    out["total"] = _round(out["total"].to_numpy(), 2)
-    out["max_running"] = _round(out["max_running"].to_numpy(), 2)
-    return _pa_from_pandas(out.sort_values("user_id").reset_index(drop=True),
-                                preserve_index=False)
+    _feed_bucketed(ds, actors, _route_user_values)
+    return _finish_running_totals(actors)
 
 
 STREAMING_TOTALS_SQL = """
@@ -302,10 +303,7 @@ def streaming_drift_monitor(sf_dir: str, bins: int = 256, lo: float = 0.0,
             pa.timestamp("us")).cast(pa.int64()).to_numpy()
         v = batch["value"].to_numpy()
         binned = np.clip(((v - lo) / width).astype(np.int64), 0, bins - 1)
-        bkt = (hash64(hour) % N_STREAM_BUCKETS).astype(np.int64)
-        for b in np.unique(bkt):
-            sel = bkt == b
-            yield b, (hour[sel], binned[sel])
+        return _route(hour, hour, binned)
 
     _feed_bucketed(ds, actors, route)
     merged = pd.concat(ray.get([a.finish.remote() for a in actors]),

@@ -8,10 +8,11 @@ Each test pins a specific hardening that landed this round:
     stats blobs whose (lo, hi, bins) configs disagree — a stale or
     mixed-run blob directory must fail loudly, not render a wrong
     run-wide marginal.
-  * ``orc_roundtrip_lineitem``'s staged cache cross-checks rows ON DISK
-    (ORC stripe footers) against the source row count, so a lost or
-    collided block file surfaces as a RuntimeError instead of silently
-    diverging from the oracle.
+  * the ORC and IPC roundtrips' staged caches cross-check rows ON DISK
+    (file footers) against the source row count, so a lost or collided
+    block file surfaces as a RuntimeError instead of silently diverging
+    from the oracle; their content-keyed sink rewrites the same files
+    when run twice.
 """
 
 from __future__ import annotations
@@ -96,21 +97,54 @@ def test_uniqueness_dup_fold_gate_parity(ray_session, monkeypatch):
     pd.testing.assert_frame_equal(fold, via_rows_gate)
 
 
-def test_orc_roundtrip_detects_rows_lost_on_disk(ray_session):
-    from serverless_covariate_drift_detection_ray.pipelines.queries import (
-        orc_roundtrip_lineitem,
-    )
+@pytest.mark.parametrize("fmt", ["orc", "ipc"])
+def test_orc_roundtrip_detects_rows_lost_on_disk(ray_session, fmt):
+    from serverless_covariate_drift_detection_ray.pipelines import queries
+    from serverless_covariate_drift_detection_ray.pipelines.config import (
+        scratch_root)
 
-    st = os.stat(f"{SF_DIR}/lineitem.parquet")
-    out_dir = (f"/tmp/scdd_orc/sf0.001/"
-               f"lineitem_{st.st_size}_{st.st_mtime_ns}")
+    run, table, ext = {
+        "orc": (queries.orc_roundtrip_lineitem, "lineitem", ".orc"),
+        "ipc": (queries.ipc_roundtrip_orders, "orders", ".arrow")}[fmt]
+    st = os.stat(f"{SF_DIR}/{table}.parquet")
+    out_dir = (f"{scratch_root()}/scdd_{fmt}/sf0.001/"
+               f"{table}_{st.st_size}_{st.st_mtime_ns}")
     try:
-        orc_roundtrip_lineitem(SF_DIR)  # populates + passes the cross-check
-        orc_files = sorted(f for f in os.listdir(out_dir) if f.endswith(".orc"))
-        assert orc_files, "staged ORC dir should hold at least one block file"
-        os.remove(os.path.join(out_dir, orc_files[0]))  # simulate a lost block
+        run(SF_DIR)  # populates + passes the cross-check
+        block_files = sorted(f for f in os.listdir(out_dir) if f.endswith(ext))
+        assert block_files, "staged dir should hold at least one block file"
+        os.remove(os.path.join(out_dir, block_files[0]))  # a lost block
         with pytest.raises(RuntimeError, match="rows on disk"):
-            orc_roundtrip_lineitem(SF_DIR)
+            run(SF_DIR)
     finally:
         # leave no poisoned cache behind: the next caller must rebuild
         shutil.rmtree(out_dir, ignore_errors=True)
+
+
+@pytest.mark.parametrize("ext", ["orc", "arrow"])
+def test_keyed_blocks_rewrite_is_idempotent(ray_session, tmp_path, ext):
+    """The content-keyed ORC/IPC sink run twice over the same dataset into
+    one directory (a retried write) rewrites the same files: the same name
+    set, no extra files (no duplicate blocks, no stray .tmp), and the rows
+    on disk equal the source row count."""
+    from pyarrow import orc
+
+    from serverless_covariate_drift_detection_ray.pipelines import queries
+
+    write_table, nrows = {
+        "orc": (orc.write_table, lambda p: orc.ORCFile(p).nrows),
+        "arrow": (queries._ipc_write, queries._ipc_nrows)}[ext]
+    ds = queries._read_blocked(SF_DIR, "orders",
+                               ["o_orderkey", "o_orderstatus"])
+    out = str(tmp_path / "blocks")
+    os.makedirs(out)
+    queries._write_keyed_blocks(ds, out, "o_orderkey", ext, write_table)
+    first = sorted(os.listdir(out))
+    queries._write_keyed_blocks(ds, out, "o_orderkey", ext, write_table)
+    second = sorted(os.listdir(out))
+    assert len(first) > 1
+    assert second == first
+    assert all(f.startswith("part-") and f.endswith(f".{ext}")
+               for f in second)
+    src_rows = pq.ParquetFile(f"{SF_DIR}/orders.parquet").metadata.num_rows
+    assert sum(nrows(os.path.join(out, f)) for f in second) == src_rows
