@@ -24,7 +24,6 @@ from serverless_covariate_drift_detection_ray.pipelines import (
     classify,
     corpus,
     dimred,
-    streaming,
     textops,
 )
 from serverless_covariate_drift_detection_ray.pipelines import queries as relq
@@ -173,10 +172,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "rolling_1h_events": relq.rolling_1h_events,
         "event_gaps_per_user": relq.event_gaps_per_user,
         "dedup_events_debounce": relq.dedup_events_debounce,
-        "streaming_running_totals": streaming.streaming_running_totals,
-        "streaming_running_totals_partitioned":
-            streaming.streaming_running_totals_partitioned,
-        "streaming_drift_monitor": streaming.streaming_drift_monitor,
+        "streaming_running_totals": relq.streaming_running_totals,
         "funnel_view_click_purchase": relq.funnel_view_click_purchase,
         "topn_orders_per_priority": relq.topn_orders_per_priority,
         "rank_orders_dense": relq.rank_orders_dense,
@@ -427,9 +423,6 @@ FROM '{truth_path}' GROUP BY "check"
         "ewma_control_events": relq.EWMA_SQL,
         "seasonality_profile_events": relq.SEASONALITY_SQL,
         "ks_by_window_events": relq.KS_WINDOW_SQL,
-        # the streaming monitor's contract IS bit-equality with the batch
-        # window-KS (tests/test_queries.py pins it), so it shares the SQL twin
-        "streaming_drift_monitor": relq.KS_WINDOW_SQL,
         "asof_join_purchase_click": relq.ASOF_SQL,
         "interval_join_purchase_clicks": relq.INTERVAL_JOIN_SQL,
         "sessionize_events": relq.SESSIONIZE_SQL,
@@ -437,8 +430,7 @@ FROM '{truth_path}' GROUP BY "check"
         "rolling_1h_events": relq.ROLLING_SQL,
         "event_gaps_per_user": relq.EVENT_GAPS_SQL,
         "dedup_events_debounce": relq.DEBOUNCE_SQL,
-        "streaming_running_totals": streaming.STREAMING_TOTALS_SQL,
-        "streaming_running_totals_partitioned": streaming.STREAMING_TOTALS_SQL,
+        "streaming_running_totals": relq.STREAMING_TOTALS_SQL,
         "funnel_view_click_purchase": relq.FUNNEL_SQL,
         "grouped_quantiles_flag": relq.GROUPED_QUANTILES_SQL,
         "outlier_counts_lineitem": relq.OUTLIER_SQL,

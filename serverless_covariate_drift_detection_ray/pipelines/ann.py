@@ -1955,7 +1955,7 @@ def _ranked_candidates(partials, c: int) -> pd.DataFrame:
     return out
 
 
-def hybrid_search_rrf(sf_dir: str, lexical_path: str = "postings"):
+def hybrid_search_rrf(sf_dir: str):
     """Hybrid search over the documents/embeddings pair (doc_id == vec_id):
     keyword side scores distinct-token Jaccard against the query text (only
     docs sharing ≥1 token are lexical candidates), vector side scores
@@ -1966,8 +1966,8 @@ def hybrid_search_rrf(sf_dir: str, lexical_path: str = "postings"):
     fused output hash-matches the oracle (a residual flip would need a
     true cosine within float-rounding distance of a 1e-6 bucket edge).
 
-    Lexical candidate generation is INDEX-PROBED, not scan-per-query
-    (``lexical_path="postings"``, the default): the driver builds an
+    Lexical candidate generation is INDEX-PROBED, not scan-per-query:
+    the driver builds an
     inverted index over the bounded QUERY vocabulary (token → int64 query
     postings — the small-side dual of ``textops.inverted_index_documents``'s
     corpus postings), broadcasts it once, and each corpus batch probes its
@@ -1975,12 +1975,10 @@ def hybrid_search_rrf(sf_dir: str, lexical_path: str = "postings"):
     sorted query-vocab hashes, string-confirmed on the tiny hit subset) to
     scatter-add |q∩d| intersection counts. Per-batch cost is
     O(tokens-shared-with-query-vocab) — the candidate volume itself —
-    instead of the scan path's O(N_QUERIES × docs) Python set algebra, so
-    at 100-TB corpus scale the probe cost no longer multiplies by query
-    count. Jaccard = inter/(|q|+|d|-inter) uses the same integers as the
-    set expression, so both paths are bit-identical (pinned by the
-    forced-path parity test). ``lexical_path="scan"`` keeps the direct
-    per-query set scan for that parity check. The probe assumes a BOUNDED
+    instead of O(N_QUERIES × docs) per-query set algebra, so at 100-TB
+    corpus scale the probe cost no longer multiplies by query count.
+    Jaccard = inter/(|q|+|d|-inter) uses the same integers as the SQL
+    oracle's set expression. The probe assumes a BOUNDED
     query side (here the N_QUERIES constant) so the query-vocab index
     broadcasts; a query batch too large for that would instead use the
     corpus-side postings build (``textops.inverted_index_documents``) +
@@ -2011,8 +2009,8 @@ def hybrid_search_rrf(sf_dir: str, lexical_path: str = "postings"):
     q_sizes = np.fromiter((len(s) for s in q_tokens), dtype=np.int64,
                           count=len(q_tokens))
     q_ids_v, qm = _query_matrix(sf_dir)
-    wrapped = {"ref": ray.put((q_ids_t, q_tokens, tok2q, qv_hashes,
-                               q_sizes, q_ids_v, qm))}
+    wrapped = {"ref": ray.put((q_ids_t, tok2q, qv_hashes, q_sizes,
+                               q_ids_v, qm))}
 
     empty = pa.table({"query_id": pa.array([], pa.int64()),
                       "doc_id": pa.array([], pa.int64()),
@@ -2020,7 +2018,7 @@ def hybrid_search_rrf(sf_dir: str, lexical_path: str = "postings"):
 
     def _topc_jaccard(qi, ids, jac_rows) -> pa.Table:
         """Per-query top-C cut under the strict (jac desc, doc_id asc)
-        order — shared tail of both lexical paths."""
+        order."""
         out_q, out_d, out_s = [], [], []
         for k, jac in enumerate(jac_rows):
             keep = np.flatnonzero(jac > 0)
@@ -2037,30 +2035,13 @@ def hybrid_search_rrf(sf_dir: str, lexical_path: str = "postings"):
                          "score": pa.array(np.concatenate(out_s),
                                            pa.float64())})
 
-    def text_partial_scan(batch: pa.Table) -> pa.Table:
-        """Direct per-query set scan — O(N_QUERIES × docs) per batch; kept
-        as the parity reference for the postings probe below."""
-        qi, qtok, _, _, _, _, _ = ray.get(wrapped["ref"])
-        batch = batch.filter(
-            pa.compute.greater_equal(batch["doc_id"], N_QUERIES))
-        if batch.num_rows == 0:
-            return empty
-        ids = batch["doc_id"].to_numpy().astype(np.int64)
-        toks = [frozenset(t for t in s.lower().split(" ") if t)
-                for s in batch["text"].to_pylist()]
-        jac_rows = [
-            np.array([len(qs & d) / len(qs | d) if (qs or d) else 0.0
-                      for d in toks])
-            for qs in qtok]
-        return _topc_jaccard(qi, ids, jac_rows)
-
-    def text_partial_probe(batch: pa.Table) -> pa.Table:
+    def text_partial(batch: pa.Table) -> pa.Table:
         """Posting-probe candidate generation: batch tokens are tested
         against the broadcast query-vocab index (vectorized hash64
         membership, string-confirmed), and only the hits scatter-add into
         the |q∩d| intersection matrix — no per-query corpus pass, and a
         doc sharing no query token costs one hash probe per token."""
-        qi, _, t2q, qvh, qsz, _, _ = ray.get(wrapped["ref"])
+        qi, t2q, qvh, qsz, _, _ = ray.get(wrapped["ref"])
         batch = batch.filter(
             pa.compute.greater_equal(batch["doc_id"], N_QUERIES))
         n = batch.num_rows
@@ -2096,11 +2077,8 @@ def hybrid_search_rrf(sf_dir: str, lexical_path: str = "postings"):
             jac = np.where(inter > 0, inter / np.maximum(union, 1), 0.0)
         return _topc_jaccard(qi, ids, list(jac))
 
-    text_partial = (text_partial_probe if lexical_path == "postings"
-                    else text_partial_scan)
-
     def vec_partial(batch: pa.Table) -> pa.Table:
-        _, _, _, _, _, qi, q = ray.get(wrapped["ref"])
+        _, _, _, _, qi, q = ray.get(wrapped["ref"])
         batch = batch.filter(
             pa.compute.greater_equal(batch["vec_id"], N_QUERIES))
         if batch.num_rows == 0:

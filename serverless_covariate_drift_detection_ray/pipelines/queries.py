@@ -190,13 +190,14 @@ def _write_keyed_blocks(ds, tmp: str, key_col: str, ext: str,
                    zero_copy_batch=True).sum("n")  # forces execution
 
 
-def _native_io(fmt: str):
-    """(write, read) for a format Ray Data writes and reads itself."""
+def _native_io(fmt: str, **read_kw):
+    """(write, read) for a format Ray Data writes and reads itself;
+    ``read_kw`` goes to ``ray.data.read_{fmt}``."""
     import ray.data
 
     return (lambda ds, tmp, key_col: getattr(ds, f"write_{fmt}")(tmp),
             lambda out_dir, src_rows: getattr(ray.data, f"read_{fmt}")(
-                out_dir, file_extensions=[fmt]))
+                out_dir, file_extensions=[fmt], **read_kw))
 
 
 def _keyed_io(ext: str, write_table, nrows, read_table):
@@ -240,8 +241,9 @@ def _io_roundtrip(sf_dir: str, table: str, columns: list[str], project,
     ``sum_hash = Σ((key % 2^31) · 2654435761 mod 2^32)`` and each
     ``measures`` entry ``name: (int64 column, "sum" | "min" | "max")``.
     Batch partials merge with the same op after ``repartition(4)`` +
-    ``groupby(group)``. A source with 0 rows returns the typed empty
-    result without touching Ray, as the oracle's GROUP BY does."""
+    a Ray groupby; a NULL ``group`` is a group of its own. A source with
+    0 rows returns the typed empty result without touching Ray, as the
+    oracle's GROUP BY does."""
     import pyarrow.parquet as pq
 
     pf = pq.ParquetFile(f"{sf_dir}/{table}.parquet")
@@ -256,42 +258,50 @@ def _io_roundtrip(sf_dir: str, table: str, columns: list[str], project,
         project, batch_format="pyarrow", zero_copy_batch=True)
     out_dir = _staged_sink(sf_dir, table, kind, table,
                            lambda tmp: write(ds, tmp, key))
-    ops = {"n": "sum", "sum_hash": "sum",
-           **{m: op for m, (_, op) in measures.items()}}
+    aggs = [("n", "sum"), ("sum_hash", "sum"),
+            *((m, op) for m, (_, op) in measures.items())]
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(group, sort=False).agg(ops).reset_index()
+    def fold(t: pa.Table) -> pa.Table:
+        # Arrow's hash grouping keeps a NULL key as its own group, as the
+        # oracle's GROUP BY does
+        g = t.group_by(group).aggregate(aggs)
+        return pa.table({group: g[group],
+                         **{m: g[f"{m}_{op}"] for m, op in aggs}})
 
     def partial(batch: pa.Table) -> pa.Table:
         # each row is a unit partial, folded by the same ops as the merge
         ids = batch[key].to_numpy().astype(np.int64)
-        return _pa_from_pandas(final(pd.DataFrame({
-            group: batch[group].to_pandas(), "n": np.int64(1),
+        out = fold(pa.table({
+            group: batch[group], "n": np.ones(ids.size, np.int64),
             "sum_hash": ((ids % 2147483648) * 2654435761) % 4294967296,
             **{m: batch[c].to_numpy().astype(np.int64)
-               for m, (c, _) in measures.items()}})), preserve_index=False)
+               for m, (c, _) in measures.items()}}))
+        # Ray's sort shuffle cannot order a NULL key: shuffle on the key
+        # with NULL read as "", and let the merge fold split the two apart
+        return out.append_column("shuffle_key", pc.fill_null(out[group], ""))
 
     return read(out_dir, src_rows).map_batches(
         partial, batch_format="pyarrow").repartition(4).groupby(
-        group).map_groups(final, batch_format="pandas")
+        "shuffle_key").map_groups(fold, batch_format="pyarrow")
 
 
-def _footer_min_max(sf_dir: str, table: str, col: str):
-    """(min, max) of a column from parquet FOOTER row-group statistics — no
-    data read. Returns None when any row group lacks stats (caller treats
-    the domain as unknown rather than wrong)."""
+def _footer_minmax(sf_dir: str, table: str, col: str) -> tuple[float, float]:
+    """Column [min, max] from parquet row-group footer statistics — no data
+    read. One definition (the quantile engine, MAD and the distributed
+    PageRank's node-domain guard), and a file missing the statistics is a
+    named error, never a silently skipped guard."""
     import pyarrow.parquet as pq_
 
     pf = pq_.ParquetFile(f"{sf_dir}/{table}.parquet")
     ci = pf.schema_arrow.get_field_index(col)
-    lo, hi = None, None
-    for g in range(pf.metadata.num_row_groups):
-        st = pf.metadata.row_group(g).column(ci).statistics
-        if st is None or not st.has_min_max:
-            return None
-        lo = st.min if lo is None else min(lo, st.min)
-        hi = st.max if hi is None else max(hi, st.max)
-    return None if lo is None else (lo, hi)
+    stats = [pf.metadata.row_group(g).column(ci).statistics
+             for g in range(pf.metadata.num_row_groups)]
+    if any(st is None or st.min is None or st.max is None for st in stats):
+        raise ValueError(
+            f"{table}.parquet: column {col!r} lacks min/max statistics in at "
+            "least one row group — rewrite the file with statistics enabled")
+    return (min(float(st.min) for st in stats),
+            max(float(st.max) for st in stats))
 
 
 def _round_cols(df: pd.DataFrame, spec: dict[str, int]) -> pd.DataFrame:
@@ -856,9 +866,8 @@ def ks_by_window_events(sf_dir: str, bins: int = 256, lo: float = 0.0,
 
 def ks_windows_finish(hours: np.ndarray, blobs: np.ndarray, bins: int,
                       alpha: float) -> pa.Table:
-    """Driver finish shared by the batch (ks_by_window_events) and
-    streaming (streaming.streaming_drift_monitor) window-KS paths: stack
-    the per-hour histogram blobs and test each window against the REST of
+    """Driver finish of ``ks_by_window_events``: stack the per-hour
+    histogram blobs and test each window against the REST of
     the stream (global minus the window itself — a window included in its
     own reference halves the measured D and double-counts its rows in the
     p-value's sample sizes). windows x bins — metadata-sized."""
@@ -1324,6 +1333,78 @@ SELECT event_id, user_id,
   FLOOR(SUM(value) OVER (PARTITION BY user_id ORDER BY ts, event_id
         ROWS UNBOUNDED PRECEDING)*100+0.5)/100 AS run_sum
 FROM events
+"""
+
+
+def _running_totals(users: np.ndarray, values: np.ndarray):
+    """Per-user (user, total, max running sum) of a time-ordered stream.
+
+    Stable-sort segments the stream by user (equal keys keep arrival =
+    time order), then computes every running value EXACTLY as a
+    sequential ``s += v`` loop would: one cumsum per segment when segments
+    are few and long, rounds-wise vectorized adds (round j adds each
+    active segment's j-th value) when segments are many and short,
+    whichever needs fewer Python iterations. Both keep each user's exact
+    left-to-right float association, so the result does not depend on
+    which other users share the input. (A single global cumsum differenced
+    at segment starts, or pandas' grouped cumsum, which compensates its
+    summation, is NOT the sequential sum.) ``np.maximum.reduceat`` takes
+    each segment's running peak."""
+    if not len(users):
+        return users, np.empty(0), np.empty(0)
+    order = np.argsort(users, kind="stable")
+    u = users[order]
+    v = values[order].astype(np.float64)
+    starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
+    ends = np.r_[starts[1:], u.size]
+    seg_len = ends - starts
+    maxlen = int(seg_len.max())
+    run = np.empty_like(v)
+    if starts.size <= maxlen:
+        for st, en in zip(starts, ends):
+            run[st:en] = np.cumsum(v[st:en])
+    else:
+        cur = np.zeros(starts.size)
+        for j in range(maxlen):
+            act = seg_len > j
+            idx = starts[act] + j
+            cur[act] = cur[act] + v[idx]
+            run[idx] = cur[act]
+    return u[starts], run[ends - 1], np.maximum.reduceat(run, starts)
+
+
+def streaming_running_totals(sf_dir: str):
+    """Per-user total + peak running sum over the (ts, event_id)-ordered
+    events log: salt-bucketed like ``running_sum_events``, one sequential
+    per-user sum per bucket (``_running_totals``). NULL values add
+    nothing, as in SQL ``SUM``; a user whose values are all NULL keeps
+    NULL total and peak."""
+    ds = _read_blocked(sf_dir, "events", ["user_id", "ts", "event_id", "value"])
+
+    def totals(df: pd.DataFrame) -> pd.DataFrame:
+        d = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
+        uid = d.user_id.to_numpy(np.int64)
+        v = d.value.to_numpy(np.float64, na_value=np.nan)
+        ok = ~np.isnan(v)
+        users, total, peak = _running_totals(uid[ok], v[ok])
+        return pd.DataFrame(
+            {"total": _round(total, 2), "max_running": _round(peak, 2)},
+            index=pd.Index(users, name="user_id"),
+        ).reindex(pd.Index(np.unique(uid), name="user_id")).reset_index()
+
+    return _user_buckets(sf_dir, ds).map_groups(totals, batch_format="pandas")
+
+
+STREAMING_TOTALS_SQL = """
+WITH rs AS (
+  SELECT user_id, value,
+    SUM(value) OVER (PARTITION BY user_id ORDER BY ts, event_id
+                     ROWS UNBOUNDED PRECEDING) AS run
+  FROM events)
+SELECT user_id,
+  FLOOR(SUM(value)*100+0.5)/100 AS total,
+  FLOOR(MAX(run)*100+0.5)/100 AS max_running
+FROM rs GROUP BY user_id
 """
 
 
@@ -3602,17 +3683,18 @@ def partition_roundtrip_events(sf_dir: str):
     part = ray.data.read_parquet(part_dir)
 
     def agg(batch: pa.Table) -> pa.Table:
-        s = pc.sum(batch["value"]).as_py()
         return pa.table({"n": pa.array([len(batch)], pa.int64()),
-                         "s": pa.array([0.0 if s is None else float(s)],
+                         "s": pa.array([pc.sum(batch["value"]).as_py()],
                                        pa.float64())})
 
     p = part.map_batches(agg, batch_format="pyarrow",
-                         zero_copy_batch=True).to_pandas().sum()
+                         zero_copy_batch=True).to_pandas()
+    # NULL only when every block's sum is NULL, as SQL SUM
+    s = p.s.sum(min_count=1)
     return pa.table({"event_type": pa.array(["purchase"], pa.string()),
-                     "n": pa.array([int(p.n)], pa.int64()),
-                     "sum_value": pa.array([float(_round(p.s, 2))],
-                                           pa.float64())})
+                     "n": pa.array([int(p.n.sum())], pa.int64()),
+                     "sum_value": pa.array([float(_round(s, 2))],
+                                           pa.float64(), from_pandas=True)})
 
 
 PARTITION_ROUNDTRIP_SQL = """
@@ -5161,8 +5243,8 @@ def pagerank_customers_distributed(sf_dir: str, iters: int = PAGERANK_ITERS,
     # same node-domain guard as the driver path, from parquet FOOTER min/max
     # (no data read): a 1-based or sparse key space would silently route rank
     # mass to nonexistent nodes exactly at the scale this path is chosen for
-    mm = _footer_min_max(sf_dir, "orders", "o_custkey")
-    if mm is not None and (mm[0] < 0 or mm[1] >= N):
+    lo, hi = _footer_minmax(sf_dir, "orders", "o_custkey")
+    if lo < 0 or hi >= N:
         raise ValueError("pagerank_customers requires 0-based contiguous "
                          "c_custkey in [0, N)")
     B = _salt_buckets(sf_dir, "orders", rows_per_bucket=2_000_000, floor=8)
@@ -5993,12 +6075,19 @@ def _cents_projection(key: str, group: str, price: str, out: str):
 
 def csv_roundtrip_orders(sf_dir: str):
     """CSV sink + source roundtrip (``_io_roundtrip``): Ray's ``write_csv``
-    and ``read_csv``; per-status counts, cent sums and key checksum."""
+    and ``read_csv``; per-status counts, cent sums and key checksum. The
+    writer quotes every string and leaves a NULL as an empty unquoted
+    field, so only that field reads back as NULL."""
+    from pyarrow import csv
+
     return _io_roundtrip(sf_dir, "orders",
                          ["o_orderkey", "o_orderstatus", "o_totalprice"],
                          _cents_projection("o_orderkey", "o_orderstatus",
                                            "o_totalprice", "cents"),
-                         "csv", _native_io("csv"),
+                         "csv", _native_io("csv", convert_options=(
+                             csv.ConvertOptions(
+                                 strings_can_be_null=True,
+                                 quoted_strings_can_be_null=False))),
                          "o_orderstatus", "o_orderkey",
                          {"sum_cents": ("cents", "sum")})
 
@@ -6601,26 +6690,6 @@ EXPECTATION_SUITE_SQL = _expectation_sql()
 QREFINE_BINS = 256
 QREFINE_COLLECT_CAP = 65536  # per-target DISTINCT-value budget for the final pass
 QREFINE_MAX_ROUNDS = 8
-
-
-def _footer_minmax(sf_dir: str, table: str, col: str) -> tuple[float, float]:
-    """Column [min, max] from parquet row-group footer statistics — no data
-    read. One definition (shared by the quantile engine and MAD) so a
-    future missing-statistics guard lands everywhere at once."""
-    import pyarrow.parquet as pq_
-
-    pf = pq_.ParquetFile(f"{sf_dir}/{table}.parquet")
-    ci = pf.schema_arrow.get_field_index(col)
-    stats = [pf.metadata.row_group(g).column(ci).statistics
-             for g in range(pf.metadata.num_row_groups)]
-    if any(st is None or st.min is None or st.max is None for st in stats):
-        raise ValueError(
-            f"{table}.parquet: column {col!r} lacks min/max statistics in at "
-            "least one row group; the footer-pruned quantile engine needs "
-            "them — rewrite the file with statistics enabled or use the "
-            "t-digest path")
-    return (min(float(st.min) for st in stats),
-            max(float(st.max) for st in stats))
 
 
 def _refined_quantiles(sf_dir: str, table: str, col: str,

@@ -72,33 +72,27 @@ def test_chunk_count_formula_matches_reference_loop(n, window, stride):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.tuples(st.integers(0, 6),
-                                   st.floats(-100, 100, allow_nan=False)),
-                         min_size=0, max_size=40),
-                min_size=1, max_size=6))
-def test_running_totals_kernel_matches_naive_loop(batches):
-    """The vectorized _RunningTotals.process (stable-sort segment + cumsum +
-    maximum.reduceat) == a naive per-row loop, across MULTIPLE multi-segment
-    micro-batches (state carried between calls)."""
-    from serverless_covariate_drift_detection_ray.pipelines.streaming import (
-        _RunningTotals,
+@given(st.lists(st.tuples(st.integers(0, 6),
+                          st.floats(-100, 100, allow_nan=False)),
+                min_size=0, max_size=120))
+def test_running_totals_kernel_matches_naive_loop(rows):
+    """The vectorized _running_totals (stable-sort segment + cumsum +
+    maximum.reduceat) == a naive per-row loop over one multi-user
+    time-ordered stream."""
+    from serverless_covariate_drift_detection_ray.pipelines.queries import (
+        _running_totals,
     )
 
-    fast = _RunningTotals()
+    users = np.array([u for u, _ in rows], dtype=np.int64)
+    values = np.array([v for _, v in rows], dtype=np.float64)
     ssum: dict[int, float] = {}
     speak: dict[int, float] = {}
-    for rows in batches:
-        users = np.array([u for u, _ in rows], dtype=np.int64)
-        values = np.array([v for _, v in rows], dtype=np.float64)
-        fast.process(users, values)
-        for u, v in rows:
-            ns = ssum.get(u, 0.0) + v
-            ssum[u] = ns
-            if ns > speak.get(u, -np.inf):
-                speak[u] = ns
-    out = fast.finish()
-    assert list(out.user_id) == sorted(ssum)
-    assert np.allclose(out.total.to_numpy(),
-                       [ssum[u] for u in sorted(ssum)], atol=1e-9)
-    assert np.allclose(out.max_running.to_numpy(),
-                       [speak[u] for u in sorted(ssum)], atol=1e-9)
+    for u, v in rows:
+        ns = ssum.get(u, 0.0) + v
+        ssum[u] = ns
+        if ns > speak.get(u, -np.inf):
+            speak[u] = ns
+    got_u, got_sum, got_peak = _running_totals(users, values)
+    assert got_u.tolist() == sorted(ssum)
+    assert got_sum.tolist() == [ssum[u] for u in sorted(ssum)]
+    assert got_peak.tolist() == [speak[u] for u in sorted(ssum)]

@@ -1,6 +1,6 @@
 """Round-3 regression tests: null image_id handling, cross-partition PK
 duplicates in the quarantine sink (driver vs streamed parity), reference-state
-shape guards, IVF index identity, streaming kernel bit-identity, and the
+shape guards, IVF index identity, running-totals kernel bit-identity, and the
 degenerate single-window KS oracle."""
 
 import glob
@@ -24,7 +24,7 @@ from serverless_covariate_drift_detection_ray.sources.fragmented import (
 
 
 # ---------------------------------------------------------------------------
-# streaming kernel: bit-identity across batch compositions
+# running-totals kernel: bit-identity with the sequential sum
 # ---------------------------------------------------------------------------
 
 
@@ -39,32 +39,36 @@ def _sequential_reference(stream):
 
 
 def test_running_totals_bit_identical_across_batch_splits():
-    """The vectorized kernel must produce BIT-identical sums/peaks no matter
-    how the time-ordered stream is chopped into micro-batches or which other
-    users share a batch — the property the multi-feeder parity test and the
-    SUM() OVER (...) oracle rely on (no tolerance, exact ==)."""
-    from serverless_covariate_drift_detection_ray.pipelines.streaming import (
-        _RunningTotals,
+    """The vectorized kernel must produce BIT-identical sums/peaks to the
+    sequential per-user loop no matter how the users are split into
+    buckets (which other users share a call) — one call per bucket, no
+    state carried between calls. Covers both kernel branches: one cumsum
+    per user (few long users) and rounds-wise adds (many short users).
+    The SUM() OVER (...) oracle relies on this (no tolerance, exact ==)."""
+    from serverless_covariate_drift_detection_ray.pipelines.queries import (
+        _running_totals,
     )
 
     rng = np.random.default_rng(7)
-    users = rng.integers(0, 9, size=500)
     # adversarial values: many magnitudes so float association differences
     # would actually show up
     values = rng.choice([1e-8, 0.1, 3.7, 1e6, -2.5e3], size=500) * rng.random(500)
-    stream = list(zip(users.tolist(), values.tolist()))
-    ref_sum, ref_peak = _sequential_reference(stream)
-
-    for splits in ([500], [1, 499], [7, 13, 480], list(np.full(100, 5))):
-        k = _RunningTotals()
-        pos = 0
-        for n in splits:
-            k.process(users[pos:pos + n], values[pos:pos + n])
-            pos += n
-        assert pos == 500
-        for u in ref_sum:
-            assert k.sum[u] == ref_sum[u], (u, splits)
-            assert k.peak[u] == ref_peak[u], (u, splits)
+    for n_users in (9, 400):
+        users = rng.integers(0, n_users, size=500)
+        ref_sum, ref_peak = _sequential_reference(
+            zip(users.tolist(), values.tolist()))
+        for n_buckets in (1, 3, n_users):
+            bucket = users % n_buckets
+            seen = []
+            for b in range(n_buckets):
+                sel = bucket == b
+                got_u, got_sum, got_peak = _running_totals(users[sel],
+                                                           values[sel])
+                seen += got_u.tolist()
+                for u, total, peak in zip(got_u.tolist(), got_sum, got_peak):
+                    assert total == ref_sum[u], (u, n_users, n_buckets)
+                    assert peak == ref_peak[u], (u, n_users, n_buckets)
+            assert sorted(seen) == sorted(ref_sum)
 
 
 # ---------------------------------------------------------------------------
