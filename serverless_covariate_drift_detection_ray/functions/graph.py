@@ -46,14 +46,15 @@ def cc_min_label_distributed(edges_ds, max_rounds: int = 64):
     columns ``va``/``vb`` — the at-scale analogue of :func:`cc_min_label`
     for edge lists too large for one driver collect.
 
-    Same Pregel-style round structure as the embedding-dedup CC in
-    ``pipelines/ann.cc_labels_distributed`` (min-label propagation plus a
-    pointer-jumping shortcut, three salted-bucket shuffles per round,
-    O(log n) rounds), but every bucket merge runs in **pyarrow batch format
-    with numpy searchsorted joins** — node ids never round-trip through
-    pandas nullable-int → float64, so full-range 64-bit ids (|id| ≥ 2^53,
-    e.g. phash values) stay bit-exact. Duplicate / self edges are harmless
-    (min-label is idempotent).
+    One distributed CC for every caller: the phash near-dup clusters
+    (stages/constraints.py), semantic dedup (pipelines/ann.py) and entity
+    resolution (pipelines/queries.py). Pregel-style rounds (min-label
+    propagation plus a pointer-jumping shortcut, three salted-bucket
+    shuffles per round, O(log n) rounds), and every bucket merge runs in
+    **pyarrow batch format with numpy searchsorted joins** — node ids never
+    round-trip through pandas nullable-int → float64, so full-range 64-bit
+    ids (|id| ≥ 2^53, e.g. phash values) stay bit-exact. Duplicate / self
+    edges are harmless (min-label is idempotent).
 
     Returns a ``(node, lab)`` Dataset covering every edge endpoint
     (isolated nodes are absent — callers treat them as singletons); ``lab``

@@ -605,26 +605,6 @@ def _cc_bkt(x: np.ndarray, n_buckets: int) -> np.ndarray:
     return (splitmix64(x.astype(np.uint64)) % np.uint64(n_buckets)).astype(np.int64)
 
 
-def cc_labels_distributed(pairs_ds, max_rounds: int = 64):
-    """Distributed connected components over a pair Dataset (vec_a, vec_b):
-    thin column-rename delegate to the shared arrow-exact kernel
-    (functions/graph.cc_min_label_distributed — Pregel-style min-label
-    propagation + pointer jumping, O(log n) rounds, pyarrow bucket merges
-    with numpy searchsorted joins so full-range int64 node ids never
-    round-trip through pandas float64; this path previously carried its own
-    pandas kernel with a hard 2^53 id limit).
-
-    Returns a (node, lab) Dataset covering every node that appears in an
-    edge; isolated nodes are absent (callers treat them as singletons)."""
-    from ..functions.graph import cc_min_label_distributed
-
-    renamed = pairs_ds.map_batches(
-        lambda b: pa.table({"va": b["vec_a"].cast(pa.int64()),
-                            "vb": b["vec_b"].cast(pa.int64())}),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return cc_min_label_distributed(renamed, max_rounds=max_rounds)
-
-
 def dedup_semantic_embeddings(sf_dir: str, tau: float = NEARDUP_COS_TAU):
     """Embedding-cosine near-dup dedup: one surviving row per connected
     component of the cosine>=tau pair graph (survivor = min vec_id), with the
@@ -635,7 +615,7 @@ def dedup_semantic_embeddings(sf_dir: str, tau: float = NEARDUP_COS_TAU):
     emitter and only the edge list (2 int64/pair, gated at EMB_CC_MAX_PAIRS)
     lands on the driver for the CC solve; survivors are then emitted by a
     distributed filter against the broadcast dropped-id set. Above the pair
-    gate the CC itself runs distributed (cc_labels_distributed). Above the
+    gate the CC itself runs distributed (cc_min_label_distributed). Above the
     CORPUS gate (NEARDUP_BROADCAST_MAX_DOCS) the pair emitter routes to the
     LSH-bucketed candidate generator + within-bucket exact verify
     (_neardup_pairs_lsh) — documented-approximate edges; the plumbing
@@ -644,18 +624,21 @@ def dedup_semantic_embeddings(sf_dir: str, tau: float = NEARDUP_COS_TAU):
 
     from ..functions.graph import cc_min_label
 
-    pairs = embedding_neardup_pairs(sf_dir, tau).select_columns(["vec_a", "vec_b"])
-    # gate BEFORE the driver collect: the edge list stays distributed in the
+    # (va, vb): the edge columns cc_min_label_distributed reads.
+    # Gate BEFORE the driver collect: the edge list stays distributed in the
     # object store (materialize), the count is metadata, and only a
     # passing-size edge list is ever pulled down; larger graphs solve CC
     # distributedly instead
-    pairs = pairs.materialize()
+    pairs = embedding_neardup_pairs(sf_dir, tau).map_batches(
+        lambda b: pa.table({"va": b["vec_a"].cast(pa.int64()),
+                            "vb": b["vec_b"].cast(pa.int64())}),
+        batch_format="pyarrow", zero_copy_batch=True).materialize()
     if pairs.count() > EMB_CC_MAX_PAIRS:
         return _dedup_semantic_distributed(sf_dir, pairs)
     edges = pairs.to_pandas()
     if len(edges):
-        nodes, reps = cc_min_label(edges["vec_a"].to_numpy(np.int64),
-                                   edges["vec_b"].to_numpy(np.int64))
+        nodes, reps = cc_min_label(edges["va"].to_numpy(np.int64),
+                                   edges["vb"].to_numpy(np.int64))
         dropped = np.sort(nodes[reps != nodes])
         rep_ids, sizes = np.unique(reps, return_counts=True)
     else:
@@ -686,7 +669,7 @@ def dedup_semantic_embeddings(sf_dir: str, tau: float = NEARDUP_COS_TAU):
 # component representative, survivors are their own rep
 def _dedup_semantic_distributed(sf_dir: str, pairs_ds):
     """At-scale semantic dedup: connected components solved distributedly
-    (cc_labels_distributed), survivors + cluster sizes assembled with two
+    (cc_min_label_distributed), survivors + cluster sizes assembled with two
     more salted-bucket passes — no driver collect anywhere.
 
     1. bucket the (node, lab) labels by hash(lab): every member of a
@@ -694,10 +677,11 @@ def _dedup_semantic_distributed(sf_dir: str, pairs_ds):
        cluster_size=count) directly;
     2. singletons (vec_ids in no edge) come from a bucketed anti-join of
        the embeddings id column against the labeled nodes."""
+    from ..functions.graph import cc_min_label_distributed
     from .queries import _salt_buckets
 
     nb = _salt_buckets(sf_dir, "embeddings")
-    labels = cc_labels_distributed(pairs_ds)
+    labels = cc_min_label_distributed(pairs_ds)
 
     def tag_by_lab(batch: pa.Table) -> pa.Table:
         lab = batch["lab"].to_numpy().astype(np.int64)

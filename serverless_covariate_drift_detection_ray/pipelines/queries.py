@@ -225,7 +225,10 @@ def _keyed_io(ext: str, write_table, nrows, read_table):
             return pa.concat_tables([read_table(pa.BufferReader(b.as_buffer()))
                                      for b in batch["bytes"]])
 
-        return ray.data.read_binary_files(paths).map_batches(
+        # one block per file: Ray's default split pads the read with
+        # 0-row blocks, which the decode map passes on without a schema
+        return ray.data.read_binary_files(
+            paths, override_num_blocks=len(paths)).map_batches(
             decode, batch_format="pyarrow")
 
     return (lambda ds, tmp, key_col: _write_keyed_blocks(
@@ -5087,7 +5090,7 @@ FROM t
 # Entity resolution (block -> pair -> cluster): the fuzzy join's pair graph
 # collapsed into entity clusters by distributed connected components — the
 # full record-linkage composition, reusing the Pregel-style CC stage that
-# backs semantic dedup (pipelines/ann.py cc_labels_distributed).
+# backs semantic dedup (functions/graph.py cc_min_label_distributed).
 # ---------------------------------------------------------------------------
 
 
@@ -5101,14 +5104,15 @@ def entity_clusters_parts(sf_dir: str):
     are omitted — they are their own entity. Same two-tier CC as semantic
     dedup: below ENTITY_CC_MAX_PAIRS the gated edge list (2 int64/pair,
     counted as metadata before any collect) solves on the driver kernel;
-    above it the Pregel-style cc_labels_distributed runs with a
+    above it the Pregel-style cc_min_label_distributed runs with a
     bucket-by-label size/assembly pass. The oracle walks the same pair
     graph with a recursive CTE."""
-    from ..functions.graph import cc_min_label
-    from .ann import _cc_bkt, cc_labels_distributed
+    from ..functions.graph import cc_min_label, cc_min_label_distributed
+    from .ann import _cc_bkt
 
     pairs = fuzzy_match_parts(sf_dir).map_batches(
-        lambda b: pa.table({"vec_a": b["key_a"], "vec_b": b["key_b"]}),
+        lambda b: pa.table({"va": b["key_a"].cast(pa.int64()),
+                            "vb": b["key_b"].cast(pa.int64())}),
         batch_format="pyarrow").materialize()
     if pairs.count() <= ENTITY_CC_MAX_PAIRS:
         edges = pairs.to_pandas()
@@ -5116,15 +5120,15 @@ def entity_clusters_parts(sf_dir: str):
             return pd.DataFrame({"p_partkey": pd.Series([], dtype=np.int64),
                                  "cluster_id": pd.Series([], dtype=np.int64),
                                  "cluster_size": pd.Series([], dtype=np.int64)})
-        nodes, reps = cc_min_label(edges.vec_a.to_numpy(np.int64),
-                                   edges.vec_b.to_numpy(np.int64))
+        nodes, reps = cc_min_label(edges.va.to_numpy(np.int64),
+                                   edges.vb.to_numpy(np.int64))
         rep_ids, inv, sizes = np.unique(reps, return_inverse=True,
                                         return_counts=True)
         return pd.DataFrame({"p_partkey": nodes.astype(np.int64),
                              "cluster_id": reps.astype(np.int64),
                              "cluster_size": sizes[inv].astype(np.int64)})
 
-    labels = cc_labels_distributed(pairs)  # (node, lab)
+    labels = cc_min_label_distributed(pairs)  # (node, lab)
     nb = max(8, pairs.count() // 2_000_000)
 
     def tag(batch: pa.Table) -> pa.Table:

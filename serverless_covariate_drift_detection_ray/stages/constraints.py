@@ -1,31 +1,37 @@
-"""Shuffle-based constraints: PK uniqueness and phash near-duplicate buckets.
+"""Shuffle-based constraints: PK uniqueness and phash near-duplicate clusters.
 
 These are the engine's wide operations (SURVEY.md §2.7 items 2 and 4). Both run
 over a column-pruned re-read of the table — only (image_id, phash,
 partition_id) ever enter a shuffle; the heavy ``bytes`` column never does.
+Each check has one shape below its driver gate and one above it, and the two
+shapes share their kernels, so crossing a gate never changes the output.
 
-Scale notes (10^12 rows):
-  * Uniqueness is an inherent all-to-all on the key column. The cheap screen is
-    ``count == HLL distinct estimate`` from the stats pass; the exact pass here
-    pre-aggregates (image_id → count) per block before the groupby so only one
-    row per distinct id per block shuffles.
-  * Near-dup banding keys are 16-bit phash slices — two images within Hamming
-    distance < 4 share ≥ 1 band (pigeonhole). Hot bands (e.g. flat images) are
-    capped per group; salting the band key with a phash-suffix sub-bucket is the
-    skew escape hatch (north rule "salted keys to defeat skew").
+  * Uniqueness: per-block (image_id → count, min partition) partials, folded
+    by one function — on the driver up to ``DUP_FOLD_ROWS_MAX`` partial rows,
+    in salted buckets beyond. Up to ``SCREEN_MAX_ROWS`` an id-hash screen
+    first narrows the partials to ids whose hash repeats.
+  * Near-dup: band keys are 21/21/22-bit phash slices — two images within
+    Hamming distance ≤ 2 share ≥ 1 band (pigeonhole). One band kernel
+    verifies each band group's candidate pairs; connected components over
+    the verified edges weighted by row multiplicity give the clusters.
+    Groups are capped at ``NEARDUP_BAND_CAP`` values (the skew escape hatch).
 """
 
 from __future__ import annotations
 
+import logging
+from functools import partial
+
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.graph import cc_labels
+from ..functions.graph import cc_labels, cc_min_label_distributed
 from ..functions.hashing import hash64, probe_sorted
-from ..functions.phash import hamming_leq_pairs, phash_bands, phash_hamming
+from ..functions.phash import hamming_leq_pairs, phash_bands
 from ..pipelines.config import EngineConfig
+
+log = logging.getLogger(__name__)
 
 VIOLATION_SCHEMA = pa.schema(
     [
@@ -38,192 +44,121 @@ VIOLATION_SCHEMA = pa.schema(
     ]
 )
 
-
-def _precount(batch: pa.Table) -> pa.Table:
-    """Per-block (image_id → count, one partition sample) pre-aggregation.
-
-    Null ids are excluded (SQL PK semantics: null never equals null) — they
-    are flagged by featurize's image_id_nonnull check instead; without the
-    filter every pair of null ids would be reported as a PK duplicate."""
-    batch = batch.filter(pc.is_valid(batch["image_id"]))
-    df = batch.select(["image_id", "partition_id"]).to_pandas()
-    g = df.groupby("image_id", sort=False).agg(
-        cnt=("image_id", "size"), partition_id=("partition_id", "min")
-    )
-    return pa.table({
-        "image_id": pa.array(g.index.to_numpy(), pa.string()),
-        "cnt": pa.array(g["cnt"].to_numpy(), pa.int64()),
-        "partition_id": pa.array(g["partition_id"].to_numpy(), pa.int32()),
-    })
-
-
-SCREEN_MAX_ROWS = 50_000_000  # above this the dup screen would strain the driver
-# distinct duplicated hashes the driver will fold exactly (the screen already
-# holds this set as a numpy array, so the bound introduces no new driver risk)
-DUP_FOLD_DRIVER_MAX = 100_000
+SCREEN_MAX_ROWS = 50_000_000  # rows whose id hashes the driver screens (8 B each)
 # per-(id, block) partial rows the driver will collect for the fold — the
 # fan-out bound: distinct dup ids can each appear in many blocks
 DUP_FOLD_ROWS_MAX = 2_000_000
+NEARDUP_DRIVER_MAX = 50_000_000  # distinct phash values the driver will hold (8 B each)
+NEARDUP_BAND_CAP = 1024  # distinct values verified per band group
+
+
+def _n_buckets(rows: int, floor: int) -> int:
+    """Salt-bucket count for a shuffle of ``rows`` rows: ~2M rows a bucket."""
+    return max(floor, rows // 2_000_000)
+
+
+def _empty_violations() -> "ray.data.Dataset":  # noqa: F821
+    import ray.data
+
+    return ray.data.from_arrow(VIOLATION_SCHEMA.empty_table())
+
+
+def _id_hashes(batch: pa.Table) -> pa.Table:
+    # nulls excluded: PK uniqueness is over non-null keys only (two nulls
+    # hash identically and would screen as a duplicate)
+    ids = batch["image_id"].drop_null().to_numpy(zero_copy_only=False)
+    return pa.table({"h": pa.array(hash64(ids).astype(np.int64))})
+
+
+def _id_partials(batch: pa.Table, dup_hashes: np.ndarray | None) -> pa.Table:
+    """Per-block (image_id, cnt, min partition_id) partials over non-null ids
+    (SQL PK semantics: null never equals null — featurize's image_id_nonnull
+    check flags them). With ``dup_hashes`` only rows whose id hash the
+    screen found repeated become partials."""
+    batch = batch.filter(pc.is_valid(batch["image_id"]))
+    if dup_hashes is not None:
+        h = hash64(batch["image_id"].to_numpy(
+            zero_copy_only=False)).astype(np.int64)
+        batch = batch.filter(pa.array(probe_sorted(dup_hashes, h)))
+    g = batch.group_by("image_id", use_threads=False).aggregate(
+        [("image_id", "count"), ("partition_id", "min")])
+    return pa.table({"image_id": g["image_id"], "cnt": g["image_id_count"],
+                     "partition_id": g["partition_id_min"]})
+
+
+def _fold_partials(t: pa.Table) -> pa.Table:
+    """Sum ``cnt`` and take the min partition per image_id; one violation row
+    per id counted more than once. Exact: counts key on the real image_id,
+    so a 64-bit hash collision between two distinct ids never pools them."""
+    g = t.group_by("image_id", use_threads=False).aggregate(
+        [("cnt", "sum"), ("partition_id", "min")])
+    g = g.filter(pc.greater(g["cnt_sum"], 1))
+    n = g.num_rows
+    return pa.table({
+        "partition_id": g["partition_id_min"].cast(pa.int32()),
+        "image_id": g["image_id"],
+        "check": pa.array(["unique_image_id"] * n),
+        "column": pa.array(["image_id"] * n),
+        "observed": g["cnt_sum"].cast(pa.string()),
+        "expected": pa.array(["1"] * n),
+    }, schema=VIOLATION_SCHEMA)
 
 
 def check_uniqueness(ds) -> "ray.data.Dataset":  # noqa: F821
     """image_id PK check: violations for every id appearing more than once.
 
-    Two-phase: (1) a cheap *screen* — per-block id-hash partials stream to the
-    driver (8 B/id) and a numpy unique finds duplicated hashes; when none
-    exist (the common case) no shuffle happens at all. (2) only rows whose
-    hash is in the (tiny) dup set are pulled and grouped exactly.
-
-    Above ``SCREEN_MAX_ROWS`` the screen is skipped for the all-to-all
-    ``map_batches(precount) → groupby(image_id)`` partial/combiner shape —
-    the inherent exact-uniqueness shuffle at cluster scale.
+    Up to ``SCREEN_MAX_ROWS`` rows a cheap *screen* runs first: per-block
+    id hashes stream to the driver (8 B/id) and a numpy unique finds the
+    repeated ones; when none exist (the common case) nothing else runs, and
+    otherwise only rows with a repeated hash become partials. Above it,
+    every non-null row becomes a partial. The partials then fold on the
+    driver up to ``DUP_FOLD_ROWS_MAX`` rows, and in salted buckets beyond.
     """
-    from ..functions.hashing import hash64
-
+    import ray
     import ray.data
 
-    try:
-        total_rows = ds.count()
-    except Exception:
-        total_rows = SCREEN_MAX_ROWS + 1
-
-    if total_rows <= SCREEN_MAX_ROWS:
-        def id_hashes(batch: pa.Table) -> pa.Table:
-            # nulls excluded: PK uniqueness is over non-null keys only (two
-            # nulls hash identically and would screen as a duplicate)
-            ids = batch["image_id"].drop_null().to_numpy(zero_copy_only=False)
-            h = hash64(ids)
-            return pa.table({"h": pa.array(h.astype(np.int64))})
-
+    dup_hashes = None
+    if ds.count() <= SCREEN_MAX_ROWS:
         # one bulk to_pandas transfer — iter_batches pays ~10x per-batch
-        # driver overhead at this row count (verify-skill note)
-        allh = ds.map_batches(id_hashes, batch_format="pyarrow",
-                              zero_copy_batch=True).to_pandas()["h"].to_numpy()
+        # driver overhead at this row count (verify-skill note); a frame
+        # of empty blocks comes back without the column
+        hs = ds.map_batches(_id_hashes, batch_format="pyarrow",
+                            zero_copy_batch=True).to_pandas()
+        allh = hs["h"].to_numpy() if len(hs) else np.empty(0, np.int64)
         uniq, counts = np.unique(allh, return_counts=True)
-        dup_hashes = np.sort(uniq[counts > 1])
+        dup_hashes = uniq[counts > 1]  # np.unique output is sorted
         if dup_hashes.size == 0:
-            return ray.data.from_arrow(VIOLATION_SCHEMA.empty_table())
+            return _empty_violations()
 
-        # per-block (id, count, min partition) partials over dup-candidate
-        # rows ONLY — the one pass that touches the raw table after the
-        # screen; both fold strategies below consume these partials, never
-        # the raw rows again. Exactness: counts key on the real image_id,
-        # so a 64-bit hash collision between two distinct ids never pools
-        # their counts.
-        def dup_partials(batch: pa.Table) -> pa.Table:
-            batch = batch.filter(pc.is_valid(batch["image_id"]))
-            h = hash64(batch["image_id"].to_numpy(
-                zero_copy_only=False)).astype(np.int64)
-            dup = batch.filter(pa.array(probe_sorted(dup_hashes, h)))
-            if dup.num_rows == 0:
-                return pa.table({"image_id": pa.array([], pa.string()),
-                                 "cnt": pa.array([], pa.int64()),
-                                 "partition_id": pa.array([], pa.int32())})
-            df = dup.select(["image_id", "partition_id"]).to_pandas()
-            g = df.groupby("image_id", sort=False).agg(
-                cnt=("image_id", "size"), partition_id=("partition_id", "min"))
-            return pa.table({
-                "image_id": pa.array(g.index.to_numpy(), pa.string()),
-                "cnt": pa.array(g["cnt"].to_numpy(), pa.int64()),
-                "partition_id": pa.array(g["partition_id"].to_numpy(),
-                                         pa.int32()),
-            })
+    # the one pass that touches the raw table after the screen; both folds
+    # consume these partials, never the raw rows again
+    parts = ds.map_batches(partial(_id_partials, dup_hashes=dup_hashes),
+                           batch_format="pyarrow",
+                           zero_copy_batch=True).materialize()
+    n_parts = parts.count()
+    if n_parts == 0:
+        return _empty_violations()
+    if n_parts <= DUP_FOLD_ROWS_MAX:
+        # driver fold: replaces a groupby exchange (~1.5 s fixed cost at any
+        # input size) and runs eagerly here — inside validate()'s background
+        # setup thread, overlapping featurize. 0-row input blocks come back
+        # without a schema, so only non-empty blocks are concatenated
+        return ray.data.from_arrow(_fold_partials(pa.concat_tables(
+            [t for t in ray.get(parts.to_arrow_refs()) if t.num_rows])))
 
-        parts_ds = ds.map_batches(dup_partials, batch_format="pyarrow",
-                                  zero_copy_batch=True).materialize()
-        n_parts = parts_ds.count()
+    log.warning("uniqueness: %d partial rows exceed the driver fold bound — "
+                "folding in salted buckets", n_parts)
+    n_b = np.uint64(_n_buckets(n_parts, 64))
 
-        if dup_hashes.size <= DUP_FOLD_DRIVER_MAX and n_parts <= DUP_FOLD_ROWS_MAX:
-            # driver fold: replaces a full groupby exchange (~1.5 s fixed
-            # cost at any input size) whose groups sum tens of rows, and
-            # runs eagerly here — i.e. inside validate()'s background setup
-            # thread, overlapping featurize (a cheap pass over the
-            # materialized 3-column id table; measured a win, unlike the
-            # full constraint shuffles the design note defers). Gated on
-            # BOTH the distinct-dup-hash count and the MEASURED partial row
-            # count — a 100k-dup-id input fanned out across thousands of
-            # blocks folds distributed instead.
-            parts = parts_ds.to_pandas()
-            if not len(parts):
-                return ray.data.from_arrow(VIOLATION_SCHEMA.empty_table())
-            g = parts.groupby("image_id", sort=False).agg(
-                cnt=("cnt", "sum"), partition_id=("partition_id", "min"))
-            g = g[g.cnt > 1]
-            if not len(g):
-                return ray.data.from_arrow(VIOLATION_SCHEMA.empty_table())
-            n = len(g)
-            return ray.data.from_arrow(pa.table({
-                "partition_id": pa.array(
-                    g["partition_id"].to_numpy().astype(np.int32),
-                    pa.int32()),
-                "image_id": pa.array(g.index.to_numpy(), pa.string()),
-                "check": pa.array(["unique_image_id"] * n),
-                "column": pa.array(["image_id"] * n),
-                "observed": pa.array(
-                    g["cnt"].to_numpy().astype(np.int64).astype(str)),
-                "expected": pa.array(["1"] * n),
-            }, schema=VIOLATION_SCHEMA))
-        import logging
+    def add_bucket(batch: pa.Table) -> pa.Table:
+        # all partials of an id share its bucket, so the in-bucket sum is
+        # the global count
+        b = (hash64(batch["image_id"].to_numpy(zero_copy_only=False))
+             % n_b).astype(np.int64)
+        return batch.append_column("dbkt", pa.array(b))
 
-        logging.getLogger(__name__).warning(
-            "uniqueness: %d dup hashes / %d partial rows exceed the driver "
-            "fold bounds — folding distributed", dup_hashes.size, n_parts)
-
-        # distributed fold of the SAME materialized partials (never a
-        # rescan of the raw table): salt-bucket by id hash so the shuffle
-        # has a fixed group count, then fold (sum cnt, min partition) per
-        # id inside each bucket. Exact verify of the hash screen: counts
-        # key on the real image_id, so a 64-bit collision between two
-        # DISTINCT ids never pools their counts; all partials of an id
-        # share its bucket, so the within-bucket sum is the global count.
-        def add_bucket(batch: pa.Table) -> pa.Table:
-            b = (hash64(batch["image_id"].to_numpy(zero_copy_only=False))
-                 % np.uint64(64)).astype(np.int64)
-            return batch.append_column("dbkt", pa.array(b))
-
-        def fold_bucket(df: pd.DataFrame) -> pd.DataFrame:
-            g = df.groupby("image_id", sort=False).agg(
-                cnt=("cnt", "sum"), partition_id=("partition_id", "min"))
-            g = g[g.cnt > 1]
-            return pd.DataFrame({
-                "partition_id": g["partition_id"].to_numpy().astype(np.int32),
-                "image_id": g.index.to_numpy(),
-                "check": "unique_image_id",
-                "column": "image_id",
-                "observed": g["cnt"].to_numpy().astype(np.int64).astype(str),
-                "expected": "1",
-            })
-
-        return parts_ds.map_batches(add_bucket, batch_format="pyarrow"
-                                    ).groupby("dbkt").map_groups(
-            fold_bucket, batch_format="pandas")
-
-    from ray.data.aggregate import Min, Sum
-
-    pre = ds.map_batches(_precount, batch_format="pyarrow", zero_copy_batch=True)
-    agg = pre.groupby("image_id").aggregate(
-        Sum("cnt", alias_name="total"), Min("partition_id", alias_name="partition_id")
-    )
-
-    def to_violations(batch: pa.Table) -> pa.Table:
-        mask = pa.compute.greater(batch["total"], 1)
-        dup = batch.filter(mask)
-        n = dup.num_rows
-        if n == 0:
-            return VIOLATION_SCHEMA.empty_table()
-        return pa.table({
-            "partition_id": dup["partition_id"].cast(pa.int32()),
-            "image_id": dup["image_id"],
-            "check": pa.array(["unique_image_id"] * n),
-            "column": pa.array(["image_id"] * n),
-            "observed": pa.compute.cast(dup["total"], pa.string()),
-            "expected": pa.array(["1"] * n),
-        }, schema=VIOLATION_SCHEMA)
-
-    return agg.map_batches(to_violations, batch_format="pyarrow")
-
-
-NEARDUP_DRIVER_MAX = 50_000_000  # distinct phash values the driver will hold (8 B each)
+    return parts.map_batches(add_bucket, batch_format="pyarrow").groupby(
+        "dbkt").map_groups(_fold_partials, batch_format="pyarrow")
 
 
 def _block_uniques(batch: pa.Table) -> pa.Table:
@@ -237,113 +172,102 @@ def _block_uniques(batch: pa.Table) -> pa.Table:
                      "c": pa.array(c.astype(np.int64))})
 
 
+def _band_edges(keys: np.ndarray, items: np.ndarray, vals: np.ndarray,
+                hmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """The near-dup candidate kernel shared by both paths: verified index
+    pairs ``(a, b)`` into ``vals`` with Hamming distance ≤ ``hmax``.
+
+    ``keys`` are band keys sorted ascending and ``items`` the aligned
+    indices into ``vals``, ascending in value (signed int64 order) within
+    each key. Same-sized band groups batch into one matrix; a group keeps
+    its ``NEARDUP_BAND_CAP`` smallest values, so edges between values that
+    only co-occur past the cap of a degenerate hot band are missed."""
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sizes = np.diff(np.r_[starts, keys.size])
+    pair_a, pair_b = [], []
+    for m in np.unique(sizes):
+        if m < 2:
+            continue
+        gsel = np.flatnonzero(sizes == m)
+        mm = min(int(m), NEARDUP_BAND_CAP)
+        if mm < m:
+            log.warning("neardup: %d band groups capped %d → %d",
+                        gsel.size, m, mm)
+        mat = items[starts[gsel][:, None] + np.arange(mm)[None, :]]
+        iu, ju = np.triu_indices(mm, 1)
+        pair_a.append(mat[:, iu].ravel())
+        pair_b.append(mat[:, ju].ravel())
+    if not pair_a:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    a, b = np.concatenate(pair_a), np.concatenate(pair_b)
+    close = hamming_leq_pairs(vals, a, b, hmax)
+    return a[close], b[close]
+
+
 def check_neardup(ds, cfg: EngineConfig) -> "ray.data.Dataset":  # noqa: F821
-    """phash near-duplicate buckets (SURVEY.md §2.7 item 4), driver-coordinated.
+    """phash near-duplicate clusters (SURVEY.md §2.7 item 4), driver-coordinated.
 
-    The phash column is 8 B/row, so up to ~50M *distinct* values the whole
-    candidate search runs as vectorized numpy on the driver: band the distinct
-    values (21/21/22-bit slices), batch same-sized band groups into one
-    matrix, popcount ALL candidate pairs in one shot, then connected
-    components by scatter-min label propagation. Only the final violation-row
-    emit is distributed (broadcast flagged values → filter per batch).
-    Beyond the driver bound, ``check_neardup_distributed`` runs the same
-    algorithm as distinct-value reduction → band-bucket shuffles emitting
-    verified edges → ONE global connected components — same output contract.
+    The phash column is 8 B/row, so up to ``NEARDUP_DRIVER_MAX`` rows the
+    whole candidate search runs as vectorized numpy on the driver: band the
+    distinct values, verify each band's groups with ``_band_edges``, then
+    connected components by scatter-min label propagation. Only the final
+    violation-row emit is distributed (broadcast flagged values → filter
+    per batch). Beyond the driver bound, ``check_neardup_distributed`` runs
+    the same algorithm — same output contract.
     """
-    import ray
-    import ray.data
-
     hmax, min_cluster = cfg.neardup_hamming_max, cfg.neardup_min_cluster
 
     # choose the path BEFORE collecting anything: row count bounds the
-    # distinct-phash count, so the driver path is only entered when the
-    # collect is provably bounded (round-1 red item: the old code
-    # concatenated the full column first and guarded after)
-    try:
-        total_rows = ds.count()
-    except Exception:
-        total_rows = None
-    if total_rows is None or total_rows > NEARDUP_DRIVER_MAX:
+    # distinct-phash count, so the driver collect is provably bounded
+    if ds.count() > NEARDUP_DRIVER_MAX:
         return check_neardup_distributed(ds, cfg)
 
     # to_pandas (one bulk transfer) — iter_batches has ~10x per-batch driver
     # overhead at this row count (measured round 2)
     part = ds.select_columns(["phash"]).map_batches(
         _block_uniques, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
+    vals, mult = np.empty(0, np.int64), np.empty(0, np.int64)
     if len(part):
-        vals, inv = np.unique(part.v.to_numpy(), return_inverse=True)
+        vals, inv = np.unique(part.v.to_numpy(np.int64), return_inverse=True)
         mult = np.zeros(vals.size, dtype=np.int64)
-        np.add.at(mult, inv, part.c.to_numpy())
-    else:
-        vals, mult = np.empty(0, np.int64), np.empty(0, np.int64)
+        np.add.at(mult, inv, part.c.to_numpy(np.int64))
 
-    bands = phash_bands(vals, 3)
+    # vals ascend, so a stable argsort per band keeps each group's indices
+    # in value order
     pair_a, pair_b = [], []
-    for bcol in range(bands.shape[1]):
-        keys = bands[:, bcol]
+    for keys in phash_bands(vals, 3).T:
         order = np.argsort(keys, kind="stable")
-        sk = keys[order]
-        starts = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
-        sizes = np.diff(np.r_[starts, sk.size])
-        for m in np.unique(sizes):
-            if m < 2:
-                continue
-            gsel = np.flatnonzero(sizes == m)
-            mm = int(m)
-            if mm > NEARDUP_BAND_CAP:
-                import logging
-
-                logging.getLogger(__name__).warning(
-                    "neardup: %d band groups capped %d → %d", gsel.size, mm,
-                    NEARDUP_BAND_CAP)
-                mm = NEARDUP_BAND_CAP
-            mat = order[starts[gsel][:, None] + np.arange(mm)[None, :]]
-            iu, ju = np.triu_indices(mm, 1)
-            pair_a.append(mat[:, iu].ravel())
-            pair_b.append(mat[:, ju].ravel())
-    if pair_a:
-        a = np.concatenate(pair_a)
-        b = np.concatenate(pair_b)
-        close = hamming_leq_pairs(vals, a, b, hmax)
-        a, b = a[close], b[close]
-    else:
-        a = b = np.empty(0, np.int64)
+        a, b = _band_edges(keys[order], order, vals, hmax)
+        pair_a.append(a)
+        pair_b.append(b)
+    a, b = np.concatenate(pair_a), np.concatenate(pair_b)
 
     # connected components: shared scatter-min + pointer-jumping kernel
     labels = cc_labels(vals.size, a, b)
     csize = np.bincount(labels, weights=mult.astype(np.float64))
     flagged = csize[labels] >= min_cluster
-    flag_vals = vals[flagged]
-    flag_labels = labels[flagged]
-    if flag_vals.size == 0:
-        return ray.data.from_arrow(VIOLATION_SCHEMA.empty_table())
-    # cluster rep = smallest phash value in the cluster (vals ascending ⇒
-    # first occurrence per label); byte-stable across runs and parallelism
-    rep_of: dict[int, int] = {}
-    for v, l in zip(flag_vals.tolist(), flag_labels.tolist()):
-        rep_of.setdefault(l, v)
-    rep_str = np.array(
-        ["cluster-%016x" % (v & 0xFFFFFFFFFFFFFFFF) for v in
-         (rep_of[l] for l in flag_labels.tolist())], dtype=object)
-    order2 = np.argsort(flag_vals, kind="stable")
-    return _emit_flagged(ds, flag_vals[order2], rep_str[order2], hmax)
+    # labels are min indices and vals ascend: the cluster rep is its
+    # smallest phash value; flagged values come out sorted
+    return _emit_flagged(ds, vals[flagged], vals[labels[flagged]], hmax)
 
 
 def _emit_flagged(ds, flag_vals: np.ndarray, reps: np.ndarray,
                   hmax: int) -> "ray.data.Dataset":  # noqa: F821
     """Broadcast flagged-value emit shared by BOTH near-dup paths: one
     violation row per input ROW whose phash is in the flagged set, observed
-    = the cluster rep string — so crossing the driver/distributed gate never
-    changes the output contract. ``flag_vals`` must be sorted int64;
-    ``reps`` is the aligned "cluster-%016x" string array. Null phash rows
-    never match (phash_nonnull flags them); the int64 re-cast keeps the
-    probe exact when a null upcast the batch column to float64."""
+    = "cluster-%016x" of the cluster rep — so crossing the
+    driver/distributed gate never changes the output contract.
+    ``flag_vals`` must be sorted int64; ``reps`` is the aligned int64 rep
+    array. Null phash rows never match (phash_nonnull flags them); the int64
+    re-cast keeps the probe exact when a null upcast the batch column to
+    float64."""
     import ray
-    import ray.data
 
     if flag_vals.size == 0:
-        return ray.data.from_arrow(VIOLATION_SCHEMA.empty_table())
-    wrapped = {"ref": ray.put((flag_vals, reps))}
+        return _empty_violations()
+    rep_str = np.array(["cluster-%016x" % (r & 0xFFFFFFFFFFFFFFFF)
+                        for r in reps.tolist()], dtype=object)
+    wrapped = {"ref": ray.put((flag_vals, rep_str))}
 
     def emit_violations(batch: pa.Table) -> pa.Table:
         # stateless task: the broadcast probe is a shared-memory zero-copy
@@ -375,35 +299,21 @@ def _emit_flagged(ds, flag_vals: np.ndarray, reps: np.ndarray,
                           zero_copy_batch=True)
 
 
-NEARDUP_CC_MAX_EDGES = 20_000_000  # driver CC gate (~320 MB of edge arrays)
-NEARDUP_BAND_CAP = 1024  # distinct values verified per band group (matches driver cap)
-
-
 def check_neardup_distributed(ds, cfg: EngineConfig) -> "ray.data.Dataset":  # noqa: F821
     """At-scale near-dup path with DRIVER-IDENTICAL semantics: reduce to
     distinct (phash, multiplicity) → band-explode the distinct values →
-    prefilter bands holding ≥ 2 distinct values → salted band-bucket
-    shuffles emit exact-verified EDGES over values (16 B/pair) → one GLOBAL
-    connected components (driver kernel ≤ ``NEARDUP_CC_MAX_EDGES``,
-    int64-exact distributed label propagation above) → cluster weight =
-    Σ multiplicity ≥ min_cluster flags values → the same broadcast
-    flagged-value emit as the driver path.
+    salted band-bucket shuffle verifying each band group with
+    ``_band_edges`` into EDGES over values (16 B/pair) → one GLOBAL
+    distributed connected components (``cc_min_label_distributed``) →
+    every distinct value adopts its component label (values in no edge
+    label themselves) → cluster weight = Σ multiplicity ≥ min_cluster flags
+    values → the same broadcast flagged-value emit as the driver path.
 
-    This fixes the two round-2 review findings on the old shape: (1) chain
-    clusters spanning DIFFERENT bands are assembled (CC is global, and the
-    band prefilter keeps any band with ≥ 2 distinct values — a pair is all
-    it takes to contribute an edge); (2) ``observed`` carries the same
-    "cluster-%016x" min-phash rep as the driver path, so crossing the
-    row-count gate never changes the output contract. Remaining documented
-    approximation (shared with the driver path): band groups are capped at
-    the ``NEARDUP_BAND_CAP`` smallest values, so edges between values that
-    ONLY co-occur past the cap of a degenerate hot band are missed.
+    CC is global, so chain clusters linked pair by pair through DIFFERENT
+    bands are assembled, and ``observed`` carries the same "cluster-%016x"
+    min-phash rep as the driver path.
     """
-    import ray
-    import ray.data
     from ray.data.aggregate import Sum
-
-    from ..functions.graph import cc_min_label, cc_min_label_distributed
 
     hmax, min_cluster = cfg.neardup_hamming_max, cfg.neardup_min_cluster
 
@@ -413,244 +323,105 @@ def check_neardup_distributed(ds, cfg: EngineConfig) -> "ray.data.Dataset":  # n
                              zero_copy_batch=True)
                 .groupby("v").aggregate(Sum("c", alias_name="mult"))
                 .materialize())
+    n_distinct = distinct.count()
+    if n_distinct == 0:
+        return _empty_violations()
 
-    # ---- 2. band explode over distinct values + ≥2-distinct prefilter ----
+    # ---- 2. band explode, salted by band key → verified edges over values ----
+    n_salt = np.uint64(_n_buckets(3 * n_distinct, 256))
+
     def explode(batch: pa.Table) -> pa.Table:
         v = batch["v"].to_numpy().astype(np.int64)
-        m = batch["mult"].to_numpy(zero_copy_only=False).astype(np.int64)
-        bands = phash_bands(v, 3)  # (n, 3); band idx lives in bits 58+
+        keys = phash_bands(v, 3).ravel()  # band idx lives in bits 58+
         return pa.table({
-            "band_key": pa.array(bands.ravel(), pa.int64()),
+            "band_key": pa.array(keys, pa.int64()),
             "v": pa.array(np.repeat(v, 3)),
-            "mult": pa.array(np.repeat(m, 3)),
+            "vbkt": pa.array((hash64(keys) % n_salt).astype(np.int64)),
         })
 
-    # materialized: consumed twice (count pass + hot-filter pass); 24 B per
-    # distinct value per band — tiny next to the bytes column absent here
-    exploded = distinct.map_batches(explode, batch_format="pyarrow",
-                                    zero_copy_batch=True).materialize()
+    def edges_bucket(t: pa.Table) -> pa.Table:
+        # one salt bucket holds EVERY row of its band keys (values are
+        # distinct here, so a key's rows are its full band group)
+        bk = t["band_key"].to_numpy()
+        v = t["v"].to_numpy().astype(np.int64)
+        order = np.lexsort((v, bk))  # per band, values ascending
+        a, b = _band_edges(bk[order], order, v, hmax)
+        return pa.table({"va": pa.array(v[a], pa.int64()),
+                         "vb": pa.array(v[b], pa.int64())})
 
-    def band_counts(batch: pa.Table) -> pa.Table:
-        v, c = np.unique(batch["band_key"].to_numpy(), return_counts=True)
-        return pa.table({"band_key": pa.array(v), "n": pa.array(c.astype(np.int64))})
+    edges = (distinct.map_batches(explode, batch_format="pyarrow",
+                                  zero_copy_batch=True)
+             .groupby("vbkt").map_groups(edges_bucket, batch_format="pyarrow")
+             .materialize())
 
-    # one bulk to_pandas transfer of (band_key, n) partials — one row per
-    # distinct band per block; at multi-node scale the same partials
-    # tree-reduce in tasks
-    part = exploded.map_batches(band_counts, batch_format="pyarrow",
-                                zero_copy_batch=True).to_pandas()
-    flagged_v = np.empty(0, np.int64)
-    flagged_rep = np.empty(0, np.int64)
-    if len(part):
-        uniq_keys, inv = np.unique(part["band_key"].to_numpy(),
-                                   return_inverse=True)
-        totals = np.zeros(uniq_keys.size, dtype=np.int64)
-        np.add.at(totals, inv, part["n"].to_numpy())
-        # ≥ 2 distinct values: the minimum that can contribute an edge — a
-        # chain cluster may cross bands pair by pair (review finding), so
-        # filtering at min_cluster here would drop its links
-        hot = np.sort(uniq_keys[totals >= 2])
-    else:
-        hot = np.empty(0, np.int64)
+    # ---- 3. global CC → every distinct value's label → flagged (value, rep) ----
+    labels = cc_min_label_distributed(edges)
+    n_b = np.uint64(_n_buckets(n_distinct, 8))
 
-    n_salt = 256
-    if hot.size:
-        hot_wrapped = {"ref": ray.put(hot)}
+    def tag_dist(batch: pa.Table) -> pa.Table:
+        v = batch["v"].to_numpy().astype(np.int64)
+        return pa.table({
+            "v": pa.array(v), "lab": pa.nulls(v.size, pa.int64()),
+            "mult": batch["mult"].cast(pa.int64()),
+            "jbkt": pa.array((hash64(v) % n_b).astype(np.int64)),
+        })
 
-        def hot_filter(batch: pa.Table) -> pa.Table:
-            # stateless task: shared-memory zero-copy ray.get of the hot-key
-            # probe per call; survivors get a salt bucket of their band key
-            # so the verify shuffle has a fixed group count
-            hotk = ray.get(hot_wrapped["ref"])
-            k = batch["band_key"].to_numpy()
-            kept = batch.filter(pa.array(probe_sorted(hotk, k)))
-            salt = (hash64(kept["band_key"].to_numpy())
-                    % np.uint64(n_salt)).astype(np.int64)
-            return kept.append_column("vbkt", pa.array(salt))
+    def tag_lab(batch: pa.Table) -> pa.Table:
+        v = batch["node"].to_numpy().astype(np.int64)
+        return pa.table({
+            "v": pa.array(v), "lab": batch["lab"].cast(pa.int64()),
+            "mult": pa.nulls(v.size, pa.int64()),
+            "jbkt": pa.array((hash64(v) % n_b).astype(np.int64)),
+        })
 
-        # ---- 3. per-band exact verify → edges over values ----
-        def edges_bucket(t: pa.Table) -> pa.Table:
-            # one salt bucket holds EVERY row of its band keys (values are
-            # globally distinct here, so a segment is a full band group);
-            # same-sized segments batch into one matrix like the driver path
-            bk = t["band_key"].to_numpy()
-            v = t["v"].to_numpy().astype(np.int64)
-            order = np.lexsort((v, bk))  # per band, values ascending
-            bk, v = bk[order], v[order]
-            starts = np.flatnonzero(np.r_[True, bk[1:] != bk[:-1]])
-            sizes = np.diff(np.r_[starts, bk.size])
-            va_all, vb_all = [], []
-            for m in np.unique(sizes):
-                if m < 2:
-                    continue
-                gsel = np.flatnonzero(sizes == m)
-                mm = int(m)
-                if mm > NEARDUP_BAND_CAP:
-                    import logging
+    def attach_lab(t: pa.Table) -> pa.Table:
+        # value rows adopt their CC label; values absent from the edge
+        # set are singleton components labelled by themselves.
+        # drop_null keeps int64 exact (nulls mark the other row kind)
+        is_lab = pc.is_valid(t["lab"]).to_numpy(zero_copy_only=False)
+        v = t["v"].to_numpy()
+        lv = v[is_lab]
+        lab = t["lab"].drop_null().to_numpy().astype(np.int64)
+        o = np.argsort(lv, kind="stable")
+        lv, lab = lv[o], lab[o]
+        dv = v[~is_lab]
+        mult = t["mult"].drop_null().to_numpy().astype(np.int64)
+        out_lab = dv.copy()
+        if lv.size:
+            p = np.minimum(np.searchsorted(lv, dv), lv.size - 1)
+            hit = lv[p] == dv
+            out_lab[hit] = lab[p[hit]]
+        return pa.table({"v": pa.array(dv), "lab": pa.array(out_lab),
+                         "mult": pa.array(mult)})
 
-                    logging.getLogger(__name__).warning(
-                        "neardup-dist: %d band groups capped %d → %d",
-                        gsel.size, mm, NEARDUP_BAND_CAP)
-                    mm = NEARDUP_BAND_CAP
-                # rows ascending by value ⇒ the cap keeps the SMALLEST mm
-                # values, exactly like the driver path's truncation
-                mat = v[starts[gsel][:, None] + np.arange(mm)[None, :]]
-                iu, ju = np.triu_indices(mm, 1)
-                a = mat[:, iu].ravel()
-                b = mat[:, ju].ravel()
-                close = phash_hamming(a, b) <= hmax
-                va_all.append(a[close])
-                vb_all.append(b[close])
-            if va_all:
-                va = np.concatenate(va_all)
-                vb = np.concatenate(vb_all)
-            else:
-                va = vb = np.empty(0, np.int64)
-            return pa.table({"va": pa.array(va, pa.int64()),
-                             "vb": pa.array(vb, pa.int64())})
+    def tag_labbkt(batch: pa.Table) -> pa.Table:
+        lab = batch["lab"].to_numpy().astype(np.int64)
+        return batch.append_column(
+            "lbkt", pa.array((hash64(lab) % n_b).astype(np.int64)))
 
-        edges = (exploded.map_batches(hot_filter, batch_format="pyarrow",
-                                      zero_copy_batch=True)
-                 .groupby("vbkt").map_groups(edges_bucket,
-                                             batch_format="pyarrow")
-                 .materialize())
-        n_edges = edges.count()
-    else:
-        edges, n_edges = None, 0
+    def flag_components(t: pa.Table) -> pa.Table:
+        # all members of a label share its bucket: exact cluster weight
+        lab = t["lab"].to_numpy().astype(np.int64)
+        v = t["v"].to_numpy().astype(np.int64)
+        mult = t["mult"].to_numpy().astype(np.int64)
+        o = np.argsort(lab, kind="stable")
+        lab, v, mult = lab[o], v[o], mult[o]
+        starts = np.flatnonzero(np.r_[True, lab[1:] != lab[:-1]])
+        w = np.add.reduceat(mult, starts)
+        keep = np.repeat(w >= min_cluster, np.diff(np.r_[starts, lab.size]))
+        return pa.table({"v": pa.array(v[keep]), "rep": pa.array(lab[keep])})
 
-    # ---- 4. global CC + cluster weights → flagged (value, rep) ----
-    dist_cc_ran = False
-    if n_edges == 0:
-        nodes = np.empty(0, np.int64)
-    elif n_edges <= NEARDUP_CC_MAX_EDGES:
-        e = edges.to_pandas()
-        nodes, node_rep = cc_min_label(e["va"].to_numpy().astype(np.int64),
-                                       e["vb"].to_numpy().astype(np.int64))
-        # multiplicities of edge-involved values: broadcast probe on distinct
-        nodes_wrapped = {"ref": ray.put(nodes)}
-
-        def node_mult(batch: pa.Table) -> pa.Table:
-            nd = ray.get(nodes_wrapped["ref"])
-            v = batch["v"].to_numpy().astype(np.int64)
-            keep = batch.filter(pa.array(probe_sorted(nd, v)))
-            return pa.table({"v": keep["v"].cast(pa.int64()),
-                             "mult": keep["mult"].cast(pa.int64())})
-
-        nm = distinct.map_batches(node_mult, batch_format="pyarrow",
-                                  zero_copy_batch=True).to_pandas()
-        pos = np.searchsorted(nodes, nm["v"].to_numpy().astype(np.int64))
-        reps_u, rep_inv = np.unique(node_rep, return_inverse=True)
-        weight = np.zeros(reps_u.size, dtype=np.int64)
-        np.add.at(weight, rep_inv[pos], nm["mult"].to_numpy().astype(np.int64))
-        keep_node = weight[rep_inv] >= min_cluster
-        flagged_v = nodes[keep_node]
-        flagged_rep = node_rep[keep_node]
-    else:
-        dist_cc_ran = True
-        labels = cc_min_label_distributed(edges)
-        n_b = max(8, distinct.count() // 2_000_000)
-
-        def tag_dist(batch: pa.Table) -> pa.Table:
-            v = batch["v"].to_numpy().astype(np.int64)
-            return pa.table({
-                "v": pa.array(v), "lab": pa.nulls(v.size, pa.int64()),
-                "mult": batch["mult"].cast(pa.int64()),
-                "jbkt": pa.array((hash64(v) % np.uint64(n_b)).astype(np.int64)),
-            })
-
-        def tag_lab(batch: pa.Table) -> pa.Table:
-            v = batch["node"].to_numpy().astype(np.int64)
-            return pa.table({
-                "v": pa.array(v), "lab": batch["lab"].cast(pa.int64()),
-                "mult": pa.nulls(v.size, pa.int64()),
-                "jbkt": pa.array((hash64(v) % np.uint64(n_b)).astype(np.int64)),
-            })
-
-        def attach_lab(t: pa.Table) -> pa.Table:
-            # value rows adopt their CC label; values absent from the edge
-            # set are singleton components labelled by themselves.
-            # drop_null keeps int64 exact (nulls mark the other row kind)
-            is_lab = pc.is_valid(t["lab"]).to_numpy(zero_copy_only=False)
-            v = t["v"].to_numpy()
-            lv = v[is_lab]
-            lab = t["lab"].drop_null().to_numpy().astype(np.int64)
-            o = np.argsort(lv, kind="stable")
-            lv, lab = lv[o], lab[o]
-            dv = v[~is_lab]
-            mult = t["mult"].drop_null().to_numpy().astype(np.int64)
-            out_lab = dv.copy()
-            if lv.size:
-                p = np.minimum(np.searchsorted(lv, dv), lv.size - 1)
-                hit = lv[p] == dv
-                out_lab[hit] = lab[p[hit]]
-            return pa.table({"v": pa.array(dv), "lab": pa.array(out_lab),
-                             "mult": pa.array(mult)})
-
-        joined = (distinct.map_batches(tag_dist, batch_format="pyarrow")
-                  .union(labels.map_batches(tag_lab, batch_format="pyarrow"))
-                  .groupby("jbkt").map_groups(attach_lab,
-                                              batch_format="pyarrow"))
-
-        def tag_labbkt(batch: pa.Table) -> pa.Table:
-            lab = batch["lab"].to_numpy().astype(np.int64)
-            return batch.append_column(
-                "lbkt", pa.array((hash64(lab) % np.uint64(n_b)).astype(np.int64)))
-
-        def flag_components(t: pa.Table) -> pa.Table:
-            # all members of a label share its bucket: exact cluster weight
-            lab = t["lab"].to_numpy().astype(np.int64)
-            v = t["v"].to_numpy().astype(np.int64)
-            mult = t["mult"].to_numpy().astype(np.int64)
-            o = np.argsort(lab, kind="stable")
-            lab, v, mult = lab[o], v[o], mult[o]
-            starts = np.flatnonzero(np.r_[True, lab[1:] != lab[:-1]])
-            w = np.add.reduceat(mult, starts)
-            keep = np.repeat(w >= min_cluster, np.diff(np.r_[starts, lab.size]))
-            return pa.table({"v": pa.array(v[keep]), "rep": pa.array(lab[keep])})
-
-        # flagged set collects to the driver for the broadcast emit — its
-        # size is bounded by the ACTUAL near-dup violation count (16 B/value)
-        fl = (joined.map_batches(tag_labbkt, batch_format="pyarrow")
-              .groupby("lbkt").map_groups(flag_components,
-                                          batch_format="pyarrow")
-              .to_pandas())
-        flagged_v = fl["v"].to_numpy().astype(np.int64)
-        flagged_rep = fl["rep"].to_numpy().astype(np.int64)
-
-    # singleton exact-dup clusters: a value with mult ≥ min_cluster and no
-    # qualifying edges is its own flagged cluster (driver parity — cc_labels
-    # weights isolated nodes by their own multiplicity). Any such value that
-    # IS an edge node was already flagged above (its component weight ≥ its
-    # own mult), so probing against flagged_v excludes exactly those.
-    # Skipped when distributed CC ran: attach_lab there covers EVERY
-    # distinct value (non-edge values label themselves) and flag_components
-    # already emitted all heavy singletons — this pass would re-scan the
-    # full distinct set, at the largest scale tier, to produce zero rows.
-    if not dist_cc_ran:
-        sing_wrapped = {"ref": ray.put(np.sort(flagged_v))}
-
-        def singleton_flags(batch: pa.Table) -> pa.Table:
-            known = ray.get(sing_wrapped["ref"])
-            v = batch["v"].to_numpy().astype(np.int64)
-            mult = batch["mult"].to_numpy(zero_copy_only=False).astype(np.int64)
-            mask = (mult >= min_cluster) & ~probe_sorted(known, v)
-            return pa.table({"v": pa.array(v[mask]),
-                             "rep": pa.array(v[mask])})
-
-        sing = distinct.map_batches(singleton_flags, batch_format="pyarrow",
-                                    zero_copy_batch=True).to_pandas()
-        if len(sing):
-            flagged_v = np.concatenate([flagged_v,
-                                        sing["v"].to_numpy().astype(np.int64)])
-            flagged_rep = np.concatenate(
-                [flagged_rep, sing["rep"].to_numpy().astype(np.int64)])
-
-    if flagged_v.size == 0:
-        import ray.data
-
-        return ray.data.from_arrow(VIOLATION_SCHEMA.empty_table())
+    # flagged set collects to the driver for the broadcast emit — its
+    # size is bounded by the ACTUAL near-dup violation count (16 B/value)
+    fl = (distinct.map_batches(tag_dist, batch_format="pyarrow")
+          .union(labels.map_batches(tag_lab, batch_format="pyarrow"))
+          .groupby("jbkt").map_groups(attach_lab, batch_format="pyarrow")
+          .map_batches(tag_labbkt, batch_format="pyarrow")
+          .groupby("lbkt").map_groups(flag_components, batch_format="pyarrow")
+          .to_pandas())
+    if not len(fl):
+        return _empty_violations()
+    flagged_v = fl["v"].to_numpy(np.int64)
     order = np.argsort(flagged_v, kind="stable")
-    fv = flagged_v[order]
-    fr = np.array(["cluster-%016x" % (r & 0xFFFFFFFFFFFFFFFF)
-                   for r in flagged_rep[order].tolist()], dtype=object)
-    return _emit_flagged(ds, fv, fr, hmax)
+    return _emit_flagged(ds, flagged_v[order],
+                         fl["rep"].to_numpy(np.int64)[order], hmax)

@@ -65,10 +65,11 @@ def test_write_plots_rejects_mixed_histogram_configs(tmp_path):
 
 
 def test_uniqueness_dup_fold_gate_parity(ray_session, monkeypatch):
-    """The PK-uniqueness driver-fold branch (bounded dup set summed on the
-    driver) must emit exactly what the salted-groupby branch emits: one row
-    per duplicated KEY, observed = exact global count, partition_id = min
-    locus. Forces the distributed branch via DUP_FOLD_DRIVER_MAX = -1."""
+    """The PK-uniqueness driver fold must emit exactly what the salted
+    bucket fold emits, with and without the id-hash screen: one row per
+    duplicated KEY, observed = exact global count, partition_id = min
+    locus. DUP_FOLD_ROWS_MAX = -1 forces the salted fold, and
+    SCREEN_MAX_ROWS = -1 then skips the screen as inputs above it do."""
     import ray.data
 
     from serverless_covariate_drift_detection_ray.stages import constraints as C
@@ -88,13 +89,30 @@ def test_uniqueness_dup_fold_gate_parity(ray_session, monkeypatch):
     fold = run()
     monkeypatch.setattr(C, "DUP_FOLD_ROWS_MAX", -1)  # fan-out bound trips
     via_rows_gate = run()
-    monkeypatch.setattr(C, "DUP_FOLD_DRIVER_MAX", -1)  # hash bound trips
-    shuffled = run()
+    monkeypatch.setattr(C, "SCREEN_MAX_ROWS", -1)  # every row a partial
+    unscreened = run()
     assert list(fold.image_id) == ["dup-a", "dup-b"]
     assert list(fold.observed) == ["3", "2"]
     assert list(fold.partition_id) == [1, 0]  # min partition locus
-    pd.testing.assert_frame_equal(fold, shuffled)
+    pd.testing.assert_frame_equal(fold, unscreened)
     pd.testing.assert_frame_equal(fold, via_rows_gate)
+
+
+@pytest.mark.parametrize("ids,dups", [([], []), ([None, None], []),
+                                      (["a", "a", "b"], ["a"])],
+                         ids=["empty", "all_null", "empty_blocks"])
+def test_uniqueness_on_sparse_blocks(ray_session, ids, dups):
+    """A table with no non-null image_id has no PK duplicate, and 0-row
+    blocks (more blocks than rows) must not break the screen's collect or
+    the driver fold."""
+    import ray.data
+
+    from serverless_covariate_drift_detection_ray.stages import constraints as C
+
+    t = pa.table({"image_id": pa.array(ids, pa.string()),
+                  "partition_id": pa.array(range(len(ids)), pa.int32())})
+    ds = ray.data.from_arrow(t).repartition(6).materialize()
+    assert [r["image_id"] for r in C.check_uniqueness(ds).take_all()] == dups
 
 
 @pytest.mark.parametrize("fmt", ["orc", "ipc"])

@@ -414,10 +414,14 @@ class TestNeardupDistributedParity:
         assert set(driver.image_id) == {"img-000", "img-001", "img-002"}
         pd.testing.assert_frame_equal(driver, dist)
 
-    def test_distributed_cc_branch_and_singletons(self, ray_session, monkeypatch):
-        """Above the edge gate the distributed path must route through the
-        int64-exact distributed CC and still match the driver path; exact-dup
-        singleton clusters (mult >= min_cluster, no edges) flag in both."""
+    @pytest.mark.parametrize("with_edges", [True, False],
+                             ids=["chain", "no_edges"])
+    def test_distributed_cc_branch_and_singletons(self, ray_session,
+                                                  monkeypatch, with_edges):
+        """The distributed path's distributed CC must match the driver path;
+        exact-dup singleton clusters (mult >= min_cluster, no edges) flag in
+        both, also when no pair lies within hmax (an empty edge set). The
+        public gate routes to the same distributed path."""
         import numpy as np
         import pandas as pd
         import pyarrow as pa
@@ -429,7 +433,8 @@ class TestNeardupDistributedParity:
         A, B, Cv = 0, (1 | (1 << 42)), ((1 << 21) | (1 << 63))
         dup = 2**64 - 2**62 - 12345  # exact-dup singleton (negative int64)
         far = 0x0F0F0F0F0F0F0F0F  # popcount 32: far from every other value
-        phs = np.array([A, B, Cv, dup, dup, dup, far],
+        chain = [A, B, Cv] if with_edges else [A, far ^ (2**64 - 1)]
+        phs = np.array(chain + [dup, dup, dup, far],
                        dtype=np.uint64).astype(np.int64)
         t = pa.table({
             "image_id": pa.array([f"img-{i:03d}" for i in range(phs.size)]),
@@ -440,14 +445,20 @@ class TestNeardupDistributedParity:
         cfg = EngineConfig(freeze_time="01/01/2026 00:00:00.000000",
                            neardup_hamming_max=2, neardup_min_cluster=3)
         sort_cols = ["image_id", "observed"]
-        driver = C.check_neardup(ds, cfg).to_pandas().sort_values(
-            sort_cols).reset_index(drop=True)
-        monkeypatch.setattr(C, "NEARDUP_CC_MAX_EDGES", 0)
-        dist = C.check_neardup_distributed(ds, cfg).to_pandas().sort_values(
-            sort_cols).reset_index(drop=True)
+
+        def run(check):
+            return check(ds, cfg).to_pandas().sort_values(
+                sort_cols).reset_index(drop=True)
+
+        driver = run(C.check_neardup)
+        dist = run(C.check_neardup_distributed)
+        monkeypatch.setattr(C, "NEARDUP_DRIVER_MAX", 0)
+        gated = run(C.check_neardup)
+        n = len(chain)
         assert set(driver.image_id) == {
-            "img-000", "img-001", "img-002", "img-003", "img-004", "img-005"}
+            f"img-{i:03d}" for i in range(0 if with_edges else n, n + 3)}
         pd.testing.assert_frame_equal(driver, dist)
+        pd.testing.assert_frame_equal(driver, gated)
 
 
 class TestResumeConfigInvalidation:
