@@ -852,7 +852,7 @@ def ann_ivf_cosine(sf_dir: str, n_cells: int = IVF_N_CELLS,
 
     Train: per-block deterministic smallest-hash sample partials -> driver
     k-means over <= IVF_TRAIN_CAP rows (bounded regardless of table size).
-    Index: broadcast centroids; one actor-pool pass assigns each corpus row to
+    Index: broadcast centroids; one stateless-task pass assigns each corpus row to
     its nearest cell (1 row through the shuffle) and each query to its nprobe
     nearest cells (nprobe rows). Search: exact cosine only within (cell)
     groups, then the per-query dedup merge. Recall vs the exact baseline is

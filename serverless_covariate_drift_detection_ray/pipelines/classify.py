@@ -5,9 +5,9 @@ per record (/root/reference/model_inference_api/app/model.py:125-145) and a
 batch accuracy aggregate sum(pred==y)/n (/root/reference/ml/utils/cnn.py:134-144).
 Torch is absent in-sandbox, so the model is a nearest-centroid classifier
 over the embeddings table — the same pipeline shape: a fit pass produces a
-small model artifact (class centroids), an actor pool loads it once per
-worker and projects every test row to a class, and a partial+final mean
-aggregate yields per-partition accuracy.
+small model artifact (class centroids), stateless tasks read it from the
+object store and project every test row to a class, and one
+partition-keyed fold yields per-partition accuracy.
 
 Labels and splits are synthetic but deterministic (label = (vec_id // 2) % 10,
 train = even vec_id, test = odd), so the whole pipeline is expressible in
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .queries import _read, _read_blocked, _round
+from .queries import _group_fold, _read_blocked, _round
 
 N_CLASSES = 10
 N_PARTS = 8  # accuracy reporting partitions
@@ -93,10 +93,8 @@ def _score_batch(batch: pa.Table, wrapped) -> pa.Table:
 
 def classify_accuracy_embeddings(sf_dir: str):
     """Nearest-centroid projection over the test split (odd vec_id) + the
-    per-partition accuracy aggregate (partial counts -> groupby sum)."""
+    per-partition accuracy aggregate (one partition-keyed fold)."""
     import ray
-
-    from ray.data.aggregate import Sum
 
     cent, _ = _centroids(sf_dir)
     wrapped = {"ref": ray.put(cent)}
@@ -113,37 +111,17 @@ def classify_accuracy_embeddings(sf_dir: str):
         zero_copy_batch=True,
     )
 
-    def acc_partial(batch: pa.Table) -> pa.Table:
+    def correct(batch: pa.Table) -> pa.Table:
         ids = batch["vec_id"].to_numpy()
-        part = (ids // 2) % N_PARTS
-        correct = (batch["label"].to_numpy() == batch["pred"].to_numpy()).astype(np.int64)
-        out_p, out_n, out_c = [], [], []
-        for p in np.unique(part):
-            sel = part == p
-            out_p.append(int(p))
-            out_n.append(int(sel.sum()))
-            out_c.append(int(correct[sel].sum()))
         return pa.table({
-            "partition_id": pa.array(out_p, pa.int64()),
-            "n": pa.array(out_n, pa.int64()),
-            "n_correct": pa.array(out_c, pa.int64()),
-        })
+            "partition_id": (ids // 2) % N_PARTS,
+            "ok": (batch["label"].to_numpy() == batch["pred"].to_numpy()
+                   ).astype(np.int64)})
 
-    agg = scored.map_batches(acc_partial, batch_format="pyarrow").groupby(
-        "partition_id"
-    ).aggregate(Sum("n", alias_name="n"), Sum("n_correct", alias_name="n_correct"))
-
-    def finish(batch: pa.Table) -> pa.Table:
-        n = batch["n"].to_numpy()
-        c = batch["n_correct"].to_numpy()
-        return pa.table({
-            "partition_id": batch["partition_id"],
-            "n": batch["n"],
-            "n_correct": batch["n_correct"],
-            "accuracy": pa.array(_round(c / np.maximum(n, 1), 4)),
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow")
+    agg = _group_fold(scored, ["partition_id"], {
+        "n": (None, "count_all"), "n_correct": ("ok", "sum")}, correct)
+    return agg.append_column("accuracy", pa.array(_round(
+        agg["n_correct"].to_numpy() / np.maximum(agg["n"].to_numpy(), 1), 4)))
 
 
 CLASSIFY_SQL = f"""

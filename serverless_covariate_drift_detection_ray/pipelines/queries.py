@@ -4,7 +4,14 @@ Each function maps one engine capability from SURVEY.md §2 onto the generic
 TPC-H-ish tables so the driver can verify it against a DuckDB oracle
 (``__ray_entry__.oracle_sql``). The implementations are Ray-Data-first: column
 pruning at the read, vectorized Arrow/numpy batch kernels, partial aggregation
-before shuffles, broadcast small-side joins, hash-partitioned large joins.
+before anything moves, broadcast small-side joins, salted-bucket large joins.
+
+Bounded-key GROUP BYs share one recipe, ``_group_fold``: an Arrow
+``group_by`` partial per block, the partials folded on the driver, then the
+query's own finish. Its contract is a key domain bounded by the query (flags,
+statuses, event types, fixed bins), not by the row count. High-cardinality
+keys (per-user, per-document, per-hash, BPE pair codes) keep a salted
+shuffle, because their partials grow with the data.
 
 Float determinism: every float that reaches the driver's value-hash is rounded
 with ``floor(x * 10^d + 0.5) / 10^d`` — the same IEEE ops the oracle SQL uses
@@ -240,13 +247,12 @@ def _io_roundtrip(sf_dir: str, table: str, columns: list[str], project,
                   measures: dict[str, tuple[str, str]]):
     """The roundtrip recipe: ``project`` the ``columns`` of ``table``,
     publish them with ``io``'s write through ``_staged_sink(kind)``, read
-    them back with ``io``'s read, and fold per ``group``: ``n``,
+    them back with ``io``'s read, and ``_group_fold`` per ``group``: ``n``,
     ``sum_hash = Σ((key % 2^31) · 2654435761 mod 2^32)`` and each
-    ``measures`` entry ``name: (int64 column, "sum" | "min" | "max")``.
-    Batch partials merge with the same op after ``repartition(4)`` +
-    a Ray groupby; a NULL ``group`` is a group of its own. A source with
-    0 rows returns the typed empty result without touching Ray, as the
-    oracle's GROUP BY does."""
+    ``measures`` entry ``name: (int64 column, "sum" | "min" | "max")``; a
+    NULL ``group`` is a group of its own. A source with 0 rows returns the
+    typed empty result without touching Ray, as the oracle's GROUP BY
+    does."""
     import pyarrow.parquet as pq
 
     pf = pq.ParquetFile(f"{sf_dir}/{table}.parquet")
@@ -261,31 +267,18 @@ def _io_roundtrip(sf_dir: str, table: str, columns: list[str], project,
         project, batch_format="pyarrow", zero_copy_batch=True)
     out_dir = _staged_sink(sf_dir, table, kind, table,
                            lambda tmp: write(ds, tmp, key))
-    aggs = [("n", "sum"), ("sum_hash", "sum"),
-            *((m, op) for m, (_, op) in measures.items())]
 
-    def fold(t: pa.Table) -> pa.Table:
-        # Arrow's hash grouping keeps a NULL key as its own group, as the
-        # oracle's GROUP BY does
-        g = t.group_by(group).aggregate(aggs)
-        return pa.table({group: g[group],
-                         **{m: g[f"{m}_{op}"] for m, op in aggs}})
-
-    def partial(batch: pa.Table) -> pa.Table:
-        # each row is a unit partial, folded by the same ops as the merge
+    def hashed(batch: pa.Table) -> pa.Table:
         ids = batch[key].to_numpy().astype(np.int64)
-        out = fold(pa.table({
-            group: batch[group], "n": np.ones(ids.size, np.int64),
+        return pa.table({
+            group: batch[group],
             "sum_hash": ((ids % 2147483648) * 2654435761) % 4294967296,
             **{m: batch[c].to_numpy().astype(np.int64)
-               for m, (c, _) in measures.items()}}))
-        # Ray's sort shuffle cannot order a NULL key: shuffle on the key
-        # with NULL read as "", and let the merge fold split the two apart
-        return out.append_column("shuffle_key", pc.fill_null(out[group], ""))
+               for m, (c, _) in measures.items()}})
 
-    return read(out_dir, src_rows).map_batches(
-        partial, batch_format="pyarrow").repartition(4).groupby(
-        "shuffle_key").map_groups(fold, batch_format="pyarrow")
+    return _group_fold(read(out_dir, src_rows), [group], {
+        "n": (None, "count_all"), "sum_hash": ("sum_hash", "sum"),
+        **{m: (m, op) for m, (_, op) in measures.items()}}, hashed)
 
 
 def _footer_minmax(sf_dir: str, table: str, col: str) -> tuple[float, float]:
@@ -315,38 +308,69 @@ def _round_cols(df: pd.DataFrame, spec: dict[str, int]) -> pd.DataFrame:
 
 # ---------------------------------------------------------------------------
 # Aggregation with partial pre-aggregation (SURVEY.md §2.3 / guide "Aggregation
-# at scale"): per-batch combine inside map_batches, then a tiny groupby.
+# at scale"): the one grouped-fold recipe, _group_fold. Each block is folded
+# by Arrow's group_by in the map task; the partials (at most blocks x groups
+# rows) fold again on the driver with each op's merge op; the query keeps
+# only its projection and its finish. The contract is a key domain bounded by
+# the query (flags, statuses, event types, fixed bins), never by the row
+# count. Arrow keeps a NULL key as its own group, as SQL's GROUP BY does —
+# Ray's sort groupby raises on one and pandas' groupby drops it. Keys that
+# grow with the data (heavy_hitter_users, the dedup hashes, BPE pair codes,
+# per-user and per-key row queries) keep a salted shuffle instead.
 # ---------------------------------------------------------------------------
+
+# the op that folds an op's partials: counts add up, min/max fold by themselves
+_MERGE_OP = {"sum": "sum", "count": "sum", "count_all": "sum",
+             "min": "min", "max": "max"}
+
+
+def _group_fold(ds, keys: list[str], aggs: dict[str, tuple[str | None, str]],
+                project=None) -> pa.Table:
+    """GROUP BY ``keys`` over ``ds`` (after ``project(batch)``, if given):
+    ``aggs`` maps each output column to ``(input column, op)``, op one of
+    sum / count / count_all / min / max (count_all takes ``None``). Returns
+    one row per group, keys first; a NULL key is its own group. An input
+    with no rows gives the typed empty result (``project`` applied to the
+    source schema)."""
+    names = list(aggs)
+
+    def fold(t: pa.Table, spec: list) -> pa.Table:
+        g = t.group_by(keys).aggregate(spec)
+        # pyarrow puts the keys first, then the aggregates in spec order
+        return pa.table(g.columns, names=[*keys, *names])
+
+    def partial(batch: pa.Table) -> pa.Table:
+        t = batch if project is None else project(batch)
+        return fold(t, [([] if c is None else c, op) for c, op in aggs.values()])
+
+    parts = [b for b in ds.map_batches(partial, batch_format="pyarrow",
+                                       zero_copy_batch=True).iter_batches(
+                 batch_format="pyarrow", batch_size=None)
+             if b.num_columns]  # skip schema-less 0-row blocks
+    if not parts:  # no block at all: type the result from the source schema
+        src = ds.schema()
+        if src is None:
+            return pa.table({c: pa.nulls(0) for c in [*keys, *names]})
+        parts = [partial(src.base_schema.empty_table())]
+    return fold(pa.concat_tables(parts),
+                [(n, _MERGE_OP[op]) for n, (_, op) in aggs.items()])
 
 
 def q1_pricing_summary(sf_dir: str):
     """TPC-H Q1 shape: the canonical partial-aggregate groupby."""
-    ds = _read_blocked(sf_dir, "lineitem",
-               ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
-                "l_discount"])
-
-    def partial(batch: pa.Table) -> pa.Table:
+    def project(batch: pa.Table) -> pa.Table:
         disc = pc.multiply(batch["l_extendedprice"],
                            pc.subtract(pa.scalar(1.0), batch["l_discount"]))
-        g = batch.append_column("disc_price", disc).group_by(
-            ["l_returnflag", "l_linestatus"]
-        ).aggregate([("l_quantity", "sum"), ("l_extendedprice", "sum"),
-                     ("disc_price", "sum"), ("l_quantity", "count")])
-        return g.rename_columns([
-            "l_returnflag", "l_linestatus", "sum_qty", "sum_base_price",
-            "sum_disc_price", "count_order",
-        ])
+        return batch.append_column("disc_price", disc)
 
-    from ray.data.aggregate import Sum
-
-    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    out = partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("sum_qty", alias_name="sum_qty"),
-        Sum("sum_base_price", alias_name="sum_base_price"),
-        Sum("sum_disc_price", alias_name="sum_disc_price"),
-        Sum("count_order", alias_name="count_order"),
-    )
-    df = out.to_pandas()
+    df = _group_fold(_read_blocked(
+        sf_dir, "lineitem", ["l_returnflag", "l_linestatus", "l_quantity",
+                             "l_extendedprice", "l_discount"]),
+        ["l_returnflag", "l_linestatus"],
+        {"sum_qty": ("l_quantity", "sum"),
+         "sum_base_price": ("l_extendedprice", "sum"),
+         "sum_disc_price": ("disc_price", "sum"),
+         "count_order": (None, "count_all")}, project).to_pandas()
     df["avg_qty"] = df.sum_qty / df.count_order
     df["avg_price"] = df.sum_base_price / df.count_order
     df = _round_cols(df, {"sum_qty": 2, "sum_base_price": 2, "sum_disc_price": 2,
@@ -366,46 +390,37 @@ FROM lineitem GROUP BY l_returnflag, l_linestatus
 """
 
 
+def _pricing_grouping_sets(sf_dir: str, sets: list[list[str]]) -> pa.Table:
+    """GROUP BY ROLLUP / CUBE (returnflag, linestatus) as ``sets``: the wide
+    input is folded ONCE at the leaf level; every coarser grouping set
+    re-folds the (group-cardinality-sized) leaf on the driver — no second
+    scan. A subtotal key surfaces as 'ALL' and a data NULL key as '(null)'
+    (distinguished via GROUPING() in the oracle), so the key columns never
+    collide; count_order is a row count (COUNT(*))."""
+    keys = ["l_returnflag", "l_linestatus"]
+
+    def project(batch: pa.Table) -> pa.Table:
+        return pa.table({**{k: pc.fill_null(batch[k], "(null)") for k in keys},
+                         "l_quantity": batch["l_quantity"]})
+
+    leaf = _group_fold(_read_blocked(sf_dir, "lineitem", [*keys, "l_quantity"]),
+                       keys, {"sum_qty": ("l_quantity", "sum"),
+                              "count_order": (None, "count_all")}, project)
+    out = []
+    for kept in [keys, *sets]:
+        g = leaf.group_by(kept).aggregate([("sum_qty", "sum"),
+                                           ("count_order", "sum")])
+        out.append(pa.table({
+            **{k: g[k] if k in kept else pa.array(["ALL"] * g.num_rows, pa.string())
+               for k in keys},
+            "sum_qty": _round(g["sum_qty_sum"], 2),
+            "count_order": g["count_order_sum"]}))
+    return pa.concat_tables(out)
+
+
 def rollup_pricing_summary(sf_dir: str):
-    """GROUP BY ROLLUP (returnflag, linestatus): the multi-level aggregate.
-
-    Scale shape: the wide input is scanned ONCE for the leaf-level partial
-    aggregate; both coarser grouping-set levels are post-aggregations of the
-    (group-cardinality-sized) leaf result on the driver — no second scan, no
-    extra shuffle. Rollup-generated subtotal keys surface as 'ALL' and
-    data NULL keys as '(null)' (distinguished via GROUPING() in the oracle),
-    so the key columns stay non-null strings and never collide; count_order
-    is a row count (COUNT(*)), not a non-null value count."""
-    ds = _read_blocked(sf_dir, "lineitem",
-               ["l_returnflag", "l_linestatus", "l_quantity"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        keys = {}
-        for k in ("l_returnflag", "l_linestatus"):
-            keys[k] = pc.fill_null(batch[k], "(null)")
-        t = pa.table({**keys, "l_quantity": batch["l_quantity"]})
-        g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("l_quantity", "sum"), ([], "count_all")])
-        return g.rename_columns(
-            ["l_returnflag", "l_linestatus", "sum_qty", "count_order"])
-
-    from ray.data.aggregate import Sum
-
-    leaf = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                          ).groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("sum_qty", alias_name="sum_qty"),
-        Sum("count_order", alias_name="count_order"),
-    ).to_pandas()
-    lv1 = (leaf.groupby("l_returnflag", as_index=False)
-           [["sum_qty", "count_order"]].sum().assign(l_linestatus="ALL"))
-    lv2 = pd.DataFrame({"l_returnflag": ["ALL"], "l_linestatus": ["ALL"],
-                        "sum_qty": [leaf.sum_qty.sum()],
-                        "count_order": [leaf.count_order.sum()]})
-    out = pd.concat([leaf, lv1, lv2], ignore_index=True)[
-        ["l_returnflag", "l_linestatus", "sum_qty", "count_order"]]
-    out["sum_qty"] = _round(out.sum_qty, 2)
-    out["count_order"] = out.count_order.astype(np.int64)
-    return _pa_from_pandas(out, preserve_index=False)
+    """GROUP BY ROLLUP (returnflag, linestatus): the multi-level aggregate."""
+    return _pricing_grouping_sets(sf_dir, [["l_returnflag"], []])
 
 
 ROLLUP_SQL = """
@@ -462,49 +477,35 @@ WHERE l_shipdate >= TIMESTAMP '1995-07-01' AND l_discount > 0.05
 # ---------------------------------------------------------------------------
 
 
-class _NationRevenue:
-    """Actor-pool stage: the customer→nation dimension map is ray.put once and
-    fetched once per actor in ``__init__`` (wrapped ref — never resolved at
-    actor creation)."""
-
-    def __init__(self, wrapped):
-        import ray
-
-        self.cust_to_nation: pd.DataFrame = ray.get(wrapped["ref"])
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        j = df.merge(self.cust_to_nation, left_on="o_custkey", right_index=True, how="inner")
-        g = j.groupby("n_name", sort=False).agg(
-            total_price=("o_totalprice", "sum"), n_orders=("o_orderkey", "size")
-        ).reset_index()
-        return _pa_from_pandas(g, preserve_index=False)
-
-
 def join_broadcast_nation_revenue(sf_dir: str):
+    """Broadcast join: the customer→nation dimension is ray.put once and
+    each stateless map task reads it zero-copy and probes it with one
+    searchsorted (inner join: an order without a customer drops out)."""
     import pyarrow.parquet as pq
     import ray
 
-    from ray.data.aggregate import Sum
+    cust = pq.read_table(f"{sf_dir}/customer.parquet",
+                         columns=["c_custkey", "c_nationkey"])
+    nation = pq.read_table(f"{sf_dir}/nation.parquet",
+                           columns=["n_nationkey", "n_name"])
+    dim = cust.join(nation, "c_nationkey", "n_nationkey").sort_by("c_custkey")
+    wrapped = {"ref": ray.put((dim["c_custkey"].to_numpy(), dim["n_name"]))}
 
-    cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]).to_pandas()
-    nation = pq.read_table(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]).to_pandas()
-    dim = cust.merge(nation, left_on="c_nationkey", right_on="n_nationkey")[
-        ["c_custkey", "n_name"]
-    ].set_index("c_custkey")
-    wrapped = {"ref": ray.put(dim)}
+    def probe(batch: pa.Table) -> pa.Table:
+        keys, names = ray.get(wrapped["ref"])
+        k = batch["o_custkey"].to_numpy()
+        pos = np.minimum(np.searchsorted(keys, k), max(keys.size - 1, 0))
+        hit = keys[pos] == k if keys.size else np.zeros(k.size, bool)
+        return pa.table({"n_name": names.take(pos[hit]),
+                         "o_totalprice": batch["o_totalprice"].filter(
+                             pa.array(hit))})
 
-    ds = _read_blocked(sf_dir, "orders",
-                       ["o_orderkey", "o_custkey", "o_totalprice"])
-    partials = ds.map_batches(
-        _NationRevenue, fn_constructor_args=(wrapped,), batch_format="pyarrow",
-        zero_copy_batch=True, concurrency=2,
-    )
-    out = partials.groupby("n_name").aggregate(
-        Sum("total_price", alias_name="total_price"), Sum("n_orders", alias_name="n_orders")
-    )
-    df = _round_cols(out.to_pandas(), {"total_price": 2})
-    return _pa_from_pandas(df, preserve_index=False)
+    df = _group_fold(_read_blocked(sf_dir, "orders", ["o_custkey", "o_totalprice"]),
+                     ["n_name"], {"total_price": ("o_totalprice", "sum"),
+                                  "n_orders": (None, "count_all")},
+                     probe).to_pandas()
+    return _pa_from_pandas(_round_cols(df, {"total_price": 2}),
+                           preserve_index=False)
 
 
 JOIN_BROADCAST_SQL = """
@@ -519,47 +520,59 @@ GROUP BY n_name
 
 
 # ---------------------------------------------------------------------------
-# Large-large join: Ray's hash-partitioned Dataset.join
+# Large-large join: one sort on the key, one join per range partition
 # ---------------------------------------------------------------------------
 
 
 def join_large_priority_revenue(sf_dir: str):
-    from ray.data.aggregate import Sum
+    """Large-large join + grouped fold: lineitem revenue (pre-summed per
+    orderkey inside each block) and orders union into one table; one sort
+    on the order key puts every row of a key in one range partition, and
+    the fold's projection joins each partition's two sides with one
+    searchsorted. Ray's ``Dataset.join`` starts aggregator actors: 3.9-4.2 s
+    a call at sf0.01 on 3 CPUs of a 4-vCPU host, against ~0.45 s for this
+    shape."""
+    empty = _typed_empty(sf_dir, ["lineitem", "orders"], pa.schema(
+        [("o_orderpriority", pa.string()), ("revenue", pa.float64())]))
+    if empty is not None:
+        return empty
+    schema = pa.schema([("k", pa.int64()), ("revenue", pa.float64()),
+                        ("pri", pa.string())])
 
-    li = _read_blocked(sf_dir, "lineitem",
-                       ["l_orderkey", "l_extendedprice", "l_discount"])
+    def li_side(batch: pa.Table) -> pa.Table:
+        # lineitem is clustered by orderkey: summing revenue per key inside
+        # the block shrinks the shuffle input ~4x
+        r = (batch["l_extendedprice"].to_numpy()
+             * (1.0 - batch["l_discount"].to_numpy()))
+        uk, inv = np.unique(batch["l_orderkey"].to_numpy(), return_inverse=True)
+        return pa.table([uk, np.bincount(inv, weights=r, minlength=uk.size),
+                         pa.nulls(uk.size, pa.string())], schema=schema)
 
-    def rev(batch: pa.Table) -> pa.Table:
-        # per-block combiner: lineitem is clustered by orderkey, so summing
-        # revenue per key inside the block shrinks the join input ~4× before
-        # the hash shuffle (sum is reassociable across blocks post-join)
-        r = batch["l_extendedprice"].to_numpy() * (1.0 - batch["l_discount"].to_numpy())
-        keys = batch["l_orderkey"].to_numpy()
-        uk, inv = np.unique(keys, return_inverse=True)
-        partial = np.bincount(inv, weights=r, minlength=uk.size)
-        return pa.table({"l_orderkey": pa.array(uk), "revenue": pa.array(partial)})
+    def order_side(batch: pa.Table) -> pa.Table:
+        return pa.table([batch["o_orderkey"],
+                         pa.nulls(batch.num_rows, pa.float64()),
+                         batch["o_orderpriority"]], schema=schema)
 
-    li = li.map_batches(rev, batch_format="pyarrow", zero_copy_batch=True)
-    orders = _read_blocked(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-    import ray
+    def join(t: pa.Table) -> pa.Table:
+        is_li = pc.is_valid(t["revenue"])
+        li, od = t.filter(is_li), t.filter(pc.invert(is_li))
+        order = np.argsort(od["k"].to_numpy())
+        ok, lk = od["k"].to_numpy()[order], li["k"].to_numpy()
+        pos = np.minimum(np.searchsorted(ok, lk), max(ok.size - 1, 0))
+        hit = ok[pos] == lk if ok.size else np.zeros(lk.size, bool)
+        return pa.table({"o_orderpriority": od["pri"].take(order[pos[hit]]),
+                         "revenue": li["revenue"].filter(pa.array(hit))})
 
-    # partition count scales with the cluster instead of a fixed 8; CPU/2
-    # because each join partition also spawns an aggregator actor whose
-    # startup dominates below ~1M rows/partition. The INPUT block counts
-    # track data (_read_blocked): feeding the hash exchange 64 CPU-scaled
-    # blocks per side for a 600k-row table measured 2x slower than 4
-    # data-scaled blocks at every num_partitions level.
-    nparts = max(8, int(ray.cluster_resources().get("CPU", 8)) // 2)
-    joined = li.join(orders, join_type="inner", num_partitions=nparts,
-                     on=("l_orderkey",), right_on=("o_orderkey",))
-    out = joined.groupby("o_orderpriority").aggregate(
-        Sum("revenue", alias_name="revenue"),
-    )
-    df = out.to_pandas()
-    # n_items via a second cheap aggregate on the same joined stream would
-    # re-execute the join; count rides along as sum of ones instead
-    df = _round_cols(df, {"revenue": 2})
-    return _pa_from_pandas(df, preserve_index=False)
+    both = _read_blocked(sf_dir, "lineitem", [
+        "l_orderkey", "l_extendedprice", "l_discount"]).map_batches(
+        li_side, batch_format="pyarrow", zero_copy_batch=True).union(
+        _read_blocked(sf_dir, "orders", ["o_orderkey", "o_orderpriority"]
+                      ).map_batches(order_side, batch_format="pyarrow",
+                                    zero_copy_batch=True))
+    df = _group_fold(both.sort("k"), ["o_orderpriority"],
+                     {"revenue": ("revenue", "sum")}, join).to_pandas()
+    return _pa_from_pandas(_round_cols(df, {"revenue": 2}),
+                           preserve_index=False)
 
 
 JOIN_LARGE_SQL = """
@@ -601,27 +614,11 @@ FROM orders ORDER BY o_totalprice DESC, o_orderkey LIMIT 10
 
 
 def distinct_flag_status(sf_dir: str):
-    """Distinct (flag, status) pairs with counts: per-block vectorized
-    combiner shrinks each block to the category cross product (<= ~12
-    rows) before anything moves — the native row-shuffling groupby paid a
-    full 600k-row exchange to count 6 groups."""
-    ds = _read_blocked(sf_dir, "lineitem", ["l_returnflag", "l_linestatus"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        # dropna=False: SQL GROUP BY keeps NULL-keyed groups — the pandas
-        # default would silently drop them (latent: fixtures carry no nulls
-        # in these columns, but the oracle contract must not depend on that)
-        df = batch.to_pandas().groupby(
-            ["l_returnflag", "l_linestatus"], sort=False, dropna=False
-        ).size().rename("n").reset_index()
-        return _pa_from_pandas(df, preserve_index=False)
-
-    part = ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True).to_pandas()
-    out = part.groupby(["l_returnflag", "l_linestatus"], as_index=False,
-                       dropna=False).n.sum()
-    out["n"] = out.n.astype(np.int64)
-    return _pa_from_pandas(out, preserve_index=False)
+    """Distinct (flag, status) pairs with counts: each block folds to the
+    category cross product (<= ~12 rows) before anything moves."""
+    return _group_fold(
+        _read_blocked(sf_dir, "lineitem", ["l_returnflag", "l_linestatus"]),
+        ["l_returnflag", "l_linestatus"], {"n": (None, "count_all")})
 
 
 DISTINCT_SQL = """
@@ -1417,34 +1414,21 @@ FROM rs GROUP BY user_id
 
 
 def column_stats_lineitem(sf_dir: str):
-    """Per-column exact stats via mergeable partials (NumericStats shape)."""
+    """Per-column exact stats (NumericStats shape): the four columns melt
+    into (col_name, v) rows and fold per column name."""
     cols = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]
-    ds = _read_blocked(sf_dir, "lineitem", cols)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        rows = []
-        for c in cols:
-            v = batch[c].to_numpy()
-            rows.append({
-                "col_name": c, "cnt": int(v.size),
-                "nulls": int(batch[c].null_count),
-                "vmin": float(np.min(v)), "vmax": float(np.max(v)),
-                "vsum": float(np.sum(v)),
-            })
-        return pa.Table.from_pylist(rows)
+    def melt(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "col_name": pa.array(np.repeat(cols, batch.num_rows)),
+            "v": pa.concat_arrays([batch[c].combine_chunks() for c in cols])})
 
-    from ray.data.aggregate import Max, Min, Sum
-
-    agg = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True).groupby(
-        "col_name"
-    ).aggregate(
-        Sum("cnt", alias_name="count"), Sum("nulls", alias_name="null_count"),
-        Min("vmin", alias_name="min"), Max("vmax", alias_name="max"),
-        Sum("vsum", alias_name="vsum"),
-    )
-    df = agg.to_pandas()
-    df["mean"] = df.vsum / df["count"]
-    df = df.drop(columns=["vsum"])
+    df = _group_fold(_read_blocked(sf_dir, "lineitem", cols), ["col_name"],
+                     {"count": ("v", "count"), "rows": (None, "count_all"),
+                      "min": ("v", "min"), "max": ("v", "max"),
+                      "vsum": ("v", "sum")}, melt).to_pandas()
+    df["null_count"] = df.pop("rows") - df["count"]
+    df["mean"] = df.pop("vsum") / df["count"]
     df = _round_cols(df, {"min": 4, "max": 4, "mean": 4})
     return _pa_from_pandas(df, preserve_index=False)
 
@@ -1611,27 +1595,20 @@ SELECT 'lineitem_to_part',
 def chi2_event_type(sf_dir: str):
     """Two-sample Chi² homogeneity: event_type mix of first vs second half of
     the event stream (split by median event_id) — the engine's fmt Chi² drift
-    check over a generic categorical."""
+    check over a generic categorical. The contingency table is one fold:
+    per event_type, the row counts of each half."""
     import pyarrow.parquet as pq
 
-    n_total = pq.ParquetFile(f"{sf_dir}/events.parquet").metadata.num_rows
-    half = n_total // 2
-    ds = _read_blocked(sf_dir, "events", ["event_id", "event_type"])
+    half = pq.ParquetFile(f"{sf_dir}/events.parquet").metadata.num_rows // 2
 
-    def counts(batch: pa.Table) -> pa.Table:
-        side = pa.array(np.where(batch["event_id"].to_numpy() < half, "a", "b"))
-        g = batch.append_column("side", side).group_by(
-            ["event_type", "side"]).aggregate([("event_id", "count")])
-        return g.rename_columns(["event_type", "side", "n"])
+    def sides(batch: pa.Table) -> pa.Table:
+        a = (batch["event_id"].to_numpy() < half).astype(np.int64)
+        return pa.table({"event_type": batch["event_type"], "a": a, "b": 1 - a})
 
-    from ray.data.aggregate import Sum
-
-    agg = ds.map_batches(counts, batch_format="pyarrow", zero_copy_batch=True).groupby(
-        ["event_type", "side"]
-    ).aggregate(Sum("n", alias_name="n")).to_pandas()
-    piv = agg.pivot_table(index="event_type", columns="side", values="n",
-                          fill_value=0).sort_index()
-    stat, dof, p = chi2_test_counts(piv["a"].to_numpy(), piv["b"].to_numpy())
+    cont = _group_fold(_read_blocked(sf_dir, "events", ["event_id", "event_type"]),
+                       ["event_type"], {"a": ("a", "sum"), "b": ("b", "sum")},
+                       sides).sort_by("event_type")
+    stat, dof, p = chi2_test_counts(cont["a"].to_numpy(), cont["b"].to_numpy())
     return pa.Table.from_pylist([{
         "column": "event_type", "statistic": float(_round(stat, 6)), "dof": dof,
     }])
@@ -1887,27 +1864,20 @@ FROM a GROUP BY split
 def split_proportions_orders(sf_dir: str):
     """5-way proportional split of orders; per-split row count + revenue
     checksum proves identical assignment vs the oracle."""
-    ds = _read_blocked(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
-
-    def partial(batch: pa.Table) -> pa.Table:
+    def assign(batch: pa.Table) -> pa.Table:
         b = _knuth_bucket(batch["o_orderkey"].to_numpy())
         names = np.empty(len(b), dtype=object)
         lo = 0
         for name, pct in SPLIT_FRACTIONS:
             names[(b >= lo) & (b < lo + pct)] = name
             lo += pct
-        df = pd.DataFrame({"split": names, "price": batch["o_totalprice"].to_numpy()})
-        g = df.groupby("split", sort=False).agg(
-            n=("price", "size"), total=("price", "sum")).reset_index()
-        return _pa_from_pandas(g, preserve_index=False)
+        return pa.table({"split": pa.array(names, pa.string()),
+                         "price": batch["o_totalprice"]})
 
-    from ray.data.aggregate import Sum
-
-    out = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                         ).groupby("split").aggregate(
-        Sum("n", alias_name="n"), Sum("total", alias_name="total"))
-    df = _round_cols(out.to_pandas(), {"total": 2})
-    return _pa_from_pandas(df, preserve_index=False)
+    df = _group_fold(_read_blocked(sf_dir, "orders", ["o_orderkey", "o_totalprice"]),
+                     ["split"], {"n": (None, "count_all"),
+                                 "total": ("price", "sum")}, assign).to_pandas()
+    return _pa_from_pandas(_round_cols(df, {"total": 2}), preserve_index=False)
 
 
 _HASH_SQL = "((o_orderkey % 4096) * 2654435761) % 4294967296"
@@ -2010,19 +1980,8 @@ def shuffle_orders(sf_dir: str, seed: int = 42):
     order determinism is pinned by a test, not SQL (the permutation itself is
     executor-defined)."""
     ds = _read_blocked(sf_dir, "orders", ["o_orderkey"]).random_shuffle(seed=seed)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        k = batch["o_orderkey"].to_numpy()
-        return pa.table({"n": pa.array([len(k)], pa.int64()),
-                         "key_sum": pa.array([int(k.sum())], pa.int64())})
-
-    from ray.data.aggregate import Sum
-
-    out = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                         ).aggregate(Sum("n", alias_name="n"),
-                                     Sum("key_sum", alias_name="key_sum"))
-    return pa.Table.from_pylist([{"n": int(out["n"]),
-                                  "key_sum": int(out["key_sum"])}])
+    return _group_fold(ds, [], {"n": (None, "count_all"),
+                                "key_sum": ("o_orderkey", "sum")})
 
 
 SHUFFLE_SQL = """
@@ -2039,43 +1998,33 @@ SELECT COUNT(*)::BIGINT AS n, SUM(o_orderkey)::BIGINT AS key_sum FROM orders
 KS_HIST_BINS = 1024
 
 
-def ks_purchase_click_hist(sf_dir: str):
-    """Histogram-KS over a fixed binning of the value domain: per-block
-    (bin, a, b) count partials -> groupby sum -> D at bin boundaries. The
-    binning arithmetic is identical in SQL, so this sketch path is itself
-    oracle-checked (bin width from the domain min/max aggregate)."""
-    ds = _read_blocked(sf_dir, "events", ["event_type", "value"])
+def _purchase_click_bins(batch: pa.Table, bin_of) -> pa.Table:
+    """(bin, a, b) rows of the purchase (a) and click (b) events, binned by
+    ``bin_of(value)``: the projection both histogram drift statistics fold
+    per bin."""
+    et = batch["event_type"].to_numpy(zero_copy_only=False)
+    sel = (et == "purchase") | (et == "click")
+    return pa.table({"bin": bin_of(batch["value"].to_numpy()[sel]),
+                     "a": (et[sel] == "purchase").astype(np.int64),
+                     "b": (et[sel] == "click").astype(np.int64)})
 
-    # domain bounds: one cheap distributed aggregate (metadata-sized result)
-    lohi = ds.map_batches(
-        lambda b: pa.table({
-            "lo": pa.array([float(np.min(b["value"].to_numpy()))]),
-            "hi": pa.array([float(np.max(b["value"].to_numpy()))]),
-        }), batch_format="pyarrow", zero_copy_batch=True).to_pandas()
-    lo, hi = float(lohi.lo.min()), float(lohi.hi.max())
+
+def ks_purchase_click_hist(sf_dir: str):
+    """Histogram-KS over a fixed binning of the value domain: one fold of
+    per-bin (purchase, click) counts -> D at bin boundaries. The binning
+    arithmetic is identical in SQL, so this sketch path is itself
+    oracle-checked (bin width from the domain min/max fold)."""
+    ds = _read_blocked(sf_dir, "events", ["event_type", "value"])
+    dom = _group_fold(ds, [], {"lo": ("value", "min"), "hi": ("value", "max")})
+    lo, hi = dom["lo"][0].as_py(), dom["hi"][0].as_py()
     width = (hi - lo) / KS_HIST_BINS or 1.0
 
-    def partial(batch: pa.Table) -> pa.Table:
-        et = batch["event_type"].to_numpy(zero_copy_only=False)
-        v = batch["value"].to_numpy()
-        out = []
-        for name, col in (("purchase", "a"), ("click", "b")):
-            sel = et == name
-            bins = np.clip(((v[sel] - lo) / width).astype(np.int64), 0, KS_HIST_BINS - 1)
-            idx, cnt = np.unique(bins, return_counts=True)
-            t = pd.DataFrame({"bin": idx, "a": 0, "b": 0})
-            t[col] = cnt
-            out.append(t)
-        return _pa_from_pandas(pd.concat(out), preserve_index=False)
-
-    from ray.data.aggregate import Sum
-
-    hist = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                          ).groupby("bin").aggregate(
-        Sum("a", alias_name="a"), Sum("b", alias_name="b")).to_pandas()
+    hist = _group_fold(ds, ["bin"], {"a": ("a", "sum"), "b": ("b", "sum")},
+                       lambda b: _purchase_click_bins(b, lambda v: np.clip(
+                           ((v - lo) / width).astype(np.int64), 0, KS_HIST_BINS - 1)))
     full = np.zeros((KS_HIST_BINS, 2), dtype=np.float64)
-    full[hist.bin.to_numpy(), 0] = hist.a.to_numpy()
-    full[hist.bin.to_numpy(), 1] = hist.b.to_numpy()
+    full[hist["bin"].to_numpy(), 0] = hist["a"].to_numpy()
+    full[hist["bin"].to_numpy(), 1] = hist["b"].to_numpy()
     na, nb = full[:, 0].sum(), full[:, 1].sum()
     d = float(np.abs(full[:, 0].cumsum() / max(na, 1) - full[:, 1].cumsum() / max(nb, 1)).max())
     return pa.Table.from_pylist([{
@@ -2144,30 +2093,14 @@ def divergence_purchase_click(sf_dir: str):
     binning of `value` — sketch-state-only drift scoring, SQL-oracled."""
     from ..functions import divergence as dv
 
-    ds = _read_blocked(sf_dir, "events", ["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        et = batch["event_type"].to_numpy(zero_copy_only=False)
-        v = batch["value"].to_numpy()
-        out = []
-        for name, col in (("purchase", "r"), ("click", "t")):
-            sel = et == name
-            bins = np.clip(np.floor(v[sel] / DIVERGENCE_WIDTH).astype(np.int64),
-                           0, DIVERGENCE_BINS - 1)
-            idx, cnt = np.unique(bins, return_counts=True)
-            t = pd.DataFrame({"bin": idx, "r": 0, "t": 0})
-            t[col] = cnt
-            out.append(t)
-        return _pa_from_pandas(pd.concat(out), preserve_index=False)
-
-    from ray.data.aggregate import Sum
-
-    hist = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                          ).groupby("bin").aggregate(
-        Sum("r", alias_name="r"), Sum("t", alias_name="t")).to_pandas()
+    hist = _group_fold(_read_blocked(sf_dir, "events", ["event_type", "value"]),
+                       ["bin"], {"a": ("a", "sum"), "b": ("b", "sum")},
+                       lambda b: _purchase_click_bins(b, lambda v: np.clip(
+                           np.floor(v / DIVERGENCE_WIDTH).astype(np.int64),
+                           0, DIVERGENCE_BINS - 1)))
     full = np.zeros((DIVERGENCE_BINS, 2), dtype=np.int64)
-    full[hist.bin.to_numpy(), 0] = hist.r.to_numpy()
-    full[hist.bin.to_numpy(), 1] = hist.t.to_numpy()
+    full[hist["bin"].to_numpy(), 0] = hist["a"].to_numpy()
+    full[hist["bin"].to_numpy(), 1] = hist["b"].to_numpy()
     r, t = full[:, 0], full[:, 1]
     return pa.Table.from_pylist([{
         "column": "value",
@@ -2470,7 +2403,6 @@ def range_join_price_bands(sf_dir: str):
     against the sorted interval edges — the canonical Ray shape for a
     range join with a small build side. Rows outside every band drop out
     (inner join semantics)."""
-    ds = _read_blocked(sf_dir, "part", ["p_partkey", "p_retailprice"])
     lows = np.array([b[1] for b in PRICE_BANDS])
     highs = np.array([b[2] for b in PRICE_BANDS])
     names = np.array([b[0] for b in PRICE_BANDS])
@@ -2479,21 +2411,14 @@ def range_join_price_bands(sf_dir: str):
         p = batch["p_retailprice"].to_numpy()
         idx = np.searchsorted(lows, p, side="right") - 1
         ok = (idx >= 0) & (p < highs[np.clip(idx, 0, len(PRICE_BANDS) - 1)])
-        idx = idx[ok]
-        return pa.table({
-            "band": pa.array(names[idx]),
-            "price_sum": pa.array(p[ok]),
-            "n": pa.array(np.ones(idx.size, np.int64)),
-        })
+        return pa.table({"band": pa.array(names[idx[ok]], pa.string()),
+                         "price": p[ok]})
 
-    from ray.data.aggregate import Sum
-
-    out = ds.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True
-                         ).groupby("band").aggregate(
-        Sum("price_sum", alias_name="price_sum"), Sum("n", alias_name="n"))
-    df = out.to_pandas()
+    df = _group_fold(_read_blocked(sf_dir, "part", ["p_retailprice"]), ["band"],
+                     {"n": (None, "count_all"), "price_sum": ("price", "sum")},
+                     probe).to_pandas()
     df["avg_price"] = _round(df.pop("price_sum") / df["n"], 2)
-    return _pa_from_pandas(df[["band", "n", "avg_price"]], preserve_index=False)
+    return _pa_from_pandas(df, preserve_index=False)
 
 
 RANGE_JOIN_SQL = """
@@ -2650,22 +2575,20 @@ FROM lineitem GROUP BY l_returnflag
 
 def pivot_status_by_priority(sf_dir: str):
     """Orders count pivoted to one column per o_orderstatus, rows keyed by
-    priority: a narrow groupby on the pair then a tiny driver-side pivot —
-    the wide step never exceeds n_priorities x n_statuses rows."""
-    from ray.data.aggregate import Count
+    priority: each status column is a per-row indicator summed by one
+    priority-keyed fold — the wide step never leaves the projection."""
+    statuses = ("F", "O", "P")
 
-    ds = _read_blocked(sf_dir, "orders", ["o_orderpriority", "o_orderstatus"])
-    agg = ds.groupby(["o_orderpriority", "o_orderstatus"]).aggregate(
-        Count(alias_name="n")).to_pandas()
-    piv = agg.pivot_table(index="o_orderpriority", columns="o_orderstatus",
-                          values="n", fill_value=0, aggfunc="sum").reset_index()
-    piv.columns.name = None
-    piv = piv.rename(columns={c: f"n_{c}" for c in piv.columns
-                              if c != "o_orderpriority"})
-    for c in piv.columns:
-        if c != "o_orderpriority":
-            piv[c] = piv[c].astype(np.int64)
-    return _pa_from_pandas(piv, preserve_index=False)
+    def indicators(batch: pa.Table) -> pa.Table:
+        st = batch["o_orderstatus"].to_numpy(zero_copy_only=False)
+        return pa.table({"o_orderpriority": batch["o_orderpriority"],
+                         **{f"n_{s}": (st == s).astype(np.int64)
+                            for s in statuses}})
+
+    return _group_fold(
+        _read_blocked(sf_dir, "orders", ["o_orderpriority", "o_orderstatus"]),
+        ["o_orderpriority"], {f"n_{s}": (f"n_{s}", "sum") for s in statuses},
+        indicators)
 
 
 PIVOT_SQL = """
@@ -2739,38 +2662,26 @@ FROM orders WHERE o_custkey IN (
 
 
 def corr_price_quantity_by_flag(sf_dir: str):
-    """corr(l_extendedprice, l_quantity) per returnflag from per-block moment
-    partials (n, Σx, Σy, Σxx, Σyy, Σxy) — nothing but 6 numbers per (block,
-    group) ever shuffles; the classic mergeable-moments shape."""
-    from ray.data.aggregate import Sum
+    """corr(l_extendedprice, l_quantity) per returnflag from moment folds
+    (n, Σx, Σy, Σxx, Σyy, Σxy) — nothing but 6 numbers per (block, group)
+    ever leaves a map task; the classic mergeable-moments shape."""
+    def moments(batch: pa.Table) -> pa.Table:
+        x = batch["l_extendedprice"].to_numpy()
+        y = batch["l_quantity"].to_numpy()
+        return pa.table({"l_returnflag": batch["l_returnflag"], "sx": x, "sy": y,
+                         "sxx": x * x, "syy": y * y, "sxy": x * y})
 
-    ds = _read_blocked(sf_dir, "lineitem",
-               ["l_returnflag", "l_extendedprice", "l_quantity"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pa.table({
-            "g": batch["l_returnflag"],
-            "x": batch["l_extendedprice"],
-            "y": batch["l_quantity"],
-        }).to_pandas()
-        x, y = df.x.to_numpy(), df.y.to_numpy()
-        agg = df.assign(n=1, sx=x, sy=y, sxx=x * x, syy=y * y, sxy=x * y
-                        ).groupby("g", sort=False)[
-            ["n", "sx", "sy", "sxx", "syy", "sxy"]].sum().reset_index()
-        return _pa_from_pandas(agg, preserve_index=False)
-
-    agg = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                         ).groupby("g").aggregate(
-        Sum("n", alias_name="n"), Sum("sx", alias_name="sx"),
-        Sum("sy", alias_name="sy"), Sum("sxx", alias_name="sxx"),
-        Sum("syy", alias_name="syy"), Sum("sxy", alias_name="sxy"))
-    df = agg.to_pandas()
+    m = ["sx", "sy", "sxx", "syy", "sxy"]
+    df = _group_fold(_read_blocked(
+        sf_dir, "lineitem", ["l_returnflag", "l_extendedprice", "l_quantity"]),
+        ["l_returnflag"], {"n": (None, "count_all"), **{c: (c, "sum") for c in m}},
+        moments).to_pandas()
     n = df.n.to_numpy().astype(np.float64)
     cov = df.sxy.to_numpy() - df.sx.to_numpy() * df.sy.to_numpy() / n
     vx = df.sxx.to_numpy() - df.sx.to_numpy() ** 2 / n
     vy = df.syy.to_numpy() - df.sy.to_numpy() ** 2 / n
     out = pd.DataFrame({
-        "l_returnflag": df.g,
+        "l_returnflag": df.l_returnflag,
         "n": df.n.astype(np.int64),
         "corr_xy": _round(cov / np.sqrt(vx * vy), 6),
     })
@@ -2836,39 +2747,23 @@ UNION ALL SELECT 'l_discount', 'l_tax', COUNT(*),
 
 def entropy_categoricals(sf_dir: str):
     """Shannon entropy of categorical columns (event_type, o_orderpriority):
-    per-block value-count partials pre-aggregate inside ``map_batches`` and
-    only (distinct-value × block) rows reach the tiny groupby — the
-    cardinality profiler behind column-drift scoring."""
-    from ray.data.aggregate import Sum
-
+    both tables union into one tagged (column_name, v) fold, so only
+    (distinct-value × block) rows reach the driver — the cardinality
+    profiler behind column-drift scoring."""
     specs = [("events", "event_type"), ("orders", "o_orderpriority")]
 
-    def make_partial(col):
-        def partial(batch: pa.Table) -> pa.Table:
-            # NULL categories count as their own group (the oracle's GROUP BY
-            # semantics); np.unique cannot sort None against str
-            vals = pc.fill_null(batch[col], "(null)")
-            v, c = np.unique(vals.to_numpy(zero_copy_only=False),
-                             return_counts=True)
-            return pa.table({
-                "column_name": pa.array(np.full(v.size, col, object), pa.string()),
-                "v": pa.array(v.astype(object), pa.string()),
-                "c": pa.array(c.astype(np.int64)),
-            })
-        return partial
+    def tagged(table: str, col: str):
+        return _read_blocked(sf_dir, table, [col]).map_batches(
+            lambda b: pa.table({"column_name": pa.array([col] * b.num_rows),
+                                "v": b[col]}),
+            batch_format="pyarrow", zero_copy_batch=True)
 
-    # one tagged-union pipeline for both tables — pays a single pipeline's
-    # fixed latency instead of one per table (the uniqueness_pk pattern)
-    parts = None
-    for table, col in specs:
-        p = _read_blocked(sf_dir, table, [col]).map_batches(
-            make_partial(col), batch_format="pyarrow", zero_copy_batch=True)
-        parts = p if parts is None else parts.union(p)
-    agg = parts.groupby(["column_name", "v"]).aggregate(
-        Sum("c", alias_name="c")).to_pandas()
+    agg = _group_fold(tagged(*specs[0]).union(tagged(*specs[1])),
+                      ["column_name", "v"], {"c": (None, "count_all")})
     rows = []
     for _, col in specs:
-        c = agg.loc[agg.column_name == col, "c"].to_numpy().astype(np.float64)
+        c = agg.filter(pc.equal(agg["column_name"], col))["c"].to_numpy(
+            ).astype(np.float64)
         p = c / c.sum()
         rows.append({"column_name": col, "n": int(c.sum()),
                      "entropy": float(_round(-(p * np.log(p)).sum(), 6))})
@@ -3003,41 +2898,31 @@ FROM q
 
 
 def histogram_extendedprice(sf_dir: str, n_bins: int = 16):
-    """Exact equi-width histogram: pass 1 aggregates min/max (two scalars),
-    pass 2 streams per-block ``np.bincount`` partials that sum into the final
-    counts — the exact anchor for the sketch histogram the validation DAG
-    uses. Bucket math is pure IEEE double subtract/divide/floor, identical
-    expressions in both engines, so parity is bit-exact for non-degenerate
-    input (no rounding gate needed, unlike log-based scores); the
-    constant-column case is handled on both sides (engine w==0 branch,
-    oracle GREATEST guard → bucket 0)."""
-    from ray.data.aggregate import Max, Min, Sum
-
-    mm = _read_blocked(sf_dir, "lineitem", ["l_extendedprice"]).aggregate(
-        Min("l_extendedprice", alias_name="mn"),
-        Max("l_extendedprice", alias_name="mx"))
-    if mm is None or mm.get("mn") is None:  # empty input: no occupied buckets
+    """Exact equi-width histogram: fold 1 is the min/max (two scalars), fold
+    2 counts rows per bucket — the exact anchor for the sketch histogram
+    the validation DAG uses. Bucket math is pure IEEE double
+    subtract/divide/floor, identical expressions in both engines, so parity
+    is bit-exact for non-degenerate input (no rounding gate needed, unlike
+    log-based scores); the constant-column case is handled on both sides
+    (engine w==0 branch, oracle GREATEST guard → bucket 0)."""
+    ds = _read_blocked(sf_dir, "lineitem", ["l_extendedprice"])
+    mm = _group_fold(ds, [], {"mn": ("l_extendedprice", "min"),
+                              "mx": ("l_extendedprice", "max")})
+    mn, mx = mm["mn"][0].as_py(), mm["mx"][0].as_py()
+    if mn is None:  # empty input: no occupied buckets
         return pa.table({"bucket": pa.array([], pa.int64()),
                          "lo": pa.array([], pa.float64()),
                          "n": pa.array([], pa.int64())})
-    mn, mx = float(mm["mn"]), float(mm["mx"])
     w = (mx - mn) / n_bins
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def bucket(batch: pa.Table) -> pa.Table:
         x = batch["l_extendedprice"].to_numpy()
         if w == 0.0:  # constant column: everything lands in bucket 0
-            b = np.zeros(x.size, dtype=np.int64)
-        else:
-            b = np.minimum(np.floor((x - mn) / w).astype(np.int64), n_bins - 1)
-        counts = np.bincount(b, minlength=n_bins)
-        return pa.table({"bucket": pa.array(np.arange(n_bins, dtype=np.int64)),
-                         "n": pa.array(counts.astype(np.int64))})
+            return pa.table({"bucket": np.zeros(x.size, dtype=np.int64)})
+        return pa.table({"bucket": np.minimum(
+            np.floor((x - mn) / w).astype(np.int64), n_bins - 1)})
 
-    out = _read_blocked(sf_dir, "lineitem", ["l_extendedprice"]).map_batches(
-        partial, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("bucket").aggregate(Sum("n", alias_name="n"))
-    df = out.to_pandas()
-    df = df[df.n > 0].reset_index(drop=True)  # oracle emits occupied buckets
+    df = _group_fold(ds, ["bucket"], {"n": (None, "count_all")}, bucket).to_pandas()
     df["lo"] = _round(mn + df.bucket.to_numpy() * w, 6)
     return _pa_from_pandas(df[["bucket", "lo", "n"]], preserve_index=False)
 
@@ -3129,43 +3014,10 @@ FROM first_ts
 
 
 def cube_pricing_summary(sf_dir: str):
-    """GROUP BY CUBE (returnflag, linestatus): all four grouping sets.
-
-    Same scale shape as ``rollup_pricing_summary``: the wide input is scanned
-    ONCE for the leaf-level partial aggregate; the three coarser grouping
-    sets are post-aggregations of the group-cardinality-sized leaf on the
-    driver — no second scan, no extra shuffle."""
-    ds = _read_blocked(sf_dir, "lineitem",
-               ["l_returnflag", "l_linestatus", "l_quantity"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        keys = {k: pc.fill_null(batch[k], "(null)")
-                for k in ("l_returnflag", "l_linestatus")}
-        t = pa.table({**keys, "l_quantity": batch["l_quantity"]})
-        g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("l_quantity", "sum"), ([], "count_all")])
-        return g.rename_columns(
-            ["l_returnflag", "l_linestatus", "sum_qty", "count_order"])
-
-    from ray.data.aggregate import Sum
-
-    leaf = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                          ).groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("sum_qty", alias_name="sum_qty"),
-        Sum("count_order", alias_name="count_order"),
-    ).to_pandas()
-    by_flag = (leaf.groupby("l_returnflag", as_index=False)
-               [["sum_qty", "count_order"]].sum().assign(l_linestatus="ALL"))
-    by_status = (leaf.groupby("l_linestatus", as_index=False)
-                 [["sum_qty", "count_order"]].sum().assign(l_returnflag="ALL"))
-    grand = pd.DataFrame({"l_returnflag": ["ALL"], "l_linestatus": ["ALL"],
-                          "sum_qty": [leaf.sum_qty.sum()],
-                          "count_order": [leaf.count_order.sum()]})
-    out = pd.concat([leaf, by_flag, by_status, grand], ignore_index=True)[
-        ["l_returnflag", "l_linestatus", "sum_qty", "count_order"]]
-    out["sum_qty"] = _round(out.sum_qty, 2)
-    out["count_order"] = out.count_order.astype(np.int64)
-    return _pa_from_pandas(out, preserve_index=False)
+    """GROUP BY CUBE (returnflag, linestatus): all four grouping sets, the
+    same one-scan shape as ``rollup_pricing_summary``."""
+    return _pricing_grouping_sets(
+        sf_dir, [["l_returnflag"], ["l_linestatus"], []])
 
 
 CUBE_SQL = """
@@ -3181,28 +3033,18 @@ FROM lineitem GROUP BY CUBE (l_returnflag, l_linestatus)
 
 
 def month_histogram_orders(sf_dir: str):
-    """Date-bucketed aggregate (DATE_TRUNC shape): per-batch partial counts
-    keyed by the 'YYYY-MM' truncation, then a month-cardinality groupby —
-    the time-series histogram every log pipeline needs. The truncation is a
-    vectorized Arrow strftime, never a Python per-row date walk."""
-    ds = _read_blocked(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
+    """Date-bucketed aggregate (DATE_TRUNC shape): a month-keyed fold over
+    the 'YYYY-MM' truncation — the time-series histogram every log
+    pipeline needs. The truncation is a vectorized Arrow strftime, never a
+    Python per-row date walk."""
+    def month(batch: pa.Table) -> pa.Table:
+        return pa.table({"month": pc.strftime(batch["o_orderdate"], format="%Y-%m"),
+                         "o_totalprice": batch["o_totalprice"]})
 
-    def partial(batch: pa.Table) -> pa.Table:
-        m = pc.strftime(batch["o_orderdate"], format="%Y-%m")
-        t = pa.table({"month": m, "o_totalprice": batch["o_totalprice"]})
-        g = t.group_by(["month"]).aggregate(
-            [("o_totalprice", "sum"), ([], "count_all")])
-        return g.rename_columns(["month", "sum_price", "n_orders"])
-
-    from ray.data.aggregate import Sum
-
-    out = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                         ).groupby("month").aggregate(
-        Sum("sum_price", alias_name="sum_price"),
-        Sum("n_orders", alias_name="n_orders"),
-    ).to_pandas()
+    out = _group_fold(_read_blocked(sf_dir, "orders", ["o_orderdate", "o_totalprice"]),
+                      ["month"], {"sum_price": ("o_totalprice", "sum"),
+                                  "n_orders": (None, "count_all")}, month).to_pandas()
     out["sum_price"] = _round(out.sum_price, 2)
-    out["n_orders"] = out.n_orders.astype(np.int64)
     return _pa_from_pandas(out, preserve_index=False)
 
 
@@ -3250,31 +3092,17 @@ SELECT o_orderpriority, o_orderkey, o_totalprice, rnk FROM (
 def json_extract_events(sf_dir: str):
     """Semi-structured field extraction: pull the integer ``k`` out of the
     JSON ``props`` string with one vectorized Arrow ``extract_regex`` per
-    batch (compiled once inside the kernel), partial-aggregate per batch,
-    then an event_type-cardinality groupby. Rows without the field become
+    batch, then an event_type-keyed fold. Rows without the field become
     NULL and drop out of the aggregates, matching SQL semantics."""
-    ds = _read_blocked(sf_dir, "events", ["event_type", "props"])
-
-    def partial(batch: pa.Table) -> pa.Table:
+    def extract(batch: pa.Table) -> pa.Table:
         ex = pc.extract_regex(batch["props"], pattern=r'"k": (?P<k>\d+)')
-        k = pc.cast(pc.struct_field(ex, "k"), pa.int64())
-        t = pa.table({"event_type": batch["event_type"], "k": k})
-        g = t.group_by(["event_type"]).aggregate(
-            [("k", "sum"), ("k", "max"), ("k", "count")])
-        return g.rename_columns(["event_type", "sum_k", "max_k", "n"])
+        return pa.table({"event_type": batch["event_type"],
+                         "k": pc.cast(pc.struct_field(ex, "k"), pa.int64())})
 
-    from ray.data.aggregate import Max, Sum
-
-    out = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                         ).groupby("event_type").aggregate(
-        Sum("sum_k", alias_name="sum_k"),
-        Max("max_k", alias_name="max_k"),
-        Sum("n", alias_name="n"),
-    ).to_pandas()
-    out["avg_k"] = _round(out.sum_k / out.n, 4)
-    out = out.drop(columns=["sum_k"])
-    out["max_k"] = out.max_k.astype(np.int64)
-    out["n"] = out.n.astype(np.int64)
+    out = _group_fold(_read_blocked(sf_dir, "events", ["event_type", "props"]),
+                      ["event_type"], {"sum_k": ("k", "sum"), "max_k": ("k", "max"),
+                                       "n": ("k", "count")}, extract).to_pandas()
+    out["avg_k"] = _round(out.pop("sum_k") / out.n, 4)
     return _pa_from_pandas(out, preserve_index=False)
 
 
@@ -3290,33 +3118,21 @@ GROUP BY event_type
 
 
 def unpivot_lineitem_measures(sf_dir: str):
-    """UNPIVOT/melt: four measure columns become (measure, value) aggregate
-    rows in ONE scan — each batch emits a 4-row partial (sum, non-null
-    count per measure), the final groupby is 4 groups. The oracle's UNION
-    ALL re-scans per measure; the engine does not."""
+    """UNPIVOT/melt: four measure columns become (measure, value) rows in
+    ONE scan and one measure-keyed fold (4 groups). The oracle's UNION ALL
+    re-scans per measure; the engine does not."""
     cols = ["l_quantity", "l_extendedprice", "l_discount", "l_tax"]
-    ds = _read_blocked(sf_dir, "lineitem", cols)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        sums, ns = [], []
-        for c in cols:
-            s = pc.sum(batch[c]).as_py()
-            sums.append(0.0 if s is None else float(s))
-            ns.append(len(batch) - batch[c].null_count)
-        return pa.table({"measure": pa.array([c[2:] for c in cols]),
-                         "sum_value": pa.array(sums, pa.float64()),
-                         "n": pa.array(ns, pa.int64())})
+    def melt(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "measure": pa.array(np.repeat([c[2:] for c in cols], batch.num_rows)),
+            "v": pa.concat_arrays([batch[c].combine_chunks() for c in cols])})
 
-    from ray.data.aggregate import Sum
-
-    out = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                         ).groupby("measure").aggregate(
-        Sum("sum_value", alias_name="sum_value"),
-        Sum("n", alias_name="n"),
-    ).to_pandas()
+    out = _group_fold(_read_blocked(sf_dir, "lineitem", cols), ["measure"],
+                      {"sum_value": ("v", "sum"), "n": ("v", "count")},
+                      melt).to_pandas()
     out["avg_value"] = _round(out.sum_value / out.n, 4)
     out["sum_value"] = _round(out.sum_value, 2)
-    out["n"] = out.n.astype(np.int64)
     return _pa_from_pandas(out, preserve_index=False)
 
 
@@ -3713,27 +3529,18 @@ def bin_prices_quartile(sf_dir: str):
     _fit_bounds_gated — driver-exact on the one pruned column below the
     row gate (oracle exactness), merged t-digest partials above it
     (accuracy pinned in tests) — then broadcast, and the bin assignment is
-    a distributed per-batch searchsorted + bincount partial. Discrete
-    (data-value) boundaries keep the <= comparisons bit-identical on both
-    engines."""
-    ds = _read_blocked(sf_dir, "lineitem", ["l_extendedprice"])
+    a per-batch searchsorted folded per bin. Discrete (data-value)
+    boundaries keep the <= comparisons bit-identical on both engines."""
     bounds = _fit_bounds_gated(sf_dir, "lineitem", "l_extendedprice",
                                (0.25, 0.5, 0.75))
+    labels = np.array(["q1", "q2", "q3", "q4"])
 
     def assign(batch: pa.Table) -> pa.Table:
-        v = batch["l_extendedprice"].to_numpy()
-        b = np.searchsorted(bounds, v, side="left")
-        cnt = np.bincount(b, minlength=4).astype(np.int64)
-        return pa.table({"bin": pa.array(["q1", "q2", "q3", "q4"]),
-                         "n": pa.array(cnt)})
+        b = np.searchsorted(bounds, batch["l_extendedprice"].to_numpy(), side="left")
+        return pa.table({"bin": pa.array(labels[b], pa.string())})
 
-    from ray.data.aggregate import Sum
-
-    out = ds.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True
-                         ).groupby("bin").aggregate(
-        Sum("n", alias_name="n")).to_pandas()
-    out["n"] = out.n.astype(np.int64)
-    return _pa_from_pandas(out[out.n > 0], preserve_index=False)
+    return _group_fold(_read_blocked(sf_dir, "lineitem", ["l_extendedprice"]),
+                       ["bin"], {"n": (None, "count_all")}, assign)
 
 
 BIN_QUARTILE_SQL = """
@@ -3958,30 +3765,18 @@ LIMIT 10
 
 def mode_priority_by_status(sf_dir: str):
     """Most frequent o_orderpriority per o_orderstatus (ties → lexicographic
-    smallest). Per-block vectorized (status, priority) counts shrink each
-    block to ≤|status|×|priority| rows — the driver merges blocks × ~15-row
-    partials and argmaxes; nothing shuffles. The at-scale contract holds
-    because the partial size is bounded by the CATEGORY cross product, not
-    the row count."""
-    ds = _read_blocked(sf_dir, "orders", ["o_orderstatus", "o_orderpriority"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().groupby(
-            ["o_orderstatus", "o_orderpriority"], sort=False
-        ).size().rename("n").reset_index()
-        return _pa_from_pandas(df, preserve_index=False)
-
-    part = ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True).to_pandas()
-    tot = part.groupby(["o_orderstatus", "o_orderpriority"],
-                       as_index=False).n.sum()
-    tot = tot.sort_values(["o_orderstatus", "n", "o_orderpriority"],
-                          ascending=[True, False, True], kind="mergesort")
-    out = tot.drop_duplicates("o_orderstatus", keep="first").rename(
-        columns={"o_orderpriority": "mode_priority"})
-    out["n"] = out.n.astype(np.int64)
-    return _pa_from_pandas(out.reset_index(drop=True),
-                                preserve_index=False)
+    smallest): one (status, priority) fold, then an argmax per status on
+    the driver. The contract holds at scale because the fold is bounded by
+    the CATEGORY cross product, not the row count."""
+    tot = _group_fold(
+        _read_blocked(sf_dir, "orders", ["o_orderstatus", "o_orderpriority"]),
+        ["o_orderstatus", "o_orderpriority"], {"n": (None, "count_all")})
+    # the oracle's ORDER BY COUNT(*) DESC, o_orderpriority (NULLs last)
+    tot = tot.sort_by([("n", "descending"), ("o_orderpriority", "ascending")])
+    first = np.unique(_codes(tot["o_orderstatus"])[0], return_index=True)[1]
+    return pa.table({"o_orderstatus": tot["o_orderstatus"].take(first),
+                     "mode_priority": tot["o_orderpriority"].take(first),
+                     "n": tot["n"].take(first)})
 
 
 MODE_SQL = """
@@ -4258,11 +4053,10 @@ def _ranked_orders(sf_dir: str, make_cols):
 
     ds = _read_blocked(sf_dir, "orders",
                ["o_orderkey", "o_orderpriority", "o_totalprice"])
-    from ray.data.aggregate import Max, Min
-
-    # one combined aggregate pass, not two full-table scans
-    agg = ds.aggregate(Min("o_totalprice"), Max("o_totalprice"))
-    lo, hi = agg["min(o_totalprice)"], agg["max(o_totalprice)"]
+    # one combined fold, not two full-table scans
+    agg = _group_fold(ds, [], {"lo": ("o_totalprice", "min"),
+                               "hi": ("o_totalprice", "max")})
+    lo, hi = agg["lo"][0].as_py(), agg["hi"][0].as_py()
     n_buckets = _salt_buckets(sf_dir, "orders", rows_per_bucket=1_000_000,
                               floor=16)
     scale = n_buckets / max(hi - lo, 1e-9)
@@ -4360,14 +4154,13 @@ def checksum_orders(sf_dir: str):
     """Per-status order-independent content checksum of orders: each row
     hashes (orderkey, custkey, cents(totalprice), epoch_us(orderdate)) into
     a 32-bit lane with exact integer ops shared by the SQL oracle, then SUM
-    and BIT_XOR fold per o_orderstatus. Commutative -> per-block partials,
-    one 3-row final groupby; bit-identical across engines and row orders."""
-    ds = _read_blocked(sf_dir, "orders",
-               ["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate",
-                "o_orderstatus"])
+    and BIT_XOR fold per o_orderstatus. BIT_XOR folds as 32 per-bit counts
+    (bit i of the xor is the parity of its count), so the whole checksum
+    is one fold; bit-identical across engines and row orders."""
     M = np.int64(4294967296)
+    bits = [f"b{i}" for i in range(32)]
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def lanes(batch: pa.Table) -> pa.Table:
         k = batch["o_orderkey"].to_numpy().astype(np.int64)
         c = batch["o_custkey"].to_numpy().astype(np.int64)
         cents = np.floor(batch["o_totalprice"].to_numpy() * 100 + 0.5
@@ -4380,30 +4173,18 @@ def checksum_orders(sf_dir: str):
         R = np.int64(2147483648)
         h = (((k % R) * 2654435761) % M) ^ (((c % R) * 2246822519) % M) \
             ^ (((cents % R) * 3266489917) % M) ^ ep
-        df = pd.DataFrame({"o_orderstatus": batch["o_orderstatus"].to_pandas(),
-                           "h": h})
-        g = df.groupby("o_orderstatus", sort=False)
-        out = pd.DataFrame({
-            "o_orderstatus": list(g.groups),
-            "n_rows": g.size().to_numpy().astype(np.int64),
-            "sum_hash": g.h.sum().to_numpy().astype(np.int64),
-            "xor_hash": g.h.agg(lambda s: np.bitwise_xor.reduce(
-                s.to_numpy())).to_numpy().astype(np.int64),
-        })
-        return _pa_from_pandas(out, preserve_index=False)
+        return pa.table({"o_orderstatus": batch["o_orderstatus"], "h": h,
+                         **{b: (h >> i) & 1 for i, b in enumerate(bits)}})
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "o_orderstatus": [df.o_orderstatus.iloc[0]],
-            "n_rows": [np.int64(df.n_rows.sum())],
-            "sum_hash": [np.int64(df.sum_hash.sum())],
-            "xor_hash": [np.int64(np.bitwise_xor.reduce(
-                df.xor_hash.to_numpy()))],
-        })
-
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True).repartition(4).groupby(
-        "o_orderstatus").map_groups(final, batch_format="pandas")
+    out = _group_fold(_read_blocked(
+        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice",
+                           "o_orderdate", "o_orderstatus"]),
+        ["o_orderstatus"], {"n_rows": (None, "count_all"), "sum_hash": ("h", "sum"),
+                            **{b: (b, "sum") for b in bits}}, lanes)
+    xor = sum((out[b].to_numpy() & 1) << i for i, b in enumerate(bits))
+    return pa.table({"o_orderstatus": out["o_orderstatus"],
+                     "n_rows": out["n_rows"], "sum_hash": out["sum_hash"],
+                     "xor_hash": pa.array(xor, pa.int64())})
 
 
 CHECKSUM_SQL = """
@@ -4583,6 +4364,43 @@ WHERE levenshtein(a.p_name, b.p_name) <= 2
 """
 
 
+def _head_key(t: pa.Table, keys: list[str]) -> tuple | None:
+    """A sorted range partition's first sort key: its identity in a carry."""
+    return tuple(t[k][0].as_py() for k in keys) if t.num_rows else None
+
+
+def _partition_heads(ranges, keys: list[str], summarize) -> dict:
+    """``{head key: summarize(partition)}`` in key order over ``ranges``, a
+    materialized ``sort(keys)``: the per-partition inputs an ordered scan
+    folds into each partition's carry. Sorting on a near-unique key keeps
+    every range partition non-empty."""
+    import pickle
+
+    def head(t: pa.Table) -> pa.Table:
+        return pa.table({"h": pa.array(
+            [pickle.dumps((_head_key(t, keys), summarize(t)))] if t.num_rows
+            else [], pa.binary())})
+
+    rows = [pickle.loads(b) for batch in ranges.map_batches(
+                head, batch_format="pyarrow").iter_batches(
+                batch_format="pyarrow", batch_size=None)
+            if batch.num_columns for b in batch["h"].to_pylist()]
+    return dict(sorted(rows, key=lambda r: r[0]))
+
+
+def _typed_empty(sf_dir: str, tables: list[str], schema: pa.Schema):
+    """``schema``'s empty table when any of ``tables`` has no rows (parquet
+    metadata, no data read), else None. A query that sorts before its fold
+    needs it for SQL's typed empty GROUP BY: Ray's sort hands an empty
+    range a schema-less block, so nothing typed reaches the fold."""
+    import pyarrow.parquet as pq
+
+    if any(pq.ParquetFile(f"{sf_dir}/{t}.parquet").metadata.num_rows == 0
+           for t in tables):
+        return schema.empty_table()
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Validation-suite profile checks (SURVEY.md §2.7 family, engine-new):
 # FK-cardinality profile, freshness lag, and time-coverage gap detection —
@@ -4594,53 +4412,42 @@ WHERE levenshtein(a.p_name, b.p_name) <= 2
 def fk_cardinality_customers(sf_dir: str):
     """Distribution of orders-per-customer INCLUDING zero-order customers
     (the FK fan-out profile; a spike at 0 or a long tail flags ingest bugs).
-    One salted-bucket shuffle co-locates each customer key with its order
-    rows' per-block partial counts; buckets emit (n_orders, partial customer
-    count) and a tiny final groupby sums the histogram. No driver-side key
-    set, no broadcast of the big side."""
-    from ..functions.hashing import hash64
-
-    n_buckets = max(_salt_buckets(sf_dir, "customer", rows_per_bucket=250_000),
-                    _salt_buckets(sf_dir, "orders", rows_per_bucket=1_000_000))
-    cust = _read_blocked(sf_dir, "customer", ["c_custkey"])
-    orders = _read_blocked(sf_dir, "orders", ["o_custkey"])
+    One sort on the customer key co-locates each customer row with its
+    orders' per-block counts (a sort partition holds every row of its key
+    range); each partition emits one n_orders row per customer, folded into
+    the histogram. No driver-side key set, no broadcast of the big side."""
+    empty = _typed_empty(sf_dir, ["customer"], pa.schema(
+        [("n_orders", pa.int64()), ("n_customers", pa.int64())]))
+    if empty is not None:
+        return empty
 
     def cust_tag(batch: pa.Table) -> pa.Table:
         k = batch["c_custkey"].to_numpy().astype(np.int64)
-        return pa.table({"k": pa.array(k),
-                         "n": pa.array(np.zeros(k.size, np.int64)),
-                         "is_cust": pa.array(np.ones(k.size, np.int64)),
-                         "bkt": pa.array((hash64(k) % n_buckets).astype(np.int64))})
+        return pa.table({"k": k, "n": np.zeros(k.size, np.int64),
+                         "is_cust": np.ones(k.size, np.int64)})
 
     def order_partial(batch: pa.Table) -> pa.Table:
         k, c = np.unique(batch["o_custkey"].to_numpy().astype(np.int64),
                          return_counts=True)
-        return pa.table({"k": pa.array(k), "n": pa.array(c.astype(np.int64)),
-                         "is_cust": pa.array(np.zeros(k.size, np.int64)),
-                         "bkt": pa.array((hash64(k) % n_buckets).astype(np.int64))})
+        return pa.table({"k": k, "n": c.astype(np.int64),
+                         "is_cust": np.zeros(k.size, np.int64)})
 
-    both = cust.map_batches(cust_tag, batch_format="pyarrow",
-                            zero_copy_batch=True).union(
-        orders.map_batches(order_partial, batch_format="pyarrow",
-                           zero_copy_batch=True))
+    def per_customer(t: pa.Table) -> pa.Table:
+        g = t.group_by(["k"]).aggregate([("n", "sum"), ("is_cust", "max")])
+        # LEFT-join semantics: keys must be customers
+        return pa.table({"n_orders": g["n_sum"].filter(
+            pc.equal(g["is_cust_max"], 1))})
 
-    def bucket_hist(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("k", sort=False).agg(n=("n", "sum"),
-                                            is_cust=("is_cust", "max"))
-        g = g[g.is_cust == 1]  # LEFT-join semantics: keys must be customers
-        counts = g.n.value_counts()
-        return pd.DataFrame({"n_orders": counts.index.to_numpy(np.int64),
-                             "n_customers": counts.to_numpy(np.int64)})
-
-    hist = both.groupby("bkt").map_groups(bucket_hist, batch_format="pandas")
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "n_orders": [np.int64(df.n_orders.iloc[0])],
-            "n_customers": [np.int64(df.n_customers.sum())]})
-
-    return hist.repartition(4).groupby("n_orders").map_groups(
-        final, batch_format="pandas")
+    both = _read_blocked(sf_dir, "customer", ["c_custkey"]).map_batches(
+        cust_tag, batch_format="pyarrow", zero_copy_batch=True).union(
+        _read_blocked(sf_dir, "orders", ["o_custkey"]).map_batches(
+            order_partial, batch_format="pyarrow", zero_copy_batch=True))
+    # sort on the near-unique key itself, not a salt bucket: Ray's sort
+    # draws its range boundaries from samples, and with about as many
+    # bucket ids as partitions two boundaries collide and the empty range
+    # comes back as a schema-less block
+    return _group_fold(both.sort("k"), ["n_orders"],
+                       {"n_customers": (None, "count_all")}, per_customer)
 
 
 FK_CARDINALITY_SQL = """
@@ -4654,36 +4461,16 @@ SELECT n_orders, count(*)::BIGINT AS n_customers FROM n GROUP BY n_orders
 
 def freshness_events(sf_dir: str):
     """Per-source freshness check: event count, latest timestamp, and lag
-    (µs) behind the globally freshest source. Per-block (type, count, max)
-    partials -> per-type final -> the global max is a driver-side max over
-    the handful of type rows. The stalest source is the broken feed."""
-    ds = _read_blocked(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"event_type": batch["event_type"].to_pandas(),
-                           "t": batch["ts"].cast(pa.int64()).to_numpy()})
-        g = df.groupby("event_type", sort=False).agg(
-            n=("t", "size"), mx=("t", "max"))
-        return _pa_from_pandas(g.reset_index(), preserve_index=False)
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"event_type": [df.event_type.iloc[0]],
-                             "n": [np.int64(df.n.sum())],
-                             "mx": [np.int64(df.mx.max())]})
-
-    # cap the tiny-partial block count before the groupby: Ray's sort
-    # shuffle charges per (input block x output partition), which dwarfs a
-    # rows-per-type exchange at many read blocks (repo-wide lesson)
-    per_type = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True).repartition(4).groupby(
-        "event_type").map_groups(final, batch_format="pandas").to_pandas()
-    gmax = int(per_type.mx.max())
-    return pd.DataFrame({
-        "event_type": per_type.event_type,
-        "n": per_type.n.astype(np.int64),
-        "latest": pd.to_datetime(per_type.mx, unit="us").astype("datetime64[us]"),
-        "lag_us": (gmax - per_type.mx).astype(np.int64),
-    })
+    (µs) behind the globally freshest source — one event_type fold of
+    (count, max ts); the global max is a driver-side max over the handful
+    of type rows. The stalest source is the broken feed."""
+    per_type = _group_fold(_read_blocked(sf_dir, "events", ["event_type", "ts"]),
+                           ["event_type"], {"n": (None, "count_all"),
+                                            "latest": ("ts", "max")})
+    mx = per_type["latest"].cast(pa.int64()).to_numpy()
+    return pa.table({"event_type": per_type["event_type"], "n": per_type["n"],
+                     "latest": per_type["latest"],
+                     "lag_us": pa.array(mx.max(initial=0) - mx, pa.int64())})
 
 
 FRESHNESS_SQL = """
@@ -4696,29 +4483,24 @@ FROM events GROUP BY event_type
 
 def gap_hours_events(sf_dir: str):
     """Time-coverage completeness: per event_type, hours with zero events
-    inside the type's own [min, max] span (ingest-gap detection). Blocks
-    emit deduped (type, hour-bucket) pairs — bounded by types x span-hours,
-    independent of row count — and the per-type final counts distinct hours
-    against the span width."""
-    ds = _read_blocked(sf_dir, "events", ["event_type", "ts"])
+    inside the type's own [min, max] span (ingest-gap detection). One
+    (type, hour) fold — bounded by types x span-hours, independent of row
+    count — whose finish counts distinct hours against the span width."""
     HOUR = np.int64(3_600_000_000)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"event_type": batch["event_type"].to_pandas(),
-                           "h": batch["ts"].cast(pa.int64()).to_numpy() // HOUR})
-        df = df.drop_duplicates()
-        return _pa_from_pandas(df, preserve_index=False)
+    def hours(batch: pa.Table) -> pa.Table:
+        return pa.table({"event_type": batch["event_type"],
+                         "h": batch["ts"].cast(pa.int64()).to_numpy() // HOUR})
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        h = np.unique(df.h.to_numpy())
-        span = int(h[-1] - h[0] + 1)
-        return pd.DataFrame({"event_type": [df.event_type.iloc[0]],
-                             "n_hours": [np.int64(h.size)],
-                             "n_gap_hours": [np.int64(span - h.size)]})
-
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True).repartition(4).groupby(
-        "event_type").map_groups(final, batch_format="pandas")
+    cells = _group_fold(_read_blocked(sf_dir, "events", ["event_type", "ts"]),
+                        ["event_type", "h"], {"n": (None, "count_all")}, hours)
+    per_type = cells.group_by(["event_type"]).aggregate(
+        [("h", "count"), ("h", "min"), ("h", "max")])
+    n = per_type["h_count"].to_numpy()
+    span = per_type["h_max"].to_numpy() - per_type["h_min"].to_numpy() + 1
+    return pa.table({"event_type": per_type["event_type"],
+                     "n_hours": pa.array(n, pa.int64()),
+                     "n_gap_hours": pa.array(span - n, pa.int64())})
 
 
 GAP_HOURS_SQL = """
@@ -4833,67 +4615,50 @@ def late_events_watermark(sf_dir: str, lateness_s: int = 300):
     watermark (running prior max ts over ARRIVAL order, minus
     ``lateness_s``). The synthetic log is written in event-time order, so
     arrival is modeled as the deterministic hash shuffle of event_id —
-    the out-of-order network-arrival case watermarks exist for. The driver
-    holds one max per bucket; no stage sees more than one bucket."""
+    the out-of-order network-arrival case watermarks exist for. One sort
+    on arrival cuts the stream into ordered range partitions; the driver
+    holds one (first key, max ts) row per partition and broadcasts each
+    partition's carry; a fold counts the late rows per type."""
     import ray
 
-    ds = _read_blocked(sf_dir, "events", ["event_id", "event_type", "ts"])
-    n_buckets = _salt_buckets(sf_dir, "events", rows_per_bucket=2_000_000,
-                              floor=32)
+    empty = _typed_empty(sf_dir, ["events"], pa.schema(
+        [("event_type", pa.string()), ("n_late", pa.int64()),
+         ("max_lateness_us", pa.int64())]))
+    if empty is not None:
+        return empty
+
     M = np.int64(4294967296)
-    rng = max(1, (int(M) + n_buckets) // n_buckets)
     D = np.int64(lateness_s * 1_000_000)
-    NEG = np.int64(np.iinfo(np.int64).min // 2)
 
     def tag(batch: pa.Table) -> pa.Table:
         ids = batch["event_id"].to_numpy().astype(np.int64)
         # arrival sequence = int64-safe hash of event_id (pre-reduced
         # mod 2^31 so the multiply never wraps; matches the SQL oracle)
-        arr = ((ids % 2147483648) * 2654435761) % M
-        return pa.table({
-            "event_id": pa.array(ids),
-            "arrival": pa.array(arr),
-            "event_type": batch["event_type"],
-            "t": pa.array(batch["ts"].cast(pa.int64()).to_numpy()),
-            "bkt": pa.array(arr // rng),
-        })
+        return pa.table({"arrival": ((ids % 2147483648) * 2654435761) % M,
+                         "event_id": ids, "event_type": batch["event_type"],
+                         "t": batch["ts"].cast(pa.int64())})
 
-    tagged = ds.map_batches(tag, batch_format="pyarrow",
-                            zero_copy_batch=True).repartition(
-        n_buckets).materialize()
-    mx = tagged.groupby("bkt").max("t").to_pandas().sort_values("bkt")
-    run = np.maximum.accumulate(mx["max(t)"].to_numpy())
-    carry = dict(zip(mx.bkt.to_numpy(),
-                     np.concatenate(([NEG], run[:-1]))))
-    carry_ref = ray.put(carry)
+    ranges = _read_blocked(sf_dir, "events", ["event_id", "event_type", "ts"]
+                           ).map_batches(tag, batch_format="pyarrow",
+                                         zero_copy_batch=True).sort(
+        ["arrival", "event_id"]).materialize()
+    heads = _partition_heads(ranges, ["arrival", "event_id"],
+                             lambda t: pc.max(t["t"]).as_py())
+    run = np.maximum.accumulate([np.iinfo(np.int64).min // 2, *heads.values()])
+    prior_ref = ray.put(dict(zip(heads, run[:-1].tolist())))
 
-    def late_partial(df: pd.DataFrame) -> pd.DataFrame:
-        base = ray.get(carry_ref)[int(df.bkt.iloc[0])]
-        df = df.sort_values(["arrival", "event_id"])
-        t = df.t.to_numpy()
-        wm_src = np.concatenate(([base], np.maximum.accumulate(t)[:-1]))
-        wm_src = np.maximum(wm_src, base)
-        late = t < wm_src - D
-        if not late.any():
-            return pd.DataFrame({"event_type": pd.Series([], dtype=object),
-                                 "n_late": pd.Series([], dtype=np.int64),
-                                 "max_lateness_us": pd.Series([], dtype=np.int64)})
-        sub = pd.DataFrame({"event_type": df.event_type.to_numpy()[late],
-                            "lateness": (wm_src - D - t)[late]})
-        g = sub.groupby("event_type", sort=False).lateness
-        return pd.DataFrame({"event_type": list(g.groups),
-                             "n_late": g.size().to_numpy().astype(np.int64),
-                             "max_lateness_us": g.max().to_numpy().astype(np.int64)})
+    def late_rows(t: pa.Table) -> pa.Table:
+        base = ray.get(prior_ref).get(_head_key(t, ["arrival", "event_id"]), 0)
+        t_ = t["t"].to_numpy()
+        # running max of every EARLIER arrival: the carry, then this range
+        wm_src = np.maximum.accumulate(np.concatenate(([base], t_)))[:-1]
+        late = t_ < wm_src - D
+        return pa.table({"event_type": t["event_type"].filter(pa.array(late)),
+                         "lateness": (wm_src - D - t_)[late]})
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_type": [df.event_type.iloc[0]],
-            "n_late": [np.int64(df.n_late.sum())],
-            "max_lateness_us": [np.int64(df.max_lateness_us.max())]})
-
-    return tagged.groupby("bkt").map_groups(
-        late_partial, batch_format="pandas").repartition(4).groupby(
-        "event_type").map_groups(final, batch_format="pandas")
+    return _group_fold(ranges, ["event_type"], {
+        "n_late": (None, "count_all"), "max_lateness_us": ("lateness", "max")},
+        late_rows)
 
 
 LATE_EVENTS_SQL = """
@@ -4924,90 +4689,59 @@ def envelope_anomalies_events(sf_dir: str, window: int = 100):
     """Per-type count of events whose value breaches the min/max envelope of
     the trailing ``window`` events (event-time order). Min/max comparisons
     on raw doubles are exactly reproducible cross-engine (no accumulation),
-    so the oracle is hash-exact — unlike a rolling mean/std rule. Buckets
-    are ts ranges; each bucket prepends the carry tail (previous bucket's
-    last ``window`` rows per type) before a vectorized pandas rolling
-    min/max."""
+    so the oracle is hash-exact — unlike a rolling mean/std rule. One sort
+    on (ts, event_id) cuts the stream into ordered range partitions; the
+    driver gathers each partition's last ``window`` values per type, each
+    partition's carry is that suffix over all earlier partitions, and a fold
+    counts the breaches of a vectorized pandas rolling min/max per type."""
     import ray
 
-    ds = _read_blocked(sf_dir, "events",
-                       ["event_id", "event_type", "ts", "value"])
-    n_buckets = _salt_buckets(sf_dir, "events", rows_per_bucket=2_000_000,
-                              floor=32)
-    from ray.data.aggregate import Max, Min
+    empty = _typed_empty(sf_dir, ["events"], pa.schema(
+        [("event_type", pa.string()), ("n_breaches", pa.int64()),
+         ("n", pa.int64())]))
+    if empty is not None:
+        return empty
 
-    agg = ds.aggregate(Min("ts"), Max("ts"))  # one scan for both bounds
-    lo, hi = agg["min(ts)"], agg["max(ts)"]
-    lo_us = int(pd.Timestamp(lo).value // 1000)
-    hi_us = int(pd.Timestamp(hi).value // 1000)
-    rng = max(1, (hi_us - lo_us + n_buckets) // n_buckets)
+    keys = ["t", "event_id"]
 
     def tag(batch: pa.Table) -> pa.Table:
-        t = batch["ts"].cast(pa.int64()).to_numpy()
-        return pa.table({
-            "event_id": batch["event_id"],
-            "event_type": batch["event_type"],
-            "t": pa.array(t),
-            "value": batch["value"],
-            "bkt": pa.array((t - lo_us) // rng),
-        })
+        return pa.table({"t": batch["ts"].cast(pa.int64()),
+                         "event_id": batch["event_id"],
+                         "event_type": batch["event_type"],
+                         "value": batch["value"]})
 
-    tagged = ds.map_batches(tag, batch_format="pyarrow",
-                            zero_copy_batch=True).repartition(
-        n_buckets).materialize()
+    def per_type(t: pa.Table) -> dict:
+        codes, types = _codes(t["event_type"])
+        v = t["value"].to_numpy()
+        return {et: v[codes == c] for c, et in enumerate(types)}
 
-    # pass 1: per-(bucket, type) tail of the last `window` rows — bounded
-    def tail(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["t", "event_id"])
-        return df.groupby("event_type", sort=False).tail(window)[
-            ["bkt", "event_type", "t", "event_id", "value"]]
+    ranges = _read_blocked(sf_dir, "events",
+                           ["event_id", "event_type", "ts", "value"]).map_batches(
+        tag, batch_format="pyarrow", zero_copy_batch=True).sort(keys).materialize()
+    carry, seen = {}, {}
+    for head, tails in _partition_heads(ranges, keys, lambda t: {
+            et: v[-window:] for et, v in per_type(t).items()}).items():
+        carry[head] = dict(seen)
+        for et, v in tails.items():
+            seen[et] = np.concatenate([seen.get(et, v[:0]), v])[-window:]
+    carry_ref = ray.put(carry)
 
-    tails = tagged.groupby("bkt").map_groups(
-        tail, batch_format="pandas").to_pandas()
-    # driver: for bucket b, carry = last `window` rows per type among all
-    # tails with bkt < b (tails are per-bucket suffixes, so their union's
-    # suffix is the true global suffix)
-    tails = tails.sort_values(["t", "event_id"])
-    carries: dict[int, dict] = {}
-    bkts = sorted(tagged.unique("bkt"))
-    for b in bkts:
-        prior = tails[tails.bkt < b]
-        carries[int(b)] = {
-            et: list(zip(sub.t.to_numpy()[-window:],
-                         sub.event_id.to_numpy()[-window:],
-                         sub.value.to_numpy()[-window:]))
-            for et, sub in prior.groupby("event_type", sort=False)}
-    carry_ref = ray.put(carries)
+    def breaches(t: pa.Table) -> pa.Table:
+        carried = ray.get(carry_ref).get(_head_key(t, keys), {})
+        codes, types = _codes(t["event_type"])
+        v = t["value"].to_numpy()
+        brk = np.zeros(v.size, np.int64)
+        for c, et in enumerate(types):
+            idx = np.flatnonzero(codes == c)
+            pre = carried.get(et, v[:0])
+            s = pd.Series(np.concatenate([pre, v[idx]]))
+            mx = s.rolling(window, min_periods=1).max().shift(1).to_numpy()[pre.size:]
+            mn = s.rolling(window, min_periods=1).min().shift(1).to_numpy()[pre.size:]
+            brk[idx] = ~np.isnan(mx) & ((v[idx] > mx) | (v[idx] < mn))
+        return pa.table({"event_type": t["event_type"], "brk": brk})
 
-    def breaches(df: pd.DataFrame) -> pd.DataFrame:
-        carry = ray.get(carry_ref)[int(df.bkt.iloc[0])]
-        out_t, out_n, out_tot = [], [], []
-        for et, sub in df.groupby("event_type", sort=False):
-            sub = sub.sort_values(["t", "event_id"])
-            pre = carry.get(et, [])
-            v = np.concatenate([[x[2] for x in pre], sub.value.to_numpy()])
-            s = pd.Series(v)
-            roll_max = s.rolling(window, min_periods=1).max().shift(1).to_numpy()
-            roll_min = s.rolling(window, min_periods=1).min().shift(1).to_numpy()
-            own = v[len(pre):]
-            mx, mn = roll_max[len(pre):], roll_min[len(pre):]
-            seen = ~np.isnan(mx)
-            brk = seen & ((own > mx) | (own < mn))
-            out_t.append(et)
-            out_n.append(int(brk.sum()))
-            out_tot.append(len(own))
-        return pd.DataFrame({"event_type": out_t,
-                             "n_breaches": np.array(out_n, np.int64),
-                             "n": np.array(out_tot, np.int64)})
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"event_type": [df.event_type.iloc[0]],
-                             "n_breaches": [np.int64(df.n_breaches.sum())],
-                             "n": [np.int64(df.n.sum())]})
-
-    return tagged.groupby("bkt").map_groups(
-        breaches, batch_format="pandas").repartition(4).groupby(
-        "event_type").map_groups(final, batch_format="pandas")
+    return _group_fold(ranges, ["event_type"], {
+        "n_breaches": ("brk", "sum"), "n": (None, "count_all")}, breaches)
 
 
 ENVELOPE_SQL = """
@@ -5463,41 +5197,26 @@ def benford_check_orders(sf_dir: str):
     fabricated/corrupted-numeric-data screen. Digit extraction is
     integer-exact on both engines (FLOOR(x*100+0.5) cents → decimal string
     → first char), never via log10, whose 1-ulp disagreement at powers of
-    ten would flip a digit between numpy and the oracle. One per-block
-    9-bin bincount partial per block; the driver sees 9 counts. Emits the
-    per-digit observed/expected fractions and each digit's Pearson χ²
-    contribution (the statistic is their sum — left unreduced so the
-    output pins WHERE the deviation lives)."""
-    ds = _read_blocked(sf_dir, "orders", ["o_totalprice"])
+    ten would flip a digit between numpy and the oracle. One digit-keyed
+    fold; the driver sees <= 9 counts per block. Emits the per-digit
+    observed/expected fractions and each digit's Pearson χ² contribution
+    (the statistic is their sum — left unreduced so the output pins WHERE
+    the deviation lives). Never-observed digits have no row, as in the
+    oracle's GROUP BY."""
+    def digit(batch: pa.Table) -> pa.Table:
+        cents = np.floor(batch["o_totalprice"].to_numpy() * 100 + 0.5).astype(np.int64)
+        s = cents[cents > 0].astype("U1")  # first decimal digit of the integer
+        return pa.table({"digit": s.view(np.uint32).astype(np.int64) - ord("0")})
 
-    def partial(batch: pa.Table) -> pa.Table:
-        x = batch["o_totalprice"].to_numpy()
-        cents = np.floor(x * 100 + 0.5).astype(np.int64)
-        cents = cents[cents > 0]
-        s = cents.astype("U1")  # first decimal digit of the integer
-        d = s.view(np.uint32)[::1].astype(np.int64) - ord("0")
-        counts = np.bincount(d, minlength=10)[1:10]
-        return pa.table({"digit": pa.array(np.arange(1, 10, dtype=np.int64)),
-                         "c": pa.array(counts.astype(np.int64))})
-
-    from ray.data.aggregate import Sum
-
-    agg = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                         ).groupby("digit").aggregate(Sum("c", alias_name="n"))
-    df = agg.to_pandas().sort_values("digit")
-    # drop never-observed digits: the oracle's GROUP BY has no row for them,
-    # and a phantom (n=0, chi2_contrib=exp*tot) row would both diverge from
-    # it and report a positive deviation with zero observations
-    df = df[df.n > 0]
-    n = df.n.to_numpy(np.float64)
+    df = _group_fold(_read_blocked(sf_dir, "orders", ["o_totalprice"]), ["digit"],
+                     {"n": (None, "count_all")}, digit).sort_by("digit")
+    n = df["n"].to_numpy().astype(np.float64)
     tot = n.sum()
-    digits = df.digit.to_numpy(np.float64)
-    exp = np.log10(1.0 + 1.0 / digits)
+    exp = np.log10(1.0 + 1.0 / df["digit"].to_numpy().astype(np.float64))
     obs = n / tot
     contrib = (obs - exp) ** 2 / exp * tot
     return pa.table({
-        "digit": pa.array(df.digit.to_numpy(np.int64)),
-        "n": pa.array(n.astype(np.int64)),
+        "digit": df["digit"], "n": df["n"],
         "obs_frac": pa.array(_round(obs, 6)),
         "exp_frac": pa.array(_round(exp, 6)),
         "chi2_contrib": pa.array(_round(contrib, 6)),
@@ -5652,35 +5371,32 @@ FROM m
 """
 
 
+def _codes(col) -> tuple[np.ndarray, list]:
+    """(dense integer codes, the value of each code) of a key column, a
+    NULL key its own code with value None — the GROUP BY semantics
+    ``_group_fold`` keeps, for per-key work outside a fold."""
+    enc = pc.dictionary_encode(col, null_encoding="encode").combine_chunks()
+    return enc.indices.to_numpy(), enc.dictionary.to_pylist()
+
+
 def mutual_info_documents(sf_dir: str):
     """Mutual information and normalized MI between the lang and source
     columns — the categorical-association drift signal (a change in MI flags
-    a shifted joint distribution even when both marginals hold). One pass of
-    per-block joint counts, one small groupby over (lang, source) cells,
-    entropy math on the driver over the bounded cell table (|lang| x
-    |source|, category-bounded like chi2_event_type)."""
-    ds = _read_blocked(sf_dir, "documents", ["lang", "source"])
-
-    def joint_partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({"lang": batch["lang"].to_pandas(),
-                           "source": batch["source"].to_pandas()})
-        g = df.groupby(["lang", "source"], sort=False).size().reset_index(
-            name="cnt")
-        g["cnt"] = g.cnt.astype(np.int64)
-        return _pa_from_pandas(g, preserve_index=False)
-
-    from ray.data.aggregate import Sum
-
-    cells = ds.map_batches(joint_partial, batch_format="pyarrow",
-                           zero_copy_batch=True).groupby(
-        ["lang", "source"]).aggregate(Sum("cnt", alias_name="cnt")).to_pandas()
-    n = float(cells.cnt.sum())
-    pij = cells.cnt.to_numpy().astype(np.float64) / n
-    pi = cells.groupby("lang").cnt.transform("sum").to_numpy() / n
-    pj = cells.groupby("source").cnt.transform("sum").to_numpy() / n
-    mi = float((pij * np.log(pij / (pi * pj))).sum())
-    pl = cells.groupby("lang").cnt.sum().to_numpy().astype(np.float64) / n
-    ps = cells.groupby("source").cnt.sum().to_numpy().astype(np.float64) / n
+    a shifted joint distribution even when both marginals hold). One
+    (lang, source) fold of joint counts; the entropy math runs on the driver
+    over the bounded cell table (|lang| x |source|, category-bounded like
+    chi2_event_type)."""
+    cells = _group_fold(_read_blocked(sf_dir, "documents", ["lang", "source"]),
+                        ["lang", "source"], {"cnt": (None, "count_all")})
+    c = cells["cnt"].to_numpy().astype(np.float64)
+    n = c.sum()
+    li, si = _codes(cells["lang"])[0], _codes(cells["source"])[0]
+    pl, ps = np.bincount(li, weights=c) / n, np.bincount(si, weights=c) / n
+    pij = c / n
+    # the oracle joins the marginals back by key, which no NULL key matches
+    both = pc.and_(pc.is_valid(cells["lang"]), pc.is_valid(cells["source"])
+                   ).to_numpy(zero_copy_only=False)
+    mi = float((pij * np.log(pij / (pl[li] * ps[si])))[both].sum())
     h_lang = float(-(pl * np.log(pl)).sum())
     h_source = float(-(ps * np.log(ps)).sum())
     nmi = mi / min(h_lang, h_source) if min(h_lang, h_source) > 0 else 0.0
@@ -5726,50 +5442,30 @@ def impute_value_events(sf_dir: str):
     """Per-type mean imputation audit: rows with hash(event_id) % 17 == 0
     are treated as missing; the fill value is the per-event_type mean of the
     surviving values. Reports fill value, post-imputation mean and variance
-    per type — all derived from one pass of per-block moment partials (the
-    imputed aggregate is algebra over (n, sum, sumsq, n_missing); no second
-    pass touches the data)."""
-    ds = _read_blocked(sf_dir, "events", ["event_id", "event_type", "value"])
+    per type — all derived from one fold of moments (the imputed aggregate
+    is algebra over (n, sum, sumsq, n_missing); no second pass touches the
+    data)."""
     M = np.int64(4294967296)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def moments(batch: pa.Table) -> pa.Table:
         ids = batch["event_id"].to_numpy().astype(np.int64)
         miss = (((ids % 2147483648) * 2654435761) % M) % 17 == 0
-        df = pd.DataFrame({"event_type": batch["event_type"].to_pandas(),
-                           "v": batch["value"].to_numpy(),
-                           "miss": miss})
-        ok = df[~df.miss]
-        agg = (ok.assign(v2=ok.v * ok.v)
-               .groupby("event_type", sort=False)
-               .agg(n_ok=("v", "size"), s=("v", "sum"), sxx=("v2", "sum")))
-        nm = df[df.miss].groupby("event_type", sort=False).size().rename("n_miss")
-        out = agg.join(nm, how="outer").fillna(0.0).reset_index()
-        return pa.table({
-            "event_type": pa.array(out.event_type.to_numpy(), pa.string()),
-            "n_ok": pa.array(out.n_ok.to_numpy().astype(np.int64)),
-            "s": pa.array(out.s.to_numpy().astype(np.float64)),
-            "sxx": pa.array(out.sxx.to_numpy().astype(np.float64)),
-            "n_miss": pa.array(out.n_miss.to_numpy().astype(np.int64))})
+        v = np.where(miss, 0.0, batch["value"].to_numpy())
+        return pa.table({"event_type": batch["event_type"],
+                         "n_ok": (~miss).astype(np.int64), "s": v, "sxx": v * v,
+                         "n_miss": miss.astype(np.int64)})
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        n_ok = int(df.n_ok.sum())
-        s = float(df.s.sum())
-        sxx = float(df.sxx.sum())
-        n_miss = int(df.n_miss.sum())
-        fill = s / n_ok
-        n = n_ok + n_miss
-        mean_after = (s + n_miss * fill) / n
-        var_after = (sxx + n_miss * fill * fill) / n - mean_after * mean_after
-        return pd.DataFrame({
-            "event_type": [df.event_type.iloc[0]],
-            "n_missing": [np.int64(n_miss)],
-            "fill_value": [float(_round(fill, 6))],
-            "mean_after": [float(_round(mean_after, 6))],
-            "var_after": [float(_round(var_after, 6))]})
-
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True).repartition(4).groupby(
-        "event_type").map_groups(final, batch_format="pandas")
+    a = _group_fold(_read_blocked(sf_dir, "events", ["event_id", "event_type", "value"]),
+                    ["event_type"], {c: (c, "sum") for c in ("n_ok", "s", "sxx", "n_miss")},
+                    moments).to_pandas()
+    fill = a.s / a.n_ok
+    n = a.n_ok + a.n_miss
+    mean_after = (a.s + a.n_miss * fill) / n
+    var_after = (a.sxx + a.n_miss * fill * fill) / n - mean_after * mean_after
+    return _pa_from_pandas(pd.DataFrame({
+        "event_type": a.event_type, "n_missing": a.n_miss,
+        "fill_value": _round(fill, 6), "mean_after": _round(mean_after, 6),
+        "var_after": _round(var_after, 6)}), preserve_index=False)
 
 
 IMPUTE_SQL = """
@@ -6634,33 +6330,26 @@ ORDERS_EXPECTATIONS = [
 
 
 def expectation_suite_orders(sf_dir: str):
-    """Evaluate the ORDERS_EXPECTATIONS suite in one scan: each block emits
-    one (expectation, n_pass, n) partial row per expectation; the final
-    fold is |suite| rows. success requires a perfect pass rate."""
-    ds = _read_blocked(sf_dir, "orders",
-               ["o_orderkey", "o_totalprice", "o_orderstatus", "o_orderdate"])
+    """Evaluate the ORDERS_EXPECTATIONS suite in one scan: each expectation
+    is a per-row pass indicator, melted to (expectation, pass) rows and
+    folded per expectation (|suite| groups). success requires a perfect
+    pass rate."""
+    names = [name for name, _, _ in ORDERS_EXPECTATIONS]
 
-    def partial(batch: pa.Table) -> pa.Table:
-        names, n_pass = [], []
-        for name, pred, _ in ORDERS_EXPECTATIONS:
-            names.append(name)
-            n_pass.append(int(np.asarray(pred(batch)).sum()))
+    def melt(batch: pa.Table) -> pa.Table:
         return pa.table({
-            "expectation": pa.array(names, pa.string()),
-            "n_pass": pa.array(np.asarray(n_pass, np.int64)),
-            "n": pa.array(np.full(len(names), batch.num_rows, np.int64))})
+            "expectation": pa.array(np.repeat(names, batch.num_rows)),
+            "p": np.concatenate([np.asarray(pred(batch), np.int64)
+                                 for _, pred, _ in ORDERS_EXPECTATIONS])})
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        np_, n = int(df.n_pass.sum()), int(df.n.sum())
-        rate = float(np.floor(np_ * 1e6 / n + 0.5) / 1e6)
-        return pd.DataFrame({
-            "expectation": [df.expectation.iloc[0]],
-            "n_pass": [np.int64(np_)], "n": [np.int64(n)],
-            "pass_rate": [rate], "success": [bool(np_ == n)]})
-
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True).repartition(4).groupby(
-        "expectation").map_groups(final, batch_format="pandas")
+    out = _group_fold(_read_blocked(
+        sf_dir, "orders", ["o_orderkey", "o_totalprice", "o_orderstatus",
+                           "o_orderdate"]),
+        ["expectation"], {"n_pass": ("p", "sum"), "n": (None, "count_all")},
+        melt).to_pandas()
+    out["pass_rate"] = np.floor(out.n_pass * 1e6 / out.n + 0.5) / 1e6
+    out["success"] = out.n_pass == out.n
+    return _pa_from_pandas(out, preserve_index=False)
 
 
 def _expectation_sql() -> str:
@@ -6740,7 +6429,7 @@ def _refined_quantiles(sf_dir: str, table: str, col: str,
         idx = np.minimum(((v - vmin) / max(w0, 1e-300)).astype(np.int64),
                          B - 1)
         gs, bins, cnts = [], [], []
-        for g in np.unique(gv):
+        for g in pd.unique(gv):  # NULL (None) is a group of its own
             c = np.bincount(idx[gv == g], minlength=B)
             nz = np.nonzero(c)[0]
             gs.append(np.full(nz.size, g, dtype=object))
@@ -6752,11 +6441,10 @@ def _refined_quantiles(sf_dir: str, table: str, col: str,
 
     first = ds.map_batches(first_partial, batch_format="pyarrow",
                            zero_copy_batch=True).to_pandas()
-    gsum = first.groupby("g", sort=True)
-    groups = list(gsum.groups)
+    groups = sorted(first.g.drop_duplicates(), key=lambda g: (g is None, g))
     hist0 = {}
     for g in groups:
-        sub = first[first.g == g]
+        sub = first[first.g.isna() if g is None else first.g == g]
         hist0[g] = np.bincount(sub.b.to_numpy(), weights=sub.c.to_numpy(),
                                minlength=B).astype(np.int64)
     counts = {g: int(hist0[g].sum()) for g in groups}
@@ -6939,25 +6627,18 @@ def mad_outliers_events(sf_dir: str, k: float = 3.0):
     mad = {g: v for g, _, v in mad_rows}
     thr = {g: k * 1.4826 * mad[g] for g in mad}
 
-    ds = _read_blocked(sf_dir, "events", ["event_type", "value"])
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        v = batch["value"].to_numpy()
+    def outliers(batch: pa.Table) -> pa.Table:
         g = pd.Series(batch["event_type"].to_numpy(zero_copy_only=False))
-        d = np.abs(v - g.map(med).to_numpy(np.float64))
-        out = (pd.DataFrame({"event_type": g,
-                             "o": d > g.map(thr).to_numpy(np.float64)})
-               .groupby("event_type", sort=False)
-               .agg(n=("o", "size"), n_out=("o", "sum")).reset_index())
-        out["n_out"] = out.n_out.astype(np.int64)
-        return _pa_from_pandas(out, preserve_index=False)
+        d = absdev(batch)
+        return pa.table({"event_type": batch["event_type"],
+                         "o": (d > g.map(thr).to_numpy(np.float64)).astype(np.int64)})
 
-    from ray.data.aggregate import Sum
-
-    agg = ds.map_batches(count_partial, batch_format="pyarrow",
-                         zero_copy_batch=True).groupby("event_type").aggregate(
-        Sum("n", alias_name="n"), Sum("n_out", alias_name="n_outliers"))
-    df = agg.to_pandas()
+    df = _group_fold(_read_blocked(sf_dir, "events", ["event_type", "value"]),
+                     ["event_type"], {"n": (None, "count_all"),
+                                      "n_outliers": ("o", "sum")}, outliers)
+    # the oracle joins the per-type medians back USING (event_type), which
+    # no NULL type matches
+    df = df.filter(pc.is_valid(df["event_type"])).to_pandas()
     types = df.event_type.to_numpy(dtype=object)
     return pa.table({
         "event_type": pa.array(types, pa.string()),

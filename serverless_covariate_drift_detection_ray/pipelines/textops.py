@@ -9,12 +9,15 @@ vectorized ``map_batches`` + groupby shuffles; small-side state broadcast.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.hashing import hash64, hash_family, splitmix64
-from .queries import _pa_from_pandas, _read, _read_blocked, _round
+from .queries import _group_fold, _pa_from_pandas, _read, _round
 
 STOPWORDS = ("the", "a", "of", "and", "to")
 
@@ -564,28 +567,18 @@ def simhash_documents(sf_dir: str):
 
 
 def token_stats_by_lang(sf_dir: str):
-    ds = _read_docs(sf_dir, ["text", "lang"])
+    def lengths(batch: pa.Table) -> pa.Table:
+        text = batch["text"].to_pandas()
+        return pa.table({"lang": batch["lang"],
+                         "tok": _tokens(text).map(len).to_numpy(np.int64),
+                         "chars": text.fillna("").str.len().to_numpy(np.int64)})
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        toks = _tokens(df.text)
-        df["n_tokens"] = toks.map(len)
-        df["n_chars"] = df.text.fillna("").str.len()
-        g = df.groupby("lang", sort=False).agg(
-            n_docs=("lang", "size"), tok=("n_tokens", "sum"), chars=("n_chars", "sum")
-        ).reset_index()
-        return _pa_from_pandas(g, preserve_index=False)
-
-    from ray.data.aggregate import Sum
-
-    out = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True).groupby(
-        "lang"
-    ).aggregate(Sum("n_docs", alias_name="n_docs"), Sum("tok", alias_name="tok"),
-                Sum("chars", alias_name="chars"))
-    df = out.to_pandas()
-    df["avg_tokens"] = _round(df.tok / df.n_docs, 4)
-    df["avg_chars"] = _round(df.chars / df.n_docs, 4)
-    return _pa_from_pandas(df.drop(columns=["tok", "chars"]), preserve_index=False)
+    df = _group_fold(_read_docs(sf_dir, ["text", "lang"]), ["lang"], {
+        "n_docs": (None, "count_all"), "tok": ("tok", "sum"),
+        "chars": ("chars", "sum")}, lengths).to_pandas()
+    df["avg_tokens"] = _round(df.pop("tok") / df.n_docs, 4)
+    df["avg_chars"] = _round(df.pop("chars") / df.n_docs, 4)
+    return _pa_from_pandas(df, preserve_index=False)
 
 
 TOKEN_STATS_SQL = """
@@ -748,27 +741,19 @@ FROM j, t
 def langid_confusion(sf_dir: str):
     """Marker-word language-ID heuristic vs the labeled ``lang`` column;
     returns the confusion counts. Ties break by LANG_MARKERS order."""
-    ds = _read_docs(sf_dir, ["text", "lang"])
     langs = list(LANG_MARKERS)
 
     def predict(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        toks = _tokens(df.text)
-        scores = np.zeros((len(df), len(langs)), dtype=np.int64)
+        toks = _tokens(batch["text"].to_pandas())
+        scores = np.zeros((batch.num_rows, len(langs)), dtype=np.int64)
         for li, lang in enumerate(langs):
             markers = set(LANG_MARKERS[lang])
             scores[:, li] = toks.map(lambda ws: sum(w in markers for w in ws)).to_numpy()
-        pred = np.asarray(langs, dtype=object)[scores.argmax(axis=1)]
-        g = pd.DataFrame({"lang": df.lang.to_numpy(), "pred_lang": pred}).groupby(
-            ["lang", "pred_lang"], sort=False
-        ).size().reset_index(name="n")
-        return _pa_from_pandas(g, preserve_index=False)
+        return pa.table({"lang": batch["lang"], "pred_lang": pa.array(
+            np.asarray(langs, dtype=object)[scores.argmax(axis=1)], pa.string())})
 
-    from ray.data.aggregate import Sum
-
-    return ds.map_batches(predict, batch_format="pyarrow", zero_copy_batch=True).groupby(
-        ["lang", "pred_lang"]
-    ).aggregate(Sum("n", alias_name="n"))
+    return _group_fold(_read_docs(sf_dir, ["text", "lang"]), ["lang", "pred_lang"],
+                       {"n": (None, "count_all")}, predict)
 
 
 LANGID_SQL = """
@@ -824,29 +809,19 @@ def fingerprint_documents(sf_dir: str):
 # letter runs | digit runs | single non-space symbol — a simplified GPT-2-style
 # pre-tokenizer whose semantics RE2 (DuckDB) and Python `re` agree on
 BPE_TOKEN_PATTERN = r"[A-Za-z]+|[0-9]+|[^A-Za-z0-9\s]"
-
-
-class _RegexTokenCounter:
-    """Actor-pool stage: the pattern compiles once per actor (load-once state,
-    reference singleton pattern), each batch is one vectorized pass."""
-
-    def __init__(self, pattern: str):
-        import re
-
-        self.rx = re.compile(pattern)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch["text"].to_numpy(zero_copy_only=False)
-        n = np.fromiter(
-            (len(self.rx.findall(t or "")) for t in texts), np.int64, len(texts))
-        return pa.table({"doc_id": batch["doc_id"],
-                         "n_bpe_tokens": pa.array(n)})
+_BPE_TOKEN_RX = re.compile(BPE_TOKEN_PATTERN)
 
 
 def token_count_regex(sf_dir: str):
-    ds = _read_docs(sf_dir, ["doc_id", "text"])
-    return ds.map_batches(_RegexTokenCounter, fn_constructor_args=(BPE_TOKEN_PATTERN,),
-                          batch_format="pyarrow", zero_copy_batch=True, concurrency=2)
+    """One stateless pass; the pattern compiles once per worker process."""
+    def count(batch: pa.Table) -> pa.Table:
+        texts = batch["text"].to_numpy(zero_copy_only=False)
+        n = np.fromiter((len(_BPE_TOKEN_RX.findall(t or "")) for t in texts),
+                        np.int64, len(texts))
+        return pa.table({"doc_id": batch["doc_id"], "n_bpe_tokens": pa.array(n)})
+
+    return _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
+        count, batch_format="pyarrow", zero_copy_batch=True)
 
 
 TOKEN_REGEX_SQL = """
@@ -1126,8 +1101,6 @@ def normalize_arrow(x):
     collapse space runs → trim. The ONE implementation behind
     ``normalize_text_documents`` and the corpus funnel's dedup key, so the
     NORMALIZE_SQL regex parity holds everywhere it's used."""
-    import pyarrow.compute as pc
-
     x = pc.utf8_lower(x)
     x = pc.replace_substring_regex(x, "[^a-z0-9 ]", "")
     x = pc.replace_substring_regex(x, " +", " ")
@@ -1412,33 +1385,22 @@ def mix_sources_documents(sf_dir: str):
     """Deterministic source mixing (corpus reweighting): even-numbered
     sources keep every doc, odd-numbered keep 25%, decided per row by the
     same order-free Knuth-hash bucket the split/sample ops use — a pure
-    per-batch filter + per-source partial count, no payload shuffle, stable
-    under any task order / resume."""
-    ds = _read_docs(sf_dir, ["doc_id", "source"])
-
+    per-batch filter + source-keyed fold, no payload shuffle, stable under
+    any task order / resume. A NULL source keeps 25%, as the oracle's CASE
+    falls through to it."""
     from .queries import _knuth_bucket
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        srcnum = df.source.str[3:].astype(np.int64)
-        pct = np.where(srcnum % 2 == 0, 100, 25)  # keep-rate in bucket points
-        bkt = _knuth_bucket(df.doc_id.to_numpy())
-        g = (pd.DataFrame({"source": df.source,
-                           "keep": (bkt < pct).astype(np.int64)})
-             .groupby("source").agg(n_in=("keep", "size"),
-                                    n_sampled=("keep", "sum")).reset_index())
-        return _pa_from_pandas(g, preserve_index=False)
+    def keep(batch: pa.Table) -> pa.Table:
+        srcnum = pc.cast(pc.utf8_slice_codeunits(batch["source"], 3), pa.int64())
+        even = pc.fill_null(pc.equal(pc.bit_wise_and(srcnum, 1), 0), False)
+        pct = np.where(even.to_numpy(zero_copy_only=False), 100, 25)
+        bkt = _knuth_bucket(batch["doc_id"].to_numpy())
+        return pa.table({"source": batch["source"],
+                         "keep": (bkt < pct).astype(np.int64)})
 
-    from ray.data.aggregate import Sum
-
-    out = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                         ).groupby("source").aggregate(
-        Sum("n_in", alias_name="n_in"),
-        Sum("n_sampled", alias_name="n_sampled"),
-    ).to_pandas()
-    out["n_in"] = out.n_in.astype(np.int64)
-    out["n_sampled"] = out.n_sampled.astype(np.int64)
-    return _pa_from_pandas(out, preserve_index=False)
+    return _group_fold(_read_docs(sf_dir, ["doc_id", "source"]), ["source"],
+                       {"n_in": (None, "count_all"), "n_sampled": ("keep", "sum")},
+                       keep)
 
 
 MIX_SOURCES_SQL = """

@@ -21,3 +21,38 @@ def ray_session():
     DataContext.get_current().enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+# the categorical GROUP BY keys of the grouped queries
+NULL_KEY_COLUMNS = {"lineitem": ["l_returnflag", "l_linestatus"],
+                    "events": ["event_type"],
+                    "orders": ["o_orderpriority", "o_orderstatus"],
+                    "documents": ["lang", "source"]}
+
+
+@pytest.fixture(scope="session")
+def null_key_copy(tmp_path_factory):
+    """``copy(sf_dir)``: a copy of ``sf_dir`` whose every 97th row has NULL
+    in each of ``NULL_KEY_COLUMNS`` (other tables copied as they are) — the
+    NULL-key test bed of the grouped queries, built once per session."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    built = {}
+
+    def copy(sf_dir: str) -> str:
+        if sf_dir not in built:
+            out = tmp_path_factory.mktemp("sf_null_keys")
+            for f in sorted(os.listdir(sf_dir)):
+                t = pq.read_table(os.path.join(sf_dir, f))
+                nulled = pa.array(np.arange(t.num_rows) % 97 == 0)
+                for c in NULL_KEY_COLUMNS.get(f.removesuffix(".parquet"), []):
+                    t = t.set_column(t.schema.get_field_index(c), c, pc.if_else(
+                        nulled, pa.scalar(None, t[c].type), t[c]))
+                pq.write_table(t, str(out / f))
+            built[sf_dir] = str(out)
+        return built[sf_dir]
+
+    return copy
