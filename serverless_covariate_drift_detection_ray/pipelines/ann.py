@@ -440,7 +440,6 @@ def _neardup_pairs_lsh(sf_dir: str, tau: float,
     import ray
 
     from ..functions.hashing import splitmix64
-    from .queries import _salt_buckets
 
     n_rows = pq.ParquetFile(f"{sf_dir}/embeddings.parquet").metadata.num_rows
     if n_planes is None:
@@ -515,7 +514,7 @@ def _neardup_pairs_lsh(sf_dir: str, tau: float,
 
     # distinct across tables: salted pair-hash buckets, rounded-cos max per
     # pair (cross-bucket matmuls may differ in the last ulp pre-rounding)
-    nb = _salt_buckets(sf_dir, "embeddings")
+    nb = max(8, n_rows // 2_000_000)
 
     def tag_pair(batch: pa.Table) -> pa.Table:
         a = batch["vec_a"].to_numpy().astype(np.uint64)
@@ -678,9 +677,9 @@ def _dedup_semantic_distributed(sf_dir: str, pairs_ds):
     2. singletons (vec_ids in no edge) come from a bucketed anti-join of
        the embeddings id column against the labeled nodes."""
     from ..functions.graph import cc_min_label_distributed
-    from .queries import _salt_buckets
+    from .queries import _num_rows
 
-    nb = _salt_buckets(sf_dir, "embeddings")
+    nb = max(8, _num_rows(sf_dir, "embeddings") // 2_000_000)
     labels = cc_min_label_distributed(pairs_ds)
 
     def tag_by_lab(batch: pa.Table) -> pa.Table:

@@ -10,7 +10,7 @@ Scale shape: ONE pass over the text column computes every per-doc signal
 (quality flags, language markers, normalized-text hash, contamination probe
 against the broadcast eval shingle set) and emits a 5-int64-column tagged
 row per doc; that tagged projection (no text) is materialized once and
-consumed twice — a partial-sum count pass and a salted-bucket dedup pass.
+consumed twice — a partial-sum count pass and a ``_key_shuffle`` dedup pass.
 The text column is read exactly twice end-to-end (eval shingle build over
 the tiny eval split + the tagging pass) and never shuffles.
 """
@@ -23,7 +23,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import hash64
-from .queries import _salt_buckets
+from .queries import _key_shuffle
 from .textops import (
     LANG_MARKERS,
     _read_docs,
@@ -92,14 +92,8 @@ def corpus_funnel_documents(sf_dir: str):
             "cont": pa.array(cont),
         })
 
-    nb = _salt_buckets(sf_dir, "documents", rows_per_bucket=2_000_000,
-                       floor=16)
-    # cap the tagged projection's block count before materializing: the
-    # read inherits one block per CPU, and both downstream consumers pay
-    # blocks x partitions fixed cost (the groupby sort) / per-block task
-    # overhead — at 32 CPUs that tax tripled this query's wall clock
     tagged = ds.map_batches(tag, batch_format="pyarrow",
-                            zero_copy_batch=True).repartition(nb).materialize()
+                            zero_copy_batch=True).materialize()
 
     def count_partial(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -117,11 +111,9 @@ def corpus_funnel_documents(sf_dir: str):
         # per-block partial keep-min per key: at most one row per (block, key)
         df = t.to_pandas().sort_values(["key", "doc_id"], kind="mergesort")
         df = df.drop_duplicates("key", keep="first")
-        bkt = (df.key.to_numpy().astype(np.uint64) % np.uint64(nb)).astype(np.int64)
-        return pa.table({"key": pa.array(df.key.to_numpy()),
-                         "doc_id": pa.array(df.doc_id.to_numpy()),
-                         "cont": pa.array(df.cont.to_numpy()),
-                         "bkt": pa.array(bkt)})
+        return pa.table({"key": pa.array(df.key.to_numpy(), pa.int64()),
+                         "doc_id": pa.array(df.doc_id.to_numpy(), pa.int64()),
+                         "cont": pa.array(df.cont.to_numpy(), pa.bool_())})
 
     def bucket_dedup(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["key", "doc_id"], kind="mergesort"
@@ -129,13 +121,8 @@ def corpus_funnel_documents(sf_dir: str):
         return pd.DataFrame({"n_kept": [np.int64(len(df))],
                              "n_clean": [np.int64((~df.cont).sum())]})
 
-    dd = tagged.map_batches(survivors, batch_format="pyarrow",
-                            zero_copy_batch=True).groupby("bkt").map_groups(
-        bucket_dedup, batch_format="pandas").to_pandas()
-    # zero survivors ⇒ empty (possibly column-less) frame, matching the
-    # oracle's 0 counts
-    n_kept = int(dd.n_kept.sum()) if "n_kept" in dd.columns else 0
-    n_clean = int(dd.n_clean.sum()) if "n_clean" in dd.columns else 0
+    dd = _key_shuffle(tagged, ["key"], bucket_dedup, survivors).to_pandas()
+    n_kept, n_clean = int(dd.n_kept.sum()), int(dd.n_clean.sum())
 
     return pa.table({
         "stage": pa.array(["input", "quality", "lang", "dedup",

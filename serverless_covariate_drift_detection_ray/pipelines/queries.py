@@ -4,14 +4,14 @@ Each function maps one engine capability from SURVEY.md §2 onto the generic
 TPC-H-ish tables so the driver can verify it against a DuckDB oracle
 (``__ray_entry__.oracle_sql``). The implementations are Ray-Data-first: column
 pruning at the read, vectorized Arrow/numpy batch kernels, partial aggregation
-before anything moves, broadcast small-side joins, salted-bucket large joins.
+before anything moves, broadcast small-side joins, key-shuffled large joins.
 
-Bounded-key GROUP BYs share one recipe, ``_group_fold``: an Arrow
-``group_by`` partial per block, the partials folded on the driver, then the
-query's own finish. Its contract is a key domain bounded by the query (flags,
-statuses, event types, fixed bins), not by the row count. High-cardinality
-keys (per-user, per-document, per-hash, BPE pair codes) keep a salted
-shuffle, because their partials grow with the data.
+Grouped work has two recipes. Bounded-key GROUP BYs use ``_group_fold``: an
+Arrow ``group_by`` partial per block, the partials folded on the driver, then
+the query's own finish. Keys that grow with the data (per-user, per-document,
+per-hash, join keys) and per-key row queries use ``_key_shuffle``: every row
+of a key reaches one call of the query's kernel. Both treat NULL as one key,
+as SQL's GROUP BY and PARTITION BY do.
 
 Float determinism: every float that reaches the driver's value-hash is rounded
 with ``floor(x * 10^d + 0.5) / 10^d`` — the same IEEE ops the oracle SQL uses
@@ -20,6 +20,8 @@ values despite different summation orders.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
@@ -82,19 +84,19 @@ def _read_cpu_blocked(sf_dir: str, table: str,
     return _read_blocked(sf_dir, table, columns, floor=max(4, cluster_cpus()))
 
 
-def _salt_buckets(sf_dir: str, table: str, rows_per_bucket: int = 2_000_000,
-                  floor: int = 8) -> int:
-    """Row-count-scaled salt-bucket count for high-cardinality-key shuffles.
-
-    Ray's sort-shuffle charges a fixed per-block/per-partition cost that
-    dwarfs small exchanges (measured: 64 blocks x 32 buckets = 6-7 s for a
-    275k-row exchange vs 0.4 s at 8 x 8), so bucket counts must grow with
-    DATA, never be small-scale constants: ~1 bucket per `rows_per_bucket`
-    rows (parquet metadata, no data read), floor of `floor`."""
+def _num_rows(sf_dir: str, table: str) -> int:
+    """``table``'s row count from its parquet footer (no data read)."""
     import pyarrow.parquet as pq
 
-    n = pq.ParquetFile(f"{sf_dir}/{table}.parquet").metadata.num_rows
-    return max(floor, n // rows_per_bucket)
+    return pq.ParquetFile(f"{sf_dir}/{table}.parquet").metadata.num_rows
+
+
+def _salt_buckets(n_rows: int) -> int:
+    """Bucket count of a ``_key_shuffle`` over ``n_rows`` measured rows
+    (also the range count of the range-bucketed scans): one bucket a CPU,
+    one more a ~1M rows, so every CPU folds a bucket and a bucket's kernel
+    stays in memory as the data grows. No call site tunes it."""
+    return max(cluster_cpus(), n_rows // 1_000_000)
 
 
 def _round(x, d: int):
@@ -307,21 +309,42 @@ def _round_cols(df: pd.DataFrame, spec: dict[str, int]) -> pd.DataFrame:
 
 
 # ---------------------------------------------------------------------------
-# Aggregation with partial pre-aggregation (SURVEY.md §2.3 / guide "Aggregation
-# at scale"): the one grouped-fold recipe, _group_fold. Each block is folded
-# by Arrow's group_by in the map task; the partials (at most blocks x groups
-# rows) fold again on the driver with each op's merge op; the query keeps
-# only its projection and its finish. The contract is a key domain bounded by
-# the query (flags, statuses, event types, fixed bins), never by the row
-# count. Arrow keeps a NULL key as its own group, as SQL's GROUP BY does —
-# Ray's sort groupby raises on one and pandas' groupby drops it. Keys that
-# grow with the data (heavy_hitter_users, the dedup hashes, BPE pair codes,
-# per-user and per-key row queries) keep a salted shuffle instead.
+# Grouped work (SURVEY.md §2.3 / guide "Aggregation at scale"): two recipes.
+#
+# _group_fold, for a key domain bounded by the query (flags, statuses, event
+# types, fixed bins), never by the row count: each block is folded by Arrow's
+# group_by in the map task; the partials (at most blocks x groups rows) fold
+# again on the driver with each op's merge op; the query keeps only its
+# projection and its finish.
+#
+# _key_shuffle, for keys that grow with the data (users, documents, hashes,
+# join keys) and for per-key row queries (top-n, ranks, samples per key):
+# each block is projected (often a partial fold) and split by one NULL-safe
+# hash of the keys into buckets; each bucket is one call of the query's
+# kernel, which sees every row of its keys. _key_fold is _group_fold's
+# partials folded in those buckets instead of on the driver.
+#
+# NULL contract, both recipes: NULL is one key, equal to itself, as in SQL's
+# GROUP BY and PARTITION BY. Arrow's group_by keeps it as a group; a pandas
+# kernel must pass dropna=False (pandas' groupby drops it), and Ray's sort
+# groupby raises on a NULL string key, so neither recipe uses it.
 # ---------------------------------------------------------------------------
 
 # the op that folds an op's partials: counts add up, min/max fold by themselves
 _MERGE_OP = {"sum": "sum", "count": "sum", "count_all": "sum",
              "min": "min", "max": "max"}
+
+
+def _arrow_fold(t: pa.Table, keys: list[str], aggs: dict, merge: bool = False
+                ) -> pa.Table:
+    """One Arrow ``group_by(keys)`` over ``t``: each of ``aggs``' ops on its
+    input column, or with ``merge`` each op's merge op on its output column
+    (partials folding again). Keys first, then ``aggs`` in order."""
+    spec = [(n, _MERGE_OP[op]) if merge else ([] if c is None else c, op)
+            for n, (c, op) in aggs.items()]
+    g = t.group_by(keys).aggregate(spec)
+    # pyarrow puts the keys first, then the aggregates in spec order
+    return pa.table(g.columns, names=[*keys, *aggs])
 
 
 def _group_fold(ds, keys: list[str], aggs: dict[str, tuple[str | None, str]],
@@ -332,16 +355,9 @@ def _group_fold(ds, keys: list[str], aggs: dict[str, tuple[str | None, str]],
     one row per group, keys first; a NULL key is its own group. An input
     with no rows gives the typed empty result (``project`` applied to the
     source schema)."""
-    names = list(aggs)
-
-    def fold(t: pa.Table, spec: list) -> pa.Table:
-        g = t.group_by(keys).aggregate(spec)
-        # pyarrow puts the keys first, then the aggregates in spec order
-        return pa.table(g.columns, names=[*keys, *names])
-
     def partial(batch: pa.Table) -> pa.Table:
-        t = batch if project is None else project(batch)
-        return fold(t, [([] if c is None else c, op) for c, op in aggs.values()])
+        return _arrow_fold(batch if project is None else project(batch),
+                           keys, aggs)
 
     parts = [b for b in ds.map_batches(partial, batch_format="pyarrow",
                                        zero_copy_batch=True).iter_batches(
@@ -350,10 +366,132 @@ def _group_fold(ds, keys: list[str], aggs: dict[str, tuple[str | None, str]],
     if not parts:  # no block at all: type the result from the source schema
         src = ds.schema()
         if src is None:
-            return pa.table({c: pa.nulls(0) for c in [*keys, *names]})
+            return pa.table({c: pa.nulls(0) for c in [*keys, *aggs]})
         parts = [partial(src.base_schema.empty_table())]
-    return fold(pa.concat_tables(parts),
-                [(n, _MERGE_OP[op]) for n, (_, op) in aggs.items()])
+    return _arrow_fold(pa.concat_tables(parts), keys, aggs, merge=True)
+
+
+def _key_fold(ds, keys: list[str], aggs: dict[str, tuple[str | None, str]],
+              project=None):
+    """``_group_fold`` for keys that grow with the data: the per-block
+    partials meet in ``_key_shuffle`` buckets and fold again there, so no
+    step holds every group. Returns what ``_key_shuffle`` returns."""
+    def partial(batch: pa.Table) -> pa.Table:
+        return _arrow_fold(batch if project is None else project(batch),
+                           keys, aggs)
+
+    return _key_shuffle(ds, keys, lambda t: _arrow_fold(t, keys, aggs, True),
+                        partial, "pyarrow")
+
+
+def _key_hash(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """One NULL-safe uint64 hash over the ``keys`` columns of ``t``: equal
+    key tuples hash equal, NULL equal to NULL. Integer and temporal columns
+    hash as int64, so an int32 key of one join side meets the int64 key of
+    the other; a float key hashes by its bits, so join sides must not mix
+    float and integer keys."""
+    from ..functions.hashing import hash64, splitmix64
+
+    h = np.zeros(t.num_rows, dtype=np.uint64)
+    for k in keys:
+        col = t[k]
+        if pa.types.is_integer(col.type) or pa.types.is_temporal(col.type):
+            col = col.cast(pa.int64())
+        valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
+        if pa.types.is_integer(col.type):
+            v = hash64(pc.fill_null(col, 0).to_numpy())
+        else:
+            v = hash64(col.to_numpy(zero_copy_only=False))
+        h = splitmix64(h ^ np.where(valid, v, np.uint64(0x5EED)))
+    return h
+
+
+def _split_block(block, project, keys: list[str], nb: int):
+    """Map side of ``_key_shuffle``: ``project`` the block, then its rows
+    per bucket (each slice typed, even when empty) and the bucket row
+    counts."""
+    from ray.data.block import BlockAccessor
+
+    t = BlockAccessor.for_block(block).to_arrow()
+    t = t if project is None else project(t)
+    b = (_key_hash(t, keys) % np.uint64(nb)).astype(np.int64)
+    order = np.argsort(b, kind="stable")
+    ends = np.searchsorted(b[order], np.arange(1, nb + 1))
+    return (*[t.take(p) for p in np.split(order, ends[:-1])],
+            np.diff(ends, prepend=0))
+
+
+def _fold_bucket(fn, batch_format: str, *parts):
+    """Reduce side of ``_key_shuffle``: one ``fn`` call over a bucket's
+    slices, and the output's row count."""
+    from ray.data.block import BlockAccessor
+
+    t = pa.concat_tables(parts, promote_options="default")
+    out = fn(BlockAccessor.for_block(t).to_pandas()
+             if batch_format == "pandas" else t)
+    return out, len(out)
+
+
+def _key_shuffle(ds, keys: list[str], fn, project=None,
+                 batch_format: str = "pandas"):
+    """Every row with equal ``keys`` (NULL equal to NULL, as in SQL's GROUP
+    BY and PARTITION BY) reaches the same ``fn`` call; one call holds many
+    keys. ``project`` (Arrow table -> Arrow table: a partial fold, a join
+    side's key column) runs on each block first. ``ds`` may be a list of
+    datasets, a join's sides, with ``project`` a matching list. ``fn`` gets
+    a bucket as a pandas frame or, with ``batch_format="pyarrow"``, an Arrow
+    table, and returns the same kind.
+
+    The exchange runs on Ray tasks over the executed input blocks: one
+    split task a block projects it and hashes its keys (``_key_hash``) into
+    typed bucket slices; one fold task a non-empty bucket calls ``fn``. The
+    bucket count is derived from the measured input: one bucket a CPU, one
+    more a ~1M rows. Returns a Dataset of the non-empty outputs; with none
+    (an empty input, or every call returning 0 rows), ``fn``'s typed empty
+    output as a ``pa.Table``."""
+    import ray
+
+    sides = list(zip(ds, project)) if isinstance(ds, list) else [(ds, project)]
+    sides = [(ray.data.from_arrow(d) if isinstance(d, pa.Table) else d, p)
+             for d, p in sides]
+    blocks = []  # (project ref, block ref, rows) of every non-empty block
+    for d, p in sides:
+        p_ref = ray.put(p)
+        blocks += [(p_ref, ref, meta.num_rows)
+                   for bundle in d.iter_internal_ref_bundles()
+                   for ref, meta in bundle.blocks if meta.num_rows]
+    nb = _salt_buckets(sum(n for *_, n in blocks))
+    split = _remote(_split_block).options(num_returns=nb + 1)
+    pieces = [split.remote(block, p, keys, nb) for p, block, _ in blocks]
+    counts = np.sum(ray.get([s[-1] for s in pieces]), axis=0) if pieces else []
+    fold = _remote(_fold_bucket).options(num_returns=2)
+    fn_ref = ray.put(fn)
+    outs = [fold.remote(fn_ref, batch_format, *[s[j] for s in pieces])
+            for j in np.flatnonzero(counts)]
+    refs = [o for (o, _), n in zip(outs, ray.get([n for _, n in outs])) if n]
+    if refs:
+        return (ray.data.from_pandas_refs(refs) if batch_format == "pandas"
+                else ray.data.from_arrow_refs(refs))
+    # a Dataset of 0-row blocks reads back with no columns: hand on the
+    # typed empty table itself
+    if outs:
+        out = ray.get(outs[0][0])
+    else:  # typed by the sides whose (empty) blocks still carry a schema
+        empty = pa.concat_tables(
+            [t if p is None else p(t) for t, p in
+             ((d.schema().base_schema.empty_table(), p) for d, p in sides
+              if d.schema() is not None)], promote_options="default")
+        out = fn(empty.to_pandas() if batch_format == "pandas" else empty)
+    return (_pa_from_pandas(out, preserve_index=False)
+            if isinstance(out, pd.DataFrame) else out)
+
+
+@functools.cache
+def _remote(f):
+    """``ray.remote(f)``, made once a process."""
+    import ray
+
+    return ray.remote(f)
 
 
 def q1_pricing_summary(sf_dir: str):
@@ -723,38 +861,20 @@ def heavy_hitters_screened(sf_dir: str, k: int = 5, m: int = 1024):
 
 
 def window_tumbling_events(sf_dir: str):
-    """Tumbling 1-hour event-time windows. (hour, event_type) is a
-    high-cardinality composite key and Ray's multi-column groupby charges
-    a fixed ~2 ms per GROUP, so the shape is: per-block Arrow pre-agg →
-    salted-bucket shuffle (row-count-scaled bucket count) → vectorized
-    pandas merge per bucket — groups only ever exist inside a bucket."""
-    from ..functions.hashing import hash64
+    """Tumbling 1-hour event-time windows: (hour, event_type) grows with
+    the time span, so the per-block Arrow partials fold through
+    ``_key_fold`` (a bucketed shuffle), never one Ray group per key."""
+    def project(batch: pa.Table) -> pa.Table:
+        return pa.table({"hour": pc.floor_temporal(batch["ts"], unit="hour"),
+                         "event_type": batch["event_type"],
+                         "value": batch["value"]})
 
-    n_buckets = _salt_buckets(sf_dir, "events")
-    ds = _read_blocked(sf_dir, "events", ["ts", "event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        hour = pc.floor_temporal(batch["ts"], unit="hour")
-        g = pa.table({
-            "hour": hour, "event_type": batch["event_type"], "value": batch["value"],
-        }).group_by(["hour", "event_type"]).aggregate(
-            # count_all = COUNT(*) row semantics (plain 'count' skips nulls
-            # and would diverge from the COUNT(*) oracle on nullable input)
-            [([], "count_all"), ("value", "sum")])
-        g = pa.table({"hour": g["hour"], "event_type": g["event_type"],
-                      "n": g["count_all"], "sum_value": g["value_sum"]})
-        b = (hash64(g["hour"].cast(pa.int64()).to_numpy()) % n_buckets
-             ).astype(np.int64)
-        return g.append_column("b", pa.array(b))
-
-    def bucket_merge(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby(["hour", "event_type"], sort=False).agg(
-            n=("n", "sum"), sum_value=("sum_value", "sum")).reset_index()
-        return out
-
-    out = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                         ).groupby("b").map_groups(bucket_merge,
-                                                   batch_format="pandas")
+    # count_all = COUNT(*) row semantics (plain 'count' skips nulls and
+    # would diverge from the COUNT(*) oracle on nullable input)
+    out = _key_fold(_read_blocked(sf_dir, "events", ["ts", "event_type", "value"]),
+                    ["hour", "event_type"], {"n": (None, "count_all"),
+                                             "sum_value": ("value", "sum")},
+                    project)
     df = _round_cols(out.to_pandas(), {"sum_value": 2})
     # floor_temporal coarsens the unit to [s]; the oracle keeps [us]
     df["hour"] = df["hour"].astype("datetime64[us]")
@@ -775,42 +895,32 @@ def chi2_by_window_events(sf_dir: str):
     detector_api/app/api.py; here the window is event-time instead of a
     request batch).
 
-    Shape: one pre-aggregated pass (per-block (hour, type) counts), then a
-    salted single-key shuffle sized by row count (hours are the
-    high-cardinality key — grouping them directly pays Ray's ~2 ms/group),
-    and a windows x types driver finish (metadata-sized by construction)."""
-    from ..functions.hashing import hash64
+    Shape: per-block (hour, type) counts fold through ``_key_fold`` (hours
+    grow with the stream), then a windows x types driver finish
+    (metadata-sized by construction). A NULL type counts in its hour's and
+    the stream's totals but observes 0 in its own cell, as the twin's
+    LEFT JOIN on the type matches no NULL."""
+    def project(batch: pa.Table) -> pa.Table:
+        return pa.table({"hour": pc.floor_temporal(batch["ts"], unit="hour"),
+                         "event_type": batch["event_type"]})
 
-    n_buckets = _salt_buckets(sf_dir, "events")
-    ds = _read_blocked(sf_dir, "events", ["ts", "event_type"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        hour = pc.floor_temporal(batch["ts"], unit="hour")
-        g = pa.table({"hour": hour, "event_type": batch["event_type"]}).group_by(
-            ["hour", "event_type"]).aggregate([([], "count_all")])
-        g = pa.table({"hour": g["hour"], "event_type": g["event_type"],
-                      "n": g["count_all"]})
-        b = (hash64(g["hour"].cast(pa.int64()).to_numpy()) % n_buckets
-             ).astype(np.int64)
-        return g.append_column("b", pa.array(b))
-
-    def bucket_sum(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.groupby(["hour", "event_type"], sort=False)["n"].sum().reset_index()
-        return out
-
-    counts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                            ).groupby("b").map_groups(bucket_sum,
-                                                      batch_format="pandas")
-    c = counts.to_pandas()  # windows x types rows — metadata-sized
-    piv = c.pivot_table(index="hour", columns="event_type", values="n",
-                        fill_value=0).sort_index()
-    obs = piv.to_numpy(dtype=np.float64)           # (H, T)
-    g_type = obs.sum(axis=0)                        # (T,)
-    hn = obs.sum(axis=1)                            # (H,)
+    c = _key_fold(_read_blocked(sf_dir, "events", ["ts", "event_type"]),
+                  ["hour", "event_type"], {"n": (None, "count_all")},
+                  project).to_pandas()
+    types = np.sort(c.event_type.dropna().unique())
+    t_idx = pd.Categorical(c.event_type, categories=types).codes
+    t_idx = np.where(t_idx < 0, types.size, t_idx)  # NULL: the last column
+    hours, h_idx = np.unique(c.hour.to_numpy(), return_inverse=True)
+    cnt = np.zeros((hours.size, t_idx.max(initial=-1) + 1))
+    np.add.at(cnt, (h_idx, t_idx), c.n.to_numpy(np.float64))  # (H, T)
+    g_type = cnt.sum(axis=0)                                   # (T,)
+    hn = cnt.sum(axis=1)                                       # (H,)
+    obs = cnt.copy()
+    obs[:, types.size:] = 0
     exp = hn[:, None] * (g_type[None, :] / g_type.sum())
     chi2 = ((obs - exp) ** 2 / exp).sum(axis=1)
     return pa.table({
-        "hour": pa.array(piv.index.to_numpy().astype("datetime64[us]")),
+        "hour": pa.array(hours.astype("datetime64[us]")),
         "n": pa.array(hn.astype(np.int64)),
         "chi2": pa.array(_round(chi2, 4)),
     })
@@ -826,11 +936,8 @@ def ks_by_window_events(sf_dir: str, bins: int = 256, lo: float = 0.0,
     series (functions/stats.py kolmogorov_sf), reproduced term-for-term in
     DuckDB via range(1,101).
 
-    Shape: per-block (hour -> int64[bins] blob) partials → salted
-    row-count-scaled merge → windows x bins driver finish."""
-    from ..functions.hashing import hash64
-
-    n_buckets = _salt_buckets(sf_dir, "events")
+    Shape: per-block (hour -> int64[bins] blob) partials → ``_key_shuffle``
+    merge per hour → windows x bins driver finish."""
     ds = _read_blocked(sf_dir, "events", ["ts", "value"])
     width = (hi - lo) / bins
 
@@ -844,9 +951,8 @@ def ks_by_window_events(sf_dir: str, bins: int = 256, lo: float = 0.0,
         np.add.at(flat, inv * bins + binned, 1)
         blobs = [flat[i * bins:(i + 1) * bins].tobytes()
                  for i in range(hours.size)]
-        b = (hash64(hours) % n_buckets).astype(np.int64)
-        return pa.table({"hour": pa.array(hours), "h": pa.array(blobs, pa.binary()),
-                         "b": pa.array(b)})
+        return pa.table({"hour": pa.array(hours),
+                         "h": pa.array(blobs, pa.binary())})
 
     def bucket_merge(df: pd.DataFrame) -> pd.DataFrame:
         hours, inv = np.unique(df.hour.to_numpy(), return_inverse=True)
@@ -856,9 +962,7 @@ def ks_by_window_events(sf_dir: str, bins: int = 256, lo: float = 0.0,
         return pd.DataFrame({"hour": hours,
                              "h": [a.tobytes() for a in acc]})
 
-    merged = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                            ).groupby("b").map_groups(
-        bucket_merge, batch_format="pandas").to_pandas()
+    merged = _key_shuffle(ds, ["hour"], bucket_merge, partial).to_pandas()
     # windows x bins — metadata-sized by construction
     return ks_windows_finish(merged.hour.to_numpy(),
                              merged.h.to_numpy(), bins, alpha)
@@ -968,19 +1072,14 @@ FROM p
 
 def _hourly_mean_frame(sf_dir: str) -> pd.DataFrame:
     """Shared scaffold of the sequential monitors (CUSUM / EWMA): per-block
-    (hour, type) → (n, sum) partials, salted single-key merge, and a
+    (hour, type) → (n, sum) partials folded through ``_key_fold``, and a
     (event_type, hour)-sorted driver frame with the per-window mean — hours
     × types rows, metadata-sized by construction; raw values never leave
     their blocks. NULL values count in neither the sum nor ``n`` (SQL
-    ``AVG`` semantics; the twins filter ``value IS NOT NULL``)."""
-    from ..functions.hashing import hash64
-
-    n_buckets = _salt_buckets(sf_dir, "events")
-    ds = _read_blocked(sf_dir, "events", ["ts", "event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
+    ``AVG`` semantics; the twins filter ``value IS NOT NULL``); a NULL type
+    is a group of its own."""
+    def project(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.is_valid(batch["value"]))
-        hour = pc.floor_temporal(batch["ts"], unit="hour")
         # exact INTEGER micro-unit sums (FLOOR(v*1e6+0.5) is the same
         # double→int map in both engines, and int64 addition is
         # order-independent) — a raw float SUM(value) differs from
@@ -989,33 +1088,23 @@ def _hourly_mean_frame(sf_dir: str) -> pd.DataFrame:
         # rounded bucket cross-engine
         v6 = np.floor(batch["value"].to_numpy(zero_copy_only=False)
                       .astype(np.float64) * 1e6 + 0.5).astype(np.int64)
-        g = pa.table({"hour": hour, "event_type": batch["event_type"],
-                      "v6": pa.array(v6)}).group_by(
-            ["hour", "event_type"]).aggregate([([], "count_all"),
-                                               ("v6", "sum")])
-        g = pa.table({"hour": g["hour"], "event_type": g["event_type"],
-                      "n": g["count_all"], "s6": g["v6_sum"]})
-        b = (hash64(g["hour"].cast(pa.int64()).to_numpy()) % n_buckets
-             ).astype(np.int64)
-        return g.append_column("b", pa.array(b))
+        return pa.table({"hour": pc.floor_temporal(batch["ts"], unit="hour"),
+                         "event_type": batch["event_type"],
+                         "v6": pa.array(v6)})
 
-    def bucket_merge(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["hour", "event_type"], sort=False).agg(
-            n=("n", "sum"), s6=("s6", "sum")).reset_index()
-        # int64 micro-unit sums wrap silently past 2^63 while the DuckDB
-        # twin promotes to HUGEINT: with |value| ≤ ~1e3 (v6 ≤ 1e9) the
-        # guard admits ~4.6e9 rows per (hour, type) cell — beyond it,
-        # raise rather than diverge cross-engine (the fix at that scale is
-        # a wider accumulator or sub-hour pre-buckets)
-        if len(g) and np.abs(g.s6.to_numpy(np.int64)).max() > np.int64(2**62):
-            raise OverflowError(
-                "hourly micro-unit sum near int64 range — shrink the "
-                "bucket span or widen the accumulator")
-        return g
-
-    c = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                       ).groupby("b").map_groups(
-        bucket_merge, batch_format="pandas").to_pandas()
+    c = _key_fold(_read_blocked(sf_dir, "events", ["ts", "event_type", "value"]),
+                  ["hour", "event_type"], {"n": (None, "count_all"),
+                                           "s6": ("v6", "sum")},
+                  project).to_pandas()
+    # int64 micro-unit sums wrap silently past 2^63 while the DuckDB twin
+    # promotes to HUGEINT: with |value| ≤ ~1e3 (v6 ≤ 1e9) the guard admits
+    # ~4.6e9 rows per (hour, type) cell — beyond it, raise rather than
+    # diverge cross-engine (the fix at that scale is a wider accumulator
+    # or sub-hour pre-buckets)
+    if len(c) and np.abs(c.s6.to_numpy(np.int64)).max() > np.int64(2**62):
+        raise OverflowError(
+            "hourly micro-unit sum near int64 range — shrink the "
+            "bucket span or widen the accumulator")
     c = c.sort_values(["event_type", "hour"], kind="mergesort")
     # same op order as the SQL twin: (int_sum / 1e6) / n
     c["m"] = (c.s6.to_numpy(np.float64) / 1e6) / c.n.to_numpy(np.float64)
@@ -1036,6 +1125,7 @@ def cusum_changepoint_events(sf_dir: str, slack: float = 0.25,
     which is exactly how the SQL twin expresses it with running-sum /
     running-min windows — same op order, so the 1e-6 rounding matches."""
     c = _hourly_mean_frame(sf_dir)
+    c = c[c.event_type.notna()]  # the twin's JOIN on the type drops NULL
     m = c.m.to_numpy(np.float64)
     types = c.event_type.to_numpy()
     s_pos = np.zeros(len(c))
@@ -1077,6 +1167,7 @@ def ewma_control_events(sf_dir: str, lam: float = 0.2, big_l: float = 3.0):
     out-of-control additionally requires sd > 0 (a constant series differs
     from its mean only by float round-off of the recursion itself)."""
     c = _hourly_mean_frame(sf_dir)
+    c = c[c.event_type.notna()]  # the twin's JOIN on the type drops NULL
     m = c.m.to_numpy(np.float64)
     types = c.event_type.to_numpy()
     ewma = np.zeros(len(c))
@@ -1152,22 +1243,27 @@ def seasonality_profile_events(sf_dir: str, z: float = 3.0):
     hod = pd.to_datetime(c.hour).dt.hour.to_numpy().astype(np.int64)
     mv = c.m.to_numpy(np.float64)
     types = c.event_type.to_numpy()
+    null = c.event_type.isna().to_numpy()
     rows = []
-    for t in np.unique(types):
-        sel = types == t
+    for t in [*np.unique(types[~null]), *([None] if null.any() else [])]:
+        sel = null if t is None else types == t
         for h in np.unique(hod[sel]):
             cell = mv[sel & (hod == h)]
             pm = cell.mean()
             ps = np.sqrt(((cell - pm) ** 2).mean())
             anom = int(((ps > 0) & (np.abs(cell - pm) > z * ps)).sum())
             rows.append({
-                "event_type": str(t), "hod": int(h),
+                "event_type": t, "hod": int(h),
                 "n_hours": int(cell.size),
                 "mean_value": float(np.floor(pm * 1e6 + 0.5) / 1e6),
                 "sd_value": float(np.floor(ps * 1e6 + 0.5) / 1e6),
-                "n_anomalous": anom,
+                # the twin's correlated count matches no NULL type
+                "n_anomalous": None if t is None else anom,
             })
-    return pa.Table.from_pylist(rows)
+    return pa.Table.from_pylist(rows, schema=pa.schema([
+        ("event_type", pa.string()), ("hod", pa.int64()),
+        ("n_hours", pa.int64()), ("mean_value", pa.float64()),
+        ("sd_value", pa.float64()), ("n_anomalous", pa.int64())]))
 
 
 SEASONALITY_SQL = """
@@ -1234,25 +1330,6 @@ def _ts_us(series: pd.Series) -> np.ndarray:
     return series.to_numpy().astype("datetime64[us]").astype(np.int64)
 
 
-def _user_buckets(sf_dir: str, ds):
-    """Salt-bucket an events projection by hash(user_id): the per-user
-    stream ops below never run one Ray group per user (2 ms/group kills
-    high-cardinality keys — see event_gaps); buckets scale with row count
-    (floor 32 — a large fixed bucket count taxes small exchanges with the
-    blocks x partitions sort cost) and each bucket's kernel is one
-    vectorized multi-user pandas pass."""
-    from ..functions.hashing import hash64
-
-    nb = _salt_buckets(sf_dir, "events", rows_per_bucket=250_000, floor=32)
-
-    def tag(batch: pa.Table) -> pa.Table:
-        b = (hash64(batch["user_id"].to_numpy()) % nb).astype(np.int64)
-        return batch.append_column("bkt", pa.array(b))
-
-    return ds.map_batches(tag, batch_format="pyarrow",
-                          zero_copy_batch=True).groupby("bkt")
-
-
 def _user_time_key(d: pd.DataFrame, extra_us: int = 0):
     """Collision-free (user, time) composite int64 key over a frame sorted
     by (user_id, ts, ...): dense_uid * span + rel_ts with span exceeding
@@ -1294,8 +1371,7 @@ def sessionize_events(sf_dir: str, gap_minutes: int = 30):
             "n_events": g.size().astype(np.int64),
         }).reset_index()
 
-    return _user_buckets(sf_dir, ds).map_groups(sessions,
-                                                batch_format="pandas")
+    return _key_shuffle(ds, ["user_id"], sessions)
 
 
 SESSIONIZE_SQL = """
@@ -1313,7 +1389,7 @@ FROM marked GROUP BY user_id
 
 def running_sum_events(sf_dir: str):
     """Per-user running sum ordered by (ts, event_id) — cumulative window;
-    salt-bucketed, one vectorized grouped-cumsum per bucket."""
+    ``_key_shuffle`` on the user, one vectorized grouped-cumsum a bucket."""
     ds = _read_blocked(sf_dir, "events", ["user_id", "ts", "event_id", "value"])
 
     def run(df: pd.DataFrame) -> pd.DataFrame:
@@ -1325,7 +1401,7 @@ def running_sum_events(sf_dir: str):
             "run_sum": _round(rs, 2),
         })
 
-    return _user_buckets(sf_dir, ds).map_groups(run, batch_format="pandas")
+    return _key_shuffle(ds, ["user_id"], run)
 
 
 RUNNING_SUM_SQL = """
@@ -1375,7 +1451,7 @@ def _running_totals(users: np.ndarray, values: np.ndarray):
 
 def streaming_running_totals(sf_dir: str):
     """Per-user total + peak running sum over the (ts, event_id)-ordered
-    events log: salt-bucketed like ``running_sum_events``, one sequential
+    events log: key-shuffled like ``running_sum_events``, one sequential
     per-user sum per bucket (``_running_totals``). NULL values add
     nothing, as in SQL ``SUM``; a user whose values are all NULL keeps
     NULL total and peak."""
@@ -1392,7 +1468,7 @@ def streaming_running_totals(sf_dir: str):
             index=pd.Index(users, name="user_id"),
         ).reindex(pd.Index(np.unique(uid), name="user_id")).reset_index()
 
-    return _user_buckets(sf_dir, ds).map_groups(totals, batch_format="pandas")
+    return _key_shuffle(ds, ["user_id"], totals)
 
 
 STREAMING_TOTALS_SQL = """
@@ -1456,62 +1532,30 @@ FROM (
 
 def uniqueness_pk(sf_dir: str):
     """PK uniqueness over four tables: partial per-block key counts → ONE
-    groupby — the engine's unique_image_id check generalized (SURVEY.md
-    §2.7 item 2). The four tables union into a single tagged pipeline so
-    the query pays one shuffle's fixed latency instead of four: the bucket
-    key packs (table_index, hash bucket), every per-bucket reduction sees
-    exactly one table's keys, and the driver sums 4 × n_buckets tiny rows."""
-    import pyarrow.parquet as pq
-    import ray.data
-
-    from ..functions.hashing import hash64
-
+    ``_key_shuffle`` on (table index, key) — the engine's unique_image_id
+    check generalized (SURVEY.md §2.7 item 2). The four tables feed a
+    single exchange, so the query pays one shuffle's fixed latency instead
+    of four, and the driver sums per-bucket, per-table counts."""
     specs = [("orders", "o_orderkey"), ("part", "p_partkey"),
              ("documents", "doc_id"), ("events", "event_id")]
-    # Ray's sort-shuffle pays a fixed per-block, per-partition cost that
-    # dwarfs the compute here (measured: 64 blocks x 32 buckets = 6-7 s for
-    # a 275k-row exchange vs 0.4-0.7 s at 8 x 8), so both the read
-    # parallelism and the bucket count scale with ROW COUNT (parquet
-    # metadata, no data read): ~1M rows per partial block, ~2M per bucket,
-    # floors of 4/8. At 10^12 rows that is ~1000 blocks / 500k-row buckets
-    # — the same formula, never a hardcoded small-scale constant.
-    n_rows_total = sum(
-        pq.ParquetFile(f"{sf_dir}/{t}.parquet").metadata.num_rows
-        for t, _ in specs)
-    n_buckets = max(8, n_rows_total // 2_000_000)
 
-    def make_precount(key: str, ti: int):
-        def precount(batch: pa.Table) -> pa.Table:
-            # per-block combiner: (key, count) partials + packed bucket so
-            # the shuffle groups by a fixed small key space (4 * n_buckets)
-            v, c = np.unique(batch[key].to_numpy(), return_counts=True)
-            b = (hash64(v) % n_buckets).astype(np.int64) + ti * n_buckets
-            return pa.table({"k": pa.array(v), "c": pa.array(c.astype(np.int64)),
-                             "b": pa.array(b)})
-        return precount
+    def precount(ti: int):
+        def fn(batch: pa.Table) -> pa.Table:
+            v, c = np.unique(batch.column(0).to_numpy(), return_counts=True)
+            return pa.table({"ti": pa.array(np.full(v.size, ti, np.int64)),
+                             "k": pa.array(v), "c": pa.array(c.astype(np.int64))})
+        return fn
 
-    def blocks_for(table: str) -> int:
-        n = pq.ParquetFile(f"{sf_dir}/{table}.parquet").metadata.num_rows
-        return max(4, min(512, n // 1_000_000 + 4))
+    def bucket_sum(df: pd.DataFrame) -> pd.DataFrame:
+        tot = df.groupby(["ti", "k"], sort=False).c.sum().reset_index()
+        return tot.assign(keys=1, dup_keys=(tot.c > 1).astype(np.int64)).groupby(
+            "ti", as_index=False).agg(rows=("c", "sum"), keys=("keys", "sum"),
+                                      dup_keys=("dup_keys", "sum"))
 
-    tagged = [
-        ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=[key],
-                              override_num_blocks=blocks_for(table)).map_batches(
-            make_precount(key, ti), batch_format="pyarrow", zero_copy_batch=True)
-        for ti, (table, key) in enumerate(specs)
-    ]
-    unioned = tagged[0].union(*tagged[1:])
-
-    def bucket_sum(group):
-        import pandas as pd
-        v, inv = np.unique(group["k"].to_numpy(), return_inverse=True)
-        tot = np.bincount(inv, weights=group["c"].to_numpy(), minlength=v.size)
-        return pd.DataFrame({"ti": [int(group["b"].to_numpy()[0]) // n_buckets],
-                             "rows": [int(tot.sum())], "keys": [int(v.size)],
-                             "dup_keys": [int((tot > 1).sum())]})
-
-    parts = unioned.groupby("b").map_groups(bucket_sum).to_pandas()
-    agg = parts.groupby("ti").sum()
+    agg = _key_shuffle(
+        [_read_blocked(sf_dir, table, [key]) for table, key in specs],
+        ["ti", "k"], bucket_sum, [precount(ti) for ti in range(len(specs))]
+    ).to_pandas().groupby("ti").sum().reindex(range(len(specs)), fill_value=0)
     rows = [{"table_name": table, "n_rows": int(agg.loc[ti, "rows"]),
              "n_keys": int(agg.loc[ti, "keys"]),
              "n_dup_keys": int(agg.loc[ti, "dup_keys"])}
@@ -1597,9 +1641,7 @@ def chi2_event_type(sf_dir: str):
     the event stream (split by median event_id) — the engine's fmt Chi² drift
     check over a generic categorical. The contingency table is one fold:
     per event_type, the row counts of each half."""
-    import pyarrow.parquet as pq
-
-    half = pq.ParquetFile(f"{sf_dir}/events.parquet").metadata.num_rows // 2
+    half = _num_rows(sf_dir, "events") // 2
 
     def sides(batch: pa.Table) -> pa.Table:
         a = (batch["event_id"].to_numpy() < half).astype(np.int64)
@@ -1688,9 +1730,7 @@ def _fit_bounds_gated(sf_dir: str, table: str, col: str, qs) -> np.ndarray:
     (the oracle anchor — discrete data values, bit-identical comparisons),
     per-block t-digest partials merged on the driver above it (one ~2 KB
     digest per block; approximate, accuracy pinned in tests)."""
-    import pyarrow.parquet as pq_
-
-    n = pq_.ParquetFile(f"{sf_dir}/{table}.parquet").metadata.num_rows
+    n = _num_rows(sf_dir, table)
     if n <= QFIT_DRIVER_MAX_ROWS:
         vals = _sorted_column(sf_dir, table, col)
         return np.array([float(vals[max(int(np.ceil(q * n)) - 1, 0)])
@@ -1763,13 +1803,10 @@ def grouped_split_events(sf_dir: str):
     structurally zero, verified by the same pass.
 
     Shape: per-block (split, n_rows) partials + per-block distinct
-    (user, split) pairs → user-hash bucket shuffle where each bucket
+    (user, split) pairs → ``_key_shuffle`` on the user, where each bucket
     counts its distinct users per split and any user seen under > 1 split
-    — exact because a user's rows all hash to one bucket."""
-    from ..functions.hashing import hash64
-
+    — exact because a user's rows all reach one bucket."""
     ds = _read_blocked(sf_dir, "events", ["user_id"])
-    nb = _salt_buckets(sf_dir, "events", rows_per_bucket=2_000_000, floor=16)
 
     def assign(u: np.ndarray) -> np.ndarray:
         b = _knuth_bucket(u)
@@ -1781,13 +1818,11 @@ def grouped_split_events(sf_dir: str):
 
     def partial(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            # Explicitly typed empty block: a pandas-built empty frame would
-            # carry a null-typed 'split' column and break Ray's block schema
-            # unification at the groupby shuffle.
+            # explicitly typed: a pandas-built empty frame would carry a
+            # null-typed 'split' column
             return pa.table({"user_id": pa.array([], pa.int64()),
                              "split": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64()),
-                             "bkt": pa.array([], pa.int64())})
+                             "n": pa.array([], pa.int64())})
         u = batch["user_id"].to_numpy().astype(np.int64)
         s = assign(u)
         uu = np.unique(u)
@@ -1795,9 +1830,8 @@ def grouped_split_events(sf_dir: str):
         out["n"] = 0
         cnt = pd.DataFrame({"split": s}).groupby("split", sort=False
                                                  ).size().to_dict()
-        rows = [{"user_id": -1, "split": k, "n": int(v), "bkt": -1}
+        rows = [{"user_id": -1, "split": k, "n": int(v)}
                 for k, v in cnt.items()]
-        out["bkt"] = (hash64(uu) % np.uint64(nb)).astype(np.int64)
         return _pa_from_pandas(
             pd.concat([out, pd.DataFrame(rows)], ignore_index=True),
             preserve_index=False)
@@ -1827,10 +1861,7 @@ def grouped_split_events(sf_dir: str):
     # per-bucket partials are split-bounded (<= 3-4 rows each): merge on
     # the driver — a second Ray exchange charged a full sort shuffle to
     # sum tens of rows
-    part = (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("bkt").map_groups(bucket_fold, batch_format="pandas")
-            .to_pandas())
+    part = _key_shuffle(ds, ["user_id"], bucket_fold, partial).to_pandas()
     df = part.groupby("split", as_index=False).agg(
         n_rows=("n", "sum"), n_users=("n_users", "sum"), lk=("leaked", "sum"))
     leaked_total = int(df.lk.sum())
@@ -1933,15 +1964,17 @@ def stratified_sample_orders(sf_dir: str, k: int = 20):
     WITHIN each o_orderpriority — the class-balanced sample/split the
     reference performs per label (seeded per-class split,
     /root/reference/ml/training.py:248-270). Per-block partial top-k per
-    stratum first, so the final 5-group shuffle sees <= blocks * strata * k
-    rows instead of the table."""
+    stratum first, so the ``_key_shuffle`` on the stratum sees <= blocks *
+    strata * k rows instead of the table. A NULL priority is a stratum of
+    its own."""
     ds = _read_blocked(sf_dir, "orders",
                        ["o_orderkey", "o_totalprice", "o_orderpriority"])
 
     def partial(batch: pa.Table) -> pa.Table:
         keys = batch["o_orderkey"].to_numpy()
         r = ((keys.astype(np.int64) % 4096) * 2654435761) % 4294967296
-        pr = batch["o_orderpriority"].to_numpy(zero_copy_only=False)
+        pr, _ = pd.factorize(batch["o_orderpriority"].to_numpy(
+            zero_copy_only=False), use_na_sentinel=False)
         order = np.lexsort((keys, r, pr))  # by (stratum, hash, key)
         pr_s = pr[order]
         starts = np.flatnonzero(np.r_[True, pr_s[1:] != pr_s[:-1]])
@@ -1952,16 +1985,15 @@ def stratified_sample_orders(sf_dir: str, k: int = 20):
             "r", pa.array(r[take]))
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["r", "o_orderkey"], kind="mergesort").head(k)
+        df = df.sort_values(["r", "o_orderkey"], kind="mergesort").groupby(
+            "o_orderpriority", dropna=False, sort=False).head(k)
         return pd.DataFrame({
             "o_orderkey": df.o_orderkey.to_numpy(),
             "o_orderpriority": df.o_orderpriority.to_numpy(),
             "o_totalprice": _round(df.o_totalprice.to_numpy(), 2),
         })
 
-    return ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                          ).groupby("o_orderpriority").map_groups(
-        finish, batch_format="pandas")
+    return _key_shuffle(ds, ["o_orderpriority"], finish, partial)
 
 
 STRATIFIED_SAMPLE_SQL = f"""
@@ -2153,9 +2185,9 @@ def asof_join_purchase_click(sf_dir: str):
     """As-of join: for each 'purchase' event, the most recent 'click' by the
     same user at or before its timestamp.
 
-    The Ray Data shape: filter inside map_batches (no raw-row shuffle of
-    other event types) -> salt-bucket by hash(user_id) (fixed group count —
-    never one Ray group per user) -> within a bucket ONE vectorized
+    The Ray Data shape: filter each block (no raw-row shuffle of other
+    event types) -> ``_key_shuffle`` on user_id (never one Ray group per
+    user) -> within a bucket ONE vectorized
     searchsorted merge over the (user, time) composite key covers every
     user: a purchase probe only matches clicks in its own user's key range
     by construction."""
@@ -2186,10 +2218,7 @@ def asof_join_purchase_click(sf_dir: str):
             "gap_us": (_ts_us(p.ts) - c_ts).astype(np.int64),
         })
 
-    return _user_buckets(
-        sf_dir, ds.map_batches(keep, batch_format="pyarrow",
-                               zero_copy_batch=True)
-    ).map_groups(asof, batch_format="pandas")
+    return _key_shuffle(ds, ["user_id"], asof, keep)
 
 
 ASOF_SQL = """
@@ -2203,44 +2232,22 @@ ASOF JOIN (SELECT * FROM events WHERE event_type = 'click') c
 
 def window_hopping_events(sf_dir: str):
     """Hopping (sliding) 2-hour windows advancing 1 hour: each event belongs
-    to exactly two windows, assigned by DUPLICATION inside map_batches (no
+    to exactly two windows, assigned by DUPLICATION inside the block (no
     self-join, no shuffle amplification beyond the 2x row fan-out), then the
-    same partial-groupby as the tumbling path."""
-    ds = _read_blocked(sf_dir, "events", ["ts", "event_type", "value"])
+    tumbling path's ``_key_fold``."""
     hop = pa.scalar(3_600_000_000, pa.duration("us"))
 
-    import pyarrow.parquet as pq
-
-    from ..functions.hashing import hash64
-
-    n_buckets = _salt_buckets(sf_dir, "events", rows_per_bucket=1_000_000)  # 2x fan-out
-
     def assign(batch: pa.Table) -> pa.Table:
-        """Duplicate into both windows, then the tumbling path's per-block
-        pre-agg + salted bucket (high-cardinality composite key)."""
         hour = pc.floor_temporal(batch["ts"], unit="hour").cast(pa.timestamp("us"))
-        halves = [
+        return pa.concat_tables([
             pa.table({"window_start": ws, "event_type": batch["event_type"],
                       "value": batch["value"]})
-            for ws in (hour, pc.subtract(hour, hop))
-        ]
-        g = pa.concat_tables(halves).group_by(
-            ["window_start", "event_type"]).aggregate(
-            [([], "count_all"), ("value", "sum")])
-        g = pa.table({"window_start": g["window_start"],
-                      "event_type": g["event_type"],
-                      "n": g["count_all"], "sum_value": g["value_sum"]})
-        b = (hash64(g["window_start"].cast(pa.int64()).to_numpy()) % n_buckets
-             ).astype(np.int64)
-        return g.append_column("b", pa.array(b))
+            for ws in (hour, pc.subtract(hour, hop))])
 
-    def bucket_merge(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["window_start", "event_type"], sort=False).agg(
-            n=("n", "sum"), sum_value=("sum_value", "sum")).reset_index()
-
-    out = ds.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True
-                         ).groupby("b").map_groups(bucket_merge,
-                                                   batch_format="pandas")
+    out = _key_fold(_read_blocked(sf_dir, "events", ["ts", "event_type", "value"]),
+                    ["window_start", "event_type"],
+                    {"n": (None, "count_all"), "sum_value": ("value", "sum")},
+                    assign)
     df = _round_cols(out.to_pandas(), {"sum_value": 2})
     df["window_start"] = df["window_start"].astype("datetime64[us]")
     return _pa_from_pandas(df, preserve_index=False)
@@ -2259,10 +2266,10 @@ FROM x GROUP BY 1, 2
 
 def rolling_1h_events(sf_dir: str):
     """Per-user rolling 1-hour window (count + sum of value over [ts-1h, ts]):
-    salt-bucketed; within a bucket ONE searchsorted + cumsum pass over the
-    (user, time) composite key covers every user — window probes that
-    underflow a user's range land between users by construction, so no
-    per-user loop and no boundary mask."""
+    ``_key_shuffle`` on the user; within a bucket ONE searchsorted + cumsum
+    pass over the (user, time) composite key covers every user — window
+    probes that underflow a user's range land between users by
+    construction, so no per-user loop and no boundary mask."""
     ds = _read_blocked(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
     hour_us = 3_600_000_000
 
@@ -2279,7 +2286,7 @@ def rolling_1h_events(sf_dir: str):
             "sum_1h": _round(cs[hi] - cs[lo], 2),
         })
 
-    return _user_buckets(sf_dir, ds).map_groups(roll, batch_format="pandas")
+    return _key_shuffle(ds, ["user_id"], roll)
 
 
 ROLLING_SQL = """
@@ -2292,24 +2299,19 @@ WINDOW w AS (PARTITION BY user_id ORDER BY ts
 
 
 def topn_orders_per_priority(sf_dir: str, n: int = 3):
-    """Grouped top-N (window ROW_NUMBER shape): per-block partial top-N per
-    key inside map_batches, then a tiny per-key final merge — the partial
-    top-k-before-shuffle pattern, so only n x n_blocks x n_keys rows move."""
-    ds = _read_blocked(sf_dir, "orders", ["o_orderpriority", "o_orderkey", "o_totalprice"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
+    """Grouped top-N (window ROW_NUMBER shape): one per-key top-N kernel
+    runs on each block (the partial top-k-before-shuffle pattern, so only
+    n x n_blocks x n_keys rows move) and again per ``_key_shuffle``
+    bucket; a NULL priority is a partition of its own."""
+    def top(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["o_totalprice", "o_orderkey"], ascending=[False, True])
-        return _pa_from_pandas(df.groupby("o_orderpriority").head(n),
-                                    preserve_index=False)
+        return df.groupby("o_orderpriority", dropna=False, sort=False).head(n)
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["o_totalprice", "o_orderkey"], ascending=[False, True])
-        return df.head(n)
-
-    return ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                          ).groupby("o_orderpriority").map_groups(
-        final, batch_format="pandas")
+    return _key_shuffle(
+        _read_blocked(sf_dir, "orders",
+                      ["o_orderpriority", "o_orderkey", "o_totalprice"]),
+        ["o_orderpriority"], top,
+        lambda t: _pa_from_pandas(top(t.to_pandas()), preserve_index=False))
 
 
 TOPN_PER_KEY_SQL = """
@@ -2328,28 +2330,16 @@ QUALIFY ROW_NUMBER() OVER (PARTITION BY o_orderpriority
 def setops_customer_orders(sf_dir: str):
     """UNION / INTERSECT / EXCEPT cardinalities of {c_custkey} vs
     {distinct o_custkey} in one shuffle: per-block unique partials tagged by
-    side, salted-bucket groupby (all copies of one key land in one bucket),
-    vectorized per-bucket set algebra, tiny final sum. No driver-side key
-    materialization — the at-scale shape for DISTINCT-based set ops."""
-    from ..functions.hashing import hash64
-
-    n_buckets = _salt_buckets(sf_dir, "orders", rows_per_bucket=2_000_000,
-                              floor=8)
-
+    side meet in ``_key_shuffle`` buckets (all copies of one key land in one
+    bucket), vectorized per-bucket set algebra, tiny final sum. No
+    driver-side key materialization — the at-scale shape for DISTINCT-based
+    set ops."""
     def tag(side: int):
         def fn(batch: pa.Table) -> pa.Table:
-            col = batch.column_names[0]
-            k = np.unique(batch[col].to_numpy())
-            b = (hash64(k) % n_buckets).astype(np.int64)
+            k = np.unique(batch.column(0).to_numpy())
             return pa.table({"k": pa.array(k.astype(np.int64)),
-                             "side": pa.array(np.full(k.size, side, np.int64)),
-                             "bkt": pa.array(b)})
+                             "side": pa.array(np.full(k.size, side, np.int64))})
         return fn
-
-    cust = _read_blocked(sf_dir, "customer", ["c_custkey"]).map_batches(
-        tag(0), batch_format="pyarrow", zero_copy_batch=True)
-    orders = _read_blocked(sf_dir, "orders", ["o_custkey"]).map_batches(
-        tag(1), batch_format="pyarrow", zero_copy_batch=True)
 
     def bucket_setops(df: pd.DataFrame) -> pd.DataFrame:
         a = np.unique(df.k.to_numpy()[df.side.to_numpy() == 0])
@@ -2364,8 +2354,10 @@ def setops_customer_orders(sf_dir: str):
             "n_orders_only": [int(b.size - inter)],
         })
 
-    out = cust.union(orders).groupby("bkt").map_groups(
-        bucket_setops, batch_format="pandas").to_pandas().sum()
+    out = _key_shuffle(
+        [_read_blocked(sf_dir, "customer", ["c_custkey"]),
+         _read_blocked(sf_dir, "orders", ["o_custkey"])],
+        ["k"], bucket_setops, [tag(0), tag(1)]).to_pandas().sum()
     return pa.Table.from_pylist([{c: int(out[c]) for c in out.index}])
 
 
@@ -2439,21 +2431,10 @@ GROUP BY band
 
 
 def event_gaps_per_user(sf_dir: str):
-    """Per-user inter-event gap stats (the LAG() window shape). Users are
-    salt-bucketed (hash(user_id) % 256) so the shuffle has a fixed group
-    count; within a bucket the per-user sort + diff is one vectorized pandas
-    pass — never one Ray group per user (2 ms/group kills high-cardinality
-    keys, see uniqueness_pk)."""
-    from ..functions.hashing import hash64
-
-    n_buckets = 256
+    """Per-user inter-event gap stats (the LAG() window shape): users meet
+    in ``_key_shuffle`` buckets, and within a bucket the per-user sort +
+    diff is one vectorized pandas pass — never one Ray group per user."""
     ds = _read_blocked(sf_dir, "events", ["user_id", "ts"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy()
-        b = (hash64(u) % n_buckets).astype(np.int64)
-        return pa.table({"user_id": batch["user_id"], "ts": batch["ts"],
-                         "bkt": pa.array(b)})
 
     def bucket_gaps(df: pd.DataFrame) -> pd.DataFrame:
         d = df.sort_values(["user_id", "ts"], kind="mergesort")
@@ -2469,9 +2450,7 @@ def event_gaps_per_user(sf_dir: str):
         out["n_events"] = out["n_events"].astype(np.int64)
         return out[out.n_events > 1]
 
-    return ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True
-                          ).groupby("bkt").map_groups(bucket_gaps,
-                                                      batch_format="pandas")
+    return _key_shuffle(ds, ["user_id"], bucket_gaps)
 
 
 EVENT_GAPS_SQL = """
@@ -2495,31 +2474,23 @@ def dedup_events_debounce(sf_dir: str, window_s: int = DEBOUNCE_WINDOW_S):
     burst — more than ``window_s`` after the previous event of the same
     (user, event_type) — the streaming-ingest sibling of the document dedups
     (duplicate clicks, retried webhooks). Same shape as sessionization: one
-    salted shuffle by hash(user) co-locates every (user, type) stream, and
-    the burst predicate is a vectorized shift-compare inside the bucket."""
-    from ..functions.hashing import hash64
-
-    n_buckets = 256
+    ``_key_shuffle`` on the user co-locates every (user, type) stream, and
+    the burst predicate is a vectorized shift-compare inside the bucket (a
+    NULL type is one stream, as in PARTITION BY)."""
     ds = _read_blocked(sf_dir, "events", ["event_id", "user_id", "event_type", "ts"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy()
-        b = (hash64(u) % n_buckets).astype(np.int64)
-        return batch.append_column("bkt", pa.array(b))
 
     def keep_burst_starts(df: pd.DataFrame) -> pd.DataFrame:
         d = df.sort_values(["user_id", "event_type", "ts", "event_id"],
                            kind="mergesort")
         gap = d.ts.diff().dt.total_seconds()
+        et, prev = d.event_type, d.event_type.shift()
         same = (d.user_id.eq(d.user_id.shift())
-                & d.event_type.eq(d.event_type.shift()))
+                & (et.eq(prev) | (et.isna() & prev.isna())))
         keep = ~(same & (gap <= window_s))
         out = d.loc[keep, ["event_id", "user_id", "event_type"]]
         return out.reset_index(drop=True)
 
-    return ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True
-                          ).groupby("bkt").map_groups(
-        keep_burst_starts, batch_format="pandas")
+    return _key_shuffle(ds, ["user_id"], keep_burst_starts)
 
 
 DEBOUNCE_SQL = f"""
@@ -2540,23 +2511,23 @@ FROM g WHERE gap IS NULL OR gap > {DEBOUNCE_WINDOW_S}
 
 def grouped_quantiles_flag(sf_dir: str):
     """Exact discrete per-group quantiles of l_extendedprice by returnflag:
-    few groups -> plain groupby().map_groups with one np.partition pass per
-    group (the t-digest sketch path is the at-scale default; this is the
-    oracle-exact variant, same split as quantiles_extendedprice)."""
+    each ``_key_shuffle`` bucket sorts each of its flags' values once (the
+    t-digest sketch path is the at-scale default; this is the oracle-exact
+    variant, same split as quantiles_extendedprice). A NULL flag is a group
+    of its own."""
     ds = _read_blocked(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"])
 
     def qtiles(df: pd.DataFrame) -> pd.DataFrame:
-        v = np.sort(df.l_extendedprice.to_numpy())
-        # PERCENTILE_DISC: smallest value with cume_dist >= q
-        idx = [int(np.ceil(q * v.size)) - 1 for q in (0.25, 0.5, 0.75)]
-        return pd.DataFrame({
-            "l_returnflag": [df.l_returnflag.iloc[0]],
-            "p25": [v[max(idx[0], 0)]],
-            "p50": [v[max(idx[1], 0)]],
-            "p75": [v[max(idx[2], 0)]],
-        })
+        rows = []
+        for _, g in df.groupby("l_returnflag", dropna=False, sort=False):
+            v = np.sort(g.l_extendedprice.to_numpy())
+            # PERCENTILE_DISC: smallest value with cume_dist >= q
+            idx = [max(int(np.ceil(q * v.size)) - 1, 0) for q in (0.25, 0.5, 0.75)]
+            rows.append([g.l_returnflag.iloc[0], *v[idx]])
+        return pd.DataFrame(rows, columns=["l_returnflag", "p25", "p50", "p75"]
+                            ).astype({q: np.float64 for q in ("p25", "p50", "p75")})
 
-    return ds.groupby("l_returnflag").map_groups(qtiles, batch_format="pandas")
+    return _key_shuffle(ds, ["l_returnflag"], qtiles)
 
 
 GROUPED_QUANTILES_SQL = """
@@ -2802,8 +2773,9 @@ FROM lineitem GROUP BY l_returnflag
 def approx_distinct_users_by_type(sf_dir: str):
     """Distinct user_id per event_type via mergeable HyperLogLog partials:
     each block emits one serialized HLL per group (4 KB regardless of group
-    size), the groupby merges registers — the only shape that survives
-    10^12 rows of high-cardinality COUNT(DISTINCT)."""
+    size), each ``_key_shuffle`` bucket merges its types' registers — the
+    only shape that survives 10^12 rows of high-cardinality COUNT(DISTINCT).
+    A NULL type is a group of its own."""
     from ..state.sketches import HyperLogLog
 
     ds = _read_blocked(sf_dir, "events", ["event_type", "user_id"])
@@ -2811,25 +2783,26 @@ def approx_distinct_users_by_type(sf_dir: str):
     def partial(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
         types, blobs = [], []
-        for t, g in df.groupby("event_type", sort=False):
+        for _, g in df.groupby("event_type", dropna=False, sort=False):
             h = HyperLogLog()
             h.update(g.user_id.to_numpy())
-            types.append(t)
+            types.append(g.event_type.iloc[0])
             blobs.append(h.to_bytes())
         return pa.table({"event_type": pa.array(types, pa.string()),
                          "hll": pa.array(blobs, pa.binary())})
 
-    def merge_group(df: pd.DataFrame) -> pd.DataFrame:
+    def merge_groups(df: pd.DataFrame) -> pd.DataFrame:
         from functools import reduce
 
-        hlls = [HyperLogLog.from_bytes(b) for b in df.hll]
-        merged = reduce(lambda a, b: a.merge(b), hlls)
-        return pd.DataFrame({"event_type": [df.event_type.iloc[0]],
-                             "approx_users": [int(round(merged.estimate()))]})
+        types, users = [], []
+        for _, g in df.groupby("event_type", dropna=False, sort=False):
+            merged = reduce(lambda a, b: a.merge(b),
+                            [HyperLogLog.from_bytes(b) for b in g.hll])
+            types.append(g.event_type.iloc[0])
+            users.append(int(round(merged.estimate())))
+        return pd.DataFrame({"event_type": types, "approx_users": users})
 
-    out = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                         ).groupby("event_type").map_groups(
-        merge_group, batch_format="pandas").to_pandas()
+    out = _key_shuffle(ds, ["event_type"], merge_groups, partial).to_pandas()
     out = out.sort_values("event_type").reset_index(drop=True)
     return _pa_from_pandas(out, preserve_index=False)
 
@@ -2952,21 +2925,14 @@ FROM h GROUP BY bucket
 
 def funnel_view_click_purchase(sf_dir: str):
     """Per-user sequential funnel view -> click -> purchase (each later step
-    strictly after the earlier one's FIRST occurrence). Users salt-bucket
-    into 256 shuffle groups (never one Ray group per user); inside a bucket
-    the step timestamps reduce with one groupby-min pandas pass."""
-    from ..functions.hashing import hash64
-
-    n_buckets = 256
+    strictly after the earlier one's FIRST occurrence). Users meet in
+    ``_key_shuffle`` buckets (never one Ray group per user); inside a
+    bucket the step timestamps reduce with one groupby-min pandas pass."""
     ds = _read_blocked(sf_dir, "events", ["user_id", "ts", "event_type"])
 
-    def tag(batch: pa.Table) -> pa.Table:
-        keep = pa.compute.is_in(batch["event_type"],
-                                value_set=pa.array(["view", "click", "purchase"]))
-        b = batch.filter(keep)
-        salt = (hash64(b["user_id"].to_numpy()) % n_buckets).astype(np.int64)
-        return pa.table({"user_id": b["user_id"], "ts": b["ts"],
-                         "event_type": b["event_type"], "bkt": pa.array(salt)})
+    def steps(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.is_in(
+            batch["event_type"], value_set=pa.array(["view", "click", "purchase"])))
 
     def bucket_funnel(df: pd.DataFrame) -> pd.DataFrame:
         # first ts per (user, step), then ordered comparisons
@@ -2981,9 +2947,7 @@ def funnel_view_click_purchase(sf_dir: str):
                              "n_view_click": [int(c_.sum())],
                              "n_view_click_purchase": [int(p.sum())]})
 
-    out = ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True
-                         ).groupby("bkt").map_groups(
-        bucket_funnel, batch_format="pandas").to_pandas().sum()
+    out = _key_shuffle(ds, ["user_id"], bucket_funnel, steps).to_pandas().sum()
     return pa.Table.from_pylist([{k: int(out[k]) for k in
                                   ("n_view", "n_view_click",
                                    "n_view_click_purchase")}])
@@ -3061,11 +3025,12 @@ def rank_orders_dense(sf_dir: str, n: int = 3):
     ``topn_orders_per_priority``'s ROW_NUMBER head-n). Partial-safe: a price
     in the global top-n DISTINCT prices of its key is necessarily in its
     block's top-n distinct, so each block pre-filters with a vectorized
-    pandas dense rank and only candidate rows reach the per-key merge."""
+    pandas dense rank and only candidate rows reach the ``_key_shuffle``
+    merge. A NULL priority is a partition of its own."""
     ds = _read_blocked(sf_dir, "orders", ["o_orderpriority", "o_orderkey", "o_totalprice"])
 
     def dense_filter(df: pd.DataFrame) -> pd.DataFrame:
-        rnk = df.groupby("o_orderpriority").o_totalprice.rank(
+        rnk = df.groupby("o_orderpriority", dropna=False).o_totalprice.rank(
             method="dense", ascending=False)
         df = df.assign(rnk=rnk.astype(np.int64))
         return df[df.rnk <= n]
@@ -3075,9 +3040,7 @@ def rank_orders_dense(sf_dir: str, n: int = 3):
             dense_filter(batch.to_pandas()).drop(columns="rnk"),
             preserve_index=False)
 
-    return ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                          ).groupby("o_orderpriority").map_groups(
-        dense_filter, batch_format="pandas")
+    return _key_shuffle(ds, ["o_orderpriority"], dense_filter, partial)
 
 
 RANK_DENSE_SQL = """
@@ -3151,49 +3114,37 @@ FROM u GROUP BY measure
 def antijoin_customers_no_orders(sf_dir: str):
     """Distributed anti-join WITHOUT a broadcast (the big-big shape
     ``referential_orphans`` can't use when the dim side outgrows the object
-    store): both sides are tagged and hash-bucketed on the key, the probe
-    side filtered + pre-distinct-ed per block, and each bucket drops matched
-    customers with one vectorized isin. Per-bucket per-segment partial
-    counts roll up into a segment-cardinality final. The URGENT filter keeps
-    the result non-empty at every scale (every customer has *some* order)."""
-    from ..functions.hashing import hash64
-
-    nb = _salt_buckets(sf_dir, "orders", rows_per_bucket=2_000_000, floor=8)
-    cust = _read_blocked(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    orders = _read_blocked(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
-
+    store): both sides meet in ``_key_shuffle`` buckets on the key, the
+    probe side filtered + pre-distinct-ed per block, and each bucket drops
+    matched customers with one vectorized isin. Per-bucket per-segment
+    partial counts roll up into a segment-cardinality final. The URGENT
+    filter keeps the result non-empty at every scale (every customer has
+    *some* order)."""
     def tag_cust(batch: pa.Table) -> pa.Table:
-        k = batch["c_custkey"].to_numpy()
         return pa.table({"key": batch["c_custkey"],
                          "seg": batch["c_mktsegment"],
-                         "side": pa.array(np.zeros(len(k), np.int8)),
-                         "bkt": pa.array((hash64(k) % nb).astype(np.int64))})
+                         "side": pa.array(np.zeros(batch.num_rows, np.int8))})
 
     def tag_orders(batch: pa.Table) -> pa.Table:
         mask = pc.equal(batch["o_orderpriority"], "1-URGENT")
         k = np.unique(batch.filter(mask)["o_custkey"].to_numpy())
         return pa.table({"key": pa.array(k),
                          "seg": pa.array([""] * len(k), pa.string()),
-                         "side": pa.array(np.ones(len(k), np.int8)),
-                         "bkt": pa.array((hash64(k) % nb).astype(np.int64))})
-
-    both = cust.map_batches(tag_cust, batch_format="pyarrow",
-                            zero_copy_batch=True).union(
-        orders.map_batches(tag_orders, batch_format="pyarrow",
-                           zero_copy_batch=True))
+                         "side": pa.array(np.ones(len(k), np.int8))})
 
     def bucket_anti(df: pd.DataFrame) -> pd.DataFrame:
         have = df.key[df.side == 1].unique()
         miss = df[(df.side == 0) & ~df.key.isin(have)]
-        out = miss.groupby("seg").size().reset_index(name="n_customers")
+        out = miss.groupby("seg", dropna=False).size().reset_index(
+            name="n_customers")
         return out.rename(columns={"seg": "c_mktsegment"})
 
-    part = both.groupby("bkt").map_groups(bucket_anti, batch_format="pandas"
-                                          ).to_pandas()
-    if part.empty:  # all customers matched: typed empty result
-        part = pd.DataFrame({"c_mktsegment": pd.Series([], dtype=str),
-                             "n_customers": pd.Series([], dtype=np.int64)})
-    res = part.groupby("c_mktsegment", as_index=False).n_customers.sum()
+    part = _key_shuffle(
+        [_read_blocked(sf_dir, "customer", ["c_custkey", "c_mktsegment"]),
+         _read_blocked(sf_dir, "orders", ["o_custkey", "o_orderpriority"])],
+        ["key"], bucket_anti, [tag_cust, tag_orders]).to_pandas()
+    res = part.groupby("c_mktsegment", as_index=False,
+                       dropna=False).n_customers.sum()
     res["n_customers"] = res.n_customers.astype(np.int64)
     return _pa_from_pandas(res, preserve_index=False)
 
@@ -3211,31 +3162,24 @@ def latest_order_per_customer(sf_dir: str):
     """Argmax-per-key (max_by / QUALIFY ROW_NUMBER()=1 shape): each block
     keeps only its per-customer latest row (vectorized sort +
     drop_duplicates keep-last), so the shuffle moves at most one row per
-    (block, customer); the salted-bucket merge repeats the same reduction.
-    Output is one row per customer — proportional to key cardinality, which
-    is inherent to the operator."""
-    from ..functions.hashing import hash64
-
-    nb = _salt_buckets(sf_dir, "orders", rows_per_bucket=500_000, floor=16)
+    (block, customer); the ``_key_shuffle`` merge repeats the same
+    reduction. Output is one row per customer — proportional to key
+    cardinality, which is inherent to the operator."""
     ds = _read_blocked(sf_dir, "orders",
                ["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas().sort_values(
             ["o_custkey", "o_orderdate", "o_orderkey"], kind="mergesort")
-        best = df.drop_duplicates("o_custkey", keep="last")
-        best = best.assign(
-            bkt=(hash64(best.o_custkey.to_numpy()) % nb).astype(np.int64))
-        return _pa_from_pandas(best, preserve_index=False)
+        return _pa_from_pandas(df.drop_duplicates("o_custkey", keep="last"),
+                               preserve_index=False)
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["o_custkey", "o_orderdate", "o_orderkey"],
                             kind="mergesort")
-        return df.drop_duplicates("o_custkey", keep="last").drop(columns="bkt")
+        return df.drop_duplicates("o_custkey", keep="last")
 
-    return ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                          ).groupby("bkt").map_groups(merge,
-                                                      batch_format="pandas")
+    return _key_shuffle(ds, ["o_custkey"], merge, partial)
 
 
 LATEST_ORDER_SQL = """
@@ -3251,31 +3195,22 @@ def interval_join_purchase_clicks(sf_dir: str, window_s: int = 300):
     clicks the same user made in the preceding ``window_s`` seconds
     (window (t-w, t]), reported as the n_clicks distribution.
 
-    Ray shape: filter + salt-bucket by hash(user_id) inside map_batches
-    (fixed group count — never one Ray group per user, see event_gaps), then
-    ONE vectorized two-searchsorted pass per bucket over a collision-free
+    Ray shape: filter each block, ``_key_shuffle`` on user_id (never one
+    Ray group per user), then ONE vectorized two-searchsorted pass per
+    bucket over a collision-free
     (dense_uid * span + rel_ts) composite int64 key. span exceeds
     max(rel_ts) + window, so a lower bound that underflows a user's range
     still lands strictly above every other user's keys — no per-user loop,
     no clamp. Output size is bounded by the window's click-count support.
-
-    Bucket count scales with row count (never a small-scale constant) both
-    for shuffle sizing and because the composite key needs
-    users_per_bucket * (time_span + window) < 2^63 — asserted per bucket."""
-    from ..functions.hashing import hash64
-
-    n_buckets = _salt_buckets(sf_dir, "events", rows_per_bucket=250_000,
-                              floor=32)
+    The composite key needs users_per_bucket * (time_span + window) < 2^63
+    — asserted per bucket."""
     w_us = window_s * 1_000_000
     ds = _read_blocked(sf_dir, "events", ["ts", "user_id", "event_type"])
 
     def keep(batch: pa.Table) -> pa.Table:
         m = pc.is_in(batch["event_type"],
                      value_set=pa.array(["purchase", "click"]))
-        t = batch.filter(m)
-        b = (hash64(t["user_id"].to_numpy()) % n_buckets).astype(np.int64)
-        return pa.table({"ts": t["ts"], "user_id": t["user_id"],
-                         "event_type": t["event_type"], "bkt": pa.array(b)})
+        return batch.filter(m)
 
     def bucket_count(df: pd.DataFrame) -> pd.DataFrame:
         ts = _ts_us(df.ts)
@@ -3284,8 +3219,8 @@ def interval_join_purchase_clicks(sf_dir: str, window_s: int = 300):
         rel = ts - ts.min()
         span = int(rel.max()) + w_us + 2
         if (int(dense.max(initial=0)) + 1) * span >= 2**63:  # python ints: no wrap
-            raise ValueError("interval-join composite key overflow: raise "
-                             "n_buckets (users/bucket x time span too large)")
+            raise ValueError("interval-join composite key overflow: "
+                             "users/bucket x time span too large")
         key = dense.astype(np.int64) * span + rel
         ck = np.sort(key[is_click])
         pk = key[~is_click]
@@ -3294,9 +3229,7 @@ def interval_join_purchase_clicks(sf_dir: str, window_s: int = 300):
         out = pd.DataFrame({"n_clicks": n.astype(np.int64)})
         return out.groupby("n_clicks").size().reset_index(name="n_purchases")
 
-    part = ds.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True
-                          ).groupby("bkt").map_groups(
-        bucket_count, batch_format="pandas").to_pandas()
+    part = _key_shuffle(ds, ["user_id"], bucket_count, keep).to_pandas()
     res = part.groupby("n_clicks", as_index=False).n_purchases.sum()
     res["n_purchases"] = res.n_purchases.astype(np.int64)
     return _pa_from_pandas(res, preserve_index=False)
@@ -3316,9 +3249,10 @@ GROUP BY n_clicks
 def grouped_quantiles_tdigest(sf_dir: str):
     """Per-group t-digest quantiles — the at-scale path for
     ``grouped_quantiles_flag``: each block emits one ~2 KB digest PER GROUP
-    (mergeable), the per-group merge is a group-cardinality groupby, and no
-    stage ever holds a group's raw values in one worker. Rows-only
-    (approximate); accuracy vs the exact variant is pinned in tests."""
+    (mergeable), each ``_key_shuffle`` bucket merges its flags' digests, and
+    no stage ever holds a group's raw values in one worker. A NULL flag is
+    a group of its own. Rows-only (approximate); accuracy vs the exact
+    variant is pinned in tests."""
     from ..state.sketches import TDigest
 
     ds = _read_blocked(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice"])
@@ -3326,21 +3260,24 @@ def grouped_quantiles_tdigest(sf_dir: str):
     def partial(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
         rows = []
-        for flag, g in df.groupby("l_returnflag", sort=False):
+        for _, g in df.groupby("l_returnflag", dropna=False, sort=False):
             td = TDigest()
             td.update(g.l_extendedprice.to_numpy())
-            rows.append({"l_returnflag": flag, "blob": td.to_bytes()})
-        return pa.Table.from_pylist(rows)
+            rows.append({"l_returnflag": g.l_returnflag.iloc[0],
+                         "blob": td.to_bytes()})
+        return pa.table({"l_returnflag": pa.array(
+                             [r["l_returnflag"] for r in rows], pa.string()),
+                         "blob": pa.array([r["blob"] for r in rows], pa.binary())})
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
-        merged = TDigest.merge_many([TDigest.from_bytes(b) for b in df.blob])
-        p25, p50, p75 = merged.quantile([0.25, 0.5, 0.75])
-        return pd.DataFrame({"l_returnflag": [df.l_returnflag.iloc[0]],
-                             "p25": [p25], "p50": [p50], "p75": [p75]})
+        rows = []
+        for _, g in df.groupby("l_returnflag", dropna=False, sort=False):
+            merged = TDigest.merge_many([TDigest.from_bytes(b) for b in g.blob])
+            rows.append([g.l_returnflag.iloc[0],
+                         *merged.quantile([0.25, 0.5, 0.75])])
+        return pd.DataFrame(rows, columns=["l_returnflag", "p25", "p50", "p75"])
 
-    return ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                          ).groupby("l_returnflag").map_groups(
-        merge, batch_format="pandas")
+    return _key_shuffle(ds, ["l_returnflag"], merge, partial)
 
 
 def profile_table(sf_dir: str, table: str = "orders"):
@@ -3566,13 +3503,10 @@ def upsert_orders_scd(sf_dir: str):
     contained and oracle-exact.
 
     Ray shape: ONE scan emits both sides tagged with a priority column
-    (base + delta per block), salt-bucketed on the key (never one Ray group
-    per key), and each bucket resolves winners with one vectorized
+    (base + delta per block), ``_key_shuffle`` on the key (never one Ray
+    group per key), and each bucket resolves winners with one vectorized
     sort + drop_duplicates — at most one survivor row per key leaves the
-    bucket, already pre-aggregated per status."""
-    from ..functions.hashing import hash64
-
-    nb = _salt_buckets(sf_dir, "orders", rows_per_bucket=500_000, floor=16)
+    bucket, already pre-aggregated per status (a NULL status included)."""
     cols = ["o_orderkey", "o_orderstatus", "o_totalprice"]
 
     def tag_side(t: pa.Table, bump: float, pri: int) -> pa.Table:
@@ -3580,8 +3514,6 @@ def upsert_orders_scd(sf_dir: str):
             "key": t["o_orderkey"], "status": t["o_orderstatus"],
             "price": pc.add(t["o_totalprice"], pa.scalar(bump)),
             "pri": pa.array(np.full(len(t), pri, np.int8)),
-            "bkt": pa.array((hash64(t["o_orderkey"].to_numpy()) % nb
-                             ).astype(np.int64)),
         })
 
     def tag_both(batch: pa.Table) -> pa.Table:
@@ -3594,19 +3526,15 @@ def upsert_orders_scd(sf_dir: str):
             tag_side(batch.filter(pa.array(k % 3 == 0)), 1.0, 1),
         ])
 
-    both = _read_blocked(sf_dir, "orders", cols).map_batches(
-        tag_both, batch_format="pyarrow", zero_copy_batch=True)
-
     def resolve(df: pd.DataFrame) -> pd.DataFrame:
         d = df.sort_values(["key", "pri"], kind="mergesort"
                            ).drop_duplicates("key", keep="last")
-        g = d.groupby("status", sort=False).agg(
+        return d.groupby("status", sort=False, dropna=False).agg(
             n=("key", "size"), sum_price=("price", "sum")).reset_index()
-        return g
 
-    part = both.groupby("bkt").map_groups(
-        resolve, batch_format="pandas").to_pandas()
-    out = part.groupby("status", as_index=False).agg(
+    part = _key_shuffle(_read_blocked(sf_dir, "orders", cols), ["key"],
+                        resolve, tag_both).to_pandas()
+    out = part.groupby("status", as_index=False, dropna=False).agg(
         n=("n", "sum"), sum_price=("sum_price", "sum"))
     out = out.rename(columns={"status": "o_orderstatus"})
     out["n"] = out.n.astype(np.int64)
@@ -3632,7 +3560,7 @@ FROM merged GROUP BY o_orderstatus
 
 # ---------------------------------------------------------------------------
 # Multi-table join pipeline (TPC-H Q3 shape): dimension filter broadcast,
-# fact-fact salted-bucket join, grouped aggregate, global top-k
+# fact-fact key-shuffle join, grouped aggregate, global top-k
 # ---------------------------------------------------------------------------
 
 
@@ -3646,17 +3574,14 @@ def q3_shipping_priority(sf_dir: str, k: int = 10,
     selective filter) are collected as ONE sorted int64 array and broadcast
     via ``ray.put`` — a searchsorted probe inside the orders scan replaces a
     full shuffle join (at 10^9+ customers this side would instead reuse the
-    salted-bucket join below). (2) orders and lineitem never meet in a Ray
+    key-shuffle join below). (2) orders and lineitem never meet in a Ray
     ``join`` operator: both are filtered + projected at the read, lineitem is
-    pre-aggregated to (orderkey, revenue-partial) per block, and both sides
-    are salt-bucketed on hash(orderkey) so ONE groupby shuffle co-locates
-    each order with all its lineitem partials. (3) each bucket emits only its
-    local top-k, so the driver merges n_buckets × k rows."""
+    pre-aggregated to (orderkey, revenue-partial) per block, and ONE
+    ``_key_shuffle`` on the orderkey co-locates each order with all its
+    lineitem partials. (3) each bucket emits only its local top-k, so the
+    driver merges n_buckets × k rows."""
     import ray
 
-    from ..functions.hashing import hash64
-
-    nb = _salt_buckets(sf_dir, "lineitem", rows_per_bucket=1_000_000, floor=16)
     cut = np.datetime64(cutoff, "us")
 
     cust = _read_blocked(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
@@ -3696,7 +3621,6 @@ def q3_shipping_priority(sf_dir: str, k: int = 10,
             "o_orderdate": dates,
             "o_orderpriority": t["o_orderpriority"],
             "side": pa.array(np.ones(ok.size, np.int8)),
-            "bkt": pa.array((hash64(ok) % nb).astype(np.int64)),
         })
 
     li = _read_blocked(sf_dir, "lineitem",
@@ -3716,24 +3640,20 @@ def q3_shipping_priority(sf_dir: str, k: int = 10,
             "o_orderdate": pa.array([""] * uk.size, pa.string()),
             "o_orderpriority": pa.array([""] * uk.size, pa.string()),
             "side": pa.array(np.zeros(uk.size, np.int8)),
-            "bkt": pa.array((hash64(uk) % nb).astype(np.int64)),
         })
-
-    o = orders.map_batches(otag, batch_format="pyarrow", zero_copy_batch=True)
-    l = li.map_batches(ltag, batch_format="pyarrow", zero_copy_batch=True)
 
     def bucket_join(df: pd.DataFrame) -> pd.DataFrame:
         ords = df[df.side == 1]
         rev = df[df.side == 0].groupby("key", sort=False).rev.sum()
-        m = ords.drop(columns=["rev", "side", "bkt"]).merge(
+        m = ords.drop(columns=["rev", "side"]).merge(
             rev.rename("revenue"), left_on="key", right_index=True)
         m["revenue"] = _round(m.revenue, 2)
         m = m.sort_values(["revenue", "key"], ascending=[False, True],
                           kind="mergesort").head(k)
         return m.rename(columns={"key": "l_orderkey"})
 
-    part = o.union(l).groupby("bkt").map_groups(
-        bucket_join, batch_format="pandas").to_pandas()
+    part = _key_shuffle([orders, li], ["key"], bucket_join,
+                        [otag, ltag]).to_pandas()
     out = part.sort_values(["revenue", "l_orderkey"],
                            ascending=[False, True], kind="mergesort").head(k)
     return _pa_from_pandas(
@@ -3802,14 +3722,14 @@ def bloom_semijoin_lineitem(sf_dir: str, priority: str = "1-URGENT"):
     never the keys themselves), (2) the ~1.2-bytes/key filter is broadcast
     and probed vectorized inside the lineitem scan — survivors are
     pre-aggregated per (orderkey, flag) per block, (3) false positives are
-    removed by an EXACT salted-bucket semi-join of the survivors against the
-    key set, (4) a tiny final groupby sums per flag. At 10^9 build keys the
-    exact set is GBs but the filter is ~1 GB→MBs tunable via fpp; the
-    screen's job is shrinking the shuffle input to (2)'s survivors."""
+    removed by an EXACT ``_key_shuffle`` semi-join of the survivors against
+    the key set, (4) a tiny final groupby sums per flag (a NULL flag too).
+    At 10^9 build keys the exact set is GBs but the filter is ~1 GB→MBs
+    tunable via fpp; the screen's job is shrinking the shuffle input to
+    (2)'s survivors."""
     import ray
 
     from ..functions.bloom import BloomFilter
-    from ..functions.hashing import hash64
 
     _LN2SQ = float(np.log(2.0)) ** 2
 
@@ -3840,8 +3760,6 @@ def bloom_semijoin_lineitem(sf_dir: str, priority: str = "1-URGENT"):
             bf.bits |= np.asarray(row.as_py(), dtype=np.uint64)
     bf_ref = {"ref": ray.put(bf)}
 
-    nb = _salt_buckets(sf_dir, "orders", rows_per_bucket=2_000_000, floor=16)
-
     def probe(batch: pa.Table) -> pa.Table:
         filt: BloomFilter = ray.get(bf_ref["ref"])
         keys = batch["l_orderkey"].to_numpy()
@@ -3851,17 +3769,10 @@ def bloom_semijoin_lineitem(sf_dir: str, priority: str = "1-URGENT"):
         rev = t["l_extendedprice"].to_numpy() * (1.0 - t["l_discount"].to_numpy())
         df = pd.DataFrame({"key": keys, "flag": t["l_returnflag"].to_pandas(),
                            "rev": rev})
-        g = df.groupby(["key", "flag"], sort=False).agg(
+        g = df.groupby(["key", "flag"], sort=False, dropna=False).agg(
             rev=("rev", "sum"), n=("rev", "size")).reset_index()
         g["side"] = np.int8(0)
-        g["bkt"] = (hash64(g.key.to_numpy()) % nb).astype(np.int64)
         return _pa_from_pandas(g, preserve_index=False)
-
-    li = _read_blocked(sf_dir, "lineitem",
-                       ["l_orderkey", "l_returnflag", "l_extendedprice",
-                        "l_discount"])
-    survivors = li.map_batches(probe, batch_format="pyarrow",
-                               zero_copy_batch=True)
 
     def tag_keys(batch: pa.Table) -> pa.Table:
         kk = batch["o_orderkey"].to_numpy()
@@ -3871,22 +3782,20 @@ def bloom_semijoin_lineitem(sf_dir: str, priority: str = "1-URGENT"):
             "rev": pa.array(np.zeros(kk.size, np.float64)),
             "n": pa.array(np.zeros(kk.size, np.int64)),
             "side": pa.array(np.ones(kk.size, np.int8)),
-            "bkt": pa.array((hash64(kk) % nb).astype(np.int64)),
         })
-
-    exact = keys_ds.map_batches(tag_keys, batch_format="pyarrow",
-                                zero_copy_batch=True)
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
         real = df[df.side == 1].key.unique()
         s = df[df.side == 0]
         s = s[np.isin(s.key.to_numpy(), real)]
-        return s.groupby("flag", sort=False).agg(
+        return s.groupby("flag", sort=False, dropna=False).agg(
             revenue=("rev", "sum"), n_items=("n", "sum")).reset_index()
 
-    part = survivors.union(exact).groupby("bkt").map_groups(
-        verify, batch_format="pandas").to_pandas()
-    out = part.groupby("flag", as_index=False).agg(
+    li = _read_blocked(sf_dir, "lineitem", ["l_orderkey", "l_returnflag",
+                                            "l_extendedprice", "l_discount"])
+    part = _key_shuffle([li, keys_ds], ["key"], verify,
+                        [probe, tag_keys]).to_pandas()
+    out = part.groupby("flag", as_index=False, dropna=False).agg(
         revenue=("revenue", "sum"), n_items=("n_items", "sum"))
     out = out.rename(columns={"flag": "l_returnflag"})
     out["revenue"] = _round(out.revenue, 2)
@@ -3913,20 +3822,22 @@ GROUP BY l_returnflag
 def event_path_per_user(sf_dir: str):
     """Per-user ordered event-type path (the thread/conversation-assembly
     shape an LLM data pipeline uses to stitch per-key records into one
-    training document): salt-bucketed by hash(user_id) — never one Ray group
+    training document): ``_key_shuffle`` on user_id — never one Ray group
     per user — and each bucket does ONE (user, ts, event_id) mergesort, then
-    a per-user join of the already-ordered slices."""
+    a per-user join of the already-ordered slices. As SQL's ``STRING_AGG``,
+    the join skips NULL types, and a user with only NULL types gets a NULL
+    path."""
     ds = _read_blocked(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
 
     def paths(df: pd.DataFrame) -> pd.DataFrame:
         d = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        g = d.groupby("user_id", sort=False)
-        return pd.DataFrame({
-            "path": g.event_type.agg(">".join),
-            "n_events": g.size().astype(np.int64),
-        }).reset_index()
+        n = d.groupby("user_id", sort=False).size().astype(np.int64)
+        path = d[d.event_type.notna()].groupby(
+            "user_id", sort=False).event_type.agg(">".join).reindex(n.index)
+        return pd.DataFrame({"path": path.where(path.notna(), None),
+                             "n_events": n}).reset_index()
 
-    return _user_buckets(sf_dir, ds).map_groups(paths, batch_format="pandas")
+    return _key_shuffle(ds, ["user_id"], paths)
 
 
 EVENT_PATH_SQL = """
@@ -4045,9 +3956,10 @@ def _ranked_orders(sf_dir: str, make_cols):
     per-priority total n for ORDER BY (o_totalprice, o_orderkey) PARTITION BY
     o_orderpriority, without a global sort. Rows are range-bucketed on the
     ORDER BY prefix (order-preserving between buckets), per-(priority,
-    bucket) counts are exclusive-prefix-summed on the driver (one tiny row
-    per bucket), and each bucket assigns its row numbers with one in-bucket
-    vectorized sort. ``make_cols(i, n)`` maps (row numbers, total) to the
+    bucket) counts fold on the driver and are exclusive-prefix-summed there
+    (one tiny row per cell), and each ``_key_shuffle`` call numbers its
+    cells' rows with one vectorized sort. A NULL priority is a partition of
+    its own. ``make_cols(i, n)`` maps (row numbers, per-row totals) to the
     output column dict; backs NTILE / PERCENT_RANK / CUME_DIST."""
     import ray
 
@@ -4056,43 +3968,35 @@ def _ranked_orders(sf_dir: str, make_cols):
     # one combined fold, not two full-table scans
     agg = _group_fold(ds, [], {"lo": ("o_totalprice", "min"),
                                "hi": ("o_totalprice", "max")})
-    lo, hi = agg["lo"][0].as_py(), agg["hi"][0].as_py()
-    n_buckets = _salt_buckets(sf_dir, "orders", rows_per_bucket=1_000_000,
-                              floor=16)
-    scale = n_buckets / max(hi - lo, 1e-9)
+    lo, hi = (agg[c][0].as_py() or 0.0 for c in ("lo", "hi"))  # NULL: no rows
+    n_ranges = _salt_buckets(_num_rows(sf_dir, "orders"))
+    scale = n_ranges / max(hi - lo, 1e-9)
+    cell = ["o_orderpriority", "rng"]
 
     def tag(batch: pa.Table) -> pa.Table:
         p = batch["o_totalprice"].to_numpy()
-        bkt = np.clip((p - lo) * scale, 0, n_buckets - 1).astype(np.int64)
-        return batch.append_column("bkt", pa.array(bkt))
+        rng = np.clip((p - lo) * scale, 0, n_ranges - 1).astype(np.int64)
+        return batch.append_column("rng", pa.array(rng))
 
-    tagged = ds.map_batches(tag, batch_format="pyarrow",
-                            zero_copy_batch=True).repartition(
-        n_buckets).materialize()
-    counts = tagged.groupby(["o_orderpriority", "bkt"]).count().to_pandas()
-    counts = counts.sort_values(["o_orderpriority", "bkt"])
-    offs: dict[tuple[str, int], int] = {}
-    totals: dict[str, int] = {}
-    for prio, sub in counts.groupby("o_orderpriority", sort=True):
-        c = sub["count()"].to_numpy()
-        base = np.concatenate(([0], np.cumsum(c)[:-1]))
-        for b, o in zip(sub.bkt.to_numpy(), base):
-            offs[(prio, int(b))] = int(o)
-        totals[prio] = int(c.sum())
-    shared = ray.put((offs, totals))
+    counts = _group_fold(ds, cell, {"n": (None, "count_all")}, tag).to_pandas(
+        ).sort_values(cell, kind="mergesort")
+    g = counts.groupby("o_orderpriority", dropna=False, sort=False).n
+    counts["base"] = g.cumsum() - counts.n
+    counts["total"] = g.transform("sum")
+    shared = ray.put(counts[[*cell, "base", "total"]])
 
     def assign(df: pd.DataFrame) -> pd.DataFrame:
-        offs_, totals_ = ray.get(shared)
-        prio = df.o_orderpriority.iloc[0]
-        base = offs_[(prio, int(df.bkt.iloc[0]))]
-        df = df.sort_values(["o_totalprice", "o_orderkey"])
-        i = base + np.arange(len(df), dtype=np.int64)
+        df = df.sort_values([*cell, "o_totalprice", "o_orderkey"],
+                            kind="mergesort")
+        at = df.groupby(cell, dropna=False, sort=False).cumcount().to_numpy()
+        # a left merge keeps the left order; NULL keys match NULL keys
+        m = df[cell].merge(ray.get(shared), how="left", on=cell)
         return pd.DataFrame({"o_orderkey": df.o_orderkey.to_numpy(),
                              "o_orderpriority": df.o_orderpriority.to_numpy(),
-                             **make_cols(i, totals_[prio])})
+                             **make_cols(m.base.to_numpy() + at,
+                                         m.total.to_numpy())})
 
-    return tagged.groupby(["o_orderpriority", "bkt"]).map_groups(
-        assign, batch_format="pandas")
+    return _key_shuffle(ds, cell, assign, tag)
 
 
 def ntile_orders(sf_dir: str, tiles: int = 4):
@@ -4101,11 +4005,11 @@ def ntile_orders(sf_dir: str, tiles: int = 4):
     (first n%k tiles get one extra row) is applied from the per-priority
     totals."""
 
-    def cols(i: np.ndarray, n: int) -> dict:
-        q, r = divmod(n, tiles)
+    def cols(i: np.ndarray, n: np.ndarray) -> dict:
+        q, r = np.divmod(n, tiles)
         big = r * (q + 1)
-        tile = np.where(i < big, i // max(q + 1, 1) + 1,
-                        r + (i - big) // max(q, 1) + 1)
+        tile = np.where(i < big, i // np.maximum(q + 1, 1) + 1,
+                        r + (i - big) // np.maximum(q, 1) + 1)
         return {"tile": tile.astype(np.int64)}
 
     return _ranked_orders(sf_dir, cols)
@@ -4118,8 +4022,8 @@ def percent_rank_orders(sf_dir: str):
     divisions are single exactly-rounded IEEE ops, hash-identical to the
     oracle."""
 
-    def cols(i: np.ndarray, n: int) -> dict:
-        pr = i / max(n - 1, 1) if n > 1 else np.zeros(len(i))
+    def cols(i: np.ndarray, n: np.ndarray) -> dict:
+        pr = np.where(n > 1, i / np.maximum(n - 1, 1), 0.0)
         return {"pct_rank": pr, "cume_dist": (i + 1) / n}
 
     return _ranked_orders(sf_dir, cols)
@@ -4307,8 +4211,8 @@ def _len_band_explode(batch: pa.Table, max_dist: int, w: int) -> pa.Table:
 
 def fuzzy_match_parts(sf_dir: str, max_dist: int = 2):
     """Same-brand part-name pairs within Levenshtein distance 2: one
-    shuffle on the COMPOSITE blocking key (p_brand, length band — see
-    ``_len_band_explode`` for the exactness argument), all-pairs-within-
+    ``_key_shuffle`` on the COMPOSITE blocking key (p_brand, length band —
+    see ``_len_band_explode`` for the exactness argument), all-pairs-within-
     block candidate generation pre-filtered by |len diff| <= max_dist, then
     the vectorized shared-shape DP kernel (functions/editdist.py) verifies
     every candidate in a handful of numpy passes. The secondary length-band
@@ -4348,9 +4252,12 @@ def fuzzy_match_parts(sf_dir: str, max_dist: int = 2):
             "dist": d[hit],
         })
 
-    exploded = ds.map_batches(
-        lambda b: _len_band_explode(b, max_dist, w), batch_format="pyarrow")
-    return exploded.groupby("blk").map_groups(pairs, batch_format="pandas")
+    def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat([pairs(g) for _, g in df.groupby("blk", sort=False)],
+                         ignore_index=True)
+
+    return _key_shuffle(ds, ["blk"], bucket_pairs,
+                        lambda b: _len_band_explode(b, max_dist, w))
 
 
 FUZZY_SQL = """
@@ -4393,10 +4300,7 @@ def _typed_empty(sf_dir: str, tables: list[str], schema: pa.Schema):
     metadata, no data read), else None. A query that sorts before its fold
     needs it for SQL's typed empty GROUP BY: Ray's sort hands an empty
     range a schema-less block, so nothing typed reaches the fold."""
-    import pyarrow.parquet as pq
-
-    if any(pq.ParquetFile(f"{sf_dir}/{t}.parquet").metadata.num_rows == 0
-           for t in tables):
+    if any(_num_rows(sf_dir, t) == 0 for t in tables):
         return schema.empty_table()
     return None
 
@@ -4526,15 +4430,11 @@ def table_diff_orders(sf_dir: str):
     """FULL-OUTER-JOIN diff of two snapshots keyed on o_orderkey, emitting
     (key, change_type, price_a, price_b) for added / removed / changed rows
     only. One pass derives BOTH sides from each input block (no second
-    read), then one salted-bucket shuffle co-locates each key's two sides;
+    read), then one ``_key_shuffle`` co-locates each key's two sides;
     per-bucket compare is a vectorized pandas merge. Unchanged rows never
     leave their bucket — output is proportional to the delta, not the
     table."""
-    from ..functions.hashing import hash64
-
     ds = _read_blocked(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
-    n_buckets = _salt_buckets(sf_dir, "orders", rows_per_bucket=1_000_000,
-                              floor=16)
     M = np.int64(4294967296)
 
     def both_sides(batch: pa.Table) -> pa.Table:
@@ -4555,7 +4455,6 @@ def table_diff_orders(sf_dir: str):
             "price": pa.array(np.concatenate([pa_, pb, pi])),
             "side": pa.array(np.concatenate(
                 [sa, np.ones(kb.size + ki.size, np.int64)])),
-            "bkt": pa.array(hash64(np.concatenate([ka, kb, ki])) % n_buckets),
         })
 
     def diff(df: pd.DataFrame) -> pd.DataFrame:
@@ -4570,9 +4469,7 @@ def table_diff_orders(sf_dir: str):
                              "price_a": m.price_a.to_numpy(),
                              "price_b": m.price_b.to_numpy()})
 
-    return ds.map_batches(both_sides, batch_format="pyarrow",
-                          zero_copy_batch=True).groupby("bkt").map_groups(
-        diff, batch_format="pandas")
+    return _key_shuffle(ds, ["k"], diff, both_sides)
 
 
 TABLE_DIFF_SQL = """
@@ -4762,48 +4659,26 @@ FROM s GROUP BY event_type
 def above_avg_customers(sf_dir: str):
     """Correlated-subquery shape (HAVING vs a global aggregate): how many
     customers' total spend exceeds the average per-customer total. One
-    salted-bucket shuffle builds per-customer totals; per-bucket (sum,
-    count) partials give the driver the global average (rounded to cents on
-    both engines so the threshold is bit-identical); buckets then count
-    their above-average customers against the broadcast threshold."""
-    from ..functions.hashing import hash64
-
-    ds = _read_blocked(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    n_buckets = _salt_buckets(sf_dir, "orders", rows_per_bucket=1_000_000,
-                              floor=16)
-
+    ``_key_shuffle`` builds per-customer totals (per-block partial sums
+    first); the driver takes the global average (rounded to cents on both
+    engines so the threshold is bit-identical) and counts the customers
+    above it."""
     def partial(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame({"k": batch["o_custkey"].to_numpy().astype(np.int64),
                            "p": batch["o_totalprice"].to_numpy()})
         g = df.groupby("k", sort=False).p.sum()
-        k = g.index.to_numpy(np.int64)
-        return pa.table({"k": pa.array(k), "total": pa.array(g.to_numpy()),
-                         "bkt": pa.array(hash64(k) % n_buckets)})
+        return pa.table({"k": pa.array(g.index.to_numpy(np.int64)),
+                         "total": pa.array(g.to_numpy())})
 
     def totals(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("k", sort=False).total.sum()
-        return pd.DataFrame({"bkt": np.full(len(g), df.bkt.iloc[0], np.int64),
-                             "k": g.index.to_numpy(np.int64),
-                             "total": g.to_numpy()})
+        return df.groupby("k", sort=False).total.sum().reset_index()
 
-    per_cust = _read_blocked(sf_dir, "orders", ["o_custkey", "o_totalprice"]
-                     ).map_batches(partial, batch_format="pyarrow",
-                                   zero_copy_batch=True).groupby(
-        "bkt").map_groups(totals, batch_format="pandas").materialize()
-    agg = per_cust.map_batches(
-        lambda b: pa.table({"s": pa.array([float(np.sum(b["total"].to_numpy()))]),
-                            "n": pa.array([np.int64(b.num_rows)])}),
-        batch_format="pyarrow").to_pandas()
-    threshold = _round(agg.s.sum() / agg.n.sum(), 2)
-
-    def count_above(batch: pa.Table) -> pa.Table:
-        t = _round(batch["total"].to_numpy(), 2)
-        return pa.table({"n_above": pa.array([np.int64((t > threshold).sum())]),
-                         "n_customers": pa.array([np.int64(len(t))])})
-
-    out = per_cust.map_batches(count_above, batch_format="pyarrow").to_pandas()
-    return pd.DataFrame({"n_above": [np.int64(out.n_above.sum())],
-                         "n_customers": [np.int64(out.n_customers.sum())],
+    total = _key_shuffle(
+        _read_blocked(sf_dir, "orders", ["o_custkey", "o_totalprice"]),
+        ["k"], totals, partial).to_pandas().total.to_numpy()
+    threshold = _round(total.sum() / total.size, 2)
+    return pd.DataFrame({"n_above": [np.int64((_round(total, 2) > threshold).sum())],
+                         "n_customers": [np.int64(total.size)],
                          "avg_total": [float(threshold)]})
 
 
@@ -4839,10 +4714,9 @@ def entity_clusters_parts(sf_dir: str):
     dedup: below ENTITY_CC_MAX_PAIRS the gated edge list (2 int64/pair,
     counted as metadata before any collect) solves on the driver kernel;
     above it the Pregel-style cc_min_label_distributed runs with a
-    bucket-by-label size/assembly pass. The oracle walks the same pair
-    graph with a recursive CTE."""
+    ``_key_shuffle`` on the label for the size/assembly pass. The oracle
+    walks the same pair graph with a recursive CTE."""
     from ..functions.graph import cc_min_label, cc_min_label_distributed
-    from .ann import _cc_bkt
 
     pairs = fuzzy_match_parts(sf_dir).map_batches(
         lambda b: pa.table({"va": b["key_a"].cast(pa.int64()),
@@ -4862,14 +4736,6 @@ def entity_clusters_parts(sf_dir: str):
                              "cluster_id": reps.astype(np.int64),
                              "cluster_size": sizes[inv].astype(np.int64)})
 
-    labels = cc_min_label_distributed(pairs)  # (node, lab)
-    nb = max(8, pairs.count() // 2_000_000)
-
-    def tag(batch: pa.Table) -> pa.Table:
-        lab = batch["lab"].to_numpy().astype(np.int64)
-        return pa.table({"node": batch["node"], "lab": pa.array(lab),
-                         "lbkt": pa.array(_cc_bkt(lab, nb))})
-
     def assemble(df: pd.DataFrame) -> pd.DataFrame:
         sizes = df.groupby("lab", sort=False).lab.transform("size")
         return pd.DataFrame({
@@ -4877,8 +4743,7 @@ def entity_clusters_parts(sf_dir: str):
             "cluster_id": df.lab.to_numpy().astype(np.int64),
             "cluster_size": sizes.to_numpy().astype(np.int64)})
 
-    return labels.map_batches(tag, batch_format="pyarrow").repartition(
-        4).groupby("lbkt").map_groups(assemble, batch_format="pandas")
+    return _key_shuffle(cc_min_label_distributed(pairs), ["lab"], assemble)
 
 
 ENTITY_CLUSTERS_SQL = """
@@ -4927,14 +4792,11 @@ def pagerank_customers(sf_dir: str, iters: int = PAGERANK_ITERS, k: int = 20):
     gate — known from parquet metadata, nothing is collected to decide) runs
     the numpy driver kernel; larger graphs run the distributed loop
     (``pagerank_customers_distributed``), whose per-iteration cost is two
-    salted-bucket shuffles — parity between the paths is pinned in tests.
+    key shuffles — parity between the paths is pinned in tests.
     Rank values round to 8 decimals (FP summation-order noise ~1e-15)."""
-    import pyarrow.parquet as pq_
-
-    n_edges = pq_.ParquetFile(f"{sf_dir}/orders.parquet").metadata.num_rows
-    if n_edges > PAGERANK_DRIVER_MAX_EDGES:
+    if _num_rows(sf_dir, "orders") > PAGERANK_DRIVER_MAX_EDGES:
         return pagerank_customers_distributed(sf_dir, iters, k)
-    N = pq_.ParquetFile(f"{sf_dir}/customer.parquet").metadata.num_rows
+    N = _num_rows(sf_dir, "customer")
     M = np.int64(4294967296)
     t = _read_blocked(sf_dir, "orders", ["o_orderkey", "o_custkey"]).to_pandas()
     src = t.o_custkey.to_numpy().astype(np.int64)
@@ -4965,19 +4827,15 @@ def pagerank_customers_distributed(sf_dir: str, iters: int = PAGERANK_ITERS,
                                    k: int = 20):
     """Distributed PageRank: per iteration (1) the dangling mass is one tiny
     partial aggregate over the state table; (2) contributions co-locate
-    edges with their source's (rank, degree) via the union + salted-bucket
-    map_groups hash join (Ray's join operator has ~10 s fixed aggregator
-    cost), with a per-bucket combiner summing contributions by dst BEFORE
-    the second shuffle; (3) the new state joins contribution sums back onto
-    the node table the same way. State and edges never leave their buckets
-    whole; the driver only sees the per-iteration dangling scalar. Block
-    counts are capped at the bucket count every round (the
-    iterative-Dataset geometric-blowup gotcha)."""
-    import pyarrow.parquet as pq_
-
-    from ..functions.hashing import hash64
-
-    N = pq_.ParquetFile(f"{sf_dir}/customer.parquet").metadata.num_rows
+    edges with their source's (rank, degree) in a ``_key_shuffle`` hash
+    join (Ray's join operator has ~10 s fixed aggregator cost), with a
+    per-bucket combiner summing contributions by dst BEFORE the second
+    shuffle; (3) the new state joins contribution sums back onto the node
+    table the same way. State and edges never leave their buckets whole;
+    the driver only sees the per-iteration dangling scalar. A shuffle's
+    output has at most one block a bucket, so block counts stay capped
+    every round (the iterative-Dataset geometric-blowup gotcha)."""
+    N = _num_rows(sf_dir, "customer")
     # same node-domain guard as the driver path, from parquet FOOTER min/max
     # (no data read): a 1-based or sparse key space would silently route rank
     # mass to nonexistent nodes exactly at the scale this path is chosen for
@@ -4985,7 +4843,6 @@ def pagerank_customers_distributed(sf_dir: str, iters: int = PAGERANK_ITERS,
     if lo < 0 or hi >= N:
         raise ValueError("pagerank_customers requires 0-based contiguous "
                          "c_custkey in [0, N)")
-    B = _salt_buckets(sf_dir, "orders", rows_per_bucket=2_000_000, floor=8)
     M = np.int64(4294967296)
 
     def mk_edges(batch: pa.Table) -> pa.Table:
@@ -4994,8 +4851,7 @@ def pagerank_customers_distributed(sf_dir: str, iters: int = PAGERANK_ITERS,
         dst = ((((okey % 2147483648) * 2654435761) % M) % N).astype(np.int64)
         return pa.table({"key": pa.array(src), "dst": pa.array(dst),
                          "r": pa.nulls(src.size, pa.float64()),
-                         "deg": pa.nulls(src.size, pa.float64()),
-                         "bkt": pa.array(hash64(src) % B)})
+                         "deg": pa.nulls(src.size, pa.float64())})
 
     edges = _read_blocked(sf_dir, "orders", ["o_orderkey", "o_custkey"]).map_batches(
         mk_edges, batch_format="pyarrow", zero_copy_batch=True).materialize()
@@ -5004,14 +4860,12 @@ def pagerank_customers_distributed(sf_dir: str, iters: int = PAGERANK_ITERS,
     def node_rows(batch: pa.Table) -> pa.Table:
         ids = batch["c_custkey"].to_numpy().astype(np.int64)
         return pa.table({"node": pa.array(ids),
-                         "cnt": pa.array(np.zeros(ids.size, np.int64)),
-                         "bkt": pa.array(hash64(ids) % B)})
+                         "cnt": pa.array(np.zeros(ids.size, np.int64))})
 
     def deg_partial(batch: pa.Table) -> pa.Table:
         u, c = np.unique(batch["key"].to_numpy().astype(np.int64),
                          return_counts=True)
-        return pa.table({"node": pa.array(u), "cnt": pa.array(c),
-                         "bkt": pa.array(hash64(u) % B)})
+        return pa.table({"node": pa.array(u), "cnt": pa.array(c)})
 
     def init_merge(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("node", sort=False).cnt.sum()
@@ -5020,11 +4874,8 @@ def pagerank_customers_distributed(sf_dir: str, iters: int = PAGERANK_ITERS,
                              "deg": g.to_numpy().astype(np.float64),
                              "r": np.full(nodes.size, 1.0 / N)})
 
-    nodes_ds = _read_blocked(sf_dir, "customer", ["c_custkey"]).map_batches(
-        node_rows, batch_format="pyarrow", zero_copy_batch=True)
-    state = nodes_ds.union(edges.map_batches(
-        deg_partial, batch_format="pyarrow")).groupby("bkt").map_groups(
-        init_merge, batch_format="pandas").materialize()
+    state = _key_shuffle([_read_blocked(sf_dir, "customer", ["c_custkey"]),
+                          edges], ["node"], init_merge, [node_rows, deg_partial])
 
     def dangling_partial(batch: pa.Table) -> pa.Table:
         deg = batch["deg"].to_numpy()
@@ -5035,8 +4886,7 @@ def pagerank_customers_distributed(sf_dir: str, iters: int = PAGERANK_ITERS,
         n_ = batch["node"].to_numpy().astype(np.int64)
         return pa.table({"key": pa.array(n_),
                          "dst": pa.nulls(n_.size, pa.int64()),
-                         "r": batch["r"], "deg": batch["deg"],
-                         "bkt": pa.array(hash64(n_) % B)})
+                         "r": batch["r"], "deg": batch["deg"]})
 
     def contrib_merge(df: pd.DataFrame) -> pd.DataFrame:
         is_state = df.dst.isna()
@@ -5056,23 +4906,20 @@ def pagerank_customers_distributed(sf_dir: str, iters: int = PAGERANK_ITERS,
         dm = float(state.map_batches(
             dangling_partial, batch_format="pyarrow").sum("dr") or 0.0)
 
-        contrib = edges.union(state.map_batches(
-            tag_state, batch_format="pyarrow")).groupby("bkt").map_groups(
-            contrib_merge, batch_format="pandas")
+        contrib = _key_shuffle([edges, state], ["key"], contrib_merge,
+                               [None, tag_state])
 
         def tag_contrib(batch: pa.Table) -> pa.Table:
             n_ = batch["node"].to_numpy().astype(np.int64)
             return pa.table({"node": pa.array(n_), "c": batch["c"],
                              "deg": pa.nulls(n_.size, pa.float64()),
-                             "r": pa.nulls(n_.size, pa.float64()),
-                             "nbkt": pa.array(hash64(n_) % B)})
+                             "r": pa.nulls(n_.size, pa.float64())})
 
         def tag_base(batch: pa.Table) -> pa.Table:
             n_ = batch["node"].to_numpy().astype(np.int64)
             return pa.table({"node": pa.array(n_),
                              "c": pa.nulls(n_.size, pa.float64()),
-                             "deg": batch["deg"], "r": batch["r"],
-                             "nbkt": pa.array(hash64(n_) % B)})
+                             "deg": batch["deg"], "r": batch["r"]})
 
         def apply_rank(df: pd.DataFrame, dm: float = dm) -> pd.DataFrame:
             base = df[df.deg.notna()]
@@ -5084,10 +4931,8 @@ def pagerank_customers_distributed(sf_dir: str, iters: int = PAGERANK_ITERS,
                 "deg": base.deg.to_numpy().astype(np.float64),
                 "r": r_new})
 
-        state = contrib.map_batches(
-            tag_contrib, batch_format="pyarrow").union(
-            state.map_batches(tag_base, batch_format="pyarrow")).groupby(
-            "nbkt").map_groups(apply_rank, batch_format="pandas").materialize()
+        state = _key_shuffle([contrib, state], ["node"], apply_rank,
+                             [tag_contrib, tag_base])
 
     def project(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -5143,20 +4988,15 @@ PAGERANK_SQL = _pagerank_sql()
 def fd_check_orders(sf_dir: str):
     """Functional-dependency check o_custkey -> o_orderpriority: how many
     keys map to more than one dependent value. Per-block DISTINCT pair
-    projection (pairs are bounded by keys x |priority| = 5), salted-bucket
-    per-key distinct count (a key never spans buckets), tiny final sum."""
-    from ..functions.hashing import hash64
-
-    ds = _read_blocked(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
-    B = _salt_buckets(sf_dir, "orders", rows_per_bucket=2_000_000, floor=8)
-
+    projection (pairs are bounded by keys x |priority| = 5), per-key
+    distinct count in ``_key_shuffle`` buckets (a key never spans buckets),
+    tiny driver sum."""
     def pair_partial(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame({
             "k": batch["o_custkey"].to_numpy().astype(np.int64),
             "d": batch["o_orderpriority"].to_pandas()}).drop_duplicates()
         return pa.table({"k": pa.array(df.k.to_numpy()),
-                         "d": pa.array(df.d.to_numpy(), pa.string()),
-                         "bkt": pa.array(hash64(df.k.to_numpy()) % B)})
+                         "d": pa.array(df.d.to_numpy(), pa.string())})
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
         nd = df.drop_duplicates(["k", "d"]).groupby("k", sort=False).size()
@@ -5164,21 +5004,15 @@ def fd_check_orders(sf_dir: str):
             "n_keys": [np.int64(nd.size)],
             "n_violating_keys": [np.int64((nd > 1).sum())]})
 
-    parts = ds.map_batches(pair_partial, batch_format="pyarrow",
-                           zero_copy_batch=True).groupby("bkt").map_groups(
-        per_bucket, batch_format="pandas")
-
-    def final(batch: pa.Table) -> pa.Table:
-        nk = int(batch["n_keys"].to_numpy().sum())
-        nv = int(batch["n_violating_keys"].to_numpy().sum())
-        return pa.table({
-            "n_keys": pa.array([nk], pa.int64()),
-            "n_violating_keys": pa.array([nv], pa.int64()),
-            "violation_rate": pa.array(
-                [float(np.floor(nv * 1e6 / nk + 0.5) / 1e6)], pa.float64())})
-
-    return parts.repartition(1).map_batches(final, batch_format="pyarrow",
-                                            batch_size=None)
+    parts = _key_shuffle(
+        _read_blocked(sf_dir, "orders", ["o_custkey", "o_orderpriority"]),
+        ["k"], per_bucket, pair_partial).to_pandas()
+    nk, nv = int(parts.n_keys.sum()), int(parts.n_violating_keys.sum())
+    return pa.table({
+        "n_keys": pa.array([nk], pa.int64()),
+        "n_violating_keys": pa.array([nv], pa.int64()),
+        "violation_rate": pa.array(
+            [float(np.floor(nv * 1e6 / nk + 0.5) / 1e6)], pa.float64())})
 
 
 FD_CHECK_SQL = """
@@ -5246,7 +5080,7 @@ def zipf_fit_documents(sf_dir: str, top_k: int = 1000):
     tokens — natural-language corpora sit near slope -1, so a collapsed
     slope is a cheap corpus-health / generated-text signal.
 
-    Shape: per-block (token-hash, count) partials → salted-bucket exact
+    Shape: per-block (token-hash, count) partials → ``_key_shuffle`` exact
     sums with per-bucket local top-k (a token lives wholly in one bucket,
     so the global top-k is inside the union of local top-ks) → driver
     merge of buckets × k rows. Rank ties are regression-invariant: within
@@ -5256,7 +5090,6 @@ def zipf_fit_documents(sf_dir: str, top_k: int = 1000):
     from ..functions.hashing import hash64
     from .textops import _tokens
 
-    nb = _salt_buckets(sf_dir, "documents", rows_per_bucket=250_000, floor=32)
     ds = _read_blocked(sf_dir, "documents", ["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -5264,22 +5097,16 @@ def zipf_fit_documents(sf_dir: str, top_k: int = 1000):
         reps = toks.map(len).to_numpy()
         if not reps.sum():
             return pa.table({"h": pa.array([], pa.int64()),
-                             "c": pa.array([], pa.int64()),
-                             "bkt": pa.array([], pa.int64())})
+                             "c": pa.array([], pa.int64())})
         allw = np.concatenate([np.asarray(ws, dtype=object) for ws in toks])
         h, c = np.unique(hash64(allw).astype(np.int64), return_counts=True)
-        return pa.table({"h": pa.array(h), "c": pa.array(c.astype(np.int64)),
-                         "bkt": pa.array((hash64(h) % np.uint64(nb)
-                                          ).astype(np.int64))})
+        return pa.table({"h": pa.array(h), "c": pa.array(c.astype(np.int64))})
 
     def bucket_topk(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("h", sort=False).c.sum().reset_index()
         return g.nlargest(top_k, "c")[["h", "c"]]
 
-    top = (ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("bkt").map_groups(bucket_topk, batch_format="pandas")
-           .to_pandas())
+    top = _key_shuffle(ds, ["h"], bucket_topk, partial).to_pandas()
     top = top.nlargest(top_k, "c")
     c = np.sort(top.c.to_numpy(np.float64))[::-1]
     x = np.log(np.arange(1, c.size + 1, dtype=np.float64))
@@ -5315,20 +5142,16 @@ FROM m
 
 def skew_profile_orders(sf_dir: str):
     """Shuffle-key skew diagnostics for o_custkey — the planning signal the
-    engine's own salted shuffles exist to defeat. Per-key counts via
-    per-block partials + salted-bucket merge; skew statistics (peak-to-mean,
+    engine's own key shuffles exist to defeat. Per-key counts via per-block
+    partials + ``_key_shuffle`` merge; skew statistics (peak-to-mean,
     coefficient of variation, top-1 share) come from per-bucket MOMENT
     partials over the key counts, so nothing key-shaped reaches the driver."""
-    from ..functions.hashing import hash64
-
     ds = _read_blocked(sf_dir, "orders", ["o_custkey"])
-    B = _salt_buckets(sf_dir, "orders", rows_per_bucket=2_000_000, floor=8)
 
     def count_partial(batch: pa.Table) -> pa.Table:
         u, c = np.unique(batch["o_custkey"].to_numpy().astype(np.int64),
                          return_counts=True)
-        return pa.table({"k": pa.array(u), "cnt": pa.array(c),
-                         "bkt": pa.array(hash64(u) % B)})
+        return pa.table({"k": pa.array(u), "cnt": pa.array(c)})
 
     def moments(df: pd.DataFrame) -> pd.DataFrame:
         cnt = df.groupby("k", sort=False).cnt.sum().to_numpy().astype(np.float64)
@@ -5336,25 +5159,16 @@ def skew_profile_orders(sf_dir: str):
             "n": [np.int64(cnt.size)], "s": [float(cnt.sum())],
             "sxx": [float((cnt * cnt).sum())], "mx": [float(cnt.max())]})
 
-    parts = ds.map_batches(count_partial, batch_format="pyarrow",
-                           zero_copy_batch=True).groupby("bkt").map_groups(
-        moments, batch_format="pandas")
-
-    def final(batch: pa.Table) -> pa.Table:
-        n = float(batch["n"].to_numpy().sum())
-        sm = float(batch["s"].to_numpy().sum())
-        sxx = float(batch["sxx"].to_numpy().sum())
-        mx = float(batch["mx"].to_numpy().max())
-        mean = sm / n
-        var = sxx / n - mean * mean
-        return pa.table({
-            "n_keys": pa.array([int(n)], pa.int64()),
-            "peak_to_mean": pa.array([float(_round(mx / mean, 6))]),
-            "cv": pa.array([float(_round(np.sqrt(max(var, 0.0)) / mean, 6))]),
-            "top1_share": pa.array([float(_round(mx / sm, 6))])})
-
-    return parts.repartition(1).map_batches(final, batch_format="pyarrow",
-                                            batch_size=None)
+    parts = _key_shuffle(ds, ["k"], moments, count_partial).to_pandas()
+    n, sm = float(parts.n.sum()), float(parts.s.sum())
+    sxx, mx = float(parts.sxx.sum()), float(parts.mx.max())
+    mean = sm / n
+    var = sxx / n - mean * mean
+    return pa.table({
+        "n_keys": pa.array([int(n)], pa.int64()),
+        "peak_to_mean": pa.array([float(_round(mx / mean, 6))]),
+        "cv": pa.array([float(_round(np.sqrt(max(var, 0.0)) / mean, 6))]),
+        "top1_share": pa.array([float(_round(mx / sm, 6))])})
 
 
 SKEW_PROFILE_SQL = """
@@ -5496,30 +5310,22 @@ FROM a
 def encode_categories_orders(sf_dir: str):
     """Stable categorical encoding: o_orderpriority -> its alphabetical
     index, identical on every partition and across runs (the label-encoder
-    fit-transform shape: a bounded distinct pass builds the vocabulary, the
-    code map broadcasts into a stateless projection)."""
-    import ray
-
+    fit-transform shape: a bounded distinct fold builds the vocabulary, the
+    code map rides into a stateless projection). NULL sorts last, as in
+    the twin's ``DENSE_RANK``, so it gets the code after the last value."""
     ds = _read_blocked(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-
-    def distinct_partial(batch: pa.Table) -> pa.Table:
-        u = np.unique(batch["o_orderpriority"].to_numpy(zero_copy_only=False))
-        return pa.table({"v": pa.array(u, pa.string())})
-
-    vocab = np.array(sorted(set(ds.map_batches(
-        distinct_partial, batch_format="pyarrow",
-        zero_copy_batch=True).unique("v"))), dtype=object)
-    code_ref = ray.put(vocab)
+    keys = _group_fold(ds, ["o_orderpriority"], {"n": (None, "count_all")})
+    vocab = pc.drop_null(keys["o_orderpriority"]).sort()
 
     def encode(batch: pa.Table) -> pa.Table:
-        voc = ray.get(code_ref)  # sorted => searchsorted IS the code map
-        vals = batch["o_orderpriority"].to_numpy(zero_copy_only=False)
+        code = pc.index_in(batch["o_orderpriority"], value_set=vocab)
         return pa.table({
             "o_orderkey": batch["o_orderkey"].cast(pa.int64()),
             "o_orderpriority": batch["o_orderpriority"],
-            "priority_code": pa.array(
-                np.searchsorted(voc, vals).astype(np.int64))})
+            "priority_code": pc.fill_null(code, len(vocab)).cast(pa.int64())})
 
+    if not keys.num_rows:  # an empty table: the typed empty result
+        return encode(ds.schema().base_schema.empty_table())
     return ds.map_batches(encode, batch_format="pyarrow")
 
 
@@ -5560,7 +5366,7 @@ FROM events GROUP BY event_type
 
 # ---------------------------------------------------------------------------
 # TPC-H Q5 shape — 6-table join (region/nation dim filters, two broadcast
-# dimension probes, one fact-fact salted-bucket co-location with a
+# dimension probes, one fact-fact key-shuffle co-location with a
 # same-nation join condition). The widest relational pipeline in the repo.
 # ---------------------------------------------------------------------------
 
@@ -5572,19 +5378,16 @@ def q5_local_supplier_volume(sf_dir: str, region: str = "ASIA",
     (TPC-H Q5). Ray plan: (1) region -> nation-set and the supplier and
     customer key->nation maps are bounded dimension reads, broadcast once
     via ``ray.put`` as sorted-key probe arrays (at 10^9-row dimensions the
-    probe side becomes another salted-bucket join, the q3 caveat); (2)
+    probe side becomes another key-shuffle join, the q3 caveat); (2)
     orders (date-filtered) tag each o_orderkey with the customer's nation,
     lineitem tags each l_orderkey row with the supplier's nation — both
-    project to slim int columns at the read; (3) ONE groupby shuffle on
-    hash(orderkey) buckets co-locates them; each bucket inner-merges on
+    project to slim int columns at the read; (3) ONE ``_key_shuffle`` on
+    the orderkey co-locates them; each bucket inner-merges on
     (orderkey, nation-equality) and emits per-nation revenue partials, so
     the final exchange is nations x buckets rows."""
     import pyarrow.parquet as pq_
     import ray
 
-    from ..functions.hashing import hash64
-
-    nb = _salt_buckets(sf_dir, "lineitem", rows_per_bucket=1_000_000, floor=16)
     lo = np.datetime64(date_lo, "us")
     hi = np.datetime64(date_hi, "us")
 
@@ -5629,8 +5432,7 @@ def q5_local_supplier_volume(sf_dir: str, region: str = "ASIA",
         return pa.table({
             "key": pa.array(okey), "nat": pa.array(nk[ok_mask]),
             "rev": pa.array(np.zeros(okey.size, np.float64)),
-            "side": pa.array(np.zeros(okey.size, np.int8)),
-            "bkt": pa.array(hash64(okey) % nb)})
+            "side": pa.array(np.zeros(okey.size, np.int8))})
 
     def ltag(batch: pa.Table) -> pa.Table:
         sk, sn = ray.get(sup_ref)
@@ -5647,18 +5449,13 @@ def q5_local_supplier_volume(sf_dir: str, region: str = "ASIA",
         return pa.table({
             "key": pa.array(k2), "nat": pa.array(g.nat.to_numpy().astype(np.int64)),
             "rev": pa.array(g.rev.to_numpy()),
-            "side": pa.array(np.ones(k2.size, np.int8)),
-            "bkt": pa.array(hash64(k2) % nb)})
+            "side": pa.array(np.ones(k2.size, np.int8))})
 
     orders = _read_blocked(sf_dir, "orders",
-                           ["o_orderkey", "o_custkey", "o_orderdate"]
-                           ).map_batches(otag, batch_format="pyarrow",
-                                         zero_copy_batch=True)
+                           ["o_orderkey", "o_custkey", "o_orderdate"])
     li = _read_blocked(sf_dir, "lineitem",
                        ["l_orderkey", "l_suppkey", "l_extendedprice",
-                        "l_discount"]
-                       ).map_batches(ltag, batch_format="pyarrow",
-                                     zero_copy_batch=True)
+                        "l_discount"])
 
     def bucket_join(df: pd.DataFrame) -> pd.DataFrame:
         o = df[df.side == 0][["key", "nat"]]
@@ -5668,21 +5465,14 @@ def q5_local_supplier_volume(sf_dir: str, region: str = "ASIA",
         return pd.DataFrame({"nat": g.index.to_numpy().astype(np.int64),
                              "revenue": g.to_numpy()})
 
-    parts = orders.union(li).groupby("bkt").map_groups(
-        bucket_join, batch_format="pandas")
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("nat", sort=False).revenue.sum()
-        out = pd.DataFrame({
-            "n_name": [name_of[int(n)] for n in g.index],
-            "revenue": _round(g.to_numpy(), 2)})
-        return out.sort_values(["revenue", "n_name"],
-                               ascending=[False, True]).reset_index(drop=True)
-
-    return parts.repartition(1).map_batches(
-        lambda t: _pa_from_pandas(final(t.to_pandas()),
-                                       preserve_index=False),
-        batch_format="pyarrow", batch_size=None)
+    parts = _key_shuffle([orders, li], ["key"], bucket_join,
+                         [otag, ltag]).to_pandas()
+    g = parts.groupby("nat", sort=False).revenue.sum()
+    out = pd.DataFrame({"n_name": [name_of[int(n)] for n in g.index],
+                        "revenue": _round(g.to_numpy(), 2)})
+    return _pa_from_pandas(out.sort_values(["revenue", "n_name"],
+                                           ascending=[False, True]),
+                           preserve_index=False)
 
 
 Q5_SQL = """
@@ -5876,39 +5666,34 @@ FROM orders GROUP BY o_orderstatus
 
 # ---------------------------------------------------------------------------
 # Product-analytics shapes: co-occurrence pair mining, Markov transitions,
-# retention cohorts. Each is a salted-bucket co-location (the key never
+# retention cohorts. Each is a key-shuffle co-location (the key never
 # spans buckets) + vectorized in-bucket pass + a bounded final exchange.
 # ---------------------------------------------------------------------------
+
+
+def _order_parts(batch: pa.Table) -> pa.Table:
+    """(order, part) int64 rows of a lineitem block."""
+    return pa.table({"o": batch["l_orderkey"].cast(pa.int64()),
+                     "p": batch["l_partkey"].cast(pa.int64())})
 
 
 def copurchase_parts(sf_dir: str, k: int = 20):
     """Market-basket co-occurrence: the k most frequent unordered part
     pairs appearing in the same order. Per-order pair expansion happens
-    inside hash(orderkey) buckets (pairs per order are quadratic in the
-    ITEMS-PER-ORDER, which TPC-H bounds at 7 — total output stays linear in
-    rows); pair counts then shuffle once more on hash(pair) with per-bucket
-    local top-k, so the driver merges buckets x k rows."""
-    from ..functions.hashing import hash64
-
+    inside ``_key_shuffle`` buckets on the orderkey (pairs per order are
+    quadratic in the ITEMS-PER-ORDER, which TPC-H bounds at 7 — total output
+    stays linear in rows); pair counts then shuffle once more on the pair
+    with per-bucket local top-k, so the driver merges buckets x k rows."""
     ds = _read_blocked(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-    B = _salt_buckets(sf_dir, "lineitem", rows_per_bucket=1_000_000, floor=16)
-
-    def tag(batch: pa.Table) -> pa.Table:
-        ok = batch["l_orderkey"].to_numpy().astype(np.int64)
-        return pa.table({"o": pa.array(ok),
-                         "p": batch["l_partkey"].cast(pa.int64()),
-                         "bkt": pa.array(hash64(ok) % B)})
 
     def expand_pairs(df: pd.DataFrame) -> pd.DataFrame:
         d = df[["o", "p"]].drop_duplicates()
         m = d.merge(d, on="o")
         m = m[m.p_x < m.p_y]
         g = m.groupby(["p_x", "p_y"], sort=False).size().reset_index(name="n")
-        p1 = g.p_x.to_numpy().astype(np.int64)
-        p2 = g.p_y.to_numpy().astype(np.int64)
-        return pd.DataFrame({
-            "p1": p1, "p2": p2, "n": g.n.to_numpy().astype(np.int64),
-            "pbkt": hash64(p1 * np.int64(1_000_003) + p2) % B})
+        return pd.DataFrame({"p1": g.p_x.to_numpy().astype(np.int64),
+                             "p2": g.p_y.to_numpy().astype(np.int64),
+                             "n": g.n.to_numpy().astype(np.int64)})
 
     def bucket_topk(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["p1", "p2"], sort=False).n.sum().reset_index()
@@ -5916,22 +5701,11 @@ def copurchase_parts(sf_dir: str, k: int = 20):
                           ascending=[False, True, True]).head(k)
         return g[["p1", "p2", "n"]]
 
-    parts = ds.map_batches(tag, batch_format="pyarrow",
-                           zero_copy_batch=True).groupby("bkt").map_groups(
-        expand_pairs, batch_format="pandas").groupby("pbkt").map_groups(
-        bucket_topk, batch_format="pandas")
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.sort_values(["n", "p1", "p2"],
-                           ascending=[False, True, True]).head(k)
-        return pd.DataFrame({"p1": g.p1.to_numpy().astype(np.int64),
-                             "p2": g.p2.to_numpy().astype(np.int64),
-                             "n": g.n.to_numpy().astype(np.int64)})
-
-    return parts.repartition(1).map_batches(
-        lambda t: _pa_from_pandas(final(t.to_pandas()),
-                                       preserve_index=False),
-        batch_format="pyarrow", batch_size=None)
+    parts = _key_shuffle(_key_shuffle(ds, ["o"], expand_pairs, _order_parts),
+                         ["p1", "p2"], bucket_topk).to_pandas()
+    g = parts.sort_values(["n", "p1", "p2"], ascending=[False, True, True]).head(k)
+    return pa.table({c: pa.array(g[c].to_numpy().astype(np.int64))
+                     for c in ("p1", "p2", "n")})
 
 
 COPURCHASE_SQL = """
@@ -5956,52 +5730,41 @@ def triangle_count_parts(sf_dir: str, min_support: int = 2):
     oracle pays the same wedge volume).
 
     Shape: (1) distinct edges u<v via per-order pair expansion inside
-    hash(order) buckets + a pair-hash distinct shuffle; (2) wedges AND
-    degrees in ONE hash(center) bucket pass over symmetric edge copies —
+    ``_key_shuffle`` buckets on the order + a distinct shuffle on the pair;
+    (2) wedges AND degrees in ONE bucket pass on the center over symmetric
+    edge copies —
     each center's run gives the full-degree C(d,2) wedge denominator and
     its oriented (neighbors > center) closure pairs, so no separate
     groupby("node") degree exchange exists; (3) closure probe: below
-    TRIANGLE_BROADCAST_MAX_EDGES the edge list is driver-resident, so the
-    symmetric rows are pre-bucketed on the driver (no shuffle) and probed
-    against a ray.put sorted composite-key array by stateless tasks; above
-    it a salted composite-key union join — either way only per-bucket
-    COUNTS reach the driver. Composite keys are exact (u * 2^31 + v,
+    TRIANGLE_BROADCAST_MAX_EDGES each wedge bucket probes a ray.put sorted
+    composite-key array of the driver-resident edge list; above it a
+    composite-key ``_key_shuffle`` join — either way only per-bucket COUNTS
+    reach the driver. Composite keys are exact (u * 2^31 + v,
     guarded), never hashes — a hash collision would overcount closures."""
-    from ..functions.hashing import hash64
-    from .ann import _cc_bkt
+    import ray
 
-    B = _salt_buckets(sf_dir, "lineitem", rows_per_bucket=1_000_000, floor=16)
     ds = _read_blocked(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        ok = batch["l_orderkey"].to_numpy().astype(np.int64)
-        return pa.table({"o": pa.array(ok),
-                         "p": batch["l_partkey"].cast(pa.int64()),
-                         "bkt": pa.array(hash64(ok) % B)})
 
     def order_pairs(df: pd.DataFrame) -> pd.DataFrame:
         # per-bucket (pair, n_orders) partials: an order lives wholly in
-        # one hash(order) bucket, so summing partials over the ebkt
-        # shuffle gives each pair's exact global order-support
+        # one bucket, so summing partials over the pair shuffle gives each
+        # pair's exact global order-support
         d = df[["o", "p"]].drop_duplicates()
         m = d.merge(d, on="o")
         m = m[m.p_x < m.p_y]
         g = m.groupby(["p_x", "p_y"], sort=False).size().reset_index(name="c")
-        u = g.p_x.to_numpy().astype(np.int64)
-        v = g.p_y.to_numpy().astype(np.int64)
-        return pd.DataFrame({
-            "u": u, "v": v, "c": g.c.to_numpy().astype(np.int64),
-            "ebkt": hash64(u * np.int64(1_000_003) + v) % B})
+        return pd.DataFrame({"u": g.p_x.to_numpy().astype(np.int64),
+                             "v": g.p_y.to_numpy().astype(np.int64),
+                             "c": g.c.to_numpy().astype(np.int64)})
 
     def edge_support(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["u", "v"], sort=False).c.sum().reset_index()
         return g.loc[g.c >= min_support, ["u", "v"]]
 
-    edges = (ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-             .groupby("bkt").map_groups(order_pairs, batch_format="pandas")
-             .groupby("ebkt").map_groups(edge_support, batch_format="pandas")
-             .materialize())
-    n_edges = edges.count()
+    edges = _key_shuffle(_key_shuffle(ds, ["o"], order_pairs, _order_parts),
+                         ["u", "v"], edge_support)
+    # an empty exchange hands on a typed empty table, not a Dataset
+    n_edges = edges.count() if isinstance(edges, ray.data.Dataset) else 0
     if n_edges == 0:
         return pa.Table.from_pylist([{
             "n_edges": 0, "n_wedges": 0, "n_triangles": 0,
@@ -6015,7 +5778,7 @@ def triangle_count_parts(sf_dir: str, min_support: int = 2):
         return u * np.int64(1 << 31) + v
 
     # Wedge + degree pass, one exchange: edges are emitted SYMMETRICALLY
-    # (both endpoints as "center"), bucketed by hash(center) — a center's
+    # (both endpoints as "center"), bucketed on the center — a center's
     # full adjacency lands in one bucket, so the bucket kernel gets BOTH
     # the wedge denominator (full degree d -> C(d,2); replaces the old
     # groupby("node") aggregate + extra wedge-sum plan) and the oriented
@@ -6048,29 +5811,22 @@ def triangle_count_parts(sf_dir: str, min_support: int = 2):
         vb = (np.concatenate(vb_all) if vb_all else np.empty(0, np.int64))
         return denom, va, vb
 
-    broadcast = n_edges <= TRIANGLE_BROADCAST_MAX_EDGES
-    if broadcast:
-        import ray
+    def tag_sym(batch: pa.Table) -> pa.Table:
+        bu = batch["u"].to_numpy(zero_copy_only=False).astype(np.int64)
+        bv = batch["v"].to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.table({"c": pa.array(np.concatenate([bu, bv])),
+                         "o": pa.array(np.concatenate([bv, bu]))})
 
-        # edge list fits the driver: pre-bucket the symmetric rows HERE and
-        # hand one block per bucket to stateless tasks — the ubkt groupby
-        # shuffle disappears; the kernel and probe stay distributed
+    if n_edges <= TRIANGLE_BROADCAST_MAX_EDGES:
+        # the edge list fits the driver: each wedge bucket probes a ray.put
+        # sorted key array, and no closure join runs
         ep = edges.to_pandas()
-        u = ep.u.to_numpy(np.int64)
-        v = ep.v.to_numpy(np.int64)
-        probe_ref = ray.put(np.sort(key_of(u, v)))
-        c = np.concatenate([u, v])
-        o = np.concatenate([v, u])
-        bkt = (hash64(c) % B).astype(np.int64)
-        order = np.argsort(bkt, kind="stable")
-        c, o, bkt = c[order], o[order], bkt[order]
-        cuts = np.flatnonzero(np.r_[True, bkt[1:] != bkt[:-1], True])
-        blocks = [pa.table({"c": pa.array(c[a:b]), "o": pa.array(o[a:b])})
-                  for a, b in zip(cuts[:-1], cuts[1:])]
+        probe_ref = ray.put(np.sort(key_of(ep.u.to_numpy(np.int64),
+                                           ep.v.to_numpy(np.int64))))
 
-        def probe_bucket(batch: pa.Table) -> pa.Table:
-            denom, va, vb = wedge_rows(batch["c"].to_numpy().astype(np.int64),
-                                       batch["o"].to_numpy().astype(np.int64))
+        def probe_bucket(df: pd.DataFrame) -> pd.DataFrame:
+            denom, va, vb = wedge_rows(df.c.to_numpy(np.int64),
+                                       df.o.to_numpy(np.int64))
             k = key_of(va, vb)
             pr = ray.get(probe_ref)
             closed = 0
@@ -6078,26 +5834,13 @@ def triangle_count_parts(sf_dir: str, min_support: int = 2):
                 pos = np.searchsorted(pr, k)
                 pos[pos >= pr.size] = pr.size - 1
                 closed = int((pr[pos] == k).sum())
-            return pa.table({"closed": pa.array([closed], pa.int64()),
-                             "wed": pa.array([denom], pa.float64())})
+            return pd.DataFrame({"closed": [closed], "wed": [denom]})
 
-        counts = ray.data.from_arrow(blocks).map_batches(
-            probe_bucket, batch_format="pyarrow", batch_size=None).to_pandas()
-        n_tri = int(counts.closed.sum())
-        n_wedges = float(counts.wed.sum())
+        joined = _key_shuffle(edges, ["c"], probe_bucket, tag_sym).to_pandas()
     else:
-        # at-scale path: symmetric emission via map_batches, one
-        # hash(center)-bucket exchange for wedges+degrees, then the salted
-        # composite-key union join probes closure — only per-bucket COUNTS
-        # (plus the marker denominator rows) reach the driver
-        def tag_sym(batch: pa.Table) -> pa.Table:
-            bu = batch["u"].to_numpy(zero_copy_only=False).astype(np.int64)
-            bv = batch["v"].to_numpy(zero_copy_only=False).astype(np.int64)
-            cc = np.concatenate([bu, bv])
-            oo = np.concatenate([bv, bu])
-            return pa.table({"c": pa.array(cc), "o": pa.array(oo),
-                             "ubkt": pa.array(hash64(cc) % B)})
-
+        # at-scale path: one exchange on the center for wedges+degrees,
+        # then the composite-key join probes closure — only per-bucket
+        # COUNTS (plus the marker denominator rows) reach the driver
         def wedges_bucket(df: pd.DataFrame) -> pd.DataFrame:
             denom, va, vb = wedge_rows(df.c.to_numpy(np.int64),
                                        df.o.to_numpy(np.int64))
@@ -6108,15 +5851,12 @@ def triangle_count_parts(sf_dir: str, min_support: int = 2):
                 "k": np.r_[k, np.int64(-1)],
                 "wed": np.r_[np.zeros(k.size), denom]})
 
-        bucketed = edges.map_batches(tag_sym, batch_format="pyarrow").groupby(
-            "ubkt").map_groups(wedges_bucket, batch_format="pandas")
-        nb = max(64, n_edges // 1_000_000)
+        bucketed = _key_shuffle(edges, ["c"], wedges_bucket, tag_sym)
 
         def tag_wedge(batch: pa.Table) -> pa.Table:
             k = batch["k"].to_numpy().astype(np.int64)
             return pa.table({"k": pa.array(k), "wed": batch["wed"],
-                             "is_edge": pa.array(np.zeros(k.size, np.int8)),
-                             "jbkt": pa.array(_cc_bkt(k, nb))})
+                             "is_edge": pa.array(np.zeros(k.size, np.int8))})
 
         def tag_edge(batch: pa.Table) -> pa.Table:
             k = key_of(
@@ -6124,8 +5864,7 @@ def triangle_count_parts(sf_dir: str, min_support: int = 2):
                 batch["v"].to_numpy(zero_copy_only=False).astype(np.int64))
             return pa.table({"k": pa.array(k),
                              "wed": pa.array(np.zeros(k.size, np.float64)),
-                             "is_edge": pa.array(np.ones(k.size, np.int8)),
-                             "jbkt": pa.array(_cc_bkt(k, nb))})
+                             "is_edge": pa.array(np.ones(k.size, np.int8))})
 
         def count_closed(df: pd.DataFrame) -> pd.DataFrame:
             wed = float(df.wed.sum())
@@ -6142,13 +5881,10 @@ def triangle_count_parts(sf_dir: str, min_support: int = 2):
             return pd.DataFrame({"closed": pd.array([closed], dtype="int64"),
                                  "wed": [wed]})
 
-        joined = (bucketed.map_batches(tag_wedge, batch_format="pyarrow")
-                  .union(edges.map_batches(tag_edge, batch_format="pyarrow"))
-                  .groupby("jbkt").map_groups(count_closed,
-                                              batch_format="pandas")
-                  .materialize())
-        n_tri = int(joined.sum("closed") or 0)
-        n_wedges = float(joined.sum("wed") or 0.0)
+        joined = _key_shuffle([bucketed, edges], ["k"], count_closed,
+                              [tag_wedge, tag_edge]).to_pandas()
+    n_tri = int(joined.closed.sum())
+    n_wedges = float(joined.wed.sum())
     # under the u<v orientation each triangle {a<b<c} closes exactly ONE
     # wedge (apex a with pair (b, c)), so n_tri is the plain triangle count;
     # transitivity multiplies by 3 because the denominator counts wedges at
@@ -6186,33 +5922,31 @@ FROM w, tri
 
 def transition_counts_events(sf_dir: str):
     """First-order Markov transition counts over each user's event stream
-    (the session-flow model fit). Users are salted into buckets (a user
-    never spans one), each bucket sorts once by (user, ts, event_id) and
-    shifts — the transition table is category-bounded (|types|^2), so the
-    final exchange is tiny."""
-    from ..functions.hashing import hash64
-
+    (the session-flow model fit). Users meet in ``_key_shuffle`` buckets
+    (a user never spans one), each bucket sorts once by (user, ts,
+    event_id) and shifts — the transition table is category-bounded
+    (|types|^2), so the final merge is tiny. As in the twin's ``prev IS
+    NOT NULL``, a step from a NULL type counts nowhere; a step to one is
+    its own cell."""
     ds = _read_blocked(sf_dir, "events",
                        ["event_id", "user_id", "event_type", "ts"])
-    B = _salt_buckets(sf_dir, "events", rows_per_bucket=2_000_000, floor=32)
 
     def tag(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy().astype(np.int64)
         return pa.table({
-            "u": pa.array(uid),
+            "u": batch["user_id"].cast(pa.int64()),
             "e": batch["event_id"].cast(pa.int64()),
             "et": batch["event_type"],
-            "t": pa.array(batch["ts"].cast(pa.int64()).to_numpy()),
-            "bkt": pa.array(hash64(uid) % B)})
+            "t": pa.array(batch["ts"].cast(pa.int64()).to_numpy())})
 
     def transitions(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["u", "t", "e"], kind="mergesort")
         prev_u = df.u.shift()
         prev_t = df.et.shift()
-        keep = prev_u == df.u
+        keep = (prev_u == df.u) & prev_t.notna()
         sub = pd.DataFrame({"from_type": prev_t[keep],
                             "to_type": df.et[keep]})
-        g = sub.groupby(["from_type", "to_type"], sort=False).size()
+        g = sub.groupby(["from_type", "to_type"], sort=False,
+                        dropna=False).size()
         out = g.reset_index(name="n")
         out["n"] = out.n.astype(np.int64)
         return out
@@ -6220,10 +5954,9 @@ def transition_counts_events(sf_dir: str):
     # per-bucket partials are CATEGORY-bounded (<= |types|^2 rows each), so
     # the final merge is a driver pandas groupby — a second Ray exchange
     # here charged a full sort shuffle to sum a few hundred rows
-    part = ds.map_batches(tag, batch_format="pyarrow",
-                          zero_copy_batch=True).groupby("bkt").map_groups(
-        transitions, batch_format="pandas").to_pandas()
-    out = part.groupby(["from_type", "to_type"], as_index=False).n.sum()
+    part = _key_shuffle(ds, ["u"], transitions, tag).to_pandas()
+    out = part.groupby(["from_type", "to_type"], as_index=False,
+                       dropna=False).n.sum()
     return pa.table({"from_type": pa.array(out.from_type, pa.string()),
                      "to_type": pa.array(out.to_type, pa.string()),
                      "n": pa.array(out.n.to_numpy(np.int64))})
@@ -6250,21 +5983,16 @@ def _monday_str(ts_us: np.ndarray) -> np.ndarray:
 
 def retention_cohorts_events(sf_dir: str):
     """Retention cohort matrix: users bucketed by first-seen week (cohort),
-    counted once per (cohort week, activity week). Users are salted into
-    buckets, so first-seen AND the per-user distinct activity weeks resolve
-    inside one bucket pass; the final exchange is the weeks x weeks count
-    table."""
-    from ..functions.hashing import hash64
-
+    counted once per (cohort week, activity week). Users meet in
+    ``_key_shuffle`` buckets, so first-seen AND the per-user distinct
+    activity weeks resolve inside one bucket pass; the final merge is the
+    weeks x weeks count table."""
     ds = _read_blocked(sf_dir, "events", ["user_id", "ts"])
-    B = _salt_buckets(sf_dir, "events", rows_per_bucket=2_000_000, floor=32)
 
     def tag(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy().astype(np.int64)
         return pa.table({
-            "u": pa.array(uid),
-            "t": pa.array(batch["ts"].cast(pa.int64()).to_numpy()),
-            "bkt": pa.array(hash64(uid) % B)})
+            "u": batch["user_id"].cast(pa.int64()),
+            "t": pa.array(batch["ts"].cast(pa.int64()).to_numpy())})
 
     def cohortize(df: pd.DataFrame) -> pd.DataFrame:
         t = df.t.to_numpy()
@@ -6279,9 +6007,7 @@ def retention_cohorts_events(sf_dir: str):
 
     # per-bucket partials are bounded by weeks x weeks (calendar-bounded,
     # not row-bounded): merge on the driver instead of a second exchange
-    part = ds.map_batches(tag, batch_format="pyarrow",
-                          zero_copy_batch=True).groupby("bkt").map_groups(
-        cohortize, batch_format="pandas").to_pandas()
+    part = _key_shuffle(ds, ["u"], cohortize, tag).to_pandas()
     out = part.groupby(["cw", "aw"], as_index=False).n.sum()
     return pa.table({"cohort_week": pa.array(out.cw, pa.string()),
                      "activity_week": pa.array(out.aw, pa.string()),

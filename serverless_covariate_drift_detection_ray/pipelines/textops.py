@@ -4,7 +4,8 @@ The large-scale training-data ops the engine ships beyond the reference's own
 operators: exact dedup, n-gram/word-set Jaccard near-dup, MinHash-LSH,
 SimHash, token counting, quality scoring, language-ID. All deterministic
 (hashing via functions.hashing), all expressed as Ray Data stages:
-vectorized ``map_batches`` + groupby shuffles; small-side state broadcast.
+vectorized ``map_batches``, key shuffles (``queries._key_shuffle``) and
+small-side state broadcast.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import hash64, hash_family, splitmix64
-from .queries import _group_fold, _pa_from_pandas, _read, _round
+from .queries import _group_fold, _key_shuffle, _pa_from_pandas, _read, _round
 
 STOPWORDS = ("the", "a", "of", "and", "to")
 
@@ -77,11 +78,8 @@ def dedup_keep_best_documents(sf_dir: str):
 
     Fully mergeable partials: each block pre-reduces to one
     (hash, best_doc, best_nd, count) row per local text group, so the
-    salted shuffle moves at most one row per (block, group) and the merge
+    ``_key_shuffle`` moves at most one row per (block, group) and the merge
     is an associative (max-by, sum) fold."""
-    from ..functions.hashing import splitmix64
-
-    n_buckets = 64
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -96,8 +94,6 @@ def dedup_keep_best_documents(sf_dir: str):
         g = t.groupby("h", sort=False)
         out = g.first().reset_index()
         out["c"] = g["c"].sum().to_numpy()
-        out["b"] = (splitmix64(out.h.to_numpy().astype(np.uint64))
-                    % np.uint64(n_buckets)).astype(np.int64)
         return _pa_from_pandas(out, preserve_index=False)
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
@@ -110,8 +106,7 @@ def dedup_keep_best_documents(sf_dir: str):
                              "n_copies": out.c.to_numpy().astype(np.int64),
                              "n_distinct": out.nd.to_numpy().astype(np.int64)})
 
-    return ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                          ).groupby("b").map_groups(merge, batch_format="pandas")
+    return _key_shuffle(ds, ["h"], merge, partial)
 
 
 DEDUP_KEEP_BEST_SQL = """
@@ -170,10 +165,24 @@ FROM documents
 # ---------------------------------------------------------------------------
 
 
+def _pairs_per_group(ds, pairs):
+    """``pairs`` over each (lang, source) group of ``ds``, the groups met by
+    ``_key_shuffle``. A doc with a NULL lang or source pairs nothing, as
+    the twins' equality join matches no NULL."""
+    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
+        keyed = df[df.lang.notna() & df.source.notna()]
+        return pd.concat([pairs(keyed.iloc[:0]), *(
+            pairs(g) for _, g in keyed.groupby(["lang", "source"], sort=False))],
+            ignore_index=True)
+
+    return _key_shuffle(ds, ["lang", "source"], per_bucket)
+
+
 def jaccard_neardup_pairs(sf_dir: str, threshold: float = 0.8):
-    """All-pairs word-set Jaccard inside groupby buckets. The bucket keys bound
-    the pair count; at scale the MinHash-LSH variant below replaces the
-    all-pairs step with band buckets."""
+    """All-pairs word-set Jaccard inside each (lang, source) group
+    (``_pairs_per_group``). The group keys bound the pair count; at scale
+    the MinHash-LSH variant below replaces the all-pairs step with band
+    buckets."""
     ds = _read_docs(sf_dir, ["doc_id", "text", "lang", "source"])
 
     def pairs(df: pd.DataFrame) -> pd.DataFrame:
@@ -194,7 +203,7 @@ def jaccard_neardup_pairs(sf_dir: str, threshold: float = 0.8):
                                  "jaccard": pd.array([], dtype="float64")})
         return pd.DataFrame(rows, columns=["doc_a", "doc_b", "jaccard"])
 
-    return ds.groupby(["lang", "source"]).map_groups(pairs, batch_format="pandas")
+    return _pairs_per_group(ds, pairs)
 
 
 JACCARD_SQL = """
@@ -260,7 +269,6 @@ def minhash_signatures(batch: pa.Table) -> pa.Table:
 
 
 HOT_BAND_CAP = 512  # all-pairs bound per band bucket; beyond it, star-link
-N_DEDUP_BUCKETS = 256  # salt buckets for the distributed pair-distinct
 
 
 def _word_hash_table(batch: pa.Table) -> pa.Table:
@@ -284,26 +292,30 @@ def _word_hash_table(batch: pa.Table) -> pa.Table:
     })
 
 
-def _attach_words(pairs_ds, sf_dir: str, key: str, out_col: str, n_buckets: int = 64):
+def _attach_words(pairs_ds, sf_dir: str, key: str, out_col: str,
+                  finish=None):
     """Bucketed distributed join: attach per-doc token-hash blobs to pair rows.
 
-    Pair rows and doc rows are unioned into one schema-aligned dataset,
-    salted into ``n_buckets`` groups by hash(key), and merged vectorized
-    (pandas) within each group — a hash join expressed as one single-key
-    groupby shuffle with bounded group count (Ray 2.49's per-group overhead
+    Pair rows and doc rows share one schema and meet in ``_key_shuffle``
+    buckets on ``key``, merged vectorized (pandas) within each bucket — a
+    hash join with a bounded call count (Ray 2.49's per-group overhead
     makes one-group-per-key infeasible, and its join operator has ~10 s+
-    fixed aggregator cost per side at this scale). Only the candidate docs'
-    token blobs survive the inner merge, so nothing corpus-sized is broadcast
-    or collected. Doc-id columns stay < 2^32, so the float64 round-trip that
-    nullable-int union columns take in pandas is exact."""
+    fixed aggregator cost per side at this scale), then ``finish`` on the
+    merged rows if given. Only the candidate docs' token blobs survive the
+    inner merge, so nothing corpus-sized is broadcast or collected. Doc-id
+    columns stay < 2^32, so the float64 round-trip that nullable-int
+    columns take in pandas is exact."""
     other = "doc_b" if key == "doc_a" else "doc_a"
-    schema_cols = ["doc_a", "doc_b", "words_a", "words_b", "jbkt"]
+    schema_cols = ["doc_a", "doc_b", "words_a", "words_b"]
 
     def widen(batch: pa.Table) -> pa.Table:
         cols = {}
         for c in schema_cols:
             if c in batch.column_names:
-                cols[c] = batch[c]
+                # a doc id read back through pandas may be float64: the
+                # key hash must see both sides' ids as int64
+                cols[c] = (batch[c] if c.startswith("words")
+                           else batch[c].cast(pa.int64()))
             elif c.startswith("words"):
                 cols[c] = pa.nulls(batch.num_rows, pa.binary())
             else:
@@ -313,29 +325,22 @@ def _attach_words(pairs_ds, sf_dir: str, key: str, out_col: str, n_buckets: int 
     def tag_pairs(batch: pa.Table) -> pa.Table:
         if out_col in batch.column_names:
             batch = batch.drop_columns([out_col])
-        k = batch[key].to_numpy()
-        bkt = (splitmix64(k.astype(np.uint64)) % np.uint64(n_buckets)).astype(np.int64)
-        return widen(batch.append_column("jbkt", pa.array(bkt)))
+        return widen(batch)
 
     def tag_docs(batch: pa.Table) -> pa.Table:
         t = _word_hash_table(batch)
-        k = t["doc_id"].to_numpy()
-        bkt = (splitmix64(k.astype(np.uint64)) % np.uint64(n_buckets)).astype(np.int64)
-        return widen(pa.table({key: t["doc_id"], out_col: t["words"],
-                               "jbkt": pa.array(bkt)}))
-
-    docs = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
-        tag_docs, batch_format="pyarrow", zero_copy_batch=True)
-    tagged = pairs_ds.map_batches(tag_pairs, batch_format="pyarrow")
+        return widen(pa.table({key: t["doc_id"], out_col: t["words"]}))
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
         # doc rows have no partner id; pair rows always carry both doc ids
         is_doc = df[other].isna()
         d = df.loc[is_doc, [key, out_col]]
-        p = df.loc[~is_doc].drop(columns=[out_col, "jbkt"])
-        return p.merge(d, on=key, how="inner")
+        p = df.loc[~is_doc].drop(columns=[out_col])
+        m = p.merge(d, on=key, how="inner")
+        return m if finish is None else finish(m)
 
-    return tagged.union(docs).groupby("jbkt").map_groups(merge, batch_format="pandas")
+    return _key_shuffle([pairs_ds, _read_docs(sf_dir, ["doc_id", "text"])],
+                        [key], merge, [tag_pairs, tag_docs])
 
 
 # verify-path gate: doc token blobs are broadcast only when the corpus is
@@ -371,32 +376,25 @@ def minhash_neardup_documents(sf_dir: str, threshold: float = 0.8):
        AFTER the pair-distinct — one verification per unique pair (the same
        pair surfaces from ~2 bands, so dedup-first halves the dominant
        kernel; the raw-pair exchange is 16 B/candidate); otherwise the
-       verify is two bucketed map_groups joins (_attach_words) that never
-       hold more than a salt bucket in memory.
-    3. pair-distinct via a salted single-key groupby (N_DEDUP_BUCKETS groups,
-       vectorized ``np.unique`` per group) — bounded group count instead of
-       one group per pair.
+       verify is two bucketed joins (_attach_words) that never hold more
+       than a bucket in memory.
+    3. pair-distinct via a ``_key_shuffle`` on the pair (vectorized
+       ``np.unique`` per bucket) — a bounded call count instead of one Ray
+       group per pair.
     """
     import ray
 
     ds = _read_docs(sf_dir, ["doc_id", "text"])
-    sigs = ds.map_batches(minhash_signatures, batch_format="pyarrow", zero_copy_batch=True)
 
     def add_bucket_key(batch: pa.Table) -> pa.Table:
-        # composite single int64 key; a coarse salt bucket (gbkt) is the
-        # actual shuffle key — Ray 2.49 charges ~2 ms per group, so grouping
-        # by the ~thousands of distinct band hashes directly dominates the
-        # query. All rows of one bkey land in one gbkt, so pair emission
-        # inside the coarse group is still exact per band bucket.
-        bh = batch["band_hash"].to_numpy().astype(np.uint64)
-        b = batch["band"].to_numpy().astype(np.uint64)
+        # composite single int64 (band, band hash) key; every row of one
+        # bkey meets in one _key_shuffle bucket, so pair emission inside
+        # the bucket is exact per band bucket
+        sig = minhash_signatures(batch)
+        bh = sig["band_hash"].to_numpy().astype(np.uint64)
+        b = sig["band"].to_numpy().astype(np.uint64)
         key = splitmix64(bh ^ (b << np.uint64(56))).astype(np.int64)
-        gbkt = (splitmix64(key.astype(np.uint64)) % np.uint64(N_DEDUP_BUCKETS)
-                ).astype(np.int64)
-        return pa.table({"doc_id": batch["doc_id"], "bkey": pa.array(key),
-                         "gbkt": pa.array(gbkt)})
-
-    keyed = sigs.map_batches(add_bucket_key, batch_format="pyarrow", zero_copy_batch=True)
+        return pa.table({"doc_id": sig["doc_id"], "bkey": pa.array(key)})
 
     def _emit_pairs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """All-pairs (capped + star-linked) over one band bucket's doc ids."""
@@ -454,12 +452,11 @@ def minhash_neardup_documents(sf_dir: str, threshold: float = 0.8):
         union = slens[ia] + slens[ib] - inter
         return np.where(union > 0, inter / np.maximum(union, 1), 0.0)
 
-    _PAIR_EMPTY = {"pair": pd.array([], dtype="int64"),
-                   "bkt": pd.array([], dtype="int64")}
+    _PAIR_EMPTY = {"pair": pd.array([], dtype="int64")}
 
     def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
         """Candidate pairs as one composite int64 key (a<<32|b), emitted
-        segment-wise per bkey inside the coarse salt group. Pairs shuffle
+        segment-wise per bkey inside the bucket. Pairs shuffle
         UNVERIFIED to the distinct stage: the same pair surfaces from ~2
         bands on the bench corpus (measured multiplicity 2.08x), so
         verifying after the distinct halves the exact-Jaccard work — the
@@ -488,17 +485,15 @@ def minhash_neardup_documents(sf_dir: str, threshold: float = 0.8):
             # (a, b) two-column dedupe instead; fail loudly rather than
             # silently alias pairs
             raise ValueError("doc_id >= 2^31: composite pair key would alias")
-        pair = (a << 32) | b
-        bkt = (splitmix64(pair.astype(np.uint64)) % np.uint64(N_DEDUP_BUCKETS)).astype(np.int64)
-        return pd.DataFrame({"pair": pair, "bkt": bkt})
+        return pd.DataFrame({"pair": (a << 32) | b})
 
-    candidates = keyed.groupby("gbkt").map_groups(bucket_pairs, batch_format="pandas")
+    candidates = _key_shuffle(ds, ["bkey"], bucket_pairs, add_bucket_key)
 
     if broadcast:
         def dedup_then_verify(df: pd.DataFrame) -> pd.DataFrame:
-            """Distinct pairs of this salt bucket, then ONE exact-Jaccard
+            """Distinct pairs of this bucket, then ONE exact-Jaccard
             verification per unique pair against the broadcast token matrix
-            (zero-copy ray.get per group)."""
+            (zero-copy ray.get per bucket)."""
             pair = np.unique(df.pair.to_numpy())
             a = (pair >> 32).astype(np.int64)
             b = (pair & 0xFFFFFFFF).astype(np.int64)
@@ -507,8 +502,7 @@ def minhash_neardup_documents(sf_dir: str, threshold: float = 0.8):
             return pd.DataFrame({"doc_a": a[keep], "doc_b": b[keep],
                                  "jaccard": jac[keep]})
 
-        return candidates.groupby("bkt").map_groups(dedup_then_verify,
-                                                    batch_format="pandas")
+        return _key_shuffle(candidates, ["pair"], dedup_then_verify)
 
     def dedup_bucket(df: pd.DataFrame) -> pd.DataFrame:
         pair = np.unique(df.pair.to_numpy())
@@ -516,12 +510,6 @@ def minhash_neardup_documents(sf_dir: str, threshold: float = 0.8):
             "doc_a": (pair >> 32).astype(np.int64),
             "doc_b": (pair & 0xFFFFFFFF).astype(np.int64),
         })
-
-    uniq = candidates.groupby("bkt").map_groups(dedup_bucket, batch_format="pandas")
-
-    # at-scale fallback: bucketed semi-join re-read, no driver state
-    j = _attach_words(uniq, sf_dir, "doc_a", "words_a")
-    j = _attach_words(j, sf_dir, "doc_b", "words_b")
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame({
@@ -533,7 +521,10 @@ def minhash_neardup_documents(sf_dir: str, threshold: float = 0.8):
         })
         return out[out.jaccard >= threshold]
 
-    return j.map_batches(verify, batch_format="pandas")
+    # at-scale fallback: bucketed semi-join re-read, no driver state
+    uniq = _key_shuffle(candidates, ["pair"], dedup_bucket)
+    j = _attach_words(uniq, sf_dir, "doc_a", "words_a")
+    return _attach_words(j, sf_dir, "doc_b", "words_b", verify)
 
 
 def simhash_documents(sf_dir: str):
@@ -639,15 +630,12 @@ def vocab_drift_documents(sf_dir: str):
     JS long before length marginals react).
 
     Shape: per-block (token-hash, side) partial counts materialized once
-    and consumed twice — side totals via two tiny sums, then a salted
-    token-hash bucket shuffle where each bucket folds its tokens' exact
-    (ref, cur) counts into three partial reductions (JS terms, OOV mass,
-    OOV types) against the closure-captured scalar totals. The driver sums
-    ~n_buckets rows; token strings never shuffle (64-bit hashes stand in,
-    the DUP_NGRAM collision contract)."""
-    from .queries import _salt_buckets
-
-    nb = _salt_buckets(sf_dir, "documents", rows_per_bucket=250_000, floor=32)
+    and consumed twice — side totals via two tiny sums, then a
+    ``_key_shuffle`` on the token hash where each bucket folds its tokens'
+    exact (ref, cur) counts into three partial reductions (JS terms, OOV
+    mass, OOV types) against the closure-captured scalar totals. The driver
+    sums one row a bucket; token strings never shuffle (64-bit hashes stand
+    in, the DUP_NGRAM collision contract)."""
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -657,16 +645,13 @@ def vocab_drift_documents(sf_dir: str):
         if not reps.sum():
             return pa.table({"h": pa.array([], pa.int64()),
                              "cr": pa.array([], pa.int64()),
-                             "cc": pa.array([], pa.int64()),
-                             "bkt": pa.array([], pa.int64())})
+                             "cc": pa.array([], pa.int64())})
         allw = np.concatenate([np.asarray(ws, dtype=object) for ws in toks])
         h = hash64(allw).astype(np.int64)
         side = np.repeat(df.doc_id.to_numpy() % 2, reps)
         g = pd.DataFrame({"h": h, "r": (side == 0).astype(np.int64),
                           "c": (side == 1).astype(np.int64)}).groupby(
             "h", sort=False).agg(cr=("r", "sum"), cc=("c", "sum")).reset_index()
-        g["bkt"] = (g.h.to_numpy().astype(np.uint64) % np.uint64(nb)
-                    ).astype(np.int64)
         return _pa_from_pandas(g, preserve_index=False)
 
     parts = ds.map_batches(partial, batch_format="pyarrow",
@@ -697,8 +682,7 @@ def vocab_drift_documents(sf_dir: str):
             "oov_types": [int((oov & (g.cc.to_numpy() > 0)).sum())],
         })
 
-    folded = parts.groupby("bkt").map_groups(
-        bucket_fold, batch_format="pandas").to_pandas()
+    folded = _key_shuffle(parts, ["h"], bucket_fold).to_pandas()
     js = float(folded.js_part.sum())
     oov_mass = int(folded.oov_mass.sum())
     oov_types = int(folded.oov_types.sum())
@@ -839,10 +823,11 @@ FROM documents
 
 def ngram_jaccard_pairs(sf_dir: str, n: int = 3, threshold: float = 0.8):
     """All-pairs character n-gram (shingle) Jaccard inside (lang, source)
-    buckets — the n-gram-level sibling of word-set ``jaccard_neardup_pairs``
-    (at scale the MinHash banding replaces the all-pairs step; this is the
-    oracle-exact variant). Gram sets are hashed to int64 so the per-pair
-    intersect is a sorted-array op, not Python string sets."""
+    groups (``_pairs_per_group``) — the n-gram-level sibling of word-set
+    ``jaccard_neardup_pairs`` (at scale the MinHash banding replaces the
+    all-pairs step; this is the oracle-exact variant). Gram sets are hashed
+    to int64 so the per-pair intersect is a sorted-array op, not Python
+    string sets."""
     from ..functions.hashing import hash64
 
     ds = _read_docs(sf_dir, ["doc_id", "text", "lang", "source"])
@@ -870,7 +855,7 @@ def ngram_jaccard_pairs(sf_dir: str, n: int = 3, threshold: float = 0.8):
                                  "jaccard": pd.array([], dtype="float64")})
         return pd.DataFrame(rows, columns=["doc_a", "doc_b", "jaccard"])
 
-    return ds.groupby(["lang", "source"]).map_groups(pairs, batch_format="pandas")
+    return _pairs_per_group(ds, pairs)
 
 
 NGRAM_JACCARD_SQL = """
@@ -915,25 +900,19 @@ def inverted_index_documents(sf_dir: str):
     doc_id-sorted posting list (csv string — scalar and hash-stable; a real
     sink would write a parquet ``list<int64>`` column partitioned by bucket).
 
-    Shape: per-batch explode of distinct (doc, token) pairs → ONE shuffle
-    salted by hash(token) into a row-count-scaled bucket count (all rows of
-    a token land in the same bucket, so df/postings are exact) → per-bucket
-    vectorized pandas groupby builds every posting list in that bucket. No
-    driver collect; the shuffle carries one int64+token row per
-    (doc, distinct token)."""
-    from .queries import _salt_buckets
-
-    n_buckets = _salt_buckets(sf_dir, "documents", rows_per_bucket=250_000)
+    Shape: per-batch explode of distinct (doc, token) pairs → ONE
+    ``_key_shuffle`` on the token (all rows of a token land in the same
+    bucket, so df/postings are exact) → per-bucket vectorized pandas
+    groupby builds every posting list in that bucket. No driver collect;
+    the shuffle carries one int64+token row per (doc, distinct token)."""
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
     def explode(batch: pa.Table) -> pa.Table:
         ex = _explode_tokens(batch, distinct=True)
-        tok = ex["token"].to_numpy(dtype=object)
-        bkt = (hash64(tok) % np.uint64(n_buckets)).astype(np.int64)
         return pa.table({
-            "token": pa.array(tok, type=pa.string()),
+            "token": pa.array(ex["token"].to_numpy(dtype=object),
+                              type=pa.string()),
             "doc_id": pa.array(ex["doc_id"].to_numpy().astype(np.int64)),
-            "bkt": pa.array(bkt),
         })
 
     def build(g: pd.DataFrame) -> pd.DataFrame:
@@ -944,8 +923,7 @@ def inverted_index_documents(sf_dir: str):
         out["df"] = out["df"].astype(np.int64)
         return out[["token", "df", "postings"]]
 
-    exploded = ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-    return exploded.groupby("bkt").map_groups(build, batch_format="pandas")
+    return _key_shuffle(ds, ["token"], build, explode)
 
 
 INVERTED_INDEX_SQL = """
@@ -965,26 +943,21 @@ PARTIALS_COLLECT_MAX = 8_000_000  # blocks x vocab rows the driver will merge
 
 def _tfidf_two_shuffle(sf_dir: str, n_docs: int):
     """Open-vocabulary TF-IDF path — no driver collect at all: shuffle the
-    per-doc tf rows by hash(token) (every row of a token lands in one
-    bucket, so df is a vectorized within-bucket ``transform("size")``), then
-    re-shuffle the scored rows by hash(doc_id) and take each doc's top term
-    with one sort + drop_duplicates per bucket."""
-    from .queries import _salt_buckets
-
-    n_buckets = _salt_buckets(sf_dir, "documents", rows_per_bucket=250_000)
+    per-doc tf rows on the token (every row of a token lands in one bucket,
+    so df is a vectorized within-bucket ``transform("size")``), then
+    re-shuffle the scored rows on doc_id and take each doc's top term with
+    one sort + drop_duplicates per bucket."""
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
     def tf_explode(batch: pa.Table) -> pa.Table:
         ex = _explode_tokens(batch, distinct=False)
         g = (ex.groupby(["doc_id", "token"], sort=False).size()
              .reset_index(name="tf"))
-        tok = g["token"].to_numpy(dtype=object)
-        bkt = (hash64(tok) % np.uint64(n_buckets)).astype(np.int64)
         return pa.table({
             "doc_id": pa.array(g["doc_id"].to_numpy().astype(np.int64)),
-            "token": pa.array(tok, type=pa.string()),
+            "token": pa.array(g["token"].to_numpy(dtype=object),
+                              type=pa.string()),
             "tf": pa.array(g["tf"].to_numpy().astype(np.int64)),
-            "bkt": pa.array(bkt),
         })
 
     def score_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -993,8 +966,6 @@ def _tfidf_two_shuffle(sf_dir: str, n_docs: int):
                        * np.log(float(n_docs) / dfreq.to_numpy()), 6)
         out = g[["doc_id", "token"]].copy()
         out["score"] = score
-        out["dbkt"] = (splitmix64(out["doc_id"].to_numpy().astype(np.uint64))
-                       % np.uint64(n_buckets)).astype(np.int64)
         return out
 
     def top_per_doc(g: pd.DataFrame) -> pd.DataFrame:
@@ -1005,10 +976,8 @@ def _tfidf_two_shuffle(sf_dir: str, n_docs: int):
                              "top_term": top["token"].to_numpy(),
                              "score": top["score"].to_numpy()})
 
-    scored = (ds.map_batches(tf_explode, batch_format="pyarrow",
-                             zero_copy_batch=True)
-              .groupby("bkt").map_groups(score_bucket, batch_format="pandas"))
-    return scored.groupby("dbkt").map_groups(top_per_doc, batch_format="pandas")
+    return _key_shuffle(_key_shuffle(ds, ["token"], score_bucket, tf_explode),
+                        ["doc_id"], top_per_doc)
 
 
 def tfidf_top_terms(sf_dir: str):
@@ -1022,7 +991,7 @@ def tfidf_top_terms(sf_dir: str):
     broadcast via ``ray.put``; the scoring pass picks each doc's top term
     inside its own batch (a doc never spans batches, so the per-doc argmax
     is batch-local). Open-vocabulary corpora route to the two-shuffle
-    salted-bucket path instead — both gates (partial-row collect, merged
+    ``_key_shuffle`` path instead — both gates (partial-row collect, merged
     broadcast size) are checked BEFORE anything large reaches the driver."""
     import ray
 
@@ -1219,25 +1188,21 @@ def pack_sequences_documents(sf_dir: str, budget: int = 512):
 
     The global ordered prefix-sum is distributed as a two-level scan: docs
     are range-bucketed by doc_id (order-preserving, unlike a hash), each
-    bucket's token SUM (one small row per bucket) is exclusive-prefix-summed
-    on the driver, and the per-bucket offsets go back into a per-bucket
-    vectorized cumsum. No stage holds more than one bucket; the driver holds
-    one row per bucket. The (doc_id, n_tokens, bkt) projection is
-    materialized once so the sum pass and the scan pass don't recount
-    tokens."""
+    range's token SUM (one small row per range) folds on the driver and is
+    exclusive-prefix-summed there, and the offsets go into one vectorized
+    cumsum per ``_key_shuffle`` call over its ranges. No stage holds more
+    than one bucket; the driver holds one row per range. The (doc_id,
+    n_tokens, rng) projection is materialized once so the sum pass and the
+    scan pass don't recount tokens."""
     import ray
 
-    from .queries import _salt_buckets
+    from .queries import _num_rows, _salt_buckets
 
     ds = _read_docs(sf_dir, ["doc_id", "text"])
     # max over the id-only projection: never decode the text column for it
     max_id = _read_docs(sf_dir, ["doc_id"]).max("doc_id")
-    # bucket count scales with rows so one bucket never outgrows a worker;
-    # floor 16 (not 64): the repartition + two groupbys all charge per
-    # bucket, and 16 already saturates the scan stage at this fan-in
-    n_buckets = _salt_buckets(sf_dir, "documents", rows_per_bucket=2_000_000,
-                              floor=16)
-    rng = max(1, (int(max_id) + n_buckets) // n_buckets)
+    n_ranges = _salt_buckets(_num_rows(sf_dir, "documents"))
+    width = max(1, (int(max_id) + n_ranges) // n_ranges)
 
     def count(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -1245,30 +1210,31 @@ def pack_sequences_documents(sf_dir: str, budget: int = 512):
         ids = df.doc_id.to_numpy()
         return pa.table({"doc_id": pa.array(ids, pa.int64()),
                          "n_tokens": pa.array(n, pa.int64()),
-                         "bkt": pa.array(ids // rng, pa.int64())})
+                         "rng": pa.array(ids // width, pa.int64())})
 
-    # cap the int-projection's block count before materializing: both
-    # consumers (bucket sums + the scan) pay per-block fixed costs
     tagged = ds.map_batches(count, batch_format="pyarrow",
-                            zero_copy_batch=True).repartition(
-        n_buckets).materialize()
-    sums = tagged.groupby("bkt").sum("n_tokens").to_pandas().sort_values("bkt")
-    offs = dict(zip(sums.bkt.to_numpy(),
-                    np.concatenate(([0], np.cumsum(sums["sum(n_tokens)"]
-                                                   .to_numpy())[:-1]))))
-    offs_ref = ray.put(offs)  # small: one int per bucket
+                            zero_copy_batch=True).materialize()
+    sums = _group_fold(tagged, ["rng"], {"n": ("n_tokens", "sum")}).sort_by("rng")
+    offs = np.zeros(n_ranges + 1, np.int64)  # ids // width <= n_ranges
+    n = sums["n"].to_numpy()
+    offs[sums["rng"].to_numpy()] = np.cumsum(n) - n
+    offs_ref = ray.put(offs)  # small: one int per range
 
     def scan(df: pd.DataFrame) -> pd.DataFrame:
-        base = ray.get(offs_ref)[int(df.bkt.iloc[0])]
-        df = df.sort_values("doc_id")
+        df = df.sort_values("doc_id")  # ranges are doc_id-contiguous
         n = df.n_tokens.to_numpy()
-        before = base + np.concatenate(([0], np.cumsum(n)[:-1]))
+        r = df.rng.to_numpy()
+        cum = np.cumsum(n) - n  # exclusive, over the whole bucket
+        first = np.r_[True, r[1:] != r[:-1]]
+        # n >= 0, so the running max picks the cum at each range's start
+        before = (ray.get(offs_ref)[r] + cum
+                  - np.maximum.accumulate(np.where(first, cum, 0)))
         return pd.DataFrame({"doc_id": df.doc_id.to_numpy(),
                              "n_tokens": n,
                              "pack_id": before // budget,
                              "offset_in_pack": before % budget})
 
-    return tagged.groupby("bkt").map_groups(scan, batch_format="pandas")
+    return _key_shuffle(tagged, ["rng"], scan)
 
 
 PACK_SQL = """
@@ -1527,10 +1493,8 @@ def bpe_train_documents(sf_dir: str, n_merges: int = BPE_MERGES):
     merge table is bit-identical across parallelism levels AND between the
     two paths (forced-path parity + independent-reference tests pin both).
     Stops early when no pair repeats (best n < 2)."""
-    from .queries import _salt_buckets
+    import ray
 
-    nb = _salt_buckets(sf_dir, "documents", rows_per_bucket=1_000_000,
-                       floor=16)
     ds = _read_docs(sf_dir, ["text"])
 
     def word_partial(batch: pa.Table) -> pa.Table:
@@ -1538,28 +1502,23 @@ def bpe_train_documents(sf_dir: str, n_merges: int = BPE_MERGES):
         flat = np.array([w for ws in toks for w in ws], dtype=object)
         if flat.size == 0:
             return pa.table({"word": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64()),
-                             "bkt": pa.array([], pa.int64())})
+                             "n": pa.array([], pa.int64())})
         words, counts = np.unique(flat, return_counts=True)
-        return pa.table({
-            "word": pa.array(words, pa.string()),
-            "n": pa.array(counts.astype(np.int64)),
-            "bkt": pa.array((hash64(words) % np.uint64(nb)).astype(np.int64)),
-        })
+        return pa.table({"word": pa.array(words, pa.string()),
+                         "n": pa.array(counts.astype(np.int64))})
 
     def bucket_sum(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("word", sort=False).n.sum().reset_index()
         g["n"] = g.n.astype(np.int64)
         return g[["word", "n"]]
 
-    types = (ds.map_batches(word_partial, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby("bkt").map_groups(bucket_sum, batch_format="pandas")
-             .materialize())
+    types = _key_shuffle(ds, ["word"], bucket_sum, word_partial)
+    # an empty exchange hands on a typed empty table, not a Dataset
+    n_types = types.count() if isinstance(types, ray.data.Dataset) else 0
 
     merges: list = []          # [(left, right)] in rank order
     rows: list = []            # output rows incl. counts
-    if types.count() <= BPE_DRIVER_MAX_TYPES:
+    if n_types <= BPE_DRIVER_MAX_TYPES:
         tdf = types.to_pandas()
         seqs = [list(w) for w in tdf.word.to_numpy()]
         counts = tdf.n.to_numpy()
@@ -1577,8 +1536,6 @@ def bpe_train_documents(sf_dir: str, n_merges: int = BPE_MERGES):
                 if left in seq and right in seq:
                     seqs[si] = _bpe_merge_one(seq, left, right, merged)
     else:
-        import ray
-
         for r in range(n_merges):
             mref = {"ref": ray.put(list(merges))}
 
@@ -1592,16 +1549,11 @@ def bpe_train_documents(sf_dir: str, n_merges: int = BPE_MERGES):
                 if not pc:
                     return pa.table({"left": pa.array([], pa.string()),
                                      "right": pa.array([], pa.string()),
-                                     "n": pa.array([], pa.int64()),
-                                     "bkt": pa.array([], pa.int64())})
+                                     "n": pa.array([], pa.int64())})
                 ls, rs = zip(*pc.keys())
-                key = np.array([a + "\x00" + b for a, b in pc.keys()],
-                               dtype=object)
                 return pa.table({"left": pa.array(ls, pa.string()),
                                  "right": pa.array(rs, pa.string()),
-                                 "n": pa.array(list(pc.values()), pa.int64()),
-                                 "bkt": pa.array((hash64(key) % np.uint64(nb)
-                                                  ).astype(np.int64))})
+                                 "n": pa.array(list(pc.values()), pa.int64())})
 
             def pair_sum(df: pd.DataFrame) -> pd.DataFrame:
                 g = df.groupby(["left", "right"], sort=False).n.sum()
@@ -1611,11 +1563,8 @@ def bpe_train_documents(sf_dir: str, n_merges: int = BPE_MERGES):
             # one row per distinct pair (≤ ~(256+K)² symbols), never the
             # blocks × pairs partial fan-out — at 10^5-block corpus scale
             # the raw partials would be a driver collapse
-            parts = (types.map_batches(pair_partial, batch_format="pyarrow",
-                                       zero_copy_batch=True)
-                     .groupby("bkt").map_groups(pair_sum,
-                                                batch_format="pandas")
-                     .to_pandas())
+            parts = _key_shuffle(types, ["left", "right"], pair_sum,
+                                 pair_partial).to_pandas()
             if not len(parts):
                 break
             pc = {(l, r): int(v) for l, r, v in
@@ -1728,30 +1677,19 @@ def cap_per_source_documents(sf_dir: str, n: int = 10):
     corpus-balancing op: keep the n smallest doc_ids of every source.
 
     Ray shape: per-block partial cap first (each block can contribute at
-    most n rows per source it touches), then a salted-bucket groupby on
-    hash(source) — never one Ray group per source, so 10^7 web domains cost
-    a fixed bucket count — with one vectorized sort + groupby-head per
+    most n rows per source it touches), then a ``_key_shuffle`` on the
+    source — never one Ray group per source, so 10^7 web domains cost a
+    bounded call count — with the same vectorized sort + groupby-head per
     bucket. Shuffle volume is ≤ n × sources × blocks rows, independent of
-    corpus size."""
-    from .queries import _salt_buckets
-
-    nb = _salt_buckets(sf_dir, "documents", rows_per_bucket=1_000_000,
-                       floor=16)
-    ds = _read_docs(sf_dir, ["doc_id", "source"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().sort_values("doc_id", kind="mergesort")
-        df = df.groupby("source", sort=False).head(n)
-        df["bkt"] = (hash64(df.source.to_numpy()) % nb).astype(np.int64)
-        return _pa_from_pandas(df, preserve_index=False)
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
+    corpus size. A NULL source is a partition of its own."""
+    def cap(df: pd.DataFrame) -> pd.DataFrame:
         d = df.sort_values("doc_id", kind="mergesort")
-        return d.groupby("source", sort=False).head(n)[["doc_id", "source"]]
+        return d.groupby("source", sort=False, dropna=False).head(n)[
+            ["doc_id", "source"]]
 
-    return ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True).groupby("bkt").map_groups(
-        final, batch_format="pandas")
+    return _key_shuffle(
+        _read_docs(sf_dir, ["doc_id", "source"]), ["source"], cap,
+        lambda t: _pa_from_pandas(cap(t.to_pandas()), preserve_index=False))
 
 
 CAP_PER_SOURCE_SQL = """
@@ -1916,16 +1854,13 @@ def duplicate_ngram_spans(sf_dir: str, n: int = 8):
     substrings" preprocessing, reduced to span counting).
 
     Ray shape: (1) per-block `_shingle_hashes` + per-(shingle, doc) partial
-    counts, salted on hash(shingle) so every occurrence of one shingle
-    lands in one bucket; (2) per-bucket vectorized total-count filter
-    (total ≥ 2) emits (doc_id, span-count) partials; (3) a second salted
-    bucket pass sums per doc. Shuffle volume is unique-(shingle, doc) pairs
-    — text itself never shuffles; 64-bit shingle hashing stands in for the
+    counts, a ``_key_shuffle`` on the shingle so every occurrence of one
+    shingle lands in one bucket; (2) per-bucket vectorized total-count
+    filter (total ≥ 2) emits (doc_id, span-count) partials; (3) a second
+    shuffle on doc_id sums per doc. Shuffle volume is unique-(shingle, doc)
+    pairs — text itself never shuffles; 64-bit shingle hashing stands in for the
     strings (collision odds ~n²/2^64, the same contract MinHash/
     decontaminate use)."""
-    from .queries import _salt_buckets
-
-    nb = _salt_buckets(sf_dir, "documents", rows_per_bucket=250_000, floor=32)
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1934,28 +1869,21 @@ def duplicate_ngram_spans(sf_dir: str, n: int = 8):
         docs = df.doc_id.to_numpy()[doc_idx]
         g = pd.DataFrame({"h": h.astype(np.int64), "doc_id": docs}).groupby(
             ["h", "doc_id"], sort=False).size().rename("c").reset_index()
-        g["bkt"] = (g.h.to_numpy().astype(np.uint64) % nb).astype(np.int64)
         return _pa_from_pandas(g, preserve_index=False)
 
     def bucket_dups(df: pd.DataFrame) -> pd.DataFrame:
         tot = df.groupby("h", sort=False).c.transform("sum")
         d = df[tot >= 2]
-        out = d.groupby("doc_id", sort=False).c.sum().rename(
+        return d.groupby("doc_id", sort=False).c.sum().rename(
             "n_dup_spans").reset_index()
-        out["dbkt"] = (out.doc_id.to_numpy().astype(np.uint64) % nb
-                       ).astype(np.int64)
-        return out
 
     def doc_sum(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("doc_id", sort=False).n_dup_spans.sum().reset_index()
         g["n_dup_spans"] = g.n_dup_spans.astype(np.int64)
         return g
 
-    return (ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("bkt").map_groups(bucket_dups, batch_format="pandas")
-            .groupby("dbkt").map_groups(doc_sum, batch_format="pandas")
-            .select_columns(["doc_id", "n_dup_spans"]))
+    return _key_shuffle(_key_shuffle(ds, ["h"], bucket_dups, partial),
+                        ["doc_id"], doc_sum)
 
 
 DUP_NGRAM_SQL = """
@@ -2027,26 +1955,21 @@ def unigram_logprob_documents(sf_dir: str):
         score_batch, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _unigram_two_shuffle(sf_dir: str, n_buckets: int = 64):
-    """Open-vocabulary path: (1) token counts via one salted-bucket groupby
-    on hash(token); (2) exploded (doc, token) rows co-locate with their
-    token's ln p via the union + bucket merge, pre-summing per (doc) inside
-    the bucket; (3) per-doc mean via a second bucket groupby on hash(doc).
+def _unigram_two_shuffle(sf_dir: str):
+    """Open-vocabulary path: (1) token counts and (2) each exploded (doc,
+    token) row's ln p in ONE ``_key_shuffle`` on the token, pre-summing per
+    doc inside the bucket; (3) per-doc mean via a second shuffle on doc_id.
     Nothing vocabulary- or corpus-sized is broadcast or collected."""
-    from ..functions.hashing import hash64
-
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
     def tag_exploded(batch: pa.Table) -> pa.Table:
         ex = _explode_tokens(batch, distinct=False)
         g = (ex.groupby(["doc_id", "token"], sort=False).size()
              .reset_index(name="n"))  # per-block combiner
-        tok = g["token"].to_numpy(dtype=object)
         return pa.table({
-            "token": pa.array(tok, type=pa.string()),
+            "token": pa.array(g["token"].to_numpy(dtype=object), type=pa.string()),
             "doc_id": pa.array(g["doc_id"].to_numpy().astype(np.int64)),
-            "n": pa.array(g["n"].to_numpy().astype(np.int64)),
-            "bkt": pa.array(hash64(tok) % n_buckets)})
+            "n": pa.array(g["n"].to_numpy().astype(np.int64))})
 
     exploded = ds.map_batches(tag_exploded, batch_format="pyarrow",
                               zero_copy_batch=True).materialize()
@@ -2064,15 +1987,6 @@ def _unigram_two_shuffle(sf_dir: str, n_buckets: int = 64):
         return pd.DataFrame({"doc_id": g.index.to_numpy().astype(np.int64),
                              "s": g.s.to_numpy(), "n": g.n.to_numpy()})
 
-    # token counts are computable inside each token-bucket (a token never
-    # spans buckets), so count + attach collapse into ONE bucket pass
-    partials = exploded.groupby("bkt").map_groups(merge_lp,
-                                                  batch_format="pandas")
-
-    def tag_doc(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy().astype(np.int64)
-        return batch.append_column("dbkt", pa.array(hash64(ids) % n_buckets))
-
     def final(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("doc_id", sort=False).agg(s=("s", "sum"),
                                                  n=("n", "sum"))
@@ -2080,8 +1994,10 @@ def _unigram_two_shuffle(sf_dir: str, n_buckets: int = 64):
             "doc_id": g.index.to_numpy().astype(np.int64),
             "mean_logprob": _round(g.s.to_numpy() / g.n.to_numpy(), 6)})
 
-    return partials.map_batches(tag_doc, batch_format="pyarrow").groupby(
-        "dbkt").map_groups(final, batch_format="pandas")
+    # token counts are computable inside each token-bucket (a token never
+    # spans buckets), so count + attach collapse into ONE bucket pass
+    return _key_shuffle(_key_shuffle(exploded, ["token"], merge_lp),
+                        ["doc_id"], final)
 
 
 UNIGRAM_LOGPROB_SQL = """

@@ -42,20 +42,50 @@ def _oracled_names():
     return sorted(e.oracle_sql())
 
 
+def _schema_changes(caplog, run) -> list[str]:
+    """The "different schema" records Ray's executor logs while ``run()``
+    runs. Ray Data's loggers do not propagate to the root logger caplog
+    hooks, so the handler goes on the executor's logger itself."""
+    import logging
+
+    executor_log = logging.getLogger(
+        "ray.data._internal.execution.streaming_executor_state")
+    executor_log.addHandler(caplog.handler)
+    try:
+        run()
+    finally:
+        executor_log.removeHandler(caplog.handler)
+    return [r.getMessage() for r in caplog.records
+            if "different schema" in r.getMessage()]
+
+
+# known defect, pinned both ways: hybrid_search_rrf (ann.py) hands on
+# schema-less 0-row blocks, so Ray logs a schema change; the assertion
+# fails the day it stops, and the entry goes
+KNOWN_SCHEMA_CHANGES = {"hybrid_search_rrf"}
+
+
 @pytest.mark.parametrize("name", _oracled_names())
-def test_query_matches_oracle(ray_session, oracle, name):
+def test_query_matches_oracle(ray_session, oracle, caplog, name):
     """EVERY oracled query vs DuckDB at sf0.001 — parametrized off the
-    registry so a new oracle entry is covered the moment it lands."""
+    registry so a new oracle entry is covered the moment it lands — and
+    Ray logs no block schema change while it runs (a schema-less block
+    buries real schema drift), except the known ``KNOWN_SCHEMA_CHANGES``."""
     import __ray_entry__ as e
 
-    rdf = _canon(_to_df(e.queries()[name](SF)))
+    out = []
+    changes = _schema_changes(
+        caplog, lambda: out.append(_to_df(e.queries()[name](SF))))
+    rdf = _canon(out[0])
     odf = _canon(oracle.execute(e.oracle_sql()[name]).fetchdf())
     assert list(rdf.columns) == list(odf.columns)
     pd.testing.assert_frame_equal(rdf, odf, check_dtype=False, check_exact=True)
+    assert bool(changes) == (name in KNOWN_SCHEMA_CHANGES), changes
 
 
-# every oracled query that folds through queries._group_fold
-GROUPED_FOLD_QUERIES = [
+# every oracled query that folds through queries._group_fold, then the
+# oracled per-key queries of queries._key_shuffle that a NULL key broke
+NULL_KEY_QUERIES = [
     "q1_pricing_summary", "rollup_pricing_summary", "cube_pricing_summary",
     "column_stats_lineitem", "chi2_event_type", "split_proportions_orders",
     "ks_purchase_click_hist", "divergence_purchase_click",
@@ -69,13 +99,20 @@ GROUPED_FOLD_QUERIES = [
     "impute_value_events", "expectation_suite_orders", "distinct_flag_status",
     "mode_priority_by_status", "join_broadcast_nation_revenue",
     "join_large_priority_revenue", "token_stats_by_lang", "langid_confusion",
-    "mix_sources_documents", "classify_accuracy_embeddings", "shuffle_orders"]
-# the grouped folds whose DuckDB answer on 0-row tables is an empty GROUP BY
+    "mix_sources_documents", "classify_accuracy_embeddings", "shuffle_orders",
+    "encode_categories_orders", "event_path_per_user",
+    "grouped_quantiles_flag", "ntile_orders", "percent_rank_orders",
+    "rank_orders_dense", "stratified_sample_orders", "bloom_semijoin_lineitem",
+    "cap_per_source_documents", "chi2_by_window_events",
+    "jaccard_neardup_pairs", "seasonality_profile_events",
+    "topn_orders_per_priority", "transition_counts_events", "upsert_orders_scd",
+    "window_hopping_events", "window_tumbling_events"]
+# the queries whose DuckDB answer on 0-row tables is a typed empty result
 # (the others are global aggregates with one row of NULL statistics;
 # bin_prices_quartile and mad_outliers_events fit quantiles of an empty
 # column first, which this recipe does not cover)
 EMPTY_GROUP_BY_QUERIES = [
-    n for n in GROUPED_FOLD_QUERIES if n not in {
+    n for n in NULL_KEY_QUERIES if n not in {
         "rollup_pricing_summary", "cube_pricing_summary",
         "column_stats_lineitem", "chi2_event_type", "ks_purchase_click_hist",
         "divergence_purchase_click", "entropy_categoricals",
@@ -84,14 +121,14 @@ EMPTY_GROUP_BY_QUERIES = [
         "bin_prices_quartile", "mad_outliers_events"}]
 
 
-@pytest.mark.parametrize("name", [*GROUPED_FOLD_QUERIES, "empty"])
+@pytest.mark.parametrize("name", [*NULL_KEY_QUERIES, "empty"])
 def test_grouped_queries_on_null_keys(ray_session, null_key_copy, tmp_path,
                                       name):
-    """SQL GROUP BY semantics on NULL keys: with every 97th categorical key
-    NULL, each grouped fold equals DuckDB, a NULL-keyed group included (Ray's
-    sort groupby raised on a NULL string key; pandas' groupby dropped it).
-    ``[empty]``: on 0-row tables every query whose oracle is a GROUP BY
-    returns DuckDB's typed empty result."""
+    """SQL GROUP BY / PARTITION BY semantics on NULL keys: with every 97th
+    categorical key NULL, each grouped query equals DuckDB, a NULL-keyed
+    group included (Ray's sort groupby raised on a NULL string key; pandas'
+    groupby dropped it). ``[empty]``: on 0-row tables every query whose
+    oracle gives a typed empty result returns it."""
     import pyarrow.parquet as pq
 
     import __ray_entry__ as e
@@ -128,24 +165,60 @@ def test_grouped_queries_on_null_keys(ray_session, null_key_copy, tmp_path,
                                   "join_large_priority_revenue"])
 def test_sorted_folds_log_no_schema_change(ray_session, caplog, name):
     """The queries that sort before their fold make Ray log no block schema
-    change. Their salted-bucket groupbys had about as many bucket ids as
-    sort partitions, so the sampled range boundaries collided, and Ray's
-    sort hands an empty range a schema-less block."""
-    import logging
-
+    change, on a second, warm call too. Their salted-bucket groupbys had
+    about as many bucket ids as sort partitions, so the sampled range
+    boundaries collided, and Ray's sort hands an empty range a schema-less
+    block."""
     import __ray_entry__ as e
 
-    # Ray Data's loggers do not propagate to the root logger caplog hooks
-    executor_log = logging.getLogger(
-        "ray.data._internal.execution.streaming_executor_state")
-    executor_log.addHandler(caplog.handler)
-    try:
-        for _ in range(2):
-            _to_df(e.queries()[name](SF))
-    finally:
-        executor_log.removeHandler(caplog.handler)
-    assert not [r.getMessage() for r in caplog.records
-                if "different schema" in r.getMessage()]
+    assert not _schema_changes(caplog, lambda: [
+        _to_df(e.queries()[name](SF)) for _ in range(2)])
+
+
+def test_key_shuffle_keeps_equal_keys_in_one_call(ray_session):
+    """``_key_shuffle`` over 12 input blocks from two sides: every (k, s)
+    key, NULLs included and NULL equal to NULL, reaches exactly one ``fn``
+    call with all its rows, and an empty input gives ``fn``'s typed empty
+    result."""
+    import pyarrow as pa
+    import ray.data
+
+    from serverless_covariate_drift_detection_ray.pipelines.queries import (
+        _key_shuffle,
+    )
+
+    n = 6000
+    rng = np.random.default_rng(7)
+    k = rng.integers(0, 500, n)
+    s = np.where(rng.random(n) < 0.1, None, rng.choice(["a", "b"], n))
+    k_null = rng.random(n) < 0.05
+    left = pd.DataFrame({"k": pd.array(np.where(k_null, None, k), "Int64"),
+                         "s": s})
+    sides = [ray.data.from_pandas(left.iloc[i::12].reset_index(drop=True))
+             for i in range(12)]
+    ds = [sides[0].union(*sides[1:6]), sides[6].union(*sides[7:])]
+
+    def calls(df: pd.DataFrame) -> pd.DataFrame:
+        import uuid
+
+        g = df.groupby(["k", "s"], dropna=False).size().reset_index(name="n")
+        return g.assign(call=uuid.uuid4().hex)
+
+    def tag(t: pa.Table) -> pa.Table:
+        return t.append_column("one", pa.array(np.ones(t.num_rows, np.int64)))
+
+    out = _key_shuffle(ds, ["k", "s"], calls, [tag, tag]).to_pandas()
+    per_key = out.groupby(["k", "s"], dropna=False)
+    assert (per_key.call.nunique() == 1).all()  # one call a key
+    want = left.groupby(["k", "s"], dropna=False).size()
+    got = per_key.n.sum()
+    assert len(got) == len(want) and (got.sort_index() == want.sort_index()).all()
+    assert out.call.nunique() > 1  # many keys, several calls
+
+    empty = _key_shuffle(ray.data.from_arrow(pa.Table.from_pandas(
+        left.iloc[:0], preserve_index=False)), ["k", "s"], calls, tag)
+    assert isinstance(empty, pa.Table) and empty.num_rows == 0
+    assert empty.column_names == ["k", "s", "n", "call"]
 
 
 @pytest.mark.parametrize("name", ["cusum_changepoint_events",
