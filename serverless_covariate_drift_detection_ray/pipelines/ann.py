@@ -1,11 +1,16 @@
 """Similarity search over the ``embeddings`` table (``list<float>`` column).
 
-Brute-force cosine top-k is the baseline: the query matrix is broadcast once
-(``ray.put``) and every batch does one numpy matmul against it — the canonical
-small-side-broadcast ANN shape. The LSH-bucketed variant is the scale path: a
-random-hyperplane signature assigns each vector to a bucket so candidate sets
-shrink from N to N/2^b per query (documented trade-off; exact top-k remains
-the oracle-checked baseline).
+Every top-k query here is one recipe in two parts. The scan side scores
+query rows against corpus rows and cuts each query's scores with
+``_topk_rows``: a tie-exact top-k under (score DESC, id ASC) that emits a
+typed ``(query_id, id, score)`` table. The exact scans run it per block
+with the query side broadcast (``_scan``); the LSH and IVF scans run it per
+bucket or cell after a ``queries._key_shuffle`` exchange (``_group_topk``).
+The merge side is ``_topk_fold``: the partials stream to the driver into a
+running top-k per query (at most N_QUERIES × k rows plus one block held),
+a repeated (query, id) pair keeping its max score. Brute-force cosine top-k
+is the oracle-checked baseline; LSH, IVF and PQ trade recall for scanning
+less, and their recall is measured in tests.
 """
 
 from __future__ import annotations
@@ -15,11 +20,13 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.hashing import hash64, probe_sorted
 from ..functions.stats import median_heuristic_sigma, mmd_permutation_test
 from .config import scratch_root
-from .queries import _pa_from_pandas, _read, _read_blocked, _round
+from .queries import (_key_shuffle, _pa_from_pandas, _read, _read_blocked,
+                      _round)
 
 TOP_K = 10
 N_QUERIES = 10
@@ -36,21 +43,26 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
 
 
-def _query_matrix(sf_dir: str, with_label: bool = False):
-    """(q_ids, L2-normalized query matrix[, labels]) for vec_id < N_QUERIES —
-    the shared query-side load of every brute-force scan variant. The
-    predicate pushes into the parquet read (row-group pruning), so the
-    driver never materializes the corpus to pick out N_QUERIES rows."""
+def _query_rows(sf_dir: str, columns: list[str]) -> pa.Table:
+    """The ``columns`` of the query rows (vec_id < N_QUERIES). The predicate
+    pushes into the parquet read (row-group pruning), so the driver never
+    materializes the corpus to pick out N_QUERIES rows."""
     import pyarrow.parquet as pq
 
-    cols = ["vec_id", "embedding"] + (["label"] if with_label else [])
-    qsel = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=cols,
+    return pq.read_table(f"{sf_dir}/embeddings.parquet", columns=columns,
                          filters=[("vec_id", "<", N_QUERIES)])
+
+
+def _query_matrix(sf_dir: str, with_label: bool = False):
+    """(q_ids, L2-normalized query matrix[, labels]) — the shared query-side
+    load of every brute-force scan variant."""
+    qsel = _query_rows(sf_dir, ["vec_id", "embedding"]
+                       + (["label"] if with_label else []))
     if with_label:
         # SQL `n.label = q.label` is never true for a NULL query label, so
         # a null-label query contributes zero rows — drop it here instead
         # of casting NULL→garbage int
-        qsel = qsel.filter(pa.compute.is_valid(qsel["label"]))
+        qsel = qsel.filter(pc.is_valid(qsel["label"]))
     q_ids = qsel["vec_id"].to_numpy().astype(np.int64)
     q = _normalize_rows(_to_matrix(qsel["embedding"]))
     if with_label:
@@ -58,81 +70,132 @@ def _query_matrix(sf_dir: str, with_label: bool = False):
     return q_ids, q
 
 
-def _merge_round_topk(partials, k: int = TOP_K):
-    """Per-query exact merge of block partials under the strict
-    (cos DESC, neighbor_id ASC) order, then the 1e-6 score rounding the
-    oracles use — shared by every exact-scan variant."""
-    def merge_topk(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(["cos", "neighbor_id"],
-                              ascending=[False, True]).head(k)
-
-    out = partials.groupby("query_id").map_groups(merge_topk,
-                                                  batch_format="pandas")
-
-    def final_round(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "query_id": batch["query_id"],
-            "neighbor_id": batch["neighbor_id"],
-            "cos": pa.array(_round(batch["cos"].to_numpy(), 6)),
-        })
-
-    return out.map_batches(final_round, batch_format="pyarrow")
+def _topk_tiebreak_cut(row: np.ndarray, nids: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the exact top-k by (row DESC, nids ASC) — O(B) candidate
+    cut, then only the k-boundary candidates pay the deterministic
+    tie-break sort. Integer scores tie often, so a 4k candidate margin is
+    taken; provably exact while rows tied with the kth value number <= 3k
+    (rows >= the kth value then number <= 4k-1, so every one of them beats
+    the partition boundary), with a full-lexsort fallback for pathological
+    plateaus. Pinned against the exhaustive sort in tests."""
+    if row.size > 4 * k:
+        cand = np.argpartition(-row, 4 * k - 1)[:4 * k]
+        kth = np.partition(-row, k - 1)[k - 1]
+        if (-row == kth).sum() <= 3 * k:
+            return cand[np.lexsort((nids[cand], -row[cand]))[:k]]
+    return np.lexsort((nids, -row))[:k]
 
 
-def _topk_score(batch: pa.Table, wrapped, k: int,
-                round6: bool = False) -> pa.Table:
-    """Broadcast-task stage: the query matrix reads zero-copy from the
-    object store per call; per batch one matmul + per-query partial top-k
-    with the tie-exact (cos DESC, id ASC) block cut — a bare argpartition
-    could drop the lower-id member of a cos tie at the boundary, which the
-    downstream merge can never recover. ``round6`` ranks on the
-    1e-6-rounded cosine instead (consumers whose DOWNSTREAM output depends
-    on rank order — MMR, RRF — need rank stability across matmul shapes;
-    the plain top-k ops keep raw scores, matching their oracles' raw-rank
-    SQL). (Stateless tasks instead of a capped actor pool — the scan
-    scales with free CPUs and reuses warm workers.)"""
+# what _topk_rows emits and _topk_fold merges; score takes the scores' dtype
+_TOPK_SCHEMA = pa.schema([("query_id", pa.int64()), ("id", pa.int64()),
+                          ("score", pa.float64())])
+
+
+def _topk_rows(scores: np.ndarray, q_ids, ids, k: int,
+               mask: np.ndarray | None = None) -> pa.Table:
+    """The one per-query cut: row i of ``scores`` (queries × candidates)
+    keeps its top-``k`` candidates under (score DESC, id ASC), ties at the
+    boundary going to the smaller id, as a ``(query_id, id, score)`` table
+    whose score keeps the dtype of ``scores``. ``mask`` (same shape) limits
+    each query to its True candidates. A query with fewer than ``k``
+    candidates keeps them all; with none, it emits no row."""
+    ids = np.asarray(ids, dtype=np.int64)
+    picks = [np.zeros(0, np.int64)]
+    for i, row in enumerate(scores):
+        cols = np.arange(row.size) if mask is None else np.flatnonzero(mask[i])
+        picks.append(cols[_topk_tiebreak_cut(row[cols], ids[cols], k)])
+    rows = np.repeat(np.arange(len(picks) - 1), [p.size for p in picks[1:]])
+    cols = np.concatenate(picks)
+    return pa.table({"query_id": np.asarray(q_ids, dtype=np.int64)[rows],
+                     "id": ids[cols], "score": scores[rows, cols]})
+
+
+def _keep_topk(t: pa.Table, k: int) -> pa.Table:
+    """``_topk_rows`` rows reduced to one row per (query, id), its max
+    score, then each query's top-``k`` under (score DESC, id ASC), sorted
+    by (query_id, score DESC, id ASC)."""
+    q, i, s = (t[c].to_numpy() for c in ("query_id", "id", "score"))
+    o = np.lexsort((-s, i, q))
+    q, i, s = q[o], i[o], s[o]
+    first = np.r_[True, (q[1:] != q[:-1]) | (i[1:] != i[:-1])]
+    q, i, s = q[first], i[first], s[first]
+    o = np.lexsort((i, -s, q))
+    q, i, s = q[o], i[o], s[o]
+    keep = np.arange(q.size) - np.searchsorted(q, q) < k
+    return pa.table({"query_id": q[keep], "id": i[keep], "score": s[keep]})
+
+
+def _topk_fold(partials, k: int, names=("neighbor_id", "cos"),
+               digits: int | None = None) -> pa.Table:
+    """The one per-query merge of ``_topk_rows`` partials: a Dataset, a list
+    of Arrow tables, or one table (what ``_key_shuffle`` returns when every
+    bucket came out empty). The blocks stream to the driver (0-row blocks
+    skipped, schema-less ones included) into a running top-``k`` per query,
+    so the driver holds at most queries × k rows plus one block. A repeated
+    (query, id) pair keeps its max score, so block arrival order never
+    picks the score. Returns ``query_id`` and ``names`` (the id and score
+    columns), sorted by (query_id, score DESC, id ASC), the score rounded
+    to ``digits`` if given; typed and empty when no partial has a row."""
+    if isinstance(partials, pa.Table):
+        partials = [partials]
+    blocks = (partials if isinstance(partials, list) else
+              partials.iter_batches(batch_format="pyarrow", batch_size=None))
+    top, schema = None, _TOPK_SCHEMA
+    for b in blocks:
+        if not b.num_rows:
+            schema = b.schema if b.num_columns else schema
+            continue
+        top = _keep_topk(b if top is None else pa.concat_tables([top, b]), k)
+    top = schema.empty_table() if top is None else top
+    score = top["score"]
+    if digits is not None:
+        score = pa.array(_round(score.to_numpy(), digits))
+    return pa.table({"query_id": top["query_id"], names[0]: top["id"],
+                     names[1]: score})
+
+
+def _scan(sf_dir: str, columns: list[str], shared, score,
+          table: str = "embeddings"):
+    """Per-block partials of a broadcast scan: ``shared`` goes to the object
+    store once, and each block's corpus rows (``columns[0]`` >= N_QUERIES)
+    go to ``score(batch, shared)``, which returns a ``_topk_rows`` table.
+    (Stateless tasks, not an actor pool: the scan scales with free CPUs
+    and reuses warm workers.)"""
     import ray
 
-    q_ids, q = ray.get(wrapped["ref"])  # (m,), (m, d) L2-normalized
-    ids = batch["vec_id"].to_numpy().astype(np.int64)
-    x = _normalize_rows(_to_matrix(batch["embedding"]))
-    cos = q @ x.T  # (m, n)
-    if round6:
-        cos = np.floor(cos * 1e6 + 0.5) / 1e6
-    k = min(k, cos.shape[1])
-    out_q, out_n, out_c = [], [], []
-    for qi in range(cos.shape[0]):
-        top = _topk_tiebreak_cut(cos[qi], ids, k)
-        out_q.append(np.full(k, q_ids[qi], dtype=np.int64))
-        out_n.append(ids[top])
-        out_c.append(cos[qi][top])
-    return pa.table({
-        "query_id": pa.array(np.concatenate(out_q)),
-        "neighbor_id": pa.array(np.concatenate(out_n)),
-        "cos": pa.array(np.concatenate(out_c), pa.float64()),
-    })
+    ref = ray.put(shared)
+
+    def partial(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(pc.greater_equal(batch[columns[0]], N_QUERIES))
+        if batch.num_rows == 0:
+            return _TOPK_SCHEMA.empty_table()
+        return score(batch, ray.get(ref))
+
+    return _read_blocked(sf_dir, table, columns).map_batches(
+        partial, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _cos_partials(sf_dir: str, k: int, round6: bool = False):
+    """The exact cosine scan: one matmul a block against the broadcast
+    query matrix, cut at ``k``. ``round6`` ranks on the 1e-6-rounded cosine
+    instead (consumers whose output depends on rank order — MMR, RRF — need
+    ranks that hold across matmul shapes, as the oracle ranks the rounded
+    SQL expression); the plain top-k keeps raw scores, matching its
+    oracle's raw-rank SQL."""
+    def score(batch: pa.Table, shared) -> pa.Table:
+        q_ids, q = shared
+        cos = q @ _normalize_rows(_to_matrix(batch["embedding"])).T
+        return _topk_rows(_round(cos, 6) if round6 else cos, q_ids,
+                          batch["vec_id"].to_numpy(), k)
+
+    return _scan(sf_dir, ["vec_id", "embedding"], _query_matrix(sf_dir),
+                 score)
 
 
 def ann_topk_cosine(sf_dir: str):
-    """Exact brute-force cosine top-k: per-batch partial top-k in broadcast
-    tasks, then a per-query merge of the partials (k × n_blocks rows — tiny)."""
-    import ray
-
-    q_ids, q = _query_matrix(sf_dir)
-    wrapped = {"ref": ray.put((q_ids, q))}
-
-    ds = _read_blocked(sf_dir, "embeddings", ["vec_id", "embedding"])
-
-    def corpus_only(batch: pa.Table) -> pa.Table:
-        return batch.filter(pa.compute.greater_equal(batch["vec_id"], N_QUERIES))
-
-    from functools import partial as _partial
-
-    partials = ds.map_batches(corpus_only, batch_format="pyarrow", zero_copy_batch=True
-                              ).map_batches(
-        _partial(_topk_score, wrapped=wrapped, k=TOP_K), batch_format="pyarrow",
-    )
-    return _merge_round_topk(partials)
+    """Exact brute-force cosine top-k: per-block partial top-k in broadcast
+    tasks, then the per-query fold (k × n_blocks rows — tiny)."""
+    return _topk_fold(_cos_partials(sf_dir, TOP_K), TOP_K, digits=6)
 
 
 ANN_TOPK_SQL = f"""
@@ -157,52 +220,20 @@ def ann_topk_filtered(sf_dir: str):
     Same broadcast-scan / per-batch-partial-top-k shape as
     ``ann_topk_cosine`` with the per-query label mask folded into the score
     pass; at IVF scale the same mask drops into the probed-cell scorer."""
-    import ray
+    def score(batch: pa.Table, shared) -> pa.Table:
+        q_ids, q, q_labels = shared
+        # NULL corpus labels can never satisfy `n.label = q.label` — mask
+        # them out as the SQL implies rather than letting the int64 cast
+        # raise (or worse, fabricate a value)
+        labels = pc.fill_null(batch["label"], 0).to_numpy().astype(np.int64)
+        mask = ((q_labels[:, None] == labels[None, :])
+                & pc.is_valid(batch["label"]).to_numpy(zero_copy_only=False))
+        cos = q @ _normalize_rows(_to_matrix(batch["embedding"])).T
+        return _topk_rows(cos, q_ids, batch["vec_id"].to_numpy(), TOP_K, mask)
 
-    q_ids, q, q_labels = _query_matrix(sf_dir, with_label=True)
-    wrapped = {"ref": ray.put((q_ids, q, q_labels))}
-
-    ds = _read_blocked(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
-
-    def score_filtered(batch: pa.Table) -> pa.Table:
-        qi_ids, qm, ql = ray.get(wrapped["ref"])
-        # NULL corpus labels can never satisfy `n.label = q.label` —
-        # exclude them with the same is_valid mask the SQL implies rather
-        # than letting the int64 cast raise (or worse, fabricate a value)
-        batch = batch.filter(pa.compute.and_(
-            pa.compute.greater_equal(batch["vec_id"], N_QUERIES),
-            pa.compute.is_valid(batch["label"])))
-        if batch.num_rows == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "neighbor_id": pa.array([], pa.int64()),
-                             "cos": pa.array([], pa.float64())})
-        ids = batch["vec_id"].to_numpy().astype(np.int64)
-        labels = batch["label"].to_numpy().astype(np.int64)
-        x = _normalize_rows(_to_matrix(batch["embedding"]))
-        cos = qm @ x.T  # (m, n)
-        out_q, out_n, out_c = [], [], []
-        for qi in range(cos.shape[0]):
-            valid = np.flatnonzero(labels == ql[qi])
-            if valid.size == 0:
-                continue
-            kk = min(TOP_K, valid.size)
-            top = valid[_topk_tiebreak_cut(cos[qi, valid], ids[valid], kk)]
-            out_q.append(np.full(kk, qi_ids[qi], dtype=np.int64))
-            out_n.append(ids[top])
-            out_c.append(cos[qi][top])
-        if not out_q:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "neighbor_id": pa.array([], pa.int64()),
-                             "cos": pa.array([], pa.float64())})
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q)),
-            "neighbor_id": pa.array(np.concatenate(out_n)),
-            "cos": pa.array(np.concatenate(out_c), pa.float64()),
-        })
-
-    partials = ds.map_batches(score_filtered, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    return _merge_round_topk(partials)
+    return _topk_fold(_scan(sf_dir, ["vec_id", "embedding", "label"],
+                            _query_matrix(sf_dir, with_label=True), score),
+                      TOP_K, digits=6)
 
 
 ANN_TOPK_FILTERED_SQL = f"""
@@ -234,29 +265,62 @@ def _embedding_dim(sf_dir: str) -> int:
     return len(first["embedding"][0])
 
 
+def _group_topk(key: str, cap: int | None = None):
+    """``_key_shuffle`` kernel of the LSH and IVF scans: for each value of
+    ``key`` in the bucket (an LSH table bucket, an IVF cell), the group's
+    query rows (vec_id < N_QUERIES) score its corpus rows by cosine in the
+    embedding column's own precision, cut by ``_topk_rows``. Rows are taken
+    in vec_id order, so the scores do not depend on the order the blocks
+    arrive in. ``cap`` bounds the corpus rows a group scores to a
+    deterministic smallest-hash subset, with a logged warning."""
+    from ..functions.hashing import splitmix64
+
+    def fn(t: pa.Table) -> pa.Table:
+        t = t.sort_by("vec_id")
+        keys = t[key].to_numpy()
+        ids = t["vec_id"].to_numpy().astype(np.int64)
+        x = _normalize_rows(np.stack(t["embedding"].to_numpy(
+            zero_copy_only=False)))
+        outs = [_topk_rows(np.zeros((0, 0), x.dtype), [], [], TOP_K)]
+        for g in np.unique(keys):
+            rows = np.flatnonzero(keys == g)
+            qs, cs = rows[ids[rows] < N_QUERIES], rows[ids[rows] >= N_QUERIES]
+            if not qs.size:
+                continue
+            if cap is not None and cs.size > cap:
+                import logging
+
+                logging.getLogger(__name__).warning(
+                    "hot %s %d (%d rows): scoring deterministic %d-subset",
+                    key, g, cs.size, cap)
+                h = splitmix64(ids[cs].astype(np.uint64))
+                cs = cs[np.argsort(h, kind="stable")[:cap]]
+            outs.append(_topk_rows(x[qs] @ x[cs].T, ids[qs], ids[cs], TOP_K))
+        return pa.concat_tables(outs)
+
+    return fn
+
+
 def ann_lsh_bucketed(sf_dir: str, n_tables: int = LSH_TABLES,
                      n_planes: int = LSH_PLANES):
     """Scale-path ANN: multi-table random-hyperplane LSH.
 
     Each vector lands in one bucket per hash table (``n_tables`` rows through
-    the shuffle); exact scoring happens only within (table, bucket) groups,
-    capped at LSH_BUCKET_CAP corpus rows per bucket (deterministic
-    smallest-hash subset, logged when it trips) so no group ever holds more
-    than a bounded pandas frame. Per-query results merge across tables with
-    neighbor dedup. Recall vs the exact baseline is measured in tests."""
+    the ``_key_shuffle`` exchange); exact scoring happens only within
+    (table, bucket) groups (``_group_topk``), capped at LSH_BUCKET_CAP
+    corpus rows per bucket (deterministic smallest-hash subset, logged when
+    it trips). Per-query results merge across tables in ``_topk_fold``, a
+    neighbor seen from several tables keeping its max score. Recall vs the
+    exact baseline is measured in tests."""
     import ray
-
-    from ..functions.hashing import splitmix64
 
     rng = np.random.Generator(np.random.PCG64(7))
     dim = _embedding_dim(sf_dir)
-    planes = rng.normal(size=(n_tables, n_planes, dim))
-    wrapped = {"ref": ray.put(planes)}
+    planes_ref = ray.put(rng.normal(size=(n_tables, n_planes, dim)))
 
     def bucketize(batch: pa.Table) -> pa.Table:
-        # stateless task: the plane tensor reads zero-copy from the object
-        # store per call (no actor spawn, scales with free CPUs)
-        planes = ray.get(wrapped["ref"])  # (t, p, d)
+        # the plane tensor reads zero-copy from the object store per call
+        planes = ray.get(planes_ref)  # (t, p, d)
         x = _to_matrix(batch["embedding"])
         ids = batch["vec_id"].to_numpy()
         qmask = ids < N_QUERIES
@@ -288,57 +352,11 @@ def ann_lsh_bucketed(sf_dir: str, n_tables: int = LSH_TABLES,
                     }))
         return pa.concat_tables(outs)
 
-    ds = _read_blocked(sf_dir, "embeddings", ["vec_id", "embedding"])
-    bucketed = ds.map_batches(bucketize, batch_format="pyarrow")
-
-    def within_bucket_topk(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"query_id": pd.array([], dtype="int64"),
-                              "neighbor_id": pd.array([], dtype="int64"),
-                              "cos": pd.array([], dtype="float64")})
-        ids = df.vec_id.to_numpy()
-        qsel = ids < N_QUERIES
-        if not qsel.any() or qsel.all():
-            return empty
-        corpus = np.flatnonzero(~qsel)
-        if corpus.size > LSH_BUCKET_CAP:
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "hot LSH bucket (%d rows): scoring deterministic %d-subset",
-                corpus.size, LSH_BUCKET_CAP)
-            h = splitmix64(ids[corpus].astype(np.uint64))
-            corpus = corpus[np.argsort(h, kind="stable")[:LSH_BUCKET_CAP]]
-        x = np.stack(df.embedding.to_numpy())
-        x = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
-        cos = x[qsel] @ x[corpus].T  # (nq, nc)
-        k = min(TOP_K, corpus.size)
-        cids = ids[corpus]
-        qids = ids[qsel]
-        out_q, out_n, out_c = [], [], []
-        for qi in range(qids.size):
-            top = np.argpartition(-cos[qi], k - 1)[:k]
-            out_q.append(np.full(k, qids[qi], dtype=np.int64))
-            out_n.append(cids[top].astype(np.int64))
-            out_c.append(cos[qi][top])
-        return pd.DataFrame({
-            "query_id": np.concatenate(out_q),
-            "neighbor_id": np.concatenate(out_n),
-            "cos": np.concatenate(out_c),
-        })
-
-    partials = bucketed.groupby("tbucket").map_groups(
-        within_bucket_topk, batch_format="pandas")
-
-    def merge_tables(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop_duplicates("neighbor_id")
-        df = df.sort_values(["cos", "neighbor_id"], ascending=[False, True]).head(TOP_K)
-        return pd.DataFrame({
-            "query_id": df.query_id.to_numpy(),
-            "neighbor_id": df.neighbor_id.to_numpy(),
-            "cos": _round(df.cos.to_numpy(), 6),
-        })
-
-    return partials.groupby("query_id").map_groups(merge_tables, batch_format="pandas")
+    partials = _key_shuffle(
+        _read_blocked(sf_dir, "embeddings", ["vec_id", "embedding"]),
+        ["tbucket"], _group_topk("tbucket", LSH_BUCKET_CAP),
+        project=bucketize, batch_format="pyarrow")
+    return _topk_fold(partials, TOP_K, digits=6)
 
 
 MMD_SAMPLE_CAP = 2048  # per-side deterministic sample bound for the MMD test
@@ -834,99 +852,43 @@ def _ivf_train_centroids(sf_dir: str, n_cells: int) -> np.ndarray:
                                   n_cells, IVF_KMEANS_ITERS, seed=11))
 
 
-def _merge_cell_partials(df: pd.DataFrame) -> pd.DataFrame:
-    """Per-query merge of within-cell top-k partials (dedup, re-rank,
-    head-k). Shared by the in-flight and persistent IVF paths."""
-    df = df.drop_duplicates("neighbor_id")
-    df = df.sort_values(["cos", "neighbor_id"],
-                        ascending=[False, True]).head(TOP_K)
-    return pd.DataFrame({"query_id": df.query_id.to_numpy(),
-                         "neighbor_id": df.neighbor_id.to_numpy(),
-                         "cos": _round(df.cos.to_numpy(), 6)})
-
-
 def ann_ivf_cosine(sf_dir: str, n_cells: int = IVF_N_CELLS,
                    nprobe: int = IVF_NPROBE):
     """IVF ANN over the embeddings table.
 
     Train: per-block deterministic smallest-hash sample partials -> driver
     k-means over <= IVF_TRAIN_CAP rows (bounded regardless of table size).
-    Index: broadcast centroids; one stateless-task pass assigns each corpus row to
-    its nearest cell (1 row through the shuffle) and each query to its nprobe
-    nearest cells (nprobe rows). Search: exact cosine only within (cell)
-    groups, then the per-query dedup merge. Recall vs the exact baseline is
-    pinned in tests; exact top-k stays the oracle anchor."""
+    Index: broadcast centroids; the ``_key_shuffle`` split assigns each
+    corpus row to its nearest cell (1 row through the exchange) and each
+    query to its nprobe nearest cells (nprobe rows). Search: exact cosine
+    only within cells (``_group_topk``), then the per-query ``_topk_fold``.
+    Recall vs the exact baseline is pinned in tests; exact top-k stays the
+    oracle anchor."""
     import ray
 
-    ds = _read_blocked(sf_dir, "embeddings", ["vec_id", "embedding"])
-    centroids = _ivf_train_centroids(sf_dir, n_cells)
-    wrapped = {"ref": ray.put(centroids)}
+    centroids_ref = ray.put(_ivf_train_centroids(sf_dir, n_cells))
 
     def assign_cells(batch: pa.Table) -> pa.Table:
         # broadcast task: centroid matrix reads zero-copy per call
-        c = ray.get(wrapped["ref"])  # (k, d) normalized
+        c = ray.get(centroids_ref)  # (k, d) normalized
         ids = batch["vec_id"].to_numpy().astype(np.int64)
-        x = _to_matrix(batch["embedding"])
-        x = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
-        sim = x @ c.T  # (n, k)
+        sim = _normalize_rows(_to_matrix(batch["embedding"])) @ c.T  # (n, k)
         is_q = ids < N_QUERIES
-        outs = []
-        if (~is_q).any():
-            sub = pa.array(np.flatnonzero(~is_q))
-            outs.append(pa.table({
-                "cell": pa.array(np.argmax(sim[~is_q], axis=1).astype(np.int64)),
-                "vec_id": batch["vec_id"].take(sub),
-                "embedding": batch["embedding"].take(sub),
-            }))
-        if is_q.any():
-            qrows = np.flatnonzero(is_q)
-            p = min(nprobe, sim.shape[1])
-            probes = np.argpartition(-sim[is_q], p - 1, axis=1)[:, :p]  # (nq, p)
-            rep = np.repeat(qrows, p)
-            outs.append(pa.table({
-                "cell": pa.array(probes.ravel().astype(np.int64)),
-                "vec_id": batch["vec_id"].take(pa.array(rep)),
-                "embedding": batch["embedding"].take(pa.array(rep)),
-            }))
-        if not outs:
-            return pa.table({"cell": pa.array([], pa.int64()),
-                             "vec_id": batch["vec_id"].slice(0, 0),
-                             "embedding": batch["embedding"].slice(0, 0)})
-        return pa.concat_tables(outs)
-
-    assigned = ds.map_batches(assign_cells, batch_format="pyarrow")
-
-    def within_cell_topk(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"query_id": pd.array([], dtype="int64"),
-                              "neighbor_id": pd.array([], dtype="int64"),
-                              "cos": pd.array([], dtype="float64")})
-        ids = df.vec_id.to_numpy()
-        qsel = ids < N_QUERIES
-        if not qsel.any() or qsel.all():
-            return empty
-        x = np.stack(df.embedding.to_numpy())
-        x = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
-        corpus = np.flatnonzero(~qsel)
-        cos = x[qsel] @ x[corpus].T
-        k = min(TOP_K, corpus.size)
-        cids, qids = ids[corpus], ids[qsel]
-        out_q, out_n, out_c = [], [], []
-        for qi in range(qids.size):
-            top = np.argpartition(-cos[qi], k - 1)[:k]
-            out_q.append(np.full(k, qids[qi], dtype=np.int64))
-            out_n.append(cids[top].astype(np.int64))
-            out_c.append(cos[qi][top])
-        return pd.DataFrame({
-            "query_id": np.concatenate(out_q),
-            "neighbor_id": np.concatenate(out_n),
-            "cos": np.concatenate(out_c),
+        p = min(nprobe, sim.shape[1])
+        probes = np.argpartition(-sim[is_q], p - 1, axis=1)[:, :p]  # (nq, p)
+        rows = np.r_[np.flatnonzero(~is_q), np.repeat(np.flatnonzero(is_q), p)]
+        return pa.table({
+            "cell": np.r_[np.argmax(sim[~is_q], axis=1), probes.ravel()
+                          ].astype(np.int64),
+            "vec_id": batch["vec_id"].take(pa.array(rows)),
+            "embedding": batch["embedding"].take(pa.array(rows)),
         })
 
-    partials = assigned.groupby("cell").map_groups(
-        within_cell_topk, batch_format="pandas")
-
-    return partials.groupby("query_id").map_groups(
-        _merge_cell_partials, batch_format="pandas")
+    partials = _key_shuffle(
+        _read_blocked(sf_dir, "embeddings", ["vec_id", "embedding"]),
+        ["cell"], _group_topk("cell"), project=assign_cells,
+        batch_format="pyarrow")
+    return _topk_fold(partials, TOP_K, digits=6)
 
 
 # ---------------------------------------------------------------------------
@@ -1017,7 +979,7 @@ def kmeans_embeddings(sf_dir: str, k: int = 8, iters: int = 5):
 # Persistent IVF index — the build-once / query-many scale path. The build
 # writes centroids + a cell-partitioned hive layout; queries read ONLY the
 # probed cells' files (storage-level pruning, the disk analogue of the
-# in-flight cell groupby above). At 10^12 rows the index build is the one
+# in-flight cell exchange above). At 10^12 rows the index build is the one
 # full-table pass; every subsequent query touches nprobe/n_cells of the
 # bytes.
 # ---------------------------------------------------------------------------
@@ -1214,8 +1176,10 @@ def ann_ivf_persistent(sf_dir: str, nprobe: int = IVF_NPROBE):
     """Top-k cosine via the persistent IVF index: build once per
     (source, row-count) into /tmp, then answer queries by reading ONLY the
     probed ``cell=NN`` directories — nprobe/n_cells of the index bytes —
-    plus the tiny query rows. Same exact within-cell math and per-query
-    merge as ann_ivf_cosine, so results match it wherever probes agree."""
+    plus the tiny query rows. Same cell routing and ``_topk_fold`` merge as
+    ann_ivf_cosine, so results match it wherever probes agree, up to the
+    last rounded digit of a cosine: this path scores in float64, the
+    in-flight one in the embedding column's float32."""
     tag = os.path.basename(os.path.normpath(sf_dir))
     index_dir = f"{scratch_root()}/scdd_ivf/{tag}"
     os.makedirs(index_dir, exist_ok=True)
@@ -1235,76 +1199,32 @@ def _ivf_query(index_dir: str, sf_dir: str, nprobe: int = IVF_NPROBE):
     with open(os.path.join(index_dir, "meta.json")) as fh:
         meta = json.load(fh)
     centroids = np.asarray(meta["centroids"], dtype=np.float64)
-
-    # queries: a bounded id-pruned read (N_QUERIES rows). The predicate is
-    # a pyarrow dataset expression pushed into the parquet scan — row groups
-    # whose vec_id stats exclude the range never leave storage (no per-row
-    # Python filter over the corpus).
-    import pyarrow.dataset as pads
-
-    qt = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"],
-        filter=(pads.field("vec_id") < N_QUERIES)).to_pandas()
-    q = np.stack(qt.embedding.to_numpy()).astype(np.float64)
-    q = q / np.maximum(np.linalg.norm(q, axis=1, keepdims=True), 1e-12)
-    qids = qt.vec_id.to_numpy().astype(np.int64)
+    qids, q = _query_matrix(sf_dir)
     sim = q @ centroids.T
     p = min(nprobe, sim.shape[1])
     probes = np.argpartition(-sim, p - 1, axis=1)[:, :p]  # (nq, p)
 
     # prune at the read: only the probed cells' MANIFEST-LISTED files open
-    needed = sorted({int(c) for c in probes.ravel()})
     paths = []
-    for c in needed:
+    for c in sorted({int(c) for c in probes.ravel()}):
         d = os.path.join(index_dir, "cells", f"cell={c}")
         paths.extend(os.path.join(d, f)
                      for f in meta.get("files", {}).get(str(c), []))
-    cell_of_query: dict[int, list[int]] = {}
-    for qi, row in zip(qids, probes):
-        for c in row:
-            cell_of_query.setdefault(int(c), []).append(int(qi))
-    shared = ray.put((q, qids, cell_of_query))
+    shared = ray.put((qids, q, probes))
 
     def cell_topk(batch: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        q_, qids_, cq = _ray.get(shared)
-        empty = pa.table({"query_id": pa.array([], pa.int64()),
-                          "neighbor_id": pa.array([], pa.int64()),
-                          "cos": pa.array([], pa.float64())})
+        # a read task may coalesce several cell files into one block: each
+        # query scores only the rows of its probed cells
+        qids_, q_, probes_ = ray.get(shared)
         if batch.num_rows == 0:
-            return empty
-        out_q, out_n, out_c = [], [], []
-        # a read task may coalesce several cell files into one block —
-        # process per cell so each query scans only its probed cells
-        cells = batch["cell"].to_numpy(zero_copy_only=False)
-        for cell in np.unique(cells):
-            want = cq.get(int(cell), [])
-            if not want:
-                continue
-            sub = batch.filter(pa.array(cells == cell))
-            x = _to_matrix(sub["embedding"])
-            x = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
-            nids = sub["vec_id"].to_numpy().astype(np.int64)
-            qsel = np.isin(qids_, want)
-            cos = q_[qsel] @ x.T
-            k = min(TOP_K, nids.size)
-            for row, qid in zip(cos, qids_[qsel]):
-                top = np.argpartition(-row, k - 1)[:k]
-                out_q.append(np.full(k, qid, np.int64))
-                out_n.append(nids[top])
-                out_c.append(row[top])
-        if not out_q:
-            return empty
-        return pa.table({"query_id": pa.array(np.concatenate(out_q)),
-                         "neighbor_id": pa.array(np.concatenate(out_n)),
-                         "cos": pa.array(np.concatenate(out_c))})
+            return _TOPK_SCHEMA.empty_table()
+        cells = batch["cell"].to_numpy(zero_copy_only=False).astype(np.int64)
+        cos = q_ @ _normalize_rows(_to_matrix(batch["embedding"])).T
+        return _topk_rows(cos, qids_, batch["vec_id"].to_numpy(), TOP_K,
+                          (cells[None, :, None] == probes_[:, None, :]).any(2))
 
-    partials = ray.data.read_parquet(paths).map_batches(
-        cell_topk, batch_format="pyarrow", batch_size=None)
-
-    return partials.groupby("query_id").map_groups(
-        _merge_cell_partials, batch_format="pandas")
+    return _topk_fold(ray.data.read_parquet(paths).map_batches(
+        cell_topk, batch_format="pyarrow", batch_size=None), TOP_K, digits=6)
 
 
 def _int8_scales(sf_dir: str) -> np.ndarray:
@@ -1425,22 +1345,6 @@ qt AS (SELECT query_id, neighbor_id, dot FROM d
 
 
 
-def _topk_tiebreak_cut(row: np.ndarray, nids: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the exact top-k by (row DESC, nids ASC) — O(B) candidate
-    cut, then only the k-boundary candidates pay the deterministic
-    tie-break sort. Integer scores tie often, so a 4k candidate margin is
-    taken; provably exact while rows tied with the kth value number <= 3k
-    (rows >= the kth value then number <= 4k-1, so every one of them beats
-    the partition boundary), with a full-lexsort fallback for pathological
-    plateaus. Pinned against the exhaustive sort in tests."""
-    if row.size > 4 * k:
-        cand = np.argpartition(-row, 4 * k - 1)[:4 * k]
-        kth = np.partition(-row, k - 1)[k - 1]
-        if (-row == kth).sum() <= 3 * k:
-            return cand[np.lexsort((nids[cand], -row[cand]))[:k]]
-    return np.lexsort((nids, -row))[:k]
-
-
 def ann_topk_quantized(sf_dir: str):
     """Top-k by INT8-quantized dot product — the compressed-vector scoring
     path an at-scale ANN runs (4x less memory bandwidth, integer SIMD
@@ -1448,63 +1352,43 @@ def ann_topk_quantized(sf_dir: str):
     quantized QUERY matrix broadcasts once (query rows come from a
     row-group-PRUNED pushdown read, never a full-table driver load), each
     corpus block quantizes with the same broadcast per-dim scales and
-    emits its partial top-k via argpartition + a k-sized tie-break sort,
-    and a per-query merge keeps the global k. Scores are integer dot
-    products — summation-order independent — so the DuckDB oracle (the
-    shared _Q8_CTE_SQL quantizer + SUM of products) matches hash-exactly."""
-    import pyarrow.dataset as pads
-    import ray
-    import ray.data
-
-    from .queries import _read_blocked
-
+    emits its ``_topk_rows`` cut, and ``_topk_fold`` keeps the global k.
+    Scores are integer dot products — summation-order independent — so the
+    DuckDB oracle (the shared _Q8_CTE_SQL quantizer + SUM of products)
+    matches hash-exactly."""
     scales = _int8_scales(sf_dir)
-    qt = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"],
-        filter=(pads.field("vec_id") < N_QUERIES)).to_pandas()
-    q8 = _quantize_int8(np.stack(qt.embedding.to_numpy()), scales)
-    q_ids = qt.vec_id.to_numpy().astype(np.int64)
-    wrapped = {"ref": ray.put((q_ids, q8, scales))}
+    qt = _query_rows(sf_dir, ["vec_id", "embedding"])
+    q8 = _quantize_int8(_to_matrix(qt["embedding"]), scales)
 
-    ds = _read_blocked(sf_dir, "embeddings", ["vec_id", "embedding"])
+    def score(batch: pa.Table, shared) -> pa.Table:
+        q_ids, q8_, scales_ = shared
+        dots = q8_ @ _quantize_int8(_to_matrix(batch["embedding"]), scales_).T
+        return _topk_rows(dots, q_ids, batch["vec_id"].to_numpy(), TOP_K)
 
-    def score_block(batch: pa.Table) -> pa.Table:
-        keep = pa.compute.greater_equal(batch["vec_id"], N_QUERIES)
-        t = batch.filter(keep)
-        if t.num_rows == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "neighbor_id": pa.array([], pa.int64()),
-                             "dot": pa.array([], pa.int64())})
-        qids_, q8_, scales_ = ray.get(wrapped["ref"])
-        c8 = _quantize_int8(_to_matrix(t["embedding"]), scales_)
-        nids = t["vec_id"].to_numpy().astype(np.int64)
-        dots = q8_ @ c8.T  # (Q, B) int64
-        k = min(TOP_K, nids.size)
-        out_q, out_n, out_d = [], [], []
-        for row, qid in zip(dots, qids_):
-            sel = _topk_tiebreak_cut(row, nids, k)
-            out_q.append(np.full(k, qid, np.int64))
-            out_n.append(nids[sel])
-            out_d.append(row[sel])
-        return pa.table({"query_id": pa.array(np.concatenate(out_q)),
-                         "neighbor_id": pa.array(np.concatenate(out_n)),
-                         "dot": pa.array(np.concatenate(out_d))})
-
-    partials = ds.map_batches(score_block, batch_format="pyarrow",
-                              zero_copy_batch=True)
-
-    def merge_topk(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(["dot", "neighbor_id"],
-                              ascending=[False, True]).head(TOP_K)
-
-    return partials.groupby("query_id").map_groups(merge_topk,
-                                                   batch_format="pandas")
+    return _topk_fold(_scan(sf_dir, ["vec_id", "embedding"],
+                            (qt["vec_id"].to_numpy(), q8, scales), score),
+                      TOP_K, ("neighbor_id", "dot"))
 
 
 ANN_TOPK_QUANTIZED_SQL = f"""
 WITH {_Q8_TOPK_CTE_SQL}
 SELECT query_id, neighbor_id, dot FROM qt
 """
+
+
+def _recall(exact: pa.Table, approx: pa.Table) -> pa.Table:
+    """Per query of ``exact``: ``k`` its neighbor count, ``n_overlap`` how
+    many of them ``approx`` returns too (both are Q × k rows, so this runs
+    on the driver)."""
+    def pairs(t: pa.Table) -> pd.MultiIndex:
+        return pd.MultiIndex.from_arrays([t["query_id"].to_numpy(),
+                                          t["neighbor_id"].to_numpy()])
+
+    hit = pairs(exact).isin(pairs(approx))
+    qs, row = np.unique(exact["query_id"].to_numpy(), return_inverse=True)
+    return pa.table({"query_id": qs.astype(np.int64),
+                     "n_overlap": np.bincount(row, hit).astype(np.int64),
+                     "k": np.bincount(row).astype(np.int64)})
 
 
 def ann_quantized_recall(sf_dir: str):
@@ -1522,18 +1406,7 @@ def ann_quantized_recall(sf_dir: str):
     order differs cross-engine (a ULP at a FLOOR boundary breaks hash
     equality); the audit still bounds the end-to-end ranking drift a
     deployment would see."""
-    ex = ann_topk_cosine(sf_dir).to_pandas()
-    qz = ann_topk_quantized(sf_dir).to_pandas()
-    qz = qz[["query_id", "neighbor_id"]].assign(hit=np.int64(1))
-    m = ex[["query_id", "neighbor_id"]].merge(
-        qz, on=["query_id", "neighbor_id"], how="left")
-    g = m.groupby("query_id", as_index=False).agg(
-        n_overlap=("hit", "count"), k=("neighbor_id", "size"))
-    return pa.table({
-        "query_id": pa.array(g.query_id.to_numpy(np.int64)),
-        "n_overlap": pa.array(g.n_overlap.to_numpy(np.int64)),
-        "k": pa.array(g.k.to_numpy(np.int64)),
-    })
+    return _recall(ann_topk_cosine(sf_dir), ann_topk_quantized(sf_dir))
 
 
 ANN_QUANTIZED_RECALL_SQL = f"""
@@ -1631,6 +1504,32 @@ def _adc_scores(luts: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return np.floor(scores * 1e6 + 0.5) / 1e6
 
 
+def _pq_luts(qm: np.ndarray, books: list) -> np.ndarray:
+    """Per-query ADC lookup tables, (n_q, M, K): each query subvector's dot
+    product with every codeword of its subspace — broadcast-sized."""
+    w = qm.shape[1] // len(books)
+    return np.stack([qm[:, m * w:(m + 1) * w] @ b.T
+                     for m, b in enumerate(books)], axis=1)
+
+
+def _adc_partials(sf_dir: str, k: int):
+    """The PQ/ADC scan: each block's corpus rows are encoded against the
+    broadcast codebooks and scored through the per-query LUTs, cut at
+    ``k``."""
+    q_ids, qm = _query_matrix(sf_dir)
+    books = _pq_train_codebooks(sf_dir)
+
+    def score(batch: pa.Table, shared) -> pa.Table:
+        q_ids_, luts, books_ = shared
+        codes = _pq_encode(_normalize_rows(_to_matrix(batch["embedding"])),
+                           books_)
+        return _topk_rows(_adc_scores(luts, codes), q_ids_,
+                          batch["vec_id"].to_numpy(), k)
+
+    return _scan(sf_dir, ["vec_id", "embedding"],
+                 (q_ids, _pq_luts(qm, books), books), score)
+
+
 def ann_pq_topk(sf_dir: str):
     """Top-k cosine via product quantization with an asymmetric-distance
     (ADC) scan: corpus vectors are ENCODED to M uint8 codes against the
@@ -1643,52 +1542,8 @@ def ann_pq_topk(sf_dir: str):
     scans then touch 8 bytes/vector (here fused into one pass because the
     sandbox corpus is re-read per query set anyway — the persistent-IVF op
     shows the build-once layout)."""
-    import ray
-
-    q_ids, qm = _query_matrix(sf_dir)
-    books = _pq_train_codebooks(sf_dir)
-    w = qm.shape[1] // PQ_M
-    # per-query LUTs: (n_q, M, K) — queries × 8 × 256 floats, broadcast-sized
-    luts = np.stack([qm[:, m * w:(m + 1) * w] @ books[m].T
-                     for m in range(PQ_M)], axis=1)
-    wrapped = {"ref": ray.put((q_ids, luts, books))}
-
-    ds = _read_blocked(sf_dir, "embeddings", ["vec_id", "embedding"])
-
-    def score_adc(batch: pa.Table) -> pa.Table:
-        qi, lt, bks = ray.get(wrapped["ref"])
-        batch = batch.filter(
-            pa.compute.greater_equal(batch["vec_id"], N_QUERIES))
-        if batch.num_rows == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "neighbor_id": pa.array([], pa.int64()),
-                             "score": pa.array([], pa.float64())})
-        ids = batch["vec_id"].to_numpy().astype(np.int64)
-        x = _normalize_rows(_to_matrix(batch["embedding"]))
-        codes = _pq_encode(x, bks)                     # (n, M) uint8
-        scores = _adc_scores(lt, codes)
-        k = min(TOP_K, codes.shape[0])
-        out_q, out_n, out_s = [], [], []
-        for q in range(scores.shape[0]):
-            top = _topk_tiebreak_cut(scores[q], ids, k)
-            out_q.append(np.full(k, qi[q], dtype=np.int64))
-            out_n.append(ids[top])
-            out_s.append(scores[q][top])
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q)),
-            "neighbor_id": pa.array(np.concatenate(out_n)),
-            "score": pa.array(np.concatenate(out_s), pa.float64()),
-        })
-
-    partials = ds.map_batches(score_adc, batch_format="pyarrow",
-                              zero_copy_batch=True)
-
-    def merge_topk(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(["score", "neighbor_id"],
-                              ascending=[False, True]).head(TOP_K)
-
-    return partials.groupby("query_id").map_groups(merge_topk,
-                                                   batch_format="pandas")
+    return _topk_fold(_adc_partials(sf_dir, TOP_K), TOP_K,
+                      ("neighbor_id", "score"))
 
 
 PQ_RERANK_C = 50  # candidate depth; measured recall@10 = 1.0 at sf0.01
@@ -1708,59 +1563,16 @@ def ann_pq_rerank_topk(sf_dir: str, c: int = PQ_RERANK_C):
     exact op)."""
     import ray
 
+    # ≤ N_QUERIES × c candidate rows by construction
+    cand = _topk_fold(_adc_partials(sf_dir, c), c).to_pandas()
     q_ids, qm = _query_matrix(sf_dir)
-    books = _pq_train_codebooks(sf_dir)
-    w = qm.shape[1] // PQ_M
-    luts = np.stack([qm[:, m * w:(m + 1) * w] @ books[m].T
-                     for m in range(PQ_M)], axis=1)
-    wrapped = {"ref": ray.put((q_ids, luts, books))}
-
-    ds = _read_blocked(sf_dir, "embeddings", ["vec_id", "embedding"])
-
-    def adc_partial(batch: pa.Table) -> pa.Table:
-        qi, lt, bks = ray.get(wrapped["ref"])
-        batch = batch.filter(
-            pa.compute.greater_equal(batch["vec_id"], N_QUERIES))
-        if batch.num_rows == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "neighbor_id": pa.array([], pa.int64()),
-                             "score": pa.array([], pa.float64())})
-        ids = batch["vec_id"].to_numpy().astype(np.int64)
-        codes = _pq_encode(_normalize_rows(_to_matrix(batch["embedding"])),
-                           bks)
-        scores = _adc_scores(lt, codes)
-        out_q, out_n, out_s = [], [], []
-        for q in range(len(qi)):
-            s = scores[q]
-            k = min(c, s.size)
-            cut = _topk_tiebreak_cut(s, ids, k)
-            out_q.append(np.full(k, qi[q], dtype=np.int64))
-            out_n.append(ids[cut])
-            out_s.append(s[cut])
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q)),
-            "neighbor_id": pa.array(np.concatenate(out_n)),
-            "score": pa.array(np.concatenate(out_s), pa.float64()),
-        })
-
-    def head_c(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(["score", "neighbor_id"],
-                              ascending=[False, True]).head(c)
-
-    cand = (ds.map_batches(adc_partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("query_id").map_groups(head_c, batch_format="pandas")
-            .to_pandas())  # ≤ N_QUERIES × c rows by construction
     if cand.empty:  # degenerate corpus: no rows beyond the query prefix
-        return pa.table({"query_id": pa.array([], pa.int64()),
-                         "neighbor_id": pa.array([], pa.int64()),
-                         "cos": pa.array([], pa.float64())})
-    cand_ids = np.sort(np.unique(cand.neighbor_id.to_numpy(np.int64)))
-    wrapped2 = {"ref": ray.put(cand_ids.astype(np.uint64))}
+        return _topk_fold(_TOPK_SCHEMA.empty_table(), TOP_K)
+    cand_ref = ray.put(np.unique(cand.neighbor_id.to_numpy(np.uint64)))
 
     def gather(batch: pa.Table) -> pa.Table:
-        cs = ray.get(wrapped2["ref"])
-        keep = probe_sorted(cs, batch["vec_id"].to_numpy().astype(np.uint64))
+        keep = probe_sorted(ray.get(cand_ref),
+                            batch["vec_id"].to_numpy().astype(np.uint64))
         return batch.filter(pa.array(keep))
 
     got = _read_blocked(sf_dir, "embeddings", ["vec_id", "embedding"]
@@ -1769,22 +1581,13 @@ def ann_pq_rerank_topk(sf_dir: str, c: int = PQ_RERANK_C):
     vid = got.vec_id.to_numpy(np.int64)
     vmat = _normalize_rows(np.stack(got.embedding.to_numpy()).astype(
         np.float64))
-    row_of = {int(v): i for i, v in enumerate(vid)}
-    out_q, out_n, out_c = [], [], []
-    for qi_pos, qid in enumerate(q_ids):
-        nb = cand[cand.query_id == qid].neighbor_id.to_numpy(np.int64)
-        rows = np.array([row_of[int(n)] for n in nb], dtype=np.int64)
-        cos = np.floor((vmat[rows] @ qm[qi_pos]) * 1e6 + 0.5) / 1e6
-        k = min(TOP_K, rows.size)
-        order = np.lexsort((nb, -cos))[:k]
-        out_q.append(np.full(k, qid, dtype=np.int64))
-        out_n.append(nb[order])
-        out_c.append(cos[order])
-    return pa.table({
-        "query_id": pa.array(np.concatenate(out_q)),
-        "neighbor_id": pa.array(np.concatenate(out_n)),
-        "cos": pa.array(np.concatenate(out_c), pa.float64()),
-    })
+    # exact cosine of every query × gathered row, each query keeping only
+    # its own candidates
+    cos = _round(qm @ vmat.T, 6)
+    mask = np.zeros(cos.shape, dtype=bool)
+    mask[pd.Index(q_ids).get_indexer(cand.query_id),
+         pd.Index(vid).get_indexer(cand.neighbor_id)] = True
+    return _topk_fold(_topk_rows(cos, q_ids, vid, TOP_K, mask), TOP_K)
 
 
 def ann_ivfpq_topk(sf_dir: str, nprobe: int = IVF_NPROBE):
@@ -1800,72 +1603,27 @@ def ann_ivfpq_topk(sf_dir: str, nprobe: int = IVF_NPROBE):
     per batch and unprobed rows drop before any code gather. Rows-only;
     recall vs the exact oracled baseline is pinned in tests (bounded below
     by the IVF probe recall ∧ PQ rank fidelity)."""
-    import ray
-
     q_ids, qm = _query_matrix(sf_dir)
     cents = _ivf_train_centroids(sf_dir, IVF_N_CELLS)
     books = _pq_train_codebooks(sf_dir)
     p = min(nprobe, cents.shape[0])
-    qsim = qm @ cents.T
-    probes = np.argpartition(-qsim, p - 1, axis=1)[:, :p]  # (n_q, p)
-    w = qm.shape[1] // PQ_M
-    luts = np.stack([qm[:, m * w:(m + 1) * w] @ books[m].T
-                     for m in range(PQ_M)], axis=1)
-    wrapped = {"ref": ray.put((q_ids, probes, luts, books, cents))}
+    probes = np.argpartition(-(qm @ cents.T), p - 1, axis=1)[:, :p]  # (n_q, p)
 
-    ds = _read_blocked(sf_dir, "embeddings", ["vec_id", "embedding"])
-
-    def score_probed(batch: pa.Table) -> pa.Table:
-        qi, prb, lt, bks, c = ray.get(wrapped["ref"])
-        batch = batch.filter(
-            pa.compute.greater_equal(batch["vec_id"], N_QUERIES))
-        if batch.num_rows == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "neighbor_id": pa.array([], pa.int64()),
-                             "score": pa.array([], pa.float64())})
-        ids = batch["vec_id"].to_numpy().astype(np.int64)
+    def score(batch: pa.Table, shared) -> pa.Table:
+        qi, prb, lt, bks, c = shared
         x = _normalize_rows(_to_matrix(batch["embedding"]))
         cell = np.argmax(x @ c.T, axis=1)                  # (n,)
         # encode ONLY rows some query probes — the rest drop after the
         # cheap routing matmul, before any per-subspace code distance
-        probed = np.flatnonzero(np.isin(cell, np.unique(prb)))
-        if probed.size == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "neighbor_id": pa.array([], pa.int64()),
-                             "score": pa.array([], pa.float64())})
-        ids, cell = ids[probed], cell[probed]
+        probed = np.flatnonzero(np.isin(cell, prb))
         codes = _pq_encode(x[probed], bks)                 # (n', M) uint8
-        scores = _adc_scores(lt, codes)
-        out_q, out_n, out_s = [], [], []
-        for q in range(len(qi)):
-            sel = np.flatnonzero(np.isin(cell, prb[q]))
-            if sel.size == 0:
-                continue
-            s = scores[q, sel]
-            k = min(TOP_K, sel.size)
-            cut = _topk_tiebreak_cut(s, ids[sel], k)
-            out_q.append(np.full(k, qi[q], dtype=np.int64))
-            out_n.append(ids[sel[cut]])
-            out_s.append(s[cut])
-        if not out_q:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "neighbor_id": pa.array([], pa.int64()),
-                             "score": pa.array([], pa.float64())})
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q)),
-            "neighbor_id": pa.array(np.concatenate(out_n)),
-            "score": pa.array(np.concatenate(out_s), pa.float64()),
-        })
+        return _topk_rows(
+            _adc_scores(lt, codes), qi, batch["vec_id"].to_numpy()[probed],
+            TOP_K, (cell[probed][None, :, None] == prb[:, None, :]).any(2))
 
-    partials = ds.map_batches(score_probed, batch_format="pyarrow",
-                              zero_copy_batch=True)
-
-    def merge_topk(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(["score", "neighbor_id"],
-                              ascending=[False, True]).head(TOP_K)
-
-    return partials.groupby("query_id").map_groups(merge_topk,
-                                                   batch_format="pandas")
+    return _topk_fold(_scan(sf_dir, ["vec_id", "embedding"],
+                            (q_ids, probes, _pq_luts(qm, books), books, cents),
+                            score), TOP_K, ("neighbor_id", "score"))
 
 
 def ann_pq_recall(sf_dir: str):
@@ -1873,18 +1631,7 @@ def ann_pq_recall(sf_dir: str):
     audit number a deployment watches when swapping full-precision scans
     for 8-byte codes. Rows-only (the PQ side is k-means-trained); the
     recall floor itself is asserted in tests."""
-    ex = ann_topk_cosine(sf_dir).to_pandas()
-    qz = ann_pq_topk(sf_dir).to_pandas()
-    qz = qz[["query_id", "neighbor_id"]].assign(hit=np.int64(1))
-    m = ex[["query_id", "neighbor_id"]].merge(
-        qz, on=["query_id", "neighbor_id"], how="left")
-    g = m.groupby("query_id", as_index=False).agg(
-        n_overlap=("hit", "count"), k=("neighbor_id", "size"))
-    return pa.table({
-        "query_id": pa.array(g.query_id.to_numpy(np.int64)),
-        "n_overlap": pa.array(g.n_overlap.to_numpy(np.int64)),
-        "k": pa.array(g.k.to_numpy(np.int64)),
-    })
+    return _recall(ann_topk_cosine(sf_dir), ann_pq_topk(sf_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -1894,48 +1641,22 @@ def ann_pq_recall(sf_dir: str):
 # (top-C by a STRICT total order: score desc, doc_id asc — float ties can't
 # reorder across engines), then RRF folds the two rank lists:
 # rrf(d) = Σ_side 1/(K + rank_side(d)), absent side contributes 0.
-# Candidate lists are N_QUERIES × HYBRID_C rows by construction, so the
-# fusion join runs on the driver; both retrieval scans stay distributed
-# (per-block partial top-C → one bounded per-query merge).
+# Both retrieval scans stay distributed (per-block _topk_rows cuts); each
+# side's _topk_fold returns its ≤ N_QUERIES × HYBRID_C candidates in rank
+# order, so the rank is the row's position in its query, and the fusion
+# join runs on the driver.
 # ---------------------------------------------------------------------------
 
 HYBRID_C = 50   # per-side candidate depth
 HYBRID_K = 60   # classic RRF constant
 
 
-_RANK_COMBINE_BLOCKS = 32  # pre-combine width: bounds the per-query group
-
-
-def _ranked_candidates(partials, c: int) -> pd.DataFrame:
-    """Per-query global top-c of (score desc, doc_id asc) + 1-based rank.
-    Exact given per-block partials kept under the same strict order. A
-    repartition + per-block combine runs first so the final per-query group
-    holds ≤ _RANK_COMBINE_BLOCKS × c rows regardless of input block count
-    (without it a 10^6-block corpus would feed 10^6 × c rows into one
-    group); the combine is order-preserving, so the merge stays exact."""
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.sort_values(["score", "doc_id"], ascending=[False, True])
-                .groupby("query_id", sort=False).head(c))
-
-    def head_rank(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["score", "doc_id"],
-                            ascending=[False, True]).head(c).copy()
-        df["r"] = np.arange(1, len(df) + 1, dtype=np.int64)
-        return df
-
-    out = (partials.repartition(_RANK_COMBINE_BLOCKS)
-           .map_batches(combine, batch_format="pandas")
-           .groupby("query_id")
-           .map_groups(head_rank, batch_format="pandas").to_pandas())
-    if not len(out.columns):
-        # an ALL-empty side (e.g. no doc shares a token with any query)
-        # loses its columns through map_groups().to_pandas(); the fusion
-        # contract is "absent side contributes 0", not a KeyError
-        out = pd.DataFrame({"query_id": pd.Series([], dtype=np.int64),
-                            "doc_id": pd.Series([], dtype=np.int64),
-                            "score": pd.Series([], dtype=np.float64),
-                            "r": pd.Series([], dtype=np.int64)})
-    return out
+def _ranked(partials) -> pd.DataFrame:
+    """One side's per-query top-HYBRID_C (query_id, doc_id, score) with its
+    1-based rank ``r`` in the fold's (score DESC, doc_id ASC) order."""
+    t = _topk_fold(partials, HYBRID_C, ("doc_id", "score")).to_pandas()
+    q = t.query_id.to_numpy()
+    return t.assign(r=np.arange(q.size) - np.searchsorted(q, q) + 1)
 
 
 def hybrid_search_rrf(sf_dir: str):
@@ -1968,7 +1689,6 @@ def hybrid_search_rrf(sf_dir: str):
     bucket join — same candidate set, one extra shuffle — which this op
     does not implement (no such query scale exists in the surface)."""
     import pyarrow.parquet as pq
-    import ray
 
     # ---- queries (bounded: N_QUERIES rows of each table) ----
     # predicate pushed into the parquet read (row-group pruning) — the
@@ -1991,45 +1711,17 @@ def hybrid_search_rrf(sf_dir: str):
         if tok2q else np.array([], dtype=np.uint64)
     q_sizes = np.fromiter((len(s) for s in q_tokens), dtype=np.int64,
                           count=len(q_tokens))
-    q_ids_v, qm = _query_matrix(sf_dir)
-    wrapped = {"ref": ray.put((q_ids_t, tok2q, qv_hashes, q_sizes,
-                               q_ids_v, qm))}
 
-    empty = pa.table({"query_id": pa.array([], pa.int64()),
-                      "doc_id": pa.array([], pa.int64()),
-                      "score": pa.array([], pa.float64())})
-
-    def _topc_jaccard(qi, ids, jac_rows) -> pa.Table:
-        """Per-query top-C cut under the strict (jac desc, doc_id asc)
-        order."""
-        out_q, out_d, out_s = [], [], []
-        for k, jac in enumerate(jac_rows):
-            keep = np.flatnonzero(jac > 0)
-            if keep.size == 0:
-                continue
-            order = keep[np.lexsort((ids[keep], -jac[keep]))][:HYBRID_C]
-            out_q.append(np.full(order.size, qi[k], dtype=np.int64))
-            out_d.append(ids[order])
-            out_s.append(jac[order])
-        if not out_q:
-            return empty
-        return pa.table({"query_id": pa.array(np.concatenate(out_q)),
-                         "doc_id": pa.array(np.concatenate(out_d)),
-                         "score": pa.array(np.concatenate(out_s),
-                                           pa.float64())})
-
-    def text_partial(batch: pa.Table) -> pa.Table:
+    def text_partial(batch: pa.Table, shared) -> pa.Table:
         """Posting-probe candidate generation: batch tokens are tested
         against the broadcast query-vocab index (vectorized hash64
         membership, string-confirmed), and only the hits scatter-add into
         the |q∩d| intersection matrix — no per-query corpus pass, and a
         doc sharing no query token costs one hash probe per token."""
-        qi, t2q, qvh, qsz, _, _ = ray.get(wrapped["ref"])
-        batch = batch.filter(
-            pa.compute.greater_equal(batch["doc_id"], N_QUERIES))
+        qi, t2q, qvh, qsz = shared
         n = batch.num_rows
-        if n == 0 or not t2q:
-            return empty
+        if not t2q:
+            return _TOPK_SCHEMA.empty_table()
         ids = batch["doc_id"].to_numpy().astype(np.int64)
         # set order within a doc is irrelevant: the scatter-add commutes,
         # so |q∩d| is order-free — skip the per-doc sort
@@ -2038,7 +1730,7 @@ def hybrid_search_rrf(sf_dir: str):
         d_sizes = np.fromiter((len(l) for l in token_lists),
                               dtype=np.int64, count=n)
         if d_sizes.sum() == 0:
-            return empty
+            return _TOPK_SCHEMA.empty_table()
         flat = np.array([t for l in token_lists for t in l], dtype=object)
         doc_pos = np.repeat(np.arange(n), d_sizes)
         maybe = np.flatnonzero(probe_sorted(qvh, hash64(flat)))
@@ -2058,42 +1750,16 @@ def hybrid_search_rrf(sf_dir: str):
         with np.errstate(divide="ignore", invalid="ignore"):
             union = qsz[:, None] + d_sizes[None, :] - inter
             jac = np.where(inter > 0, inter / np.maximum(union, 1), 0.0)
-        return _topc_jaccard(qi, ids, list(jac))
+        return _topk_rows(jac, qi, ids, HYBRID_C, inter > 0)
 
-    def vec_partial(batch: pa.Table) -> pa.Table:
-        _, _, _, _, qi, q = ray.get(wrapped["ref"])
-        batch = batch.filter(
-            pa.compute.greater_equal(batch["vec_id"], N_QUERIES))
-        if batch.num_rows == 0:
-            return empty
-        ids = batch["vec_id"].to_numpy().astype(np.int64)
-        x = _normalize_rows(_to_matrix(batch["embedding"]))
-        # rank on the 1e-6-ROUNDED cosine (the oracle ranks the identically
-        # rounded SQL expression): raw float ranks would let a ~1e-15
-        # cross-engine rounding gap between near-equal cosines flip a rank
-        # pair, and a rank flip shifts the fused rrf by ~1/(K+r)²
-        cos = np.floor((q @ x.T) * 1e6 + 0.5) / 1e6
-        out_q, out_d, out_s = [], [], []
-        for k in range(cos.shape[0]):
-            order = np.lexsort((ids, -cos[k]))[:HYBRID_C]
-            out_q.append(np.full(order.size, qi[k], dtype=np.int64))
-            out_d.append(ids[order])
-            out_s.append(cos[k][order])
-        if not out_q:
-            return empty
-        return pa.table({"query_id": pa.array(np.concatenate(out_q)),
-                         "doc_id": pa.array(np.concatenate(out_d)),
-                         "score": pa.array(np.concatenate(out_s),
-                                           pa.float64())})
-
-    docs = _read_blocked(sf_dir, "documents", ["doc_id", "text"])
-    vecs = _read_blocked(sf_dir, "embeddings", ["vec_id", "embedding"])
-    t_rank = _ranked_candidates(
-        docs.map_batches(text_partial, batch_format="pyarrow",
-                         zero_copy_batch=True), HYBRID_C)
-    v_rank = _ranked_candidates(
-        vecs.map_batches(vec_partial, batch_format="pyarrow",
-                         zero_copy_batch=True), HYBRID_C)
+    t_rank = _ranked(_scan(sf_dir, ["doc_id", "text"],
+                           (q_ids_t, tok2q, qv_hashes, q_sizes), text_partial,
+                           "documents"))
+    # the vector side ranks the 1e-6-ROUNDED cosine (the oracle ranks the
+    # identically rounded SQL expression): raw float ranks would let a
+    # ~1e-15 cross-engine rounding gap between near-equal cosines flip a
+    # rank pair, and a rank flip shifts the fused rrf by ~1/(K+r)²
+    v_rank = _ranked(_cos_partials(sf_dir, HYBRID_C, round6=True))
 
     # ---- driver fusion over ≤ 2 × N_QUERIES × HYBRID_C candidate rows ----
     fused = t_rank[["query_id", "doc_id", "r"]].merge(
@@ -2103,17 +1769,10 @@ def hybrid_search_rrf(sf_dir: str):
     rv = fused["r_v"].to_numpy(dtype=np.float64, na_value=np.nan)
     rrf = (np.where(np.isnan(rt), 0.0, 1.0 / (HYBRID_K + rt))
            + np.where(np.isnan(rv), 0.0, 1.0 / (HYBRID_K + rv)))
-    fused = pd.DataFrame({"query_id": fused.query_id.to_numpy(np.int64),
-                          "doc_id": fused.doc_id.to_numpy(np.int64),
-                          "rrf": rrf})
-    fused = fused.sort_values(["query_id", "rrf", "doc_id"],
-                              ascending=[True, False, True])
-    fused = fused.groupby("query_id", sort=False).head(TOP_K)
-    return pa.table({
-        "query_id": pa.array(fused.query_id.to_numpy(), pa.int64()),
-        "doc_id": pa.array(fused.doc_id.to_numpy(), pa.int64()),
-        "rrf": pa.array(_round(fused.rrf.to_numpy(), 9), pa.float64()),
-    })
+    return _topk_fold(pa.table({"query_id": fused.query_id.to_numpy(np.int64),
+                                "id": fused.doc_id.to_numpy(np.int64),
+                                "score": rrf}), TOP_K, ("doc_id", "rrf"),
+                      digits=9)
 
 
 HYBRID_SEARCH_SQL = f"""
@@ -2167,83 +1826,60 @@ MMR_LAMBDA = 0.7  # relevance/diversity trade-off (classic Carbonell-Goldstein)
 def mmr_rerank_embeddings(sf_dir: str):
     """Diversified re-rank via maximal marginal relevance: retrieve each
     query's top-HYBRID_C cosine candidates with the exact distributed scan
-    (per-block tie-exact partial top-C, bounded merge), then greedily pick
+    (per-block tie-exact partial top-C, ``_topk_fold``), then greedily pick
     TOP_K of them maximizing ``λ·sim(q,d) − (1−λ)·max_{s∈picked} sim(d,s)``
     — relevance first, then novelty against what's already picked. The
-    greedy loop runs on the driver over ≤ N_QUERIES × HYBRID_C candidates
-    by construction (the candidate×candidate sims come from one pruned
-    candidate-id read), so only the retrieval scan touches the corpus.
-    Rows-only: the iterative argmax isn't SQL-expressible; pinned against
-    an independent reimplementation + invariants in tests. All ties break
-    on the smaller doc_id, so output is deterministic at any parallelism."""
+    greedy runs on the driver, all queries at once, over ≤ N_QUERIES ×
+    HYBRID_C candidates by construction (the candidate×candidate sims come
+    from one pruned candidate-id read), so only the retrieval scan touches
+    the corpus. Rows-only: the iterative argmax isn't SQL-expressible;
+    pinned against an independent reimplementation + invariants in tests.
+    All ties break on the smaller doc_id, so output is deterministic at any
+    parallelism."""
     import pyarrow.parquet as pq
-    import ray
-
-    q_ids, q = _query_matrix(sf_dir)
-    wrapped = {"ref": ray.put((q_ids, q))}
-    ds = _read_blocked(sf_dir, "embeddings", ["vec_id", "embedding"])
-
-    def corpus_only(batch: pa.Table) -> pa.Table:
-        return batch.filter(pa.compute.greater_equal(batch["vec_id"],
-                                                     N_QUERIES))
-
-    from functools import partial as _partial
 
     # candidate retrieval ranks the 1e-6-ROUNDED cosine (round6): the MMR
     # output depends on candidate ORDER, and raw float ranks differ at the
-    # last ulp across matmul shapes/parallelism; the bounded pre-combine
-    # (_ranked_candidates) keeps the per-query merge group fixed-size at
-    # any corpus block count
-    partials = ds.map_batches(corpus_only, batch_format="pyarrow",
-                              zero_copy_batch=True).map_batches(
-        _partial(_topk_score, wrapped=wrapped, k=HYBRID_C, round6=True),
-        batch_format="pyarrow").map_batches(
-        lambda t: t.rename_columns(["query_id", "doc_id", "score"]),
-        batch_format="pyarrow")
-
-    cand = _ranked_candidates(partials, HYBRID_C).rename(
-        columns={"doc_id": "neighbor_id", "score": "cos"})
+    # last ulp across matmul shapes/parallelism
+    cand = _topk_fold(_cos_partials(sf_dir, HYBRID_C, round6=True), HYBRID_C)
+    q, ids = cand["query_id"].to_numpy(), cand["neighbor_id"].to_numpy()
 
     # one pruned read of the ≤ N_QUERIES × HYBRID_C candidate vectors
-    cand_ids = np.unique(cand.neighbor_id.to_numpy())
     ct = pq.read_table(f"{sf_dir}/embeddings.parquet",
                        columns=["vec_id", "embedding"],
-                       filters=[("vec_id", "in",
-                                 sorted(int(i) for i in cand_ids))])
-    cid = ct["vec_id"].to_numpy().astype(np.int64)
-    cvec = _normalize_rows(_to_matrix(ct["embedding"]))
-    pos = {int(v): i for i, v in enumerate(cid)}
+                       filters=[("vec_id", "in", sorted(set(ids.tolist())))])
+    vecs = _normalize_rows(_to_matrix(ct["embedding"]))[
+        pd.Index(ct["vec_id"].to_numpy()).get_indexer(ids)]
 
-    out_q, out_d, out_r, out_s = [], [], [], []
-    for k_q, grp in cand.groupby("query_id", sort=True):
-        g = grp.sort_values(["cos", "neighbor_id"],
-                            ascending=[False, True])
-        ids = g.neighbor_id.to_numpy().astype(np.int64)
-        rel = g.cos.to_numpy()
-        vecs = cvec[[pos[int(i)] for i in ids]]
-        sims = vecs @ vecs.T  # candidate × candidate
-        picked: list[int] = []
-        max_sim = np.full(ids.size, -np.inf)
-        remaining = np.ones(ids.size, dtype=bool)
-        for rank in range(min(TOP_K, ids.size)):
-            if picked:
-                score = MMR_LAMBDA * rel - (1 - MMR_LAMBDA) * max_sim
-            else:
-                score = rel.copy()
-            score[~remaining] = -np.inf
-            # argmax with smaller-doc_id tie-break (masked rows sort last)
-            best = int(np.lexsort((ids, -score))[0])
-            picked.append(best)
-            remaining[best] = False
-            max_sim = np.maximum(max_sim, sims[best])
-            out_q.append(int(k_q))
-            out_d.append(int(ids[best]))
-            out_r.append(rank + 1)
-            out_s.append(float(rel[best]))
+    # (query, candidate) grids, each row in the fold's rank order
+    qs, row = np.unique(q, return_inverse=True)
+    col = np.arange(q.size) - np.searchsorted(q, q)
+    grid = (qs.size, HYBRID_C)
+    doc = np.zeros(grid, np.int64)
+    rel = np.zeros(grid)
+    remaining = np.zeros(grid, bool)
+    vg = np.zeros((*grid, vecs.shape[1]))
+    doc[row, col], rel[row, col] = ids, cand["cos"].to_numpy()
+    remaining[row, col], vg[row, col] = True, vecs
+    sims = vg @ vg.transpose(0, 2, 1)  # candidate × candidate, per query
+    n_picks = np.minimum(remaining.sum(1), TOP_K)
+    max_sim = np.full(grid, -np.inf)
+    picked = np.zeros((qs.size, TOP_K), np.int64)
+    for rank in range(TOP_K):
+        score = rel if rank == 0 else (MMR_LAMBDA * rel
+                                       - (1 - MMR_LAMBDA) * max_sim)
+        score = np.where(remaining, score, -np.inf)
+        # argmax with smaller-doc_id tie-break
+        best = np.where(score == score.max(1, keepdims=True), doc,
+                        np.iinfo(np.int64).max).argmin(1)
+        picked[:, rank] = best
+        remaining[np.arange(qs.size), best] = False
+        max_sim = np.maximum(max_sim, sims[np.arange(qs.size), best])
+    qi, rank = np.nonzero(np.arange(TOP_K)[None, :] < n_picks[:, None])
+    best = picked[qi, rank]
     return pa.table({
-        "query_id": pa.array(out_q, pa.int64()),
-        "doc_id": pa.array(out_d, pa.int64()),
-        "mmr_rank": pa.array(out_r, pa.int64()),
-        "relevance": pa.array(_round(np.array(out_s, dtype=np.float64), 6),
-                              pa.float64()),
+        "query_id": qs[qi],
+        "doc_id": doc[qi, best],
+        "mmr_rank": (rank + 1).astype(np.int64),
+        "relevance": _round(rel[qi, best], 6),
     })

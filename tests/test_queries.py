@@ -59,18 +59,12 @@ def _schema_changes(caplog, run) -> list[str]:
             if "different schema" in r.getMessage()]
 
 
-# known defect, pinned both ways: hybrid_search_rrf (ann.py) hands on
-# schema-less 0-row blocks, so Ray logs a schema change; the assertion
-# fails the day it stops, and the entry goes
-KNOWN_SCHEMA_CHANGES = {"hybrid_search_rrf"}
-
-
 @pytest.mark.parametrize("name", _oracled_names())
 def test_query_matches_oracle(ray_session, oracle, caplog, name):
     """EVERY oracled query vs DuckDB at sf0.001 — parametrized off the
     registry so a new oracle entry is covered the moment it lands — and
     Ray logs no block schema change while it runs (a schema-less block
-    buries real schema drift), except the known ``KNOWN_SCHEMA_CHANGES``."""
+    buries real schema drift)."""
     import __ray_entry__ as e
 
     out = []
@@ -80,7 +74,7 @@ def test_query_matches_oracle(ray_session, oracle, caplog, name):
     odf = _canon(oracle.execute(e.oracle_sql()[name]).fetchdf())
     assert list(rdf.columns) == list(odf.columns)
     pd.testing.assert_frame_equal(rdf, odf, check_dtype=False, check_exact=True)
-    assert bool(changes) == (name in KNOWN_SCHEMA_CHANGES), changes
+    assert not changes, changes
 
 
 # every oracled query that folds through queries._group_fold, then the
@@ -1088,6 +1082,86 @@ def test_quantized_topk_argpartition_matches_full_sort(ray_session):
             np.c_[row[sel], nids[sel]], np.c_[row[exact], nids[exact]],
             err_msg=f"n={n} n_values={n_values}")
 
+    # _topk_rows, the per-query cut every ANN scan emits, against a per-query
+    # lexsort: a float plateau across the k boundary (row 0: 5 scores above
+    # a 3k-wide plateau, so the plateau's 5 smallest ids make the cut), a
+    # mask (the filtered and probed scans), an all-masked row, and k > n
+    import pyarrow as pa
+
+    from serverless_covariate_drift_detection_ray.pipelines.ann import (
+        _topk_rows,
+    )
+
+    def expect(scores, q_ids, ids, k, mask):
+        rows = []
+        for i, row in enumerate(scores):
+            cols = np.flatnonzero(mask[i])
+            top = cols[np.lexsort((ids[cols], -row[cols]))[:k]]
+            rows += [(q_ids[i], ids[c], row[c]) for c in top]
+        return sorted(rows)
+
+    n = 6 * k
+    scores = rng.random((4, n))
+    top = rng.choice(n, 5 + 3 * k, replace=False)
+    scores[0, top] = [2.0] * 5 + [1.5] * 3 * k
+    ids = rng.permutation(n).astype(np.int64) + 100
+    q_ids = np.array([7, 3, 5, 1], dtype=np.int64)
+    mask = rng.random((4, n)) < 0.5
+    mask[0], mask[3] = True, False
+    for kk, m in [(k, None), (k, mask), (n + 5, mask), (3, mask)]:
+        t = _topk_rows(scores, q_ids, ids, kk, m)
+        assert t.schema == pa.schema([("query_id", pa.int64()),
+                                      ("id", pa.int64()),
+                                      ("score", pa.float64())])
+        got = sorted(zip(*(t[c].to_pylist() for c in t.column_names)))
+        assert got == expect(scores, q_ids, ids, kk,
+                             np.ones_like(mask) if m is None else m), kk
+    assert 1 not in _topk_rows(scores, q_ids, ids, k, mask)["query_id"
+                                                            ].to_pylist()
+
+
+def test_topk_fold_is_order_free():
+    """_topk_fold gives the same rows whatever order the partials arrive
+    in: a (query, id) pair scored twice with ulp-different scores (as two
+    LSH tables or IVF probes score it in different matmul shapes) keeps its
+    max score, schema-less 0-row blocks are skipped, and an input with no
+    rows gives the typed empty result."""
+    import itertools
+
+    import pyarrow as pa
+
+    from serverless_covariate_drift_detection_ray.pipelines.ann import (
+        _TOPK_SCHEMA,
+        _topk_fold,
+        _topk_rows,
+    )
+
+    rng = np.random.default_rng(5)
+    k, ids, q_ids = 4, np.arange(100, 160), np.array([0, 1, 2])
+    scores = rng.random((3, 60))
+    parts = [_topk_rows(scores[:, lo:lo + 20], q_ids, ids[lo:lo + 20], k)
+             for lo in (0, 20, 40)]
+    # the first partial's pairs once more, each one ulp higher
+    parts.append(_topk_rows(np.nextafter(scores[:, :20], 2.0), q_ids,
+                            ids[:20], k))
+    parts += [pa.table({}), _TOPK_SCHEMA.empty_table()]
+
+    best = np.maximum(scores, np.r_["1", np.nextafter(scores[:, :20], 2.0),
+                                    np.full((3, 40), -1.0)])
+    order = [np.lexsort((ids, -row))[:k] for row in best]
+    expect = pa.table({"query_id": np.repeat(q_ids, k),
+                       "neighbor_id": np.concatenate([ids[o] for o in order]),
+                       "cos": np.concatenate([best[i][o]
+                                              for i, o in enumerate(order)])})
+    for perm in itertools.permutations(range(len(parts))):
+        got = _topk_fold([parts[i] for i in perm], k)
+        assert got.equals(expect), perm
+
+    empty = _topk_fold([pa.table({}), _TOPK_SCHEMA.empty_table()], k)
+    assert empty.num_rows == 0 and empty.schema == pa.schema(
+        [("query_id", pa.int64()), ("neighbor_id", pa.int64()),
+         ("cos", pa.float64())])
+
 
 def _rows_only_names():
     import __ray_entry__ as e
@@ -1105,14 +1179,19 @@ def test_rows_only_evidence_map_in_sync(ray_session):
 
 
 @pytest.mark.parametrize("name", _rows_only_names())
-def test_rows_only_query_smokes(ray_session, name):
+def test_rows_only_query_smokes(ray_session, caplog, name):
     """Driver contract for the NON-oracled entries: every rows-only query
     the driver may sample must run at sf0.001 and return a well-formed
-    result (>= 0 rows, stable columns). The oracled entries get the
+    result (>= 0 rows, stable columns), and Ray logs no block schema change
+    while it runs, as for the oracled entries. The oracled entries get the
     stronger parity test above; the flagship is covered by its e2e +
     digest tests."""
     import __ray_entry__ as e
 
-    df = _to_df(e.queries()[name](SF))
+    out = []
+    changes = _schema_changes(
+        caplog, lambda: out.append(_to_df(e.queries()[name](SF))))
+    df = out[0]
     assert df is not None and len(df.columns) > 0
     assert len(df) >= 0  # materializes without raising
+    assert not changes, changes

@@ -6,11 +6,18 @@ sorted by name and rows sorted by all columns before compare (the driver's
 documented behavior — dtype differences DO count, round-1 caught an
 int64-vs-float64 hash mismatch).
 
+Every OK/FAIL line ends with ``sha1=``, a short sha1 of the canonical
+frame, so diffing the output of two checkouts on the same tables shows
+which query results changed. Run it from the root of the checkout under
+test: Ray workers import the package from their working directory.
+
 Usage: python tools/compare_oracle.py [query ...]   (default: all oracled)
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import sys
 
@@ -40,6 +47,19 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
     return df
 
 
+def digest(df: pd.DataFrame) -> str:
+    """Short sha1 of a canonical frame: column names, dtypes and values
+    (numeric columns by their bytes, object columns as JSON)."""
+    h = hashlib.sha1()
+    for c in df.columns:
+        v = df[c].to_numpy()
+        h.update(f"{c}:{v.dtype};".encode())
+        h.update(v.tobytes() if v.dtype != object else json.dumps(
+            v.tolist(), default=lambda o: o.tolist() if hasattr(o, "tolist")
+            else str(o)).encode())
+    return h.hexdigest()[:12]
+
+
 def compare(name: str, ray_df: pd.DataFrame, ora_df: pd.DataFrame) -> dict:
     out = {"rows_match": len(ray_df) == len(ora_df),
            "schema_match": sorted(ray_df.columns) == sorted(ora_df.columns),
@@ -67,7 +87,8 @@ def main():
 
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False)
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
     import __ray_entry__ as e
 
     sf = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.01")
@@ -87,7 +108,7 @@ def main():
                                        if v is not None) else "FAIL")
                 if status == "FAIL":
                     failures += 1
-                print(f"{status} {name}: {r}")
+                print(f"{status} {name}: {r} sha1={digest(canon(ray_df))}")
             else:
                 # rows-only entry: mirror the driver's weaker gate (runs,
                 # stable schema, deterministic) — the hard gate is the
@@ -104,7 +125,8 @@ def main():
                     failures += 1
                 ev = e.ROWS_ONLY_EVIDENCE.get(name, "<MISSING EVIDENCE>")
                 print(f"{'OK ' if det else 'FAIL'} {name}: rows-only "
-                      f"rows={len(a)} deterministic={det} evidence={ev}")
+                      f"rows={len(a)} deterministic={det} evidence={ev} "
+                      f"sha1={digest(a)}")
         except Exception as ex:  # noqa: BLE001
             failures += 1
             print(f"ERR  {name}: {type(ex).__name__}: {ex}")
