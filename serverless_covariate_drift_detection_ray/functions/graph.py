@@ -1,16 +1,24 @@
 """Connected components over edge lists — the shared clustering kernel.
 
-One implementation of vectorized min-label propagation with pointer
-jumping, used by every near-dup clustering path (phash band clusters in
-stages/constraints.py, embedding-cosine semantic dedup in pipelines/ann.py).
+One entry, ``connected_components``, serves every clustering path: the
+phash near-dup clusters (stages/constraints.py), semantic dedup
+(pipelines/ann.py) and entity resolution (pipelines/queries.py). Both of
+its solves are min-label propagation with pointer jumping: ``cc_min_label``
+in numpy on the driver up to ``CC_DRIVER_MAX_EDGES`` edges, and
+``_cc_rounds`` over the keyed exchange (``functions.exchange``) above.
 Convergence is O(log n) rounds thanks to the pointer-jumping contraction;
-``max_rounds=64`` is an ample safety cap (2^64 nodes), matching the
-original inline kernels.
+``max_rounds=64`` is an ample safety cap (2^64 nodes).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+from .exchange import _as_dataset, _key_shuffle
+
+CC_DRIVER_MAX_EDGES = 5_000_000  # 16 B/edge -> <= 80 MB edge list on driver
 
 
 def cc_labels(n: int, ai: np.ndarray, bi: np.ndarray,
@@ -41,174 +49,196 @@ def cc_min_label(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, nodes[lab]
 
 
-def cc_min_label_distributed(edges_ds, max_rounds: int = 64):
-    """Distributed connected components over an edge Dataset with int64
-    columns ``va``/``vb`` — the at-scale analogue of :func:`cc_min_label`
-    for edge lists too large for one driver collect.
+def connected_components(edges, nodes=None):
+    """Connected components of the undirected graph ``edges``, a Dataset or
+    Arrow table whose first two columns are the int64 endpoints of one edge
+    a row (other columns are not read; duplicate and self edges are
+    harmless). ``nodes``, if given, is a Dataset or Arrow table of node ids
+    (first column) that belong to the graph even when in no edge, with an
+    optional int64 weight (second column; 1 when absent).
 
-    One distributed CC for every caller: the phash near-dup clusters
-    (stages/constraints.py), semantic dedup (pipelines/ann.py) and entity
-    resolution (pipelines/queries.py). Pregel-style rounds (min-label
-    propagation plus a pointer-jumping shortcut, three salted-bucket
-    shuffles per round, O(log n) rounds), and every bucket merge runs in
-    **pyarrow batch format with numpy searchsorted joins** — node ids never
-    round-trip through pandas nullable-int → float64, so full-range 64-bit
-    ids (|id| ≥ 2^53, e.g. phash values) stay bit-exact. Duplicate / self
-    edges are harmless (min-label is idempotent).
+    Returns a Dataset ``(node, lab, size)``, one row for every edge endpoint
+    and every node of ``nodes``: ``lab`` is the component's minimum id under
+    signed int64 order (a node in no edge labels itself) and ``size`` the
+    sum of its members' weights, their count when unweighted. Ids stay
+    int64 throughout, never through pandas' float64, so full-range ids
+    (|id| >= 2^53, e.g. phash values) stay bit-exact.
 
-    Returns a ``(node, lab)`` Dataset covering every edge endpoint
-    (isolated nodes are absent — callers treat them as singletons); ``lab``
-    is the component's minimum id under signed int64 order, matching
-    :func:`cc_min_label`. The driver sees only per-round changed counts.
-    """
-    import pyarrow as pa
-    import pyarrow.compute as pc
+    Up to ``CC_DRIVER_MAX_EDGES`` edges the edge list is collected and
+    solved by ``cc_min_label``; above it ``_cc_rounds`` solves it where the
+    edges are. The labels then meet ``nodes`` in one ``_key_shuffle`` on the
+    node, and one on the label sums each component's size (on the driver,
+    when the driver holds every label and there are no ``nodes``)."""
+    import ray
     import ray.data
 
-    from .hashing import splitmix64
+    if isinstance(edges, pa.Table):
+        edges = ray.data.from_arrow(edges)
+    edges = edges.materialize()
+    if edges.count() <= CC_DRIVER_MAX_EDGES:
+        # 0-row blocks may come back without a schema: skip them
+        parts = [t for t in ray.get(edges.to_arrow_refs()) if t.num_rows]
+        a, b = (np.concatenate([_ids(t.column(i)) for t in parts] or
+                               [np.empty(0, np.int64)]) for i in (0, 1))
+        node, lab = cc_min_label(a, b)
+        labels = pa.table({"node": node, "lab": lab})
+    else:
+        labels = _cc_rounds(edges)
+    if nodes is not None:
+        labels = _key_shuffle([labels, nodes], ["node"], _adopt,
+                              [_label_rows, _node_rows], "pyarrow")
+    elif isinstance(labels, pa.Table):  # solved on the driver: size it there
+        return ray.data.from_arrow(_sized(labels))
+    return _as_dataset(_key_shuffle(labels, ["lab"], _sized, None, "pyarrow"))
 
-    n_edges = edges_ds.count()
-    if n_edges == 0:
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array([], pa.int64()), "lab": pa.array([], pa.int64())
-        }))
-    n_buckets = max(8, n_edges // 2_000_000)
 
-    def bkt_of(x: np.ndarray) -> np.ndarray:
-        return (splitmix64(x.astype(np.uint64))
-                % np.uint64(n_buckets)).astype(np.int64)
+def _ids(col) -> np.ndarray:
+    return col.to_numpy(zero_copy_only=False).astype(np.int64)
 
-    # symmetrized edges tagged for the join-on-source shuffle:
-    # (j = src, dst, lab = null, bkt = h(src))
-    def sym(batch: pa.Table) -> pa.Table:
-        a = batch["va"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch["vb"].to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.concatenate([a, b])
-        dst = np.concatenate([b, a])
-        return pa.table({
-            "j": pa.array(src), "dst": pa.array(dst),
-            "lab": pa.nulls(src.size, pa.int64()),
-            "bkt": pa.array(bkt_of(src)),
-        })
 
-    edges = edges_ds.map_batches(sym, batch_format="pyarrow",
-                                 zero_copy_batch=True).materialize()
+def _label_rows(t: pa.Table) -> pa.Table:
+    return pa.table({"node": t["node"].cast(pa.int64()),
+                     "lab": t["lab"].cast(pa.int64()),
+                     "w": pa.nulls(t.num_rows, pa.int64())})
 
-    # labels init: one (node, lab=node) row per distinct endpoint —
-    # per-block uniques merged exactly inside each node-hash bucket
-    def init_part(batch: pa.Table) -> pa.Table:
-        u = np.unique(batch["j"].to_numpy())
-        return pa.table({"node": pa.array(u), "bkt": pa.array(bkt_of(u))})
 
-    def init_merge(t: pa.Table) -> pa.Table:
-        u = np.unique(t["node"].to_numpy())
-        return pa.table({"node": pa.array(u), "lab": pa.array(u)})
+def _node_rows(t: pa.Table) -> pa.Table:
+    w = (t.column(1).cast(pa.int64()) if t.num_columns > 1
+         else pa.array(np.ones(t.num_rows, np.int64)))
+    return pa.table({"node": t.column(0).cast(pa.int64()),
+                     "lab": pa.nulls(t.num_rows, pa.int64()), "w": w})
 
-    labels = (edges.map_batches(init_part, batch_format="pyarrow")
-              .groupby("bkt").map_groups(init_merge, batch_format="pyarrow")
-              .materialize())
 
-    def tag_labels_as_src(batch: pa.Table) -> pa.Table:
-        n = batch["node"].to_numpy().astype(np.int64)
-        return pa.table({
-            "j": pa.array(n), "dst": pa.nulls(n.size, pa.int64()),
-            "lab": batch["lab"].cast(pa.int64()), "bkt": pa.array(bkt_of(n)),
-        })
+def _adopt(t: pa.Table) -> pa.Table:
+    """Node-keyed bucket of label rows (``lab`` set) and node rows (``w``
+    set): every node adopts its label, or itself when it is in no edge, and
+    sums its weights (1 for an endpoint that ``nodes`` does not list)."""
+    g = t.group_by("node", use_threads=False).aggregate(
+        [("lab", "min"), ("w", "sum")])
+    return pa.table({"node": g["node"],
+                     "lab": pc.coalesce(g["lab_min"], g["node"]),
+                     "w": pc.coalesce(g["w_sum"], pa.scalar(1, pa.int64()))})
 
-    def join_msgs(t: pa.Table) -> pa.Table:
-        # label rows (lab non-null) joined to edge rows (dst non-null) on j:
-        # emit (node = dst, cand = lab[src]); every src has a label row.
-        # NB: to_numpy on a WITH-NULLS int64 column yields float64 (lossy
-        # ≥ 2^53) — drop_null() first keeps int64 exact and aligns with the
-        # validity mask because nulls are exactly the other row kind
-        is_lab = pc.is_valid(t["lab"]).to_numpy(zero_copy_only=False)
-        j = t["j"].to_numpy()
-        jl = j[is_lab]
-        lab = t["lab"].drop_null().to_numpy().astype(np.int64)
-        order = np.argsort(jl, kind="stable")
-        jl, lab = jl[order], lab[order]
-        je = j[~is_lab]
-        dst = t["dst"].drop_null().to_numpy().astype(np.int64)
-        cand = lab[np.searchsorted(jl, je)]
-        return pa.table({"node": pa.array(dst), "cand": pa.array(cand),
-                         "old": pa.nulls(dst.size, pa.int64()),
-                         "nbkt": pa.array(bkt_of(dst))})
 
-    def tag_old(batch: pa.Table) -> pa.Table:
-        n = batch["node"].to_numpy().astype(np.int64)
-        lab = batch["lab"].cast(pa.int64())
-        return pa.table({"node": pa.array(n), "cand": lab, "old": lab,
-                         "nbkt": pa.array(bkt_of(n))})
+def _sized(t: pa.Table) -> pa.Table:
+    """Label-keyed bucket: every member of a component is here, so the sum
+    of their weights is the component's size."""
+    lab = _ids(t["lab"])
+    w = _ids(t["w"]) if "w" in t.column_names else np.ones(lab.size, np.int64)
+    u, inv = np.unique(lab, return_inverse=True)
+    size = np.zeros(u.size, np.int64)
+    np.add.at(size, inv, w)
+    return pa.table({"node": pa.array(_ids(t["node"])),
+                     "lab": pa.array(lab), "size": pa.array(size[inv])})
 
-    def min_merge(t: pa.Table) -> pa.Table:
-        node = t["node"].to_numpy().astype(np.int64)
-        cand = t["cand"].to_numpy().astype(np.int64)  # never null
-        has_old = pc.is_valid(t["old"]).to_numpy(zero_copy_only=False)
-        order = np.argsort(node, kind="stable")
-        ns, cs = node[order], cand[order]
-        starts = np.flatnonzero(np.r_[True, ns[1:] != ns[:-1]])
-        nodes_u = ns[starts]
-        new = np.minimum.reduceat(cs, starts)
-        # exactly one old (label) row per node; align by node sort —
-        # drop_null keeps the int64 dtype exact (see join_msgs note)
-        node_old = node[has_old]
-        old = t["old"].drop_null().to_numpy().astype(np.int64)
-        oo = np.argsort(node_old, kind="stable")
-        node_old, old = node_old[oo], old[oo]
-        assert old.size == nodes_u.size and np.array_equal(node_old, nodes_u), \
-            "label row missing for a node"
-        changed = (new < old).astype(np.int64)
-        return pa.table({"node": pa.array(nodes_u), "lab": pa.array(new),
-                         "changed": pa.array(changed)})
 
-    def tag_ptr(batch: pa.Table) -> pa.Table:
-        # pointer rows co-located with their LABEL's own label row
-        lab = batch["lab"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "k": pa.array(lab), "node": batch["node"].cast(pa.int64()),
-            "plab": pa.nulls(lab.size, pa.int64()), "sbkt": pa.array(bkt_of(lab)),
-        })
-
-    def tag_auth(batch: pa.Table) -> pa.Table:
-        n = batch["node"].to_numpy().astype(np.int64)
-        return pa.table({
-            "k": pa.array(n), "node": pa.nulls(n.size, pa.int64()),
-            "plab": batch["lab"].cast(pa.int64()), "sbkt": pa.array(bkt_of(n)),
-        })
-
-    def shortcut(t: pa.Table) -> pa.Table:
-        # lab ← lab[lab]: every label value is itself a node id, so each
-        # pointer row finds its authority row in the same bucket
-        is_auth = pc.is_valid(t["plab"]).to_numpy(zero_copy_only=False)
-        k = t["k"].to_numpy()
-        ka = k[is_auth]
-        pl = t["plab"].drop_null().to_numpy().astype(np.int64)
-        order = np.argsort(ka, kind="stable")
-        ka, pl = ka[order], pl[order]
-        kp = k[~is_auth]
-        nd = t["node"].drop_null().to_numpy().astype(np.int64)
-        newlab = pl[np.searchsorted(ka, kp)]
-        return pa.table({"node": pa.array(nd), "lab": pa.array(newlab)})
-
+def _cc_rounds(edges, max_rounds: int = 64):
+    """Labels ``(node, lab)`` of every endpoint of ``edges`` by Pregel-style
+    rounds of three ``_key_shuffle`` calls: each label reaches its node's
+    neighbours (edges and labels joined on the source), each node takes the
+    minimum of what reached it (messages and labels on the node), then a
+    pointer-jumping shortcut ``lab <- lab[lab]`` (pointers and their
+    authorities on the label). The driver sees only the changed count of a
+    round. Every kernel joins by numpy searchsorted over int64 arrays."""
+    labels = _key_shuffle(edges, ["node"], _distinct_nodes, _endpoints,
+                          "pyarrow")
     for _ in range(max_rounds):
-        # repartition each round's output back to n_buckets blocks: the
-        # union→sort→union→sort chain otherwise multiplies the block count
-        # ~4x per round (geometric — round 8 would shuffle thousands of
-        # near-empty blocks and the fixed per-block sort cost dominates)
-        merged = (edges.union(labels.map_batches(
-            tag_labels_as_src, batch_format="pyarrow"))
-            .groupby("bkt").map_groups(join_msgs, batch_format="pyarrow")
-            .union(labels.map_batches(tag_old, batch_format="pyarrow"))
-            .groupby("nbkt").map_groups(min_merge, batch_format="pyarrow")
-            .repartition(n_buckets)
-            .materialize())
-        n_changed = merged.sum("changed")
-        new_labels = merged.drop_columns(["changed"])
-        if not n_changed:
-            return new_labels
-        labels = (new_labels.map_batches(tag_ptr, batch_format="pyarrow")
-                  .union(new_labels.map_batches(tag_auth, batch_format="pyarrow"))
-                  .groupby("sbkt").map_groups(shortcut, batch_format="pyarrow")
-                  .repartition(n_buckets)
-                  .materialize())
+        msgs = _key_shuffle([edges, labels], ["j"], _join_msgs,
+                            [_sym_edges, _label_src], "pyarrow")
+        merged = _key_shuffle([msgs, labels], ["node"], _min_merge,
+                              [None, _old_label], "pyarrow")
+        if not _as_dataset(merged).sum("changed"):  # None: no edge at all
+            return merged
+        labels = _key_shuffle([merged, merged], ["k"], _shortcut,
+                              [_ptr_rows, _auth_rows], "pyarrow")
     return labels
+
+
+def _endpoints(t: pa.Table) -> pa.Table:
+    return pa.table({"node": np.unique(np.concatenate(
+        [_ids(t.column(0)), _ids(t.column(1))]))})
+
+
+def _distinct_nodes(t: pa.Table) -> pa.Table:
+    u = np.unique(_ids(t["node"]))
+    return pa.table({"node": u, "lab": u})
+
+
+def _sym_edges(t: pa.Table) -> pa.Table:
+    # both directions, keyed on the source j
+    a, b = _ids(t.column(0)), _ids(t.column(1))
+    return pa.table({"j": np.concatenate([a, b]), "dst": np.concatenate([b, a]),
+                     "lab": pa.nulls(2 * a.size, pa.int64())})
+
+
+def _label_src(t: pa.Table) -> pa.Table:
+    return pa.table({"j": t["node"], "dst": pa.nulls(t.num_rows, pa.int64()),
+                     "lab": t["lab"]})
+
+
+def _join_msgs(t: pa.Table) -> pa.Table:
+    # label rows (lab non-null) joined to edge rows (dst non-null) on j:
+    # emit (node = dst, cand = lab[src]); every src has a label row.
+    # NB: to_numpy on a WITH-NULLS int64 column yields float64 (lossy
+    # >= 2^53) — drop_null() first keeps int64 exact and aligns with the
+    # validity mask because nulls are exactly the other row kind
+    is_lab = pc.is_valid(t["lab"]).to_numpy(zero_copy_only=False)
+    j = _ids(t["j"])
+    jl = j[is_lab]
+    lab = _ids(t["lab"].drop_null())
+    order = np.argsort(jl, kind="stable")
+    jl, lab = jl[order], lab[order]
+    dst = _ids(t["dst"].drop_null())
+    cand = lab[np.searchsorted(jl, j[~is_lab])]
+    return pa.table({"node": dst, "cand": cand,
+                     "old": pa.nulls(dst.size, pa.int64())})
+
+
+def _old_label(t: pa.Table) -> pa.Table:
+    return pa.table({"node": t["node"], "cand": t["lab"], "old": t["lab"]})
+
+
+def _min_merge(t: pa.Table) -> pa.Table:
+    node = _ids(t["node"])
+    cand = _ids(t["cand"])  # never null
+    if not node.size:  # the typed empty output of an empty graph
+        return pa.table({"node": node, "lab": node, "changed": node})
+    has_old = pc.is_valid(t["old"]).to_numpy(zero_copy_only=False)
+    order = np.argsort(node, kind="stable")
+    ns, cs = node[order], cand[order]
+    starts = np.flatnonzero(np.r_[True, ns[1:] != ns[:-1]])
+    nodes_u = ns[starts]
+    new = np.minimum.reduceat(cs, starts)
+    # exactly one old (label) row per node; align by node sort
+    node_old = node[has_old]
+    old = _ids(t["old"].drop_null())
+    oo = np.argsort(node_old, kind="stable")
+    node_old, old = node_old[oo], old[oo]
+    assert old.size == nodes_u.size and np.array_equal(node_old, nodes_u), \
+        "label row missing for a node"
+    return pa.table({"node": nodes_u, "lab": new,
+                     "changed": (new < old).astype(np.int64)})
+
+
+def _ptr_rows(t: pa.Table) -> pa.Table:
+    # pointer rows meet their LABEL's own label row
+    return pa.table({"k": t["lab"], "node": t["node"],
+                     "plab": pa.nulls(t.num_rows, pa.int64())})
+
+
+def _auth_rows(t: pa.Table) -> pa.Table:
+    return pa.table({"k": t["node"], "node": pa.nulls(t.num_rows, pa.int64()),
+                     "plab": t["lab"]})
+
+
+def _shortcut(t: pa.Table) -> pa.Table:
+    # lab <- lab[lab]: every label value is itself a node id, so each
+    # pointer row finds its authority row in the same bucket
+    is_auth = pc.is_valid(t["plab"]).to_numpy(zero_copy_only=False)
+    k = _ids(t["k"])
+    ka = k[is_auth]
+    pl = _ids(t["plab"].drop_null())
+    order = np.argsort(ka, kind="stable")
+    ka, pl = ka[order], pl[order]
+    nd = _ids(t["node"].drop_null())
+    return pa.table({"node": nd, "lab": pl[np.searchsorted(ka, k[~is_auth])]})

@@ -5,7 +5,7 @@ query rows against corpus rows and cuts each query's scores with
 ``_topk_rows``: a tie-exact top-k under (score DESC, id ASC) that emits a
 typed ``(query_id, id, score)`` table. The exact scans run it per block
 with the query side broadcast (``_scan``); the LSH and IVF scans run it per
-bucket or cell after a ``queries._key_shuffle`` exchange (``_group_topk``).
+bucket or cell after an ``exchange._key_shuffle`` (``_group_topk``).
 The merge side is ``_topk_fold``: the partials stream to the driver into a
 running top-k per query (at most N_QUERIES × k rows plus one block held),
 a repeated (query, id) pair keeping its max score. Brute-force cosine top-k
@@ -22,11 +22,13 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.exchange import (_as_dataset, _key_fold, _key_shuffle,
+                                  _pa_from_pandas)
+from ..functions.graph import connected_components
 from ..functions.hashing import hash64, probe_sorted
 from ..functions.stats import median_heuristic_sigma, mmd_permutation_test
 from .config import scratch_root
-from .queries import (_key_shuffle, _pa_from_pandas, _read, _read_blocked,
-                      _round)
+from .queries import _read, _read_blocked, _round
 
 TOP_K = 10
 N_QUERIES = 10
@@ -268,19 +270,19 @@ def _embedding_dim(sf_dir: str) -> int:
 def _group_topk(key: str, cap: int | None = None):
     """``_key_shuffle`` kernel of the LSH and IVF scans: for each value of
     ``key`` in the bucket (an LSH table bucket, an IVF cell), the group's
-    query rows (vec_id < N_QUERIES) score its corpus rows by cosine in the
-    embedding column's own precision, cut by ``_topk_rows``. Rows are taken
-    in vec_id order, so the scores do not depend on the order the blocks
-    arrive in. ``cap`` bounds the corpus rows a group scores to a
-    deterministic smallest-hash subset, with a logged warning."""
+    query rows (vec_id < N_QUERIES) score its corpus rows by cosine in
+    float64, as the exact scans and the oracles do, cut by ``_topk_rows``.
+    Rows are taken in vec_id order, so the scores do not depend on the
+    order the blocks arrive in. ``cap`` bounds the corpus rows a group
+    scores to a deterministic smallest-hash subset, with a logged
+    warning."""
     from ..functions.hashing import splitmix64
 
     def fn(t: pa.Table) -> pa.Table:
         t = t.sort_by("vec_id")
         keys = t[key].to_numpy()
         ids = t["vec_id"].to_numpy().astype(np.int64)
-        x = _normalize_rows(np.stack(t["embedding"].to_numpy(
-            zero_copy_only=False)))
+        x = _normalize_rows(_to_matrix(t["embedding"]))
         outs = [_topk_rows(np.zeros((0, 0), x.dtype), [], [], TOP_K)]
         for g in np.unique(keys):
             rows = np.flatnonzero(keys == g)
@@ -451,9 +453,10 @@ def _neardup_pairs_lsh(sf_dir: str, tau: float,
     (~2k expected rows/bucket) so the within-bucket all-pairs stays a
     bounded matmul at any scale; hot buckets beyond NEARDUP_BUCKET_CAP are
     scored on a deterministic smallest-hash subset with a logged warning.
-    Duplicate candidates across tables are dropped by a salted pair-hash
-    groupby (rounded-cos max — deterministic) BEFORE any driver contact;
-    nothing ever collects driver-side."""
+    Both exchanges are the keyed one: candidates meet in ``_key_shuffle``
+    buckets on the (table, bucket) key, and a pair found by several tables
+    is kept once by a ``_key_fold`` on the pair (rounded-cos max —
+    deterministic); nothing ever collects driver-side."""
     import pyarrow.parquet as pq
     import ray
 
@@ -490,7 +493,7 @@ def _neardup_pairs_lsh(sf_dir: str, tau: float,
                            "vec_b": pd.array([], dtype="int64"),
                            "cos": pd.array([], dtype="float64")})
 
-    def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
+    def table_bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
         ids = df.vec_id.to_numpy().astype(np.int64)
         if ids.size < 2:
             return _EMPTY
@@ -526,33 +529,19 @@ def _neardup_pairs_lsh(sf_dir: str, tau: float,
                              "vec_b": np.concatenate(out_b),
                              "cos": np.concatenate(out_c)})
 
+    def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat([_EMPTY] + [table_bucket_pairs(g) for _, g in
+                                     df.groupby("tbucket", sort=False)],
+                         ignore_index=True)
+
     ds = _read_blocked(sf_dir, "embeddings", ["vec_id", "embedding"])
-    cands = (ds.map_batches(bucketize, batch_format="pyarrow")
-             .groupby("tbucket").map_groups(bucket_pairs, batch_format="pandas"))
-
-    # distinct across tables: salted pair-hash buckets, rounded-cos max per
-    # pair (cross-bucket matmuls may differ in the last ulp pre-rounding)
-    nb = max(8, n_rows // 2_000_000)
-
-    def tag_pair(batch: pa.Table) -> pa.Table:
-        a = batch["vec_a"].to_numpy().astype(np.uint64)
-        b = batch["vec_b"].to_numpy().astype(np.uint64)
-        h = splitmix64(splitmix64(a) * np.uint64(31) + splitmix64(b))
-        return batch.append_column(
-            "pbkt", pa.array((h % np.uint64(nb)).astype(np.int64)))
-
-    def dedup_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["vec_a", "vec_b"], sort=False)["cos"].max().reset_index()
-        return pd.DataFrame({"vec_a": g.vec_a.to_numpy().astype(np.int64),
-                             "vec_b": g.vec_b.to_numpy().astype(np.int64),
-                             "cos": g.cos.to_numpy().astype(np.float64)})
-
-    return (cands.map_batches(tag_pair, batch_format="pyarrow")
-            .groupby("pbkt").map_groups(dedup_pairs, batch_format="pandas"))
+    cands = _key_shuffle(ds, ["tbucket"], bucket_pairs, bucketize)
+    # distinct across tables, rounded-cos max per pair (cross-bucket
+    # matmuls may differ in the last ulp pre-rounding)
+    return _key_fold(cands, ["vec_a", "vec_b"], {"cos": ("cos", "max")})
 
 
-def embedding_neardup_pairs(sf_dir: str, tau: float = NEARDUP_COS_TAU,
-                            max_broadcast_docs: int | None = None):
+def embedding_neardup_pairs(sf_dir: str, tau: float = NEARDUP_COS_TAU):
     """All pairs (i < j) with cosine similarity >= tau.
 
     Exact path: the L2-normalized corpus matrix is broadcast once (ray.put)
@@ -566,10 +555,8 @@ def embedding_neardup_pairs(sf_dir: str, tau: float = NEARDUP_COS_TAU,
     import pyarrow.parquet as pq
     import ray
 
-    if max_broadcast_docs is None:  # read at call time so tests can regate
-        max_broadcast_docs = NEARDUP_BROADCAST_MAX_DOCS
     n_docs = _read(sf_dir, "embeddings", ["vec_id"]).count()  # metadata-only
-    if n_docs > max_broadcast_docs:
+    if n_docs > NEARDUP_BROADCAST_MAX_DOCS:
         return _neardup_pairs_lsh(sf_dir, tau)
 
     qt = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
@@ -615,130 +602,28 @@ WHERE list_cosine_similarity(a.embedding::DOUBLE[], b.embedding::DOUBLE[])
 # near-dup" as a *dedup* method, completing exact/MinHash/SimHash/n-gram)
 # ---------------------------------------------------------------------------
 
-EMB_CC_MAX_PAIRS = 20_000_000  # driver CC gate (~320 MB of edge arrays)
-def _cc_bkt(x: np.ndarray, n_buckets: int) -> np.ndarray:
-    from ..functions.hashing import splitmix64
-
-    return (splitmix64(x.astype(np.uint64)) % np.uint64(n_buckets)).astype(np.int64)
-
-
 def dedup_semantic_embeddings(sf_dir: str, tau: float = NEARDUP_COS_TAU):
     """Embedding-cosine near-dup dedup: one surviving row per connected
     component of the cosine>=tau pair graph (survivor = min vec_id), with the
     component size attached (singletons survive with cluster_size=1).
 
-    Scale shape: the pair graph is the *duplicate* mass, orders of magnitude
-    smaller than the corpus at a real tau — pairs stream from the distributed
-    emitter and only the edge list (2 int64/pair, gated at EMB_CC_MAX_PAIRS)
-    lands on the driver for the CC solve; survivors are then emitted by a
-    distributed filter against the broadcast dropped-id set. Above the pair
-    gate the CC itself runs distributed (cc_min_label_distributed). Above the
-    CORPUS gate (NEARDUP_BROADCAST_MAX_DOCS) the pair emitter routes to the
-    LSH-bucketed candidate generator + within-bucket exact verify
-    (_neardup_pairs_lsh) — documented-approximate edges; the plumbing
-    downstream of the pair Dataset is generator-agnostic."""
-    import ray
+    One ``connected_components`` call over the pairs of
+    ``embedding_neardup_pairs`` (exact below NEARDUP_BROADCAST_MAX_DOCS,
+    LSH-approximate above it; the CC is generator-agnostic) with every
+    vec_id as a node: a survivor is a node that is its component's label."""
+    def survivors(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.equal(t["node"], t["lab"]))
+        return pa.table({"vec_id": t["node"], "cluster_size": t["size"]})
 
-    from ..functions.graph import cc_min_label
-
-    # (va, vb): the edge columns cc_min_label_distributed reads.
-    # Gate BEFORE the driver collect: the edge list stays distributed in the
-    # object store (materialize), the count is metadata, and only a
-    # passing-size edge list is ever pulled down; larger graphs solve CC
-    # distributedly instead
-    pairs = embedding_neardup_pairs(sf_dir, tau).map_batches(
-        lambda b: pa.table({"va": b["vec_a"].cast(pa.int64()),
-                            "vb": b["vec_b"].cast(pa.int64())}),
-        batch_format="pyarrow", zero_copy_batch=True).materialize()
-    if pairs.count() > EMB_CC_MAX_PAIRS:
-        return _dedup_semantic_distributed(sf_dir, pairs)
-    edges = pairs.to_pandas()
-    if len(edges):
-        nodes, reps = cc_min_label(edges["va"].to_numpy(np.int64),
-                                   edges["vb"].to_numpy(np.int64))
-        dropped = np.sort(nodes[reps != nodes])
-        rep_ids, sizes = np.unique(reps, return_counts=True)
-    else:
-        dropped = np.empty(0, dtype=np.int64)
-        rep_ids, sizes = dropped, np.empty(0, dtype=np.int64)
-    wrapped = {"ref": ray.put((dropped, rep_ids, sizes.astype(np.int64)))}
-
-    def survivors(batch: pa.Table) -> pa.Table:
-        drop, rids, rsz = ray.get(wrapped["ref"])
-        ids = batch["vec_id"].to_numpy().astype(np.int64)
-        keep = ~np.isin(ids, drop, assume_unique=False)
-        kept = ids[keep]
-        size = np.ones(kept.size, dtype=np.int64)
-        if rids.size:
-            pos = np.searchsorted(rids, kept)
-            inb = pos < rids.size
-            hit = inb.copy()
-            hit[inb] = rids[pos[inb]] == kept[inb]
-            size[hit] = rsz[pos[hit]]
-        return pa.table({"vec_id": pa.array(kept), "cluster_size": pa.array(size)})
-
-    ds = _read_blocked(sf_dir, "embeddings", ["vec_id"])
-    return ds.map_batches(survivors, batch_format="pyarrow")
+    return connected_components(
+        embedding_neardup_pairs(sf_dir, tau),
+        _read_blocked(sf_dir, "embeddings", ["vec_id"])).map_batches(
+            survivors, batch_format="pyarrow")
 
 
 # transitive closure via min-label reachability: walk(node, rep) holds every
 # (node, rep-candidate) pair along undirected edges; MIN(rep) per node is the
 # component representative, survivors are their own rep
-def _dedup_semantic_distributed(sf_dir: str, pairs_ds):
-    """At-scale semantic dedup: connected components solved distributedly
-    (cc_min_label_distributed), survivors + cluster sizes assembled with two
-    more salted-bucket passes — no driver collect anywhere.
-
-    1. bucket the (node, lab) labels by hash(lab): every member of a
-       component lands in one bucket, so the bucket emits (rep=lab,
-       cluster_size=count) directly;
-    2. singletons (vec_ids in no edge) come from a bucketed anti-join of
-       the embeddings id column against the labeled nodes."""
-    from ..functions.graph import cc_min_label_distributed
-    from .queries import _num_rows
-
-    nb = max(8, _num_rows(sf_dir, "embeddings") // 2_000_000)
-    labels = cc_min_label_distributed(pairs_ds)
-
-    def tag_by_lab(batch: pa.Table) -> pa.Table:
-        lab = batch["lab"].to_numpy().astype(np.int64)
-        return pa.table({"lab": pa.array(lab), "lbkt": pa.array(_cc_bkt(lab, nb))})
-
-    def per_lab(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("lab", sort=False).size()
-        return pd.DataFrame({"vec_id": g.index.to_numpy().astype(np.int64),
-                             "cluster_size": g.to_numpy().astype(np.int64)})
-
-    graph_survivors = (labels.map_batches(tag_by_lab, batch_format="pyarrow")
-                       .groupby("lbkt").map_groups(per_lab, batch_format="pandas"))
-
-    def tag_ids(batch: pa.Table) -> pa.Table:
-        ids = batch["vec_id"].to_numpy().astype(np.int64)
-        return pa.table({"vec_id": pa.array(ids),
-                         "is_node": pa.array(np.zeros(ids.size, np.int64)),
-                         "abkt": pa.array(_cc_bkt(ids, nb))})
-
-    def tag_nodes(batch: pa.Table) -> pa.Table:
-        n = batch["node"].to_numpy().astype(np.int64)
-        return pa.table({"vec_id": pa.array(n),
-                         "is_node": pa.array(np.ones(n.size, np.int64)),
-                         "abkt": pa.array(_cc_bkt(n, nb))})
-
-    def anti(df: pd.DataFrame) -> pd.DataFrame:
-        nodes = df.loc[df.is_node == 1, "vec_id"].to_numpy()
-        ids = df.loc[df.is_node == 0, "vec_id"].to_numpy()
-        single = ids[~np.isin(ids, nodes)]
-        return pd.DataFrame({"vec_id": single.astype(np.int64),
-                             "cluster_size": np.ones(single.size, np.int64)})
-
-    ids_ds = _read_blocked(sf_dir, "embeddings", ["vec_id"]).map_batches(
-        tag_ids, batch_format="pyarrow", zero_copy_batch=True)
-    nodes_ds = labels.map_batches(tag_nodes, batch_format="pyarrow")
-    singles = (ids_ds.union(nodes_ds).groupby("abkt")
-               .map_groups(anti, batch_format="pandas"))
-    return graph_survivors.union(singles)
-
-
 DEDUP_SEMANTIC_SQL = f"""
 WITH RECURSIVE pairs AS (
   SELECT a.vec_id AS u, b.vec_id AS v
@@ -1041,9 +926,11 @@ def build_ivf_index(sf_dir: str, index_dir: str,
     shutil.rmtree(cells_tmp, ignore_errors=True)
     shutil.rmtree(cells_dir, ignore_errors=True)
     os.makedirs(cells_tmp, exist_ok=True)
-    ds.map_batches(_cell_assigner(centroids), batch_format="pyarrow",
-                   zero_copy_batch=True).repartition(n_cells).write_parquet(
-        cells_tmp, partition_cols=["cell"])
+    # each cell's rows meet in one bucket, so one write task (one file)
+    # holds a cell
+    _as_dataset(_key_shuffle(ds, ["cell"], lambda t: t,
+                             _cell_assigner(centroids), "pyarrow")
+                ).write_parquet(cells_tmp, partition_cols=["cell"])
     os.replace(cells_tmp, cells_dir)
     meta = {"sf_dir": sf_dir, "source_rows": n_rows,
             "fingerprint": fingerprint, "n_cells": n_cells,

@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .queries import _group_fold, _read_blocked, _round
+from ..functions.exchange import _group_fold
+from .queries import _read_blocked, _round
 
 N_CLASSES = 10
 N_PARTS = 8  # accuracy reporting partitions

@@ -22,8 +22,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.exchange import _key_shuffle
 from ..functions.hashing import hash64
-from .queries import _key_shuffle
 from .textops import (
     LANG_MARKERS,
     _read_docs,

@@ -31,9 +31,10 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..functions.exchange import _pa_from_pandas
 from ..functions.pca import pca_partials, pca_solve
 from ..functions.stats import median_heuristic_sigma, mmd_permutation_test
-from .queries import _pa_from_pandas, _read, _read_blocked, _round
+from .queries import _read, _read_blocked, _round
 
 __all__ = ["pca_partials", "pca_solve", "pca_fit",
            "pca_project_embeddings", "pca_mmd_drift"]

@@ -6,12 +6,10 @@ TPC-H-ish tables so the driver can verify it against a DuckDB oracle
 pruning at the read, vectorized Arrow/numpy batch kernels, partial aggregation
 before anything moves, broadcast small-side joins, key-shuffled large joins.
 
-Grouped work has two recipes. Bounded-key GROUP BYs use ``_group_fold``: an
-Arrow ``group_by`` partial per block, the partials folded on the driver, then
-the query's own finish. Keys that grow with the data (per-user, per-document,
-per-hash, join keys) and per-key row queries use ``_key_shuffle``: every row
-of a key reaches one call of the query's kernel. Both treat NULL as one key,
-as SQL's GROUP BY and PARTITION BY do.
+Grouped work goes through the engine's one exchange, ``functions.exchange``:
+``_group_fold`` for bounded-key GROUP BYs, ``_key_shuffle`` and ``_key_fold``
+for keys that grow with the data and for per-key row queries. Both treat
+NULL as one key, as SQL's GROUP BY and PARTITION BY do.
 
 Float determinism: every float that reaches the driver's value-hash is rounded
 with ``floor(x * 10^d + 0.5) / 10^d`` — the same IEEE ops the oracle SQL uses
@@ -21,13 +19,13 @@ values despite different summation orders.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.exchange import (_as_dataset, _group_fold, _key_fold,
+                                  _key_shuffle, _pa_from_pandas, _salt_buckets)
 from ..functions.stats import chi2_test_counts, ks_2samp
 from ..sources.fragmented import cluster_cpus, data_blocks
 from .config import scratch_root
@@ -65,15 +63,6 @@ def _read_blocked(sf_dir: str, table: str, columns: list[str] | None = None,
         override_num_blocks=data_blocks(n, rows_per_block, floor))
 
 
-def _pa_from_pandas(df, **kw):
-    """``pa.Table.from_pandas`` minus the ``b'pandas'`` schema metadata:
-    pyarrow-16 schemas carrying that metadata are UNHASHABLE, which defeats
-    Ray's schema-dedup early exit at EVERY exchange these tables feed (and
-    logs a 'Failed to hash the schemas' warning per unify). Columns and
-    dtypes are untouched."""
-    return pa.Table.from_pandas(df, **kw).replace_schema_metadata(None)
-
-
 def _read_cpu_blocked(sf_dir: str, table: str,
                       columns: list[str] | None = None):
     """Blocked read whose floor is the CLUSTER width — for COMPUTE-bound
@@ -89,14 +78,6 @@ def _num_rows(sf_dir: str, table: str) -> int:
     import pyarrow.parquet as pq
 
     return pq.ParquetFile(f"{sf_dir}/{table}.parquet").metadata.num_rows
-
-
-def _salt_buckets(n_rows: int) -> int:
-    """Bucket count of a ``_key_shuffle`` over ``n_rows`` measured rows
-    (also the range count of the range-bucketed scans): one bucket a CPU,
-    one more a ~1M rows, so every CPU folds a bucket and a bucket's kernel
-    stays in memory as the data grows. No call site tunes it."""
-    return max(cluster_cpus(), n_rows // 1_000_000)
 
 
 def _round(x, d: int):
@@ -306,192 +287,6 @@ def _round_cols(df: pd.DataFrame, spec: dict[str, int]) -> pd.DataFrame:
     for col, d in spec.items():
         df[col] = _round(df[col].to_numpy(), d)
     return df
-
-
-# ---------------------------------------------------------------------------
-# Grouped work (SURVEY.md §2.3 / guide "Aggregation at scale"): two recipes.
-#
-# _group_fold, for a key domain bounded by the query (flags, statuses, event
-# types, fixed bins), never by the row count: each block is folded by Arrow's
-# group_by in the map task; the partials (at most blocks x groups rows) fold
-# again on the driver with each op's merge op; the query keeps only its
-# projection and its finish.
-#
-# _key_shuffle, for keys that grow with the data (users, documents, hashes,
-# join keys) and for per-key row queries (top-n, ranks, samples per key):
-# each block is projected (often a partial fold) and split by one NULL-safe
-# hash of the keys into buckets; each bucket is one call of the query's
-# kernel, which sees every row of its keys. _key_fold is _group_fold's
-# partials folded in those buckets instead of on the driver.
-#
-# NULL contract, both recipes: NULL is one key, equal to itself, as in SQL's
-# GROUP BY and PARTITION BY. Arrow's group_by keeps it as a group; a pandas
-# kernel must pass dropna=False (pandas' groupby drops it), and Ray's sort
-# groupby raises on a NULL string key, so neither recipe uses it.
-# ---------------------------------------------------------------------------
-
-# the op that folds an op's partials: counts add up, min/max fold by themselves
-_MERGE_OP = {"sum": "sum", "count": "sum", "count_all": "sum",
-             "min": "min", "max": "max"}
-
-
-def _arrow_fold(t: pa.Table, keys: list[str], aggs: dict, merge: bool = False
-                ) -> pa.Table:
-    """One Arrow ``group_by(keys)`` over ``t``: each of ``aggs``' ops on its
-    input column, or with ``merge`` each op's merge op on its output column
-    (partials folding again). Keys first, then ``aggs`` in order."""
-    spec = [(n, _MERGE_OP[op]) if merge else ([] if c is None else c, op)
-            for n, (c, op) in aggs.items()]
-    g = t.group_by(keys).aggregate(spec)
-    # pyarrow puts the keys first, then the aggregates in spec order
-    return pa.table(g.columns, names=[*keys, *aggs])
-
-
-def _group_fold(ds, keys: list[str], aggs: dict[str, tuple[str | None, str]],
-                project=None) -> pa.Table:
-    """GROUP BY ``keys`` over ``ds`` (after ``project(batch)``, if given):
-    ``aggs`` maps each output column to ``(input column, op)``, op one of
-    sum / count / count_all / min / max (count_all takes ``None``). Returns
-    one row per group, keys first; a NULL key is its own group. An input
-    with no rows gives the typed empty result (``project`` applied to the
-    source schema)."""
-    def partial(batch: pa.Table) -> pa.Table:
-        return _arrow_fold(batch if project is None else project(batch),
-                           keys, aggs)
-
-    parts = [b for b in ds.map_batches(partial, batch_format="pyarrow",
-                                       zero_copy_batch=True).iter_batches(
-                 batch_format="pyarrow", batch_size=None)
-             if b.num_columns]  # skip schema-less 0-row blocks
-    if not parts:  # no block at all: type the result from the source schema
-        src = ds.schema()
-        if src is None:
-            return pa.table({c: pa.nulls(0) for c in [*keys, *aggs]})
-        parts = [partial(src.base_schema.empty_table())]
-    return _arrow_fold(pa.concat_tables(parts), keys, aggs, merge=True)
-
-
-def _key_fold(ds, keys: list[str], aggs: dict[str, tuple[str | None, str]],
-              project=None):
-    """``_group_fold`` for keys that grow with the data: the per-block
-    partials meet in ``_key_shuffle`` buckets and fold again there, so no
-    step holds every group. Returns what ``_key_shuffle`` returns."""
-    def partial(batch: pa.Table) -> pa.Table:
-        return _arrow_fold(batch if project is None else project(batch),
-                           keys, aggs)
-
-    return _key_shuffle(ds, keys, lambda t: _arrow_fold(t, keys, aggs, True),
-                        partial, "pyarrow")
-
-
-def _key_hash(t: pa.Table, keys: list[str]) -> np.ndarray:
-    """One NULL-safe uint64 hash over the ``keys`` columns of ``t``: equal
-    key tuples hash equal, NULL equal to NULL. Integer and temporal columns
-    hash as int64, so an int32 key of one join side meets the int64 key of
-    the other; a float key hashes by its bits, so join sides must not mix
-    float and integer keys."""
-    from ..functions.hashing import hash64, splitmix64
-
-    h = np.zeros(t.num_rows, dtype=np.uint64)
-    for k in keys:
-        col = t[k]
-        if pa.types.is_integer(col.type) or pa.types.is_temporal(col.type):
-            col = col.cast(pa.int64())
-        valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
-        if pa.types.is_integer(col.type):
-            v = hash64(pc.fill_null(col, 0).to_numpy())
-        else:
-            v = hash64(col.to_numpy(zero_copy_only=False))
-        h = splitmix64(h ^ np.where(valid, v, np.uint64(0x5EED)))
-    return h
-
-
-def _split_block(block, project, keys: list[str], nb: int):
-    """Map side of ``_key_shuffle``: ``project`` the block, then its rows
-    per bucket (each slice typed, even when empty) and the bucket row
-    counts."""
-    from ray.data.block import BlockAccessor
-
-    t = BlockAccessor.for_block(block).to_arrow()
-    t = t if project is None else project(t)
-    b = (_key_hash(t, keys) % np.uint64(nb)).astype(np.int64)
-    order = np.argsort(b, kind="stable")
-    ends = np.searchsorted(b[order], np.arange(1, nb + 1))
-    return (*[t.take(p) for p in np.split(order, ends[:-1])],
-            np.diff(ends, prepend=0))
-
-
-def _fold_bucket(fn, batch_format: str, *parts):
-    """Reduce side of ``_key_shuffle``: one ``fn`` call over a bucket's
-    slices, and the output's row count."""
-    from ray.data.block import BlockAccessor
-
-    t = pa.concat_tables(parts, promote_options="default")
-    out = fn(BlockAccessor.for_block(t).to_pandas()
-             if batch_format == "pandas" else t)
-    return out, len(out)
-
-
-def _key_shuffle(ds, keys: list[str], fn, project=None,
-                 batch_format: str = "pandas"):
-    """Every row with equal ``keys`` (NULL equal to NULL, as in SQL's GROUP
-    BY and PARTITION BY) reaches the same ``fn`` call; one call holds many
-    keys. ``project`` (Arrow table -> Arrow table: a partial fold, a join
-    side's key column) runs on each block first. ``ds`` may be a list of
-    datasets, a join's sides, with ``project`` a matching list. ``fn`` gets
-    a bucket as a pandas frame or, with ``batch_format="pyarrow"``, an Arrow
-    table, and returns the same kind.
-
-    The exchange runs on Ray tasks over the executed input blocks: one
-    split task a block projects it and hashes its keys (``_key_hash``) into
-    typed bucket slices; one fold task a non-empty bucket calls ``fn``. The
-    bucket count is derived from the measured input: one bucket a CPU, one
-    more a ~1M rows. Returns a Dataset of the non-empty outputs; with none
-    (an empty input, or every call returning 0 rows), ``fn``'s typed empty
-    output as a ``pa.Table``."""
-    import ray
-
-    sides = list(zip(ds, project)) if isinstance(ds, list) else [(ds, project)]
-    sides = [(ray.data.from_arrow(d) if isinstance(d, pa.Table) else d, p)
-             for d, p in sides]
-    blocks = []  # (project ref, block ref, rows) of every non-empty block
-    for d, p in sides:
-        p_ref = ray.put(p)
-        blocks += [(p_ref, ref, meta.num_rows)
-                   for bundle in d.iter_internal_ref_bundles()
-                   for ref, meta in bundle.blocks if meta.num_rows]
-    nb = _salt_buckets(sum(n for *_, n in blocks))
-    split = _remote(_split_block).options(num_returns=nb + 1)
-    pieces = [split.remote(block, p, keys, nb) for p, block, _ in blocks]
-    counts = np.sum(ray.get([s[-1] for s in pieces]), axis=0) if pieces else []
-    fold = _remote(_fold_bucket).options(num_returns=2)
-    fn_ref = ray.put(fn)
-    outs = [fold.remote(fn_ref, batch_format, *[s[j] for s in pieces])
-            for j in np.flatnonzero(counts)]
-    refs = [o for (o, _), n in zip(outs, ray.get([n for _, n in outs])) if n]
-    if refs:
-        return (ray.data.from_pandas_refs(refs) if batch_format == "pandas"
-                else ray.data.from_arrow_refs(refs))
-    # a Dataset of 0-row blocks reads back with no columns: hand on the
-    # typed empty table itself
-    if outs:
-        out = ray.get(outs[0][0])
-    else:  # typed by the sides whose (empty) blocks still carry a schema
-        empty = pa.concat_tables(
-            [t if p is None else p(t) for t, p in
-             ((d.schema().base_schema.empty_table(), p) for d, p in sides
-              if d.schema() is not None)], promote_options="default")
-        out = fn(empty.to_pandas() if batch_format == "pandas" else empty)
-    return (_pa_from_pandas(out, preserve_index=False)
-            if isinstance(out, pd.DataFrame) else out)
-
-
-@functools.cache
-def _remote(f):
-    """``ray.remote(f)``, made once a process."""
-    import ray
-
-    return ray.remote(f)
 
 
 def q1_pricing_summary(sf_dir: str):
@@ -767,13 +562,17 @@ FROM lineitem GROUP BY l_returnflag, l_linestatus
 
 def heavy_hitter_users(sf_dir: str):
     """Exact top-5 heavy hitters (the CMS sketch is the at-scale screen —
-    tested against this exact answer in unit tests)."""
-    ds = _read_blocked(sf_dir, "events", ["user_id"])
-    from ray.data.aggregate import Count
+    tested against this exact answer in unit tests): per-user ``_key_fold``
+    counts, each bucket cut to its top 5, their top 5 on the driver."""
+    import ray
 
-    counts = ds.groupby("user_id").aggregate(Count(alias_name="n"))
-    out = counts.sort(["n", "user_id"], descending=[True, False]).limit(5)
-    return out
+    def top(t: pa.Table) -> pa.Table:
+        return t.sort_by([("n", "descending"),
+                          ("user_id", "ascending")]).slice(0, 5)
+
+    cuts = _key_fold(_read_blocked(sf_dir, "events", ["user_id"]),
+                     ["user_id"], {"n": (None, "count_all")}, finish=top)
+    return top(pa.concat_tables(ray.get(_as_dataset(cuts).to_arrow_refs())))
 
 
 HEAVY_HITTERS_SQL = """
@@ -850,8 +649,7 @@ def heavy_hitters_screened(sf_dir: str, k: int = 5, m: int = 1024):
             "heavy-hitter certificate failed (kth=%s <= bound=%d): "
             "falling back to the exact groupby",
             int(tot.n.iloc[-1]) if len(tot) else None, thresh_sum)
-        return _pa_from_pandas(heavy_hitter_users(sf_dir).to_pandas(),
-                                    preserve_index=False)
+        return heavy_hitter_users(sf_dir)
     return _pa_from_pandas(tot.reset_index(drop=True), preserve_index=False)
 
 
@@ -4697,53 +4495,22 @@ FROM t
 
 # ---------------------------------------------------------------------------
 # Entity resolution (block -> pair -> cluster): the fuzzy join's pair graph
-# collapsed into entity clusters by distributed connected components — the
-# full record-linkage composition, reusing the Pregel-style CC stage that
-# backs semantic dedup (functions/graph.py cc_min_label_distributed).
+# collapsed into entity clusters by connected components — the full
+# record-linkage composition, on the one CC entry that also backs semantic
+# dedup and the phash clusters (functions/graph.py connected_components).
 # ---------------------------------------------------------------------------
-
-
-ENTITY_CC_MAX_PAIRS = 5_000_000  # 16 B/pair -> <= 80 MB edge list on driver
 
 
 def entity_clusters_parts(sf_dir: str):
     """Cluster ids for every part that fuzzy-matches another (same brand,
-    Levenshtein <= 2): fuzzy pairs -> min-label CC -> (p_partkey,
-    cluster_id = component min key, cluster_size). Singletons (no match)
-    are omitted — they are their own entity. Same two-tier CC as semantic
-    dedup: below ENTITY_CC_MAX_PAIRS the gated edge list (2 int64/pair,
-    counted as metadata before any collect) solves on the driver kernel;
-    above it the Pregel-style cc_min_label_distributed runs with a
-    ``_key_shuffle`` on the label for the size/assembly pass. The oracle
-    walks the same pair graph with a recursive CTE."""
-    from ..functions.graph import cc_min_label, cc_min_label_distributed
+    Levenshtein <= 2): fuzzy pairs -> ``connected_components`` ->
+    (p_partkey, cluster_id = component min key, cluster_size). Singletons
+    (no match) are omitted — they are their own entity. The oracle walks
+    the same pair graph with a recursive CTE."""
+    from ..functions.graph import connected_components
 
-    pairs = fuzzy_match_parts(sf_dir).map_batches(
-        lambda b: pa.table({"va": b["key_a"].cast(pa.int64()),
-                            "vb": b["key_b"].cast(pa.int64())}),
-        batch_format="pyarrow").materialize()
-    if pairs.count() <= ENTITY_CC_MAX_PAIRS:
-        edges = pairs.to_pandas()
-        if not len(edges):
-            return pd.DataFrame({"p_partkey": pd.Series([], dtype=np.int64),
-                                 "cluster_id": pd.Series([], dtype=np.int64),
-                                 "cluster_size": pd.Series([], dtype=np.int64)})
-        nodes, reps = cc_min_label(edges.va.to_numpy(np.int64),
-                                   edges.vb.to_numpy(np.int64))
-        rep_ids, inv, sizes = np.unique(reps, return_inverse=True,
-                                        return_counts=True)
-        return pd.DataFrame({"p_partkey": nodes.astype(np.int64),
-                             "cluster_id": reps.astype(np.int64),
-                             "cluster_size": sizes[inv].astype(np.int64)})
-
-    def assemble(df: pd.DataFrame) -> pd.DataFrame:
-        sizes = df.groupby("lab", sort=False).lab.transform("size")
-        return pd.DataFrame({
-            "p_partkey": df.node.to_numpy().astype(np.int64),
-            "cluster_id": df.lab.to_numpy().astype(np.int64),
-            "cluster_size": sizes.to_numpy().astype(np.int64)})
-
-    return _key_shuffle(cc_min_label_distributed(pairs), ["lab"], assemble)
+    return connected_components(fuzzy_match_parts(sf_dir)).rename_columns(
+        ["p_partkey", "cluster_id", "cluster_size"])
 
 
 ENTITY_CLUSTERS_SQL = """

@@ -4,7 +4,7 @@ The large-scale training-data ops the engine ships beyond the reference's own
 operators: exact dedup, n-gram/word-set Jaccard near-dup, MinHash-LSH,
 SimHash, token counting, quality scoring, language-ID. All deterministic
 (hashing via functions.hashing), all expressed as Ray Data stages:
-vectorized ``map_batches``, key shuffles (``queries._key_shuffle``) and
+vectorized ``map_batches``, the keyed exchange (``functions.exchange``) and
 small-side state broadcast.
 """
 
@@ -18,7 +18,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import hash64, hash_family, splitmix64
-from .queries import _group_fold, _key_shuffle, _pa_from_pandas, _read, _round
+from ..functions.exchange import (_group_fold, _key_fold, _key_shuffle,
+                                  _pa_from_pandas, _salt_buckets)
+from .queries import _read, _round
 
 STOPWORDS = ("the", "a", "of", "and", "to")
 
@@ -54,18 +56,14 @@ def _tokens(text_series: pd.Series) -> pd.Series:
 
 
 def dedup_exact_documents(sf_dir: str):
-    ds = _read_docs(sf_dir, ["doc_id", "text"])
-
     def add_hash(batch: pa.Table) -> pa.Table:
         h = hash64(batch["text"].to_numpy(zero_copy_only=False))
         return pa.table({"doc_id": batch["doc_id"],
                          "text_hash": pa.array(h.astype(np.int64))})
 
-    from ray.data.aggregate import Min
-
-    hashed = ds.map_batches(add_hash, batch_format="pyarrow", zero_copy_batch=True)
-    keep = hashed.groupby("text_hash").aggregate(Min("doc_id", alias_name="doc_id"))
-    return keep.select_columns(["doc_id"])
+    return _key_fold(_read_docs(sf_dir, ["doc_id", "text"]), ["text_hash"],
+                     {"doc_id": ("doc_id", "min")}, add_hash,
+                     lambda t: t.select(["doc_id"]))
 
 
 DEDUP_EXACT_SQL = "SELECT MIN(doc_id) AS doc_id FROM documents GROUP BY text"
@@ -127,26 +125,20 @@ FROM r WHERE rn = 1
 def dedup_report_documents(sf_dir: str):
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def text_hash(batch: pa.Table) -> pa.Table:
         h = hash64(batch["text"].to_numpy(zero_copy_only=False))
-        v, c = np.unique(h, return_counts=True)
-        return pa.table({"h": pa.array(v.astype(np.int64)),
-                         "c": pa.array(c.astype(np.int64))})
+        return pa.table({"h": pa.array(h.astype(np.int64))})
 
-    from ray.data.aggregate import Sum
-
-    agg = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                         ).groupby("h").aggregate(Sum("c", alias_name="n"))
-
-    def summarize(batch: pa.Table) -> pa.Table:
-        n = batch["n"].to_numpy()
+    def summarize(t: pa.Table) -> pa.Table:  # a bucket's texts, one row
+        n = t["n"].to_numpy()
         return pa.table({
             "docs": pa.array([int(n.sum())], pa.int64()),
             "uniq": pa.array([int(n.size)], pa.int64()),
             "dups": pa.array([int((n - 1).sum())], pa.int64()),
         })
 
-    t = agg.map_batches(summarize, batch_format="pyarrow").to_pandas().sum()
+    t = _key_fold(ds, ["h"], {"n": (None, "count_all")}, text_hash,
+                  summarize).to_pandas().sum()
     return pa.Table.from_pylist([{
         "n_docs": int(t["docs"]), "n_unique_texts": int(t["uniq"]),
         "n_dup_docs": int(t["dups"]),
@@ -345,7 +337,7 @@ def _attach_words(pairs_ds, sf_dir: str, key: str, out_col: str,
 
 # verify-path gate: doc token blobs are broadcast only when the corpus is
 # provably small (parquet metadata count — no scan); otherwise the bucketed
-# map_groups join runs. 200k docs × ~25 tokens × 8 B ≈ 40 MB broadcast.
+# ``_key_shuffle`` join runs. 200k docs × ~25 tokens × 8 B ≈ 40 MB broadcast.
 VERIFY_BROADCAST_MAX_DOCS = 200_000
 
 
@@ -1196,7 +1188,7 @@ def pack_sequences_documents(sf_dir: str, budget: int = 512):
     scan pass don't recount tokens."""
     import ray
 
-    from .queries import _num_rows, _salt_buckets
+    from .queries import _num_rows
 
     ds = _read_docs(sf_dir, ["doc_id", "text"])
     # max over the id-only projection: never decode the text column for it
@@ -1386,9 +1378,10 @@ def bpe_pair_counts(sf_dir: str, k: int = 20):
     encoded once; pair codes are one vectorized ``b[:-1]*256 + b[1:]`` over
     the byte buffer with separator-adjacent pairs masked out, counted with
     one bincount(2^16). Each block emits only its nonzero (pair, n) rows —
-    a <= 65k-row partial regardless of block size — and the global merge is
-    a pair-cardinality groupby + driver top-k. Byte pairs == char pairs on
-    this ASCII corpus, which is what the character-based oracle compares."""
+    a <= 65k-row partial regardless of block size — and ``_group_fold``
+    merges them on the driver (the domain is bounded at 65,536) for the
+    top-k. Byte pairs == char pairs on this ASCII corpus, which is what
+    the character-based oracle compares."""
     ds = _read_docs(sf_dir, ["text"])
     sep = ord(" ")
 
@@ -1406,11 +1399,8 @@ def bpe_pair_counts(sf_dir: str, k: int = 20):
         return pa.table({"pair_code": pa.array(nz.astype(np.int64)),
                          "n": pa.array(counts[nz].astype(np.int64))})
 
-    from ray.data.aggregate import Sum
-
-    agg = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True
-                         ).groupby("pair_code").aggregate(
-        Sum("n", alias_name="n")).to_pandas()
+    agg = _group_fold(ds, ["pair_code"], {"n": ("n", "sum")},
+                      partial).to_pandas()
     agg["pair"] = [chr(c // 256) + chr(c % 256) for c in agg.pair_code]
     agg = agg.sort_values(["n", "pair"], ascending=[False, True]).head(k)
     return pa.table({"pair": pa.array(agg.pair.to_numpy(), pa.string()),

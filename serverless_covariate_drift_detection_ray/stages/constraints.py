@@ -5,11 +5,13 @@ over a column-pruned re-read of the table — only (image_id, phash,
 partition_id) ever enter a shuffle; the heavy ``bytes`` column never does.
 Each check has one shape below its driver gate and one above it, and the two
 shapes share their kernels, so crossing a gate never changes the output.
+Above the gates every exchange is the engine's keyed one
+(``functions.exchange``).
 
   * Uniqueness: per-block (image_id → count, min partition) partials, folded
     by one function — on the driver up to ``DUP_FOLD_ROWS_MAX`` partial rows,
-    in salted buckets beyond. Up to ``SCREEN_MAX_ROWS`` an id-hash screen
-    first narrows the partials to ids whose hash repeats.
+    in ``_key_shuffle`` buckets on image_id beyond. Up to ``SCREEN_MAX_ROWS``
+    an id-hash screen first narrows the partials to ids whose hash repeats.
   * Near-dup: band keys are 21/21/22-bit phash slices — two images within
     Hamming distance ≤ 2 share ≥ 1 band (pigeonhole). One band kernel
     verifies each band group's candidate pairs; connected components over
@@ -26,7 +28,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.graph import cc_labels, cc_min_label_distributed
+from ..functions.exchange import _as_dataset, _key_fold, _key_shuffle
+from ..functions.graph import cc_labels, connected_components
 from ..functions.hashing import hash64, probe_sorted
 from ..functions.phash import hamming_leq_pairs, phash_bands
 from ..pipelines.config import EngineConfig
@@ -50,11 +53,6 @@ SCREEN_MAX_ROWS = 50_000_000  # rows whose id hashes the driver screens (8 B eac
 DUP_FOLD_ROWS_MAX = 2_000_000
 NEARDUP_DRIVER_MAX = 50_000_000  # distinct phash values the driver will hold (8 B each)
 NEARDUP_BAND_CAP = 1024  # distinct values verified per band group
-
-
-def _n_buckets(rows: int, floor: int) -> int:
-    """Salt-bucket count for a shuffle of ``rows`` rows: ~2M rows a bucket."""
-    return max(floor, rows // 2_000_000)
 
 
 def _empty_violations() -> "ray.data.Dataset":  # noqa: F821
@@ -112,7 +110,9 @@ def check_uniqueness(ds) -> "ray.data.Dataset":  # noqa: F821
     repeated ones; when none exist (the common case) nothing else runs, and
     otherwise only rows with a repeated hash become partials. Above it,
     every non-null row becomes a partial. The partials then fold on the
-    driver up to ``DUP_FOLD_ROWS_MAX`` rows, and in salted buckets beyond.
+    driver up to ``DUP_FOLD_ROWS_MAX`` rows, and in ``_key_shuffle`` buckets
+    beyond: all partials of an id share its bucket, so the in-bucket sum is
+    the global count.
     """
     import ray
     import ray.data
@@ -147,18 +147,9 @@ def check_uniqueness(ds) -> "ray.data.Dataset":  # noqa: F821
             [t for t in ray.get(parts.to_arrow_refs()) if t.num_rows])))
 
     log.warning("uniqueness: %d partial rows exceed the driver fold bound — "
-                "folding in salted buckets", n_parts)
-    n_b = np.uint64(_n_buckets(n_parts, 64))
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        # all partials of an id share its bucket, so the in-bucket sum is
-        # the global count
-        b = (hash64(batch["image_id"].to_numpy(zero_copy_only=False))
-             % n_b).astype(np.int64)
-        return batch.append_column("dbkt", pa.array(b))
-
-    return parts.map_batches(add_bucket, batch_format="pyarrow").groupby(
-        "dbkt").map_groups(_fold_partials, batch_format="pyarrow")
+                "folding in key buckets", n_parts)
+    return _as_dataset(_key_shuffle(parts, ["image_id"], _fold_partials, None,
+                                    "pyarrow"))
 
 
 def _block_uniques(batch: pa.Table) -> pa.Table:
@@ -300,48 +291,32 @@ def _emit_flagged(ds, flag_vals: np.ndarray, reps: np.ndarray,
 
 
 def check_neardup_distributed(ds, cfg: EngineConfig) -> "ray.data.Dataset":  # noqa: F821
-    """At-scale near-dup path with DRIVER-IDENTICAL semantics: reduce to
-    distinct (phash, multiplicity) → band-explode the distinct values →
-    salted band-bucket shuffle verifying each band group with
+    """At-scale near-dup path with DRIVER-IDENTICAL semantics: distinct
+    (phash, multiplicity) by ``_key_fold`` → band-explode the distinct values
+    → one ``_key_shuffle`` on the band key verifying each band group with
     ``_band_edges`` into EDGES over values (16 B/pair) → one GLOBAL
-    distributed connected components (``cc_min_label_distributed``) →
-    every distinct value adopts its component label (values in no edge
-    label themselves) → cluster weight = Σ multiplicity ≥ min_cluster flags
-    values → the same broadcast flagged-value emit as the driver path.
+    ``connected_components`` over those edges and every distinct value,
+    weighted by multiplicity → components of weight ≥ min_cluster flag
+    their values → the same broadcast flagged-value emit as the driver path.
 
     CC is global, so chain clusters linked pair by pair through DIFFERENT
     bands are assembled, and ``observed`` carries the same "cluster-%016x"
     min-phash rep as the driver path.
     """
-    from ray.data.aggregate import Sum
-
     hmax, min_cluster = cfg.neardup_hamming_max, cfg.neardup_min_cluster
 
-    # ---- 1. distinct (v, mult): per-block unique partials, exact groupby ----
-    distinct = (ds.select_columns(["phash"])
-                .map_batches(_block_uniques, batch_format="pyarrow",
-                             zero_copy_batch=True)
-                .groupby("v").aggregate(Sum("c", alias_name="mult"))
-                .materialize())
-    n_distinct = distinct.count()
-    if n_distinct == 0:
-        return _empty_violations()
-
-    # ---- 2. band explode, salted by band key → verified edges over values ----
-    n_salt = np.uint64(_n_buckets(3 * n_distinct, 256))
+    # (node = distinct phash value, w = its row multiplicity)
+    distinct = _key_fold(ds, ["node"], {"w": ("w", "sum")}, lambda b:
+                         _block_uniques(b).rename_columns(["node", "w"]))
 
     def explode(batch: pa.Table) -> pa.Table:
-        v = batch["v"].to_numpy().astype(np.int64)
-        keys = phash_bands(v, 3).ravel()  # band idx lives in bits 58+
-        return pa.table({
-            "band_key": pa.array(keys, pa.int64()),
-            "v": pa.array(np.repeat(v, 3)),
-            "vbkt": pa.array((hash64(keys) % n_salt).astype(np.int64)),
-        })
+        v = batch["node"].to_numpy().astype(np.int64)
+        return pa.table({"band_key": phash_bands(v, 3).ravel(),  # band in bits 58+
+                         "v": np.repeat(v, 3)})
 
     def edges_bucket(t: pa.Table) -> pa.Table:
-        # one salt bucket holds EVERY row of its band keys (values are
-        # distinct here, so a key's rows are its full band group)
+        # a bucket holds EVERY row of its band keys (values are distinct
+        # here, so a key's rows are its full band group)
         bk = t["band_key"].to_numpy()
         v = t["v"].to_numpy().astype(np.int64)
         order = np.lexsort((v, bk))  # per band, values ascending
@@ -349,79 +324,20 @@ def check_neardup_distributed(ds, cfg: EngineConfig) -> "ray.data.Dataset":  # n
         return pa.table({"va": pa.array(v[a], pa.int64()),
                          "vb": pa.array(v[b], pa.int64())})
 
-    edges = (distinct.map_batches(explode, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-             .groupby("vbkt").map_groups(edges_bucket, batch_format="pyarrow")
-             .materialize())
+    edges = _key_shuffle(distinct, ["band_key"], edges_bucket, explode,
+                         "pyarrow")
 
-    # ---- 3. global CC → every distinct value's label → flagged (value, rep) ----
-    labels = cc_min_label_distributed(edges)
-    n_b = np.uint64(_n_buckets(n_distinct, 8))
+    def flag(t: pa.Table) -> pa.Table:
+        return t.filter(pc.greater_equal(t["size"], min_cluster)).select(
+            ["node", "lab"])
 
-    def tag_dist(batch: pa.Table) -> pa.Table:
-        v = batch["v"].to_numpy().astype(np.int64)
-        return pa.table({
-            "v": pa.array(v), "lab": pa.nulls(v.size, pa.int64()),
-            "mult": batch["mult"].cast(pa.int64()),
-            "jbkt": pa.array((hash64(v) % n_b).astype(np.int64)),
-        })
-
-    def tag_lab(batch: pa.Table) -> pa.Table:
-        v = batch["node"].to_numpy().astype(np.int64)
-        return pa.table({
-            "v": pa.array(v), "lab": batch["lab"].cast(pa.int64()),
-            "mult": pa.nulls(v.size, pa.int64()),
-            "jbkt": pa.array((hash64(v) % n_b).astype(np.int64)),
-        })
-
-    def attach_lab(t: pa.Table) -> pa.Table:
-        # value rows adopt their CC label; values absent from the edge
-        # set are singleton components labelled by themselves.
-        # drop_null keeps int64 exact (nulls mark the other row kind)
-        is_lab = pc.is_valid(t["lab"]).to_numpy(zero_copy_only=False)
-        v = t["v"].to_numpy()
-        lv = v[is_lab]
-        lab = t["lab"].drop_null().to_numpy().astype(np.int64)
-        o = np.argsort(lv, kind="stable")
-        lv, lab = lv[o], lab[o]
-        dv = v[~is_lab]
-        mult = t["mult"].drop_null().to_numpy().astype(np.int64)
-        out_lab = dv.copy()
-        if lv.size:
-            p = np.minimum(np.searchsorted(lv, dv), lv.size - 1)
-            hit = lv[p] == dv
-            out_lab[hit] = lab[p[hit]]
-        return pa.table({"v": pa.array(dv), "lab": pa.array(out_lab),
-                         "mult": pa.array(mult)})
-
-    def tag_labbkt(batch: pa.Table) -> pa.Table:
-        lab = batch["lab"].to_numpy().astype(np.int64)
-        return batch.append_column(
-            "lbkt", pa.array((hash64(lab) % n_b).astype(np.int64)))
-
-    def flag_components(t: pa.Table) -> pa.Table:
-        # all members of a label share its bucket: exact cluster weight
-        lab = t["lab"].to_numpy().astype(np.int64)
-        v = t["v"].to_numpy().astype(np.int64)
-        mult = t["mult"].to_numpy().astype(np.int64)
-        o = np.argsort(lab, kind="stable")
-        lab, v, mult = lab[o], v[o], mult[o]
-        starts = np.flatnonzero(np.r_[True, lab[1:] != lab[:-1]])
-        w = np.add.reduceat(mult, starts)
-        keep = np.repeat(w >= min_cluster, np.diff(np.r_[starts, lab.size]))
-        return pa.table({"v": pa.array(v[keep]), "rep": pa.array(lab[keep])})
-
-    # flagged set collects to the driver for the broadcast emit — its
+    # the flagged set collects to the driver for the broadcast emit — its
     # size is bounded by the ACTUAL near-dup violation count (16 B/value)
-    fl = (distinct.map_batches(tag_dist, batch_format="pyarrow")
-          .union(labels.map_batches(tag_lab, batch_format="pyarrow"))
-          .groupby("jbkt").map_groups(attach_lab, batch_format="pyarrow")
-          .map_batches(tag_labbkt, batch_format="pyarrow")
-          .groupby("lbkt").map_groups(flag_components, batch_format="pyarrow")
-          .to_pandas())
+    fl = connected_components(edges, distinct).map_batches(
+        flag, batch_format="pyarrow").to_pandas()
     if not len(fl):
         return _empty_violations()
-    flagged_v = fl["v"].to_numpy(np.int64)
+    flagged_v = fl["node"].to_numpy(np.int64)
     order = np.argsort(flagged_v, kind="stable")
     return _emit_flagged(ds, flagged_v[order],
-                         fl["rep"].to_numpy(np.int64)[order], hmax)
+                         fl["lab"].to_numpy(np.int64)[order], hmax)

@@ -5,6 +5,23 @@ import pytest
 os.environ.setdefault("RAY_DEDUP_LOGS", "0")
 
 
+def _schema_changes(caplog, run) -> list[str]:
+    """The "different schema" records Ray's executor logs while ``run()``
+    runs. Ray Data's loggers do not propagate to the root logger caplog
+    hooks, so the handler goes on the executor's logger itself."""
+    import logging
+
+    executor_log = logging.getLogger(
+        "ray.data._internal.execution.streaming_executor_state")
+    executor_log.addHandler(caplog.handler)
+    try:
+        run()
+    finally:
+        executor_log.removeHandler(caplog.handler)
+    return [r.getMessage() for r in caplog.records
+            if "different schema" in r.getMessage()]
+
+
 @pytest.fixture(scope="session")
 def ray_session():
     import ray

@@ -1,8 +1,11 @@
 """Property tests for the shared connected-components kernel
-(functions/graph.py, used by semantic dedup and the phash cluster passes):
-labels must equal a ground-truth union-find over arbitrary edge lists."""
+(functions/graph.py, used by semantic dedup, entity clusters and the phash
+cluster passes): labels must equal a ground-truth union-find over
+arbitrary edge lists, on both sides of the driver-solve gate."""
 
 import numpy as np
+import pytest
+from conftest import _schema_changes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,35 +57,43 @@ def test_cc_self_loops_and_duplicates():
     assert got == {5: 5, 6: 5, 7: 5, 8: 8, 9: 8}
 
 
-def test_distributed_cc_dedup_matches_driver_path(ray_session, monkeypatch):
-    """Forcing the edge-list gate to 0 routes semantic dedup through the
+def test_distributed_cc_dedup_matches_driver_path(ray_session, monkeypatch,
+                                                  caplog):
+    """Forcing the edge gate to 0 routes semantic dedup through the
     distributed Pregel-style CC; survivors and cluster sizes must match the
-    driver-kernel path exactly."""
+    driver-kernel path exactly, and Ray logs no block schema change."""
     import pandas as pd
 
+    from serverless_covariate_drift_detection_ray.functions import graph
     from serverless_covariate_drift_detection_ray.pipelines import ann
 
     sf = "/root/testdata/sf0.001"
     a = ann.dedup_semantic_embeddings(sf).to_pandas().sort_values(
         "vec_id").reset_index(drop=True)
-    monkeypatch.setattr(ann, "EMB_CC_MAX_PAIRS", 0)
-    b = ann.dedup_semantic_embeddings(sf).to_pandas().sort_values(
-        "vec_id").reset_index(drop=True)
+    monkeypatch.setattr(graph, "CC_DRIVER_MAX_EDGES", 0)
+    out = []
+    changes = _schema_changes(caplog, lambda: out.append(
+        ann.dedup_semantic_embeddings(sf).to_pandas()))
+    b = out[0].sort_values("vec_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=True)
+    assert not changes, changes
 
 
-def test_cc_min_label_distributed_full_int64_range(ray_session):
-    """The arrow-exact distributed CC must match the driver kernel on ids
-    spanning the FULL signed-int64 domain (|id| >= 2^53 would alias through
-    a pandas float64 round-trip — the reason ann's CC refuses them), on a
-    long chain (adversarial diameter for plain propagation), with duplicate
-    and self edges."""
+@pytest.mark.parametrize("gate", [10**9, -1], ids=["driver", "rounds"])
+@pytest.mark.parametrize("case", ["chain", "empty", "isolated"])
+def test_cc_min_label_distributed_full_int64_range(ray_session, monkeypatch,
+                                                   case, gate):
+    """``connected_components`` must match the driver kernel on both sides
+    of its edge gate: on ids spanning the FULL signed-int64 domain (|id| >=
+    2^53 would alias through a pandas float64 round-trip), on a long chain
+    (adversarial diameter for plain propagation), with duplicate and self
+    edges; with no edge at all; and with isolated ``nodes``, which come
+    back labelled by themselves with size 1 (``nodes`` that are also
+    endpoints come back once)."""
     import pyarrow as pa
     import ray.data
 
-    from serverless_covariate_drift_detection_ray.functions.graph import (
-        cc_min_label_distributed,
-    )
+    from serverless_covariate_drift_detection_ray.functions import graph
 
     rng = np.random.default_rng(11)
     ids = np.unique(rng.integers(-2**63, 2**63 - 1, size=120, dtype=np.int64))
@@ -95,12 +106,31 @@ def test_cc_min_label_distributed_full_int64_range(ray_session):
         b.append(int(ids[j]))
     a += a[:10]                                    # duplicate edges
     b += b[:10]
-    a = np.array(a, np.int64)
-    b = np.array(b, np.int64)
+    a = np.array(a if case != "empty" else [], np.int64)
+    b = np.array(b if case != "empty" else [], np.int64)
     nodes_ref, rep_ref = _cc_min_label(a, b)
+    _, inv, counts = np.unique(rep_ref, return_inverse=True, return_counts=True)
+    size_ref = counts[inv]
+    nodes = None
+    if case == "isolated":
+        iso = np.setdiff1d(np.array([-2**63, -5, 0, 2**53 + 1, 2**63 - 1],
+                                    np.int64), nodes_ref)
+        nodes = pa.table({"id": np.concatenate([iso, nodes_ref[:3]])})
+        order = np.argsort(np.concatenate([nodes_ref, iso]), kind="stable")
+        nodes_ref = np.concatenate([nodes_ref, iso])[order]
+        rep_ref = np.concatenate([rep_ref, iso])[order]
+        size_ref = np.concatenate([size_ref, np.ones(iso.size, np.int64)])[order]
+    monkeypatch.setattr(graph, "CC_DRIVER_MAX_EDGES", gate)
     pairs = ray.data.from_arrow(
-        pa.table({"va": pa.array(a), "vb": pa.array(b)})).repartition(4)
-    out = cc_min_label_distributed(pairs).to_pandas().sort_values(
-        "node").reset_index(drop=True)
-    assert np.array_equal(out["node"].to_numpy(), nodes_ref)
-    assert np.array_equal(out["lab"].to_numpy(), rep_ref)
+        pa.table({"va": pa.array(a), "vb": pa.array(b)}))
+    if a.size:  # Ray's repartition of 0 rows drops the schema
+        pairs = pairs.repartition(4)
+    cc = graph.connected_components(pairs, nodes)
+    assert cc.schema().names == ["node", "lab", "size"]
+    out = (cc.to_pandas().sort_values("node").reset_index(drop=True)
+           if nodes_ref.size else cc.to_pandas())
+    assert len(out) == nodes_ref.size
+    if nodes_ref.size:
+        assert np.array_equal(out["node"].to_numpy(), nodes_ref)
+        assert np.array_equal(out["lab"].to_numpy(), rep_ref)
+        assert np.array_equal(out["size"].to_numpy(), size_ref)

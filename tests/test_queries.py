@@ -10,6 +10,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 import pytest
+from conftest import _schema_changes
 
 SF = "/root/testdata/sf0.001"
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
@@ -42,23 +43,6 @@ def _oracled_names():
     return sorted(e.oracle_sql())
 
 
-def _schema_changes(caplog, run) -> list[str]:
-    """The "different schema" records Ray's executor logs while ``run()``
-    runs. Ray Data's loggers do not propagate to the root logger caplog
-    hooks, so the handler goes on the executor's logger itself."""
-    import logging
-
-    executor_log = logging.getLogger(
-        "ray.data._internal.execution.streaming_executor_state")
-    executor_log.addHandler(caplog.handler)
-    try:
-        run()
-    finally:
-        executor_log.removeHandler(caplog.handler)
-    return [r.getMessage() for r in caplog.records
-            if "different schema" in r.getMessage()]
-
-
 @pytest.mark.parametrize("name", _oracled_names())
 def test_query_matches_oracle(ray_session, oracle, caplog, name):
     """EVERY oracled query vs DuckDB at sf0.001 — parametrized off the
@@ -77,8 +61,8 @@ def test_query_matches_oracle(ray_session, oracle, caplog, name):
     assert not changes, changes
 
 
-# every oracled query that folds through queries._group_fold, then the
-# oracled per-key queries of queries._key_shuffle that a NULL key broke
+# every oracled query that folds through exchange._group_fold, then the
+# oracled per-key queries of exchange._key_shuffle that a NULL key broke
 NULL_KEY_QUERIES = [
     "q1_pricing_summary", "rollup_pricing_summary", "cube_pricing_summary",
     "column_stats_lineitem", "chi2_event_type", "split_proportions_orders",
@@ -177,7 +161,7 @@ def test_key_shuffle_keeps_equal_keys_in_one_call(ray_session):
     import pyarrow as pa
     import ray.data
 
-    from serverless_covariate_drift_detection_ray.pipelines.queries import (
+    from serverless_covariate_drift_detection_ray.functions.exchange import (
         _key_shuffle,
     )
 
@@ -446,12 +430,14 @@ def test_ann_ivf_recall_vs_exact(ray_session):
     assert len(ipairs & epairs) >= len(epairs) * 0.5
     assert (ivf.neighbor_id >= 10).all()
     assert set(ivf.query_id) == set(exact.query_id)
-    # reported cosines must be the true similarities (exact within-cell math)
+    # reported cosines must be the true similarities (exact within-cell
+    # math, in float64 as the exact scan): rtol=0, so a 1e-6 rounding
+    # difference fails
     merged = ivf.merge(exact, on=["query_id", "neighbor_id"], suffixes=("_i", "_e"))
-    assert np.allclose(merged.cos_i, merged.cos_e, atol=1e-9)
+    assert np.allclose(merged.cos_i, merged.cos_e, rtol=0, atol=1e-9)
 
 
-def test_embedding_neardup_lsh_path_above_gate(ray_session):
+def test_embedding_neardup_lsh_path_above_gate(ray_session, monkeypatch):
     """Above NEARDUP_BROADCAST_MAX_DOCS the pair emitter must route to the
     LSH+within-bucket-verify scale path (no NotImplementedError left on any
     queries() path): precision 1.0 (every emitted pair is a true >=tau pair
@@ -461,7 +447,8 @@ def test_embedding_neardup_lsh_path_above_gate(ray_session):
     from serverless_covariate_drift_detection_ray.pipelines import ann
 
     exact = _to_df(ann.embedding_neardup_pairs(SF))
-    lsh = _to_df(ann.embedding_neardup_pairs(SF, max_broadcast_docs=0))
+    monkeypatch.setattr(ann, "NEARDUP_BROADCAST_MAX_DOCS", 0)
+    lsh = _to_df(ann.embedding_neardup_pairs(SF))
     epairs = set(zip(exact.vec_a, exact.vec_b))
     lpairs = set(zip(lsh.vec_a, lsh.vec_b))
     assert lpairs <= epairs  # precision 1.0
@@ -758,6 +745,21 @@ def test_ann_ivf_persistent_index_reuse_and_recall(ray_session, tmp_path):
     assert meta["source_rows"] > 0
 
 
+def test_ivf_index_holds_one_file_per_cell(ray_session, tmp_path):
+    """The IVF build routes each cell's rows into one exchange bucket, so
+    the index holds at most one parquet file a cell (a block-wise write
+    puts a file from every block into most cells)."""
+    import os
+
+    from serverless_covariate_drift_detection_ray.pipelines import ann
+
+    meta = ann.build_ivf_index(SF, str(tmp_path / "idx"))
+    n_files = sum(len(os.listdir(os.path.join(tmp_path, "idx", "cells", d)))
+                  for d in os.listdir(tmp_path / "idx" / "cells"))
+    assert 0 < n_files <= meta["n_cells"]
+    assert n_files == sum(len(f) for f in meta["files"].values())
+
+
 def test_ivf_append_matches_full_rebuild(ray_session, tmp_path):
     """Incremental IVF append (extend-reference semantics: frozen centroids,
     manifest+fingerprint published last) must answer probed queries
@@ -799,16 +801,23 @@ def test_ivf_append_matches_full_rebuild(ray_session, tmp_path):
     pd.testing.assert_frame_equal(appended, rebuilt, check_exact=True)
 
 
-def test_entity_clusters_distributed_path_matches_driver(ray_session, monkeypatch):
-    """Forcing the pair gate to 0 routes entity clustering through the
-    distributed CC; output must match the driver-kernel path exactly."""
+def test_entity_clusters_distributed_path_matches_driver(ray_session,
+                                                        monkeypatch, caplog):
+    """Forcing the edge gate to 0 routes entity clustering through the
+    distributed CC; output must match the driver-kernel path exactly, and
+    Ray logs no block schema change on the way."""
     import __ray_entry__ as e
+    from serverless_covariate_drift_detection_ray.functions import graph
     from serverless_covariate_drift_detection_ray.pipelines import queries as Q
 
     driver = _canon(_to_df(e.queries()["entity_clusters_parts"](SF)))
-    monkeypatch.setattr(Q, "ENTITY_CC_MAX_PAIRS", 0)
-    dist = _canon(_to_df(Q.entity_clusters_parts(SF)))
+    monkeypatch.setattr(graph, "CC_DRIVER_MAX_EDGES", 0)
+    out = []
+    changes = _schema_changes(
+        caplog, lambda: out.append(_to_df(Q.entity_clusters_parts(SF))))
+    dist = _canon(out[0])
     pd.testing.assert_frame_equal(driver, dist, check_dtype=False)
+    assert not changes, changes
 
 
 def test_pagerank_distributed_path_matches_driver(ray_session, monkeypatch):

@@ -25,6 +25,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from conftest import _schema_changes
 
 SF_DIR = "/root/testdata/sf0.001"
 
@@ -64,12 +65,13 @@ def test_write_plots_rejects_mixed_histogram_configs(tmp_path):
     assert any(p.endswith("hist_w.svg") for p in written)
 
 
-def test_uniqueness_dup_fold_gate_parity(ray_session, monkeypatch):
-    """The PK-uniqueness driver fold must emit exactly what the salted
-    bucket fold emits, with and without the id-hash screen: one row per
+def test_uniqueness_dup_fold_gate_parity(ray_session, monkeypatch, caplog):
+    """The PK-uniqueness driver fold must emit exactly what the key-bucket
+    fold emits, with and without the id-hash screen: one row per
     duplicated KEY, observed = exact global count, partition_id = min
-    locus. DUP_FOLD_ROWS_MAX = -1 forces the salted fold, and
-    SCREEN_MAX_ROWS = -1 then skips the screen as inputs above it do."""
+    locus; the bucket fold logs no block schema change. DUP_FOLD_ROWS_MAX
+    = -1 forces the bucket fold, and SCREEN_MAX_ROWS = -1 then skips the
+    screen as inputs above it do."""
     import ray.data
 
     from serverless_covariate_drift_detection_ray.stages import constraints as C
@@ -88,14 +90,17 @@ def test_uniqueness_dup_fold_gate_parity(ray_session, monkeypatch):
 
     fold = run()
     monkeypatch.setattr(C, "DUP_FOLD_ROWS_MAX", -1)  # fan-out bound trips
-    via_rows_gate = run()
+    out = []
+    changes = _schema_changes(caplog, lambda: out.append(run()))
     monkeypatch.setattr(C, "SCREEN_MAX_ROWS", -1)  # every row a partial
-    unscreened = run()
+    changes += _schema_changes(caplog, lambda: out.append(run()))
+    via_rows_gate, unscreened = out
     assert list(fold.image_id) == ["dup-a", "dup-b"]
     assert list(fold.observed) == ["3", "2"]
     assert list(fold.partition_id) == [1, 0]  # min partition locus
     pd.testing.assert_frame_equal(fold, unscreened)
     pd.testing.assert_frame_equal(fold, via_rows_gate)
+    assert not changes, changes
 
 
 @pytest.mark.parametrize("ids,dups", [([], []), ([None, None], []),

@@ -11,6 +11,7 @@ import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
 import pytest
+from conftest import _schema_changes
 
 from bench import _violations_digest
 from serverless_covariate_drift_detection_ray.fixtures.gen import ensure_fixture
@@ -353,11 +354,26 @@ class TestReportSink:
 
 
 
+def _distributed_neardup(C, ds, cfg, sort_cols, caplog, monkeypatch):
+    """``check_neardup_distributed``'s rows sorted by ``sort_cols``, its CC
+    forced onto the distributed rounds, and the "different schema" records
+    Ray logged meanwhile."""
+    from serverless_covariate_drift_detection_ray.functions import graph
+
+    monkeypatch.setattr(graph, "CC_DRIVER_MAX_EDGES", 0)
+    out = []
+    changes = _schema_changes(caplog, lambda: out.append(
+        C.check_neardup_distributed(ds, cfg).to_pandas()))
+    return out[0].sort_values(sort_cols).reset_index(drop=True), changes
+
+
 class TestNeardupDistributedParity:
-    def test_distributed_path_matches_driver_path(self, ray_session):
-        """The at-scale near-dup path (salted band-bucket shuffles) must flag
-        the same (image_id, cluster-size) facts as the driver-coordinated
-        path on the same input — forced via the row-count gate."""
+    def test_distributed_path_matches_driver_path(self, ray_session, caplog,
+                                                  monkeypatch):
+        """The at-scale near-dup path (keyed-exchange band shuffle and the
+        distributed CC) must flag the same (image_id, cluster-size) facts
+        as the driver-coordinated path on the same input, with no block
+        schema change logged — forced via the row-count gate."""
         import pandas as pd
 
         from serverless_covariate_drift_detection_ray.pipelines.config import EngineConfig
@@ -372,14 +388,16 @@ class TestNeardupDistributedParity:
         sort_cols = ["image_id", "observed"]
         driver = C.check_neardup(ds, cfg).to_pandas().sort_values(
             sort_cols).reset_index(drop=True)
-        dist = C.check_neardup_distributed(ds, cfg).to_pandas().sort_values(
-            sort_cols).reset_index(drop=True)
+        dist, changes = _distributed_neardup(C, ds, cfg, sort_cols, caplog,
+                                             monkeypatch)
         assert len(driver) > 0  # the fixture seeds near-dup clusters
         # BIT-IDENTICAL output contract: same rows, same cluster-%016x reps —
         # crossing the row-count gate must not change what a consumer sees
         pd.testing.assert_frame_equal(driver, dist)
+        assert not changes, changes
 
-    def test_chain_cluster_across_bands(self, ray_session):
+    def test_chain_cluster_across_bands(self, ray_session, caplog,
+                                        monkeypatch):
         """A cluster linked pair-by-pair through DIFFERENT bands (A-B close
         via one band, A-C via another; band buckets of size 2 each) must be
         assembled by the distributed path's GLOBAL connected components —
@@ -409,14 +427,15 @@ class TestNeardupDistributedParity:
         sort_cols = ["image_id", "observed"]
         driver = C.check_neardup(ds, cfg).to_pandas().sort_values(
             sort_cols).reset_index(drop=True)
-        dist = C.check_neardup_distributed(ds, cfg).to_pandas().sort_values(
-            sort_cols).reset_index(drop=True)
+        dist, changes = _distributed_neardup(C, ds, cfg, sort_cols, caplog,
+                                             monkeypatch)
         assert set(driver.image_id) == {"img-000", "img-001", "img-002"}
         pd.testing.assert_frame_equal(driver, dist)
+        assert not changes, changes
 
     @pytest.mark.parametrize("with_edges", [True, False],
                              ids=["chain", "no_edges"])
-    def test_distributed_cc_branch_and_singletons(self, ray_session,
+    def test_distributed_cc_branch_and_singletons(self, ray_session, caplog,
                                                   monkeypatch, with_edges):
         """The distributed path's distributed CC must match the driver path;
         exact-dup singleton clusters (mult >= min_cluster, no edges) flag in
@@ -451,7 +470,8 @@ class TestNeardupDistributedParity:
                 sort_cols).reset_index(drop=True)
 
         driver = run(C.check_neardup)
-        dist = run(C.check_neardup_distributed)
+        dist, changes = _distributed_neardup(C, ds, cfg, sort_cols, caplog,
+                                             monkeypatch)
         monkeypatch.setattr(C, "NEARDUP_DRIVER_MAX", 0)
         gated = run(C.check_neardup)
         n = len(chain)
@@ -459,6 +479,7 @@ class TestNeardupDistributedParity:
             f"img-{i:03d}" for i in range(0 if with_edges else n, n + 3)}
         pd.testing.assert_frame_equal(driver, dist)
         pd.testing.assert_frame_equal(driver, gated)
+        assert not changes, changes
 
 
 class TestResumeConfigInvalidation:

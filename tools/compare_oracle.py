@@ -12,6 +12,9 @@ which query results changed. Run it from the root of the checkout under
 test: Ray workers import the package from their working directory.
 
 Usage: python tools/compare_oracle.py [query ...]   (default: all oracled)
+Env: GRAFT_SF_DIR (tables, default sf0.01), RAY_GRAFT_CPUS (Ray CPUs, as
+bench.py reads it; default 8). Two runs a side at RAY_GRAFT_CPUS=1 and =4
+are the CPU-count hash audit.
 """
 
 from __future__ import annotations
@@ -86,7 +89,8 @@ def main():
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False)
+        ray.init(address="local", include_dashboard=False,
+                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "8")))
     sys.path.insert(0, os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
     import __ray_entry__ as e
