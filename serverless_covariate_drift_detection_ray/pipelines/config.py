@@ -42,7 +42,9 @@ class EngineConfig:
     fmt_categories: tuple[str, ...] = FMT_CATEGORIES
     neardup_hamming_max: int = 2       # bucket-verify threshold
     neardup_min_cluster: int = 3       # cluster size that counts as a violation
-    batch_size: int = 1024             # binary-heavy rows → modest batches
+    # per-call row cap of the featurize stage inside one fused read task
+    # (the task maps a whole read block; this is not a Ray batch size)
+    batch_size: int = 1024
     freeze_time: str | None = None     # fixed verdict timestamp for byte-stable goldens
     quarantine: bool = False           # opt-in dead-letter sink (re-reads violating fragments)
     quarantine_max_rows: int = 1_000_000  # skip (with a summary note) beyond this

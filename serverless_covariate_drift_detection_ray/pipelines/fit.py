@@ -58,14 +58,20 @@ def _merged_state_row(pid: int, merged: PartialState) -> pa.Table:
 def featurize_partials(ds, cfg: EngineConfig,
                        manifest_broadcast: dict | None = None):
     """THE featurize pass: stateless ``featurize_task`` tasks over ``ds``,
-    materialized. Ray fuses the parquet read into the same task and shares
-    every CPU between read and compute, so the pass runs at any cluster
-    size; the output is a few KB per block (sketch partials + violation
-    rows), so the bytes never enter a shuffle."""
+    materialized. The map takes whole blocks (``batch_size=None``): Ray
+    will not fuse a read into a ``map_batches`` that sets a batch size, so
+    this is what makes the plan one ``ReadParquet->MapBatches(
+    featurize_task)`` operator, one task per read block, with the image
+    bytes never written to the object store. ``cfg.batch_size`` caps the
+    rows of one stage call inside the task. A read split finer than its
+    fragments stays unfused (``sources.fragmented.read_blocks``) and runs
+    one featurize task per split block. The output is a few KB per block
+    (sketch partials + violation rows), so the bytes never enter a
+    shuffle."""
     return ds.map_batches(
         partial(featurize_task, cfg=cfg, manifest_broadcast=manifest_broadcast),
         batch_format="pyarrow",
-        batch_size=cfg.batch_size,
+        batch_size=None,
         zero_copy_batch=True,
     ).materialize()
 

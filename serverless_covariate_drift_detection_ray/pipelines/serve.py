@@ -19,8 +19,12 @@ for the tests — so a served verdict is bit-identical to what the batch
 pass would emit for the same rows (pinned in tests). Small windows (the
 serving case) run in-process with zero Ray tasks: the callable-class stage
 is constructed directly, which is the same code the stateless featurize
-tasks run. Windows above SERVE_DRIVER_MAX_ROWS fan out through the batch
-pipeline's own featurize pass (``fit.featurize_partials``).
+tasks run. Windows above SERVE_DRIVER_MAX_ROWS go through the batch
+pipeline's own featurize pass (``fit.featurize_partials``), but that does
+not fan out: ``ray.data.from_arrow(table)`` is one block, so the window runs
+as ONE featurize task (its rows cut to ``cfg.batch_size`` per stage call).
+Slicing the window into blocks would change the t-digest ``stats``
+quantiles, which are merge-order dependent; it waits for exact sketches.
 """
 
 from __future__ import annotations

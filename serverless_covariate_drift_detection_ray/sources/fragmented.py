@@ -186,7 +186,13 @@ def read_blocks(fragments: list[FragmentInfo], columns: list[str] | None) -> int
     cut 9 single-row-group fragments into 54 blocks of 48 rows, and the
     constraint executions queued dozens of tiny tasks behind featurize. A
     bytes read is compute-bound per row: one block per fragment, raised to
-    the cluster width only when fragments are fewer than CPUs."""
+    the cluster width only when fragments are fewer than CPUs.
+
+    A raised count splits fragments after the read, and Ray does not fuse a
+    read with a split factor above 1 into the map after it: that read stays
+    its own operator, its blocks cross the object store, and featurize runs
+    one task per split block. One block per fragment keeps the read fused
+    into featurize."""
     if columns is not None and "bytes" not in columns:
         return data_blocks(sum(f.rows for f in fragments))
     return max(len(fragments), cluster_cpus())

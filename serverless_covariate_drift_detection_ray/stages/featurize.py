@@ -190,6 +190,10 @@ class FeaturizeAndSketch:
             except Exception as exc:
                 add_one(i, "decode_ok", "bytes", type(exc).__name__, "decodable")
                 continue
+            if img.size == 0:  # a 0-pixel image has no intensity marginal
+                add_one(i, "decode_ok", "bytes", f"empty shape {img.shape}",
+                        "decodable")
+                continue
             # intensity histogram instead of a float64 image copy: s1/s2 are
             # the same exact integers either way (hist @ levels sums integer
             # products < 2^53), so mean/std are bit-identical — without the
@@ -287,11 +291,14 @@ class FeaturizeAndSketch:
 # ---------------------------------------------------------------------------
 # Stateless-task wrapper: the one way the pipelines run the stage
 # (``pipelines.fit.featurize_partials``; the drift stage's warm-worker
-# pattern). Ray fuses the parquet read into the same task and shares every
-# CPU between read and compute, so the pass needs no reserved CPU split and
-# runs at any cluster size. The broadcast id-set is still fetched once per
-# WORKER process: warm workers are reused across tasks and the cache is
-# keyed by (config fingerprint, broadcast ref id).
+# pattern). The pass maps whole blocks (``batch_size=None``), so Ray fuses
+# the parquet read into the same task: one ``ReadParquet->MapBatches(
+# featurize_task)`` task per read block, the bytes stay in the worker heap,
+# and every CPU is shared between read and compute with no reserved split.
+# Inside the task ``cfg.batch_size`` caps the rows of one stage call. The
+# broadcast id-set is still fetched once per WORKER process: warm workers
+# are reused across tasks and the cache is keyed by (config fingerprint,
+# broadcast ref id).
 # ---------------------------------------------------------------------------
 
 _WORKER_CACHE: dict = {}
@@ -322,4 +329,8 @@ def featurize_task(batch: pa.Table, cfg: EngineConfig,
         while len(_WORKER_CACHE) >= 2:
             _WORKER_CACHE.pop(next(iter(_WORKER_CACHE)))
         _WORKER_CACHE[key] = st
-    return st(batch)
+    step = cfg.batch_size
+    if batch.num_rows <= step:
+        return st(batch)
+    return pa.concat_tables([st(batch.slice(lo, step))
+                             for lo in range(0, batch.num_rows, step)])

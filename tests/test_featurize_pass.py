@@ -1,0 +1,123 @@
+"""The featurize pass: one fused ``ReadParquet->MapBatches(featurize_task)``
+task per read block, ``EngineConfig.batch_size`` as the per-call row cap
+inside it, and rows the stage must flag rather than crash on."""
+
+import os
+import re
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import pytest
+
+from serverless_covariate_drift_detection_ray.fixtures.gen import ensure_fixture
+from serverless_covariate_drift_detection_ray.functions.codec import encode_image
+from serverless_covariate_drift_detection_ray.functions.hashing import hash64
+from serverless_covariate_drift_detection_ray.pipelines.config import EngineConfig
+from serverless_covariate_drift_detection_ray.pipelines.fit import featurize_partials
+from serverless_covariate_drift_detection_ray.sources.fragmented import (
+    TableManifest, cluster_cpus, read_blocks, read_images)
+from serverless_covariate_drift_detection_ray.stages import featurize as fz
+from serverless_covariate_drift_detection_ray.state.partials import PartialState
+
+
+@pytest.fixture(scope="module")
+def manifest():
+    return TableManifest.load(ensure_fixture("tiny"))
+
+
+@pytest.fixture(scope="module")
+def fragment(manifest):
+    """The reference partition's one fragment, as the read hands it over."""
+    f = next(f for f in manifest.fragments
+             if manifest.partitions[f.partition_id]["kind"] == "reference")
+    return pq.read_table(os.path.join(manifest.root, f.file))
+
+
+def _operator_tasks(stats: str) -> dict[str, int]:
+    """``{operator name: tasks executed}`` from ``Dataset.stats()``."""
+    return {name: int(n) for name, n in re.findall(
+        r"^Operator \d+ (\S+): (\d+) tasks executed", stats, re.M)}
+
+
+class TestFusedPass:
+    def test_images_read_fuses_into_featurize(self, ray_session, manifest):
+        """Fragments >= CPUs: Ray fuses the read into featurize, one task
+        per planned read block, so the bytes never enter the object store."""
+        assert len(manifest.fragments) >= cluster_cpus()
+        out = featurize_partials(read_images(manifest), EngineConfig())
+        assert _operator_tasks(out.stats()) == {
+            "ReadParquet->MapBatches(featurize_task)":
+                read_blocks(manifest.fragments, None)}
+
+    def test_split_read_runs_one_featurize_task_per_block(self, ray_session,
+                                                           manifest):
+        """Fewer fragments than CPUs: the read splits its one fragment to
+        the cluster width and stays unfused, and every split block gets its
+        own featurize task instead of one bundle."""
+        keep = manifest.partition_ids()[0]
+        skip = set(manifest.partition_ids()) - {keep}
+        out = featurize_partials(read_images(manifest, skip_partitions=skip),
+                                 EngineConfig())
+        tasks = _operator_tasks(out.stats())
+        assert tasks["MapBatches(featurize_task)"] == cluster_cpus()
+        assert not any(name.startswith("ReadParquet->MapBatches")
+                       for name in tasks)
+
+
+class TestRowCap:
+    def test_block_is_sliced_at_batch_size(self, fragment):
+        """A 250-row block under batch_size=64 is exactly the four 64-row
+        stage calls, concatenated."""
+        cfg = EngineConfig(batch_size=64)
+        assert fragment.num_rows == 250
+        stage = fz.FeaturizeAndSketch(cfg)
+        want = pa.concat_tables([stage(fragment.slice(lo, 64))
+                                 for lo in (0, 64, 128, 192)])
+        got = fz.featurize_task(fragment, cfg)
+        assert got.equals(want)
+        parts = got.filter(pc.equal(got["kind"], "partial"))
+        assert parts.num_rows == 4
+        assert sum(parts["n_rows"].to_pylist()) == 250
+
+    def test_empty_block_returns_typed_empty_table(self, fragment):
+        got = fz.featurize_task(fragment.slice(0, 0), EngineConfig(batch_size=64))
+        assert got.num_rows == 0
+        assert got.schema.equals(fz.OUT_SCHEMA)
+
+
+@pytest.mark.parametrize("fmt", ["png", "bmp", "lossy8"])
+def test_zero_pixel_image_flags_its_row(fragment, fmt):
+    """A 0x0 image decodes to an empty array: its row gets a decode_ok
+    violation naming the shape, adds no pixel marginal, and every other row
+    of the block still gets featurized."""
+    cfg = EngineConfig()
+    stage = fz.FeaturizeAndSketch(cfg)
+    ids = fragment["image_id"].to_numpy(zero_copy_only=False).astype(object)
+    i = int(np.nonzero(hash64(ids) < stage.decode_thresh)[0][0])
+    empty = encode_image(np.zeros((0, 0), np.uint8), fmt)
+    bytes_col = fragment["bytes"].to_pylist()
+    fmt_col = fragment["fmt"].to_pylist()
+    bytes_col[i], fmt_col[i] = empty, fmt
+    broken = fragment.set_column(
+        fragment.schema.get_field_index("bytes"), "bytes",
+        pa.array(bytes_col, fragment.schema.field("bytes").type),
+    ).set_column(fragment.schema.get_field_index("fmt"), "fmt",
+                 pa.array(fmt_col, fragment.schema.field("fmt").type))
+
+    def pixel_mean_count(out):
+        parts = out.filter(pc.equal(out["kind"], "partial"))
+        assert parts.num_rows == 1
+        state = PartialState.from_bytes(parts["state"][0].as_py())
+        assert state.n_rows == fragment.num_rows
+        return state.stats["pixel_mean"].count
+
+    out = stage(broken)
+    vio = out.filter(pc.equal(out["kind"], "violation")).to_pylist()
+    decode = [v for v in vio if v["check"] == "decode_ok"]
+    assert [(v["image_id"], v["observed"]) for v in decode] == [
+        (ids[i], "empty shape (0, 0)")]
+    assert not any(v["check"] == "phash_match_decoded" and
+                   v["image_id"] == ids[i] for v in vio)
+    assert pixel_mean_count(out) == pixel_mean_count(stage(fragment)) - 1
