@@ -160,7 +160,7 @@ def _fold_bucket(fn, batch_format: str, *parts):
 
 
 def _key_shuffle(ds, keys: list[str], fn, project=None,
-                 batch_format: str = "pandas"):
+                 batch_format: str = "pandas", schema: pa.Schema | None = None):
     """Every row with equal ``keys`` (NULL equal to NULL, as in SQL's GROUP
     BY and PARTITION BY) reaches the same ``fn`` call; one call holds many
     keys. ``project`` (Arrow table -> Arrow table: a partial fold, a join
@@ -175,7 +175,10 @@ def _key_shuffle(ds, keys: list[str], fn, project=None,
     bucket count is derived from the measured input: one bucket a CPU, one
     more a ~1M rows. Returns a Dataset of the non-empty outputs; with none
     (an empty input, or every call returning 0 rows), ``fn``'s typed empty
-    output as a ``pa.Table``."""
+    output as a ``pa.Table``. When no side carries a schema either (every
+    block a schema-less 0-row one, as Ray's repartition of 0 rows makes),
+    that empty output is ``schema.empty_table()``: callers whose input can
+    be such a Dataset pass the result ``schema``."""
     import ray
 
     sides = list(zip(ds, project)) if isinstance(ds, list) else [(ds, project)]
@@ -204,10 +207,12 @@ def _key_shuffle(ds, keys: list[str], fn, project=None,
     if outs:
         out = ray.get(outs[0][0])
     else:  # typed by the sides whose (empty) blocks still carry a schema
-        empty = pa.concat_tables(
-            [t if p is None else p(t) for t, p in
-             ((d.schema().base_schema.empty_table(), p) for d, p in sides
-              if d.schema() is not None)], promote_options="default")
+        typed = [t if p is None else p(t) for t, p in
+                 ((d.schema().base_schema.empty_table(), p) for d, p in sides
+                  if d.schema() is not None)]
+        if not typed and schema is not None:
+            return schema.empty_table()
+        empty = pa.concat_tables(typed, promote_options="default")
         out = fn(empty.to_pandas() if batch_format == "pandas" else empty)
     return (_pa_from_pandas(out, preserve_index=False)
             if isinstance(out, pd.DataFrame) else out)

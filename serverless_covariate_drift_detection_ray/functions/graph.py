@@ -132,6 +132,10 @@ def _sized(t: pa.Table) -> pa.Table:
                      "lab": pa.array(lab), "size": pa.array(size[inv])})
 
 
+# (node, lab) label rows; the edges of an empty graph may carry no schema
+_LABEL_SCHEMA = pa.schema([("node", pa.int64()), ("lab", pa.int64())])
+
+
 def _cc_rounds(edges, max_rounds: int = 64):
     """Labels ``(node, lab)`` of every endpoint of ``edges`` by Pregel-style
     rounds of three ``_key_shuffle`` calls: each label reaches its node's
@@ -141,7 +145,7 @@ def _cc_rounds(edges, max_rounds: int = 64):
     authorities on the label). The driver sees only the changed count of a
     round. Every kernel joins by numpy searchsorted over int64 arrays."""
     labels = _key_shuffle(edges, ["node"], _distinct_nodes, _endpoints,
-                          "pyarrow")
+                          "pyarrow", _LABEL_SCHEMA)
     for _ in range(max_rounds):
         msgs = _key_shuffle([edges, labels], ["j"], _join_msgs,
                             [_sym_edges, _label_src], "pyarrow")

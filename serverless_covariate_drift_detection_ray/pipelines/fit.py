@@ -19,17 +19,22 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.fragmented import TableManifest, read_images
-from ..stages.constraints import VIOLATION_SCHEMA
+from ..stages.constraints import KEY_SCHEMA, VIOLATION_SCHEMA
 from ..stages.drift import VERDICT_SCHEMA, drift_verdicts_batch
-from ..stages.featurize import featurize_task
+from ..stages.featurize import OUT_SCHEMA, featurize_task
 from ..state.partials import PartialState
 from ..state.reference import ReferenceState
 from .config import EngineConfig
 
-# reduced-stream rows (partials + domain violations) the driver will collect;
-# beyond this the split/merge runs distributed (a pathological partition where
-# every row violates must not ride through the driver)
+# reduced-stream rows (partials + domain violations + one key row per input
+# row) the driver will collect; beyond this the split/merge and the
+# constraint checks run distributed (a pathological partition where every
+# row violates must not ride through the driver)
 REDUCED_DRIVER_MAX = 500_000
+
+# the block-size bound featurize_partials declares for its output: a
+# 1,024-row stage call writes ~100 KB of partials and ~40 KB of key rows
+FEATURIZE_BLOCK_BYTES = 8 << 20
 
 # partial-state rows above which the per-partition merge runs as a distributed
 # groupby instead of driver-submitted stripe tasks (~100 KB per partial row)
@@ -65,47 +70,60 @@ def featurize_partials(ds, cfg: EngineConfig,
     bytes never written to the object store. ``cfg.batch_size`` caps the
     rows of one stage call inside the task. A read split finer than its
     fragments stays unfused (``sources.fragmented.read_blocks``) and runs
-    one featurize task per split block. The output is a few KB per block
-    (sketch partials + violation rows), so the bytes never enter a
-    shuffle."""
-    return ds.map_batches(
+    one featurize task per split block.
+
+    The output is KB-scale per block (sketch partials, violation rows and
+    one key row per input row), so the bytes never enter a shuffle, and the
+    pass tells Ray so: until a task finishes, Ray prices each running
+    task's output at ``target_max_block_size`` times the streaming
+    generator's 2-block buffer
+    (``ray/data/_internal/execution/interfaces/op_runtime_metrics.py:585-604``),
+    256 MiB at the default, which under a 512 MiB object store admits one
+    featurize task at a time. ``FEATURIZE_BLOCK_BYTES`` is set on this
+    Dataset's own ``DataContext`` (each Dataset holds a private copy), so
+    every CPU gets a task from the start and the global context is left as
+    it was."""
+    out = ds.map_batches(
         partial(featurize_task, cfg=cfg, manifest_broadcast=manifest_broadcast),
         batch_format="pyarrow",
         batch_size=None,
         zero_copy_batch=True,
-    ).materialize()
+    )
+    out.context.target_max_block_size = FEATURIZE_BLOCK_BYTES
+    return out.materialize()
+
+
+# what split_reduced returns, in order: each row kind and its schema
+_SPLIT = (("violation", VIOLATION_SCHEMA), ("partial", STATE_ROW_SCHEMA),
+          ("key", KEY_SCHEMA))
+
+
+def _kind_rows(kind: str, schema: pa.Schema):
+    """Featurize output -> its ``kind`` rows in ``schema``."""
+    def fn(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.equal(batch["kind"], kind)).select(
+            schema.names).cast(schema)
+    return fn
 
 
 def split_reduced(reduced):
-    """Split the featurize output into (violation rows, partial rows).
+    """Split the featurize output into (violation rows, partial rows, key
+    rows).
 
-    The reduced stream is a few KB per input block — collect it once on the
-    driver and split locally while it provably fits (REDUCED_DRIVER_MAX);
-    the partials then come back as a ``pa.Table``. Beyond that the split
-    stays distributed and the partials come back as a Dataset."""
-    import ray.data
-
+    While the reduced stream fits (``REDUCED_DRIVER_MAX`` rows, the key
+    rows included) it is collected once and split on the driver, and all
+    three come back as ``pa.Table``s (``VIOLATION_SCHEMA``,
+    ``STATE_ROW_SCHEMA``, ``KEY_SCHEMA``). Beyond that the split stays
+    distributed and all three come back as Datasets."""
     if reduced.count() <= REDUCED_DRIVER_MAX:
-        tbl = pa.concat_tables(list(
-            reduced.iter_batches(batch_size=1 << 16, batch_format="pyarrow")))
-        violations = ray.data.from_arrow(
-            tbl.filter(pc.equal(tbl["kind"], "violation"))
-            .select(VIOLATION_SCHEMA.names).cast(VIOLATION_SCHEMA))
-        return violations, tbl.filter(
-            pc.equal(tbl["kind"], "partial")).select(STATE_ROW_SCHEMA.names)
-
-    def keep(kind: str, cols: list[str]):
-        def fn(batch: pa.Table) -> pa.Table:
-            return batch.filter(pc.equal(batch["kind"], kind)).select(cols)
-        return fn
-
-    violations = reduced.map_batches(
-        keep("violation", VIOLATION_SCHEMA.names), batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).map_batches(lambda t: t.cast(VIOLATION_SCHEMA), batch_format="pyarrow")
-    return violations, reduced.map_batches(
-        keep("partial", STATE_ROW_SCHEMA.names), batch_format="pyarrow",
-        zero_copy_batch=True)
+        tbl = pa.concat_tables([OUT_SCHEMA.empty_table(), *(
+            reduced.iter_batches(batch_size=1 << 16, batch_format="pyarrow"))])
+        return tuple(_kind_rows(kind, schema)(tbl)
+                     for kind, schema in _SPLIT)
+    return tuple(reduced.map_batches(_kind_rows(kind, schema),
+                                     batch_format="pyarrow",
+                                     zero_copy_batch=True)
+                 for kind, schema in _SPLIT)
 
 
 def _merge_stripe(tbl: pa.Table, pids: list, cfg: EngineConfig,
@@ -179,7 +197,7 @@ def _merged_partition_state(manifest: TableManifest, pids: set[int],
     the per-partition rows merged in partition_id order."""
     skip = set(manifest.partition_ids()) - pids
     reduced = featurize_partials(read_images(manifest, skip_partitions=skip), cfg)
-    _, partials = split_reduced(reduced)
+    _, partials, _ = split_reduced(reduced)
     per_part, _ = merge_per_partition(partials, cfg)
     return merge_partials_table(per_part, cfg)
 

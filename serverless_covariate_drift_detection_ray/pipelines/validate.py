@@ -1,12 +1,19 @@
 """The main validation DAG (SURVEY.md §3.2):
 
-    read(images) [a block per fragment, >= CPUs; finished partitions skipped]
-      → map_batches(featurize_task)              [stateless tasks; bytes never shuffle]
-      → split: violations | per-block partials
+    read(images) [read_blocks: >= one task a CPU, >= 1,024 rows a task;
+                  finished partitions skipped]
+      → map_batches(featurize_task)   [the ONE scan of the image files, read
+                                       fused in; stateless tasks; bytes
+                                       never shuffle]
+      → split: violations | per-block partials | keys (one row per image)
+      → keys → uniqueness + near-dup    [driver kernels on the key table;
+                                         _key_shuffle exchanges past the
+                                         split's driver cap]
+      → violations = domain ++ uniqueness ++ near-dup  [Arrow concat; a
+                                                        Dataset union past
+                                                        the cap]
       → merge partials per partition → drift     [stripe tasks, drift fused in;
                                                   groupby past the driver cap]
-      ‖ pruned key re-read → uniqueness groupby  [shuffle #1 — id/count rows]
-      ‖ pruned key re-read → phash band groupby  [shuffle #2 — band rows]
       → violations size gate: driver collect up to VIOLATIONS_DRIVER_MAX,
                               groupby("partition_id") beyond it
       → one writer per partition (_write_partition_violations; clean
@@ -14,8 +21,11 @@
       → quarantine from the written files        [cfg.quarantine]
       → per-partition commit (verdicts + column_stats + lineage)
 
-Block counts come from the manifest (``sources.fragmented.read_blocks``) and
-are reported as ``summary["read_blocks"]``.
+A ``validate(resume=False)`` within the split's driver cap runs one Ray Data
+execution, the featurize pass; a resumed run adds one key-column read of the
+skipped partitions, because uniqueness is table-wide. Block counts come from
+the manifest (``sources.fragmented.read_blocks``) and are reported as
+``summary["read_blocks"]``.
 
 The size gate only decides where each partition's violation rows are
 gathered: both sides hand them to the same writer, so the files, the
@@ -27,6 +37,7 @@ from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pyarrow as pa
@@ -34,7 +45,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..sources.fragmented import TableManifest, read_blocks, read_images
-from ..stages.constraints import VIOLATION_SCHEMA, check_neardup, check_uniqueness
+from ..stages.constraints import (KEY_SCHEMA, VIOLATION_SCHEMA, check_neardup,
+                                  check_uniqueness)
 from ..stages.drift import TS_FORMAT, VERDICT_SCHEMA
 from ..state.atomic import atomic_publish
 from ..state.checkpoint import CheckpointStore, config_fingerprint
@@ -44,30 +56,6 @@ from .fit import featurize_partials, merge_per_partition, split_reduced
 
 CONSTRAINT_CHECKS = ("unique_image_id", "neardup_phash")
 
-
-def _warm_fsspec_http() -> None:
-    """Make ``from fsspec.implementations.http import HTTPFileSystem``
-    deterministic before dataset executions run on two driver threads.
-
-    In this sandbox aiohttp is absent, so the import fails — Ray's
-    path-resolution catches only ModuleNotFoundError, and a second thread
-    racing the failing import sees a half-initialized module and gets a plain
-    ImportError instead (uncaught). Installing a complete stub module (the
-    class is only ever used in isinstance checks against non-HTTP
-    filesystems) removes the race."""
-    import sys
-    import types
-
-    try:
-        import fsspec.implementations.http  # noqa: F401
-    except ImportError:
-        mod = types.ModuleType("fsspec.implementations.http")
-
-        class HTTPFileSystem:  # stub: aiohttp absent in-sandbox
-            pass
-
-        mod.HTTPFileSystem = HTTPFileSystem
-        sys.modules["fsspec.implementations.http"] = mod
 
 # total violation rows collected to the driver; beyond this, each partition's
 # rows reach the writer through a groupby instead (set 0 to force that side)
@@ -261,8 +249,21 @@ def validate(
     cfg: EngineConfig | None = None,
     resume: bool = True,
 ) -> dict:
-    """Run the full validation pass; returns a summary dict."""
-    import ray
+    """Run the full validation pass; returns a summary dict.
+
+    ``summary["stages"]`` holds wall seconds per step, in the order they
+    run: ``featurize`` (the one scan), ``split`` (featurize output into
+    violations, partials and keys), ``bg_ids_read`` (the key table
+    complete: the resumed partitions' keys read back, ~0 on a fresh run),
+    ``bg_uniq_setup`` and ``bg_neardup_setup`` (``check_uniqueness`` and
+    ``check_neardup`` on the keys: the whole checks on the driver, the
+    checks' driver side and their exchanges past the cap),
+    ``constraints_join`` (the three violation sources joined) and
+    ``constraints`` (the joined Dataset executed; 0 on the driver),
+    ``merge_partials`` (with the drift checks; ``drift`` stays 0.0),
+    ``commit_io``, ``quarantine`` (when on) and ``commit`` (the rest).
+    The ``bg_`` names date from when these ran on a helper thread."""
+    import ray.data
 
     cfg = cfg or EngineConfig()
     t0 = time.time()
@@ -300,104 +301,70 @@ def validate(
         # hash + sort once on the driver; ship the sorted uint64 probe array
         broadcast = {"ref": ray.put(np.sort(hash64(ids.astype(object))))}
 
-    # ---- constraint pipelines kick off CONCURRENTLY with featurize ----
-    # the pruned id/phash re-read + the driver-side near-dup candidate pass
-    # are independent of the featurize output, so a helper thread builds and
-    # (partially) executes them while the bytes-heavy pass owns the CPUs —
-    # their fixed driver cost would otherwise serialize after featurize and
-    # cap scaling efficiency at high parallelism
-    from concurrent.futures import ThreadPoolExecutor
-
-    _warm_fsspec_http()
-
     stage_t = {}
-    constraint_t = {}
-    # the layout this run reads with: the featurize read's planned blocks,
-    # and the key read's materialized ones (set by build_constraints)
+    # the layout this run reads with: the featurize read's planned blocks
     summary["read_blocks"] = {
         "images": read_blocks(manifest.select_fragments(set(todo)), None)}
 
-    def build_constraints():
-        # bg_* times are thread-side wall — they OVERLAP the featurize stage
-        # and are excluded from the main-thread residual accounting
-        t = time.time()
-        ids_ds = read_images(
-            manifest, columns=["image_id", "phash", "partition_id"]
-        ).materialize()
-        constraint_t["bg_ids_read"] = time.time() - t
-        summary["read_blocks"]["keys"] = ids_ds.num_blocks()
-        # setup only: the screens' driver-side collects and numpy passes are
-        # free to overlap featurize (they use no cluster CPU); the final
-        # shuffle datasets execute later — overlapping them would just
-        # time-slice a featurize stage that already saturates every core
-        t = time.time()
-        uniq = check_uniqueness(ids_ds)
-        constraint_t["bg_uniq_setup"] = time.time() - t
-        t = time.time()
-        neardup = check_neardup(ids_ds, cfg)
-        constraint_t["bg_neardup_setup"] = time.time() - t
-        return uniq, neardup
-
-    pool = ThreadPoolExecutor(max_workers=1)
-    constraints_fut = pool.submit(build_constraints)
-
-    # ---- pass 1: bytes-heavy featurize + sketch partials ----
-    # stateless featurize_task tasks (warm-worker module cache) with the
-    # parquet read fused in; the broadcast id-set probes referential
-    # integrity inside the same pass
+    # ---- the one scan of the image files: featurize + sketch partials +
+    # constraint keys, the parquet read fused in; the broadcast id-set
+    # probes referential integrity inside the same pass ----
     ds = read_images(manifest, skip_partitions=finished)
     t1 = time.time()
     reduced = featurize_partials(ds, cfg, broadcast)
     stage_t["featurize"] = time.time() - t1
 
-    # violations | per-block partials: driver-side while the reduced stream
-    # fits, distributed beyond (fit.split_reduced)
+    # violations | per-block partials | keys: tables on the driver while the
+    # reduced stream fits, Datasets beyond (fit.split_reduced)
     t1 = time.time()
-    domain_viol_ds, partials = split_reduced(reduced)
+    domain_viol, partials, keys = split_reduced(reduced)
     stage_t["split"] = time.time() - t1
 
-    # ---- join the concurrently-built constraint pipelines, and launch
-    # their union/materialize IMMEDIATELY so the constraint shuffles run
-    # while the sketch partials merge and the drift checks run ----
+    # uniqueness is table-wide: a resumed partition's keys still count, so
+    # they are read back (key columns only) when partitions were skipped
     t1 = time.time()
-    try:
-        uniq_viol, neardup_viol = constraints_fut.result()
-    except Exception:
-        # thread-side failure (e.g. a racy lazy import): rebuild sequentially
-        uniq_viol, neardup_viol = build_constraints()
-    pool.shutdown(wait=False)
-    stage_t["constraints_join"] = time.time() - t1  # ~0 when hidden by featurize
+    if finished:
+        done = read_images(manifest, columns=KEY_SCHEMA.names,
+                           skip_partitions=set(todo))
+        if isinstance(keys, pa.Table):
+            keys = pa.concat_tables([keys, *(
+                t.select(KEY_SCHEMA.names).cast(KEY_SCHEMA)
+                for t in ray.get(done.to_arrow_refs()) if t.num_rows)])
+        else:
+            keys = keys.union(done)
+    stage_t["bg_ids_read"] = time.time() - t1
 
-    def conform(t: pa.Table) -> pa.Table:
-        return pa.table({f.name: t[f.name].cast(f.type) for f in VIOLATION_SCHEMA},
-                        schema=VIOLATION_SCHEMA)
+    # ---- the constraint checks, on the driver when the keys are a table ----
+    t1 = time.time()
+    uniq_viol = check_uniqueness(keys)
+    stage_t["bg_uniq_setup"] = time.time() - t1
+    t1 = time.time()
+    neardup_viol = check_neardup(keys, cfg)
+    stage_t["bg_neardup_setup"] = time.time() - t1
 
-    def exec_constraints():
-        v = domain_viol_ds.union(
-            uniq_viol.map_batches(conform, batch_format="pyarrow"),
-            neardup_viol.map_batches(conform, batch_format="pyarrow"),
-        ).materialize()
-        return v, v.count()
-
-    cpool = ThreadPoolExecutor(max_workers=1)
-    viol_fut = cpool.submit(exec_constraints)
+    t1 = time.time()
+    if isinstance(domain_viol, pa.Table):
+        violations = pa.concat_tables([domain_viol, uniq_viol, neardup_viol])
+    else:
+        violations = domain_viol.union(uniq_viol, neardup_viol)
+    stage_t["constraints_join"] = time.time() - t1
+    t1 = time.time()
+    if isinstance(violations, pa.Table):
+        n_viol = violations.num_rows
+    else:
+        violations = violations.materialize()
+        n_viol = violations.count()
+    stage_t["constraints"] = time.time() - t1
 
     # ---- merge sketch partials per partition, with the drift checks vs
     # the frozen reference fused into the merge tasks (stateless tasks over
     # the WARM featurize worker processes, the reference window loaded once
     # per worker via the module cache in stages.drift — the reference's
-    # SingletonMeta contract). The constraint union is already executing on
-    # the helper thread, so drift and the constraint shuffles run
-    # CONCURRENTLY ----
+    # SingletonMeta contract) ----
     t1 = time.time()
     per_part, verdicts = merge_per_partition(partials, cfg, ref_state_dir)
     stage_t["merge_partials"] = time.time() - t1
     stage_t["drift"] = 0.0  # fused into merge_partials
-
-    t1 = time.time()
-    viol_ds, n_viol = viol_fut.result()
-    cpool.shutdown(wait=False)
-    stage_t["constraints"] = time.time() - t1  # residual beyond the drift overlap
 
     ts = cfg.freeze_time or time.strftime("%d/%m/%Y %H:%M:%S.000000", time.gmtime())
     assert TS_FORMAT  # format documented in stages.drift
@@ -419,13 +386,16 @@ def validate(
                     return VIOLATION_COUNTS_SCHEMA.empty_table()
                 return _write_partition_violations(store, t)
 
+            if isinstance(violations, pa.Table):
+                violations = ray.data.from_arrow(violations)
             t1 = time.time()
-            counts = viol_ds.groupby("partition_id").map_groups(
+            counts = violations.groupby("partition_id").map_groups(
                 write_group, batch_format="pyarrow").take_all()
         else:
-            collected = pa.concat_tables(list(viol_ds.iter_batches(
-                batch_size=1 << 16, batch_format="pyarrow"))
-            ) if n_viol else VIOLATION_SCHEMA.empty_table()
+            collected = violations if isinstance(violations, pa.Table) else \
+                pa.concat_tables([VIOLATION_SCHEMA.empty_table(), *(
+                    violations.iter_batches(batch_size=1 << 16,
+                                            batch_format="pyarrow"))])
 
             def write_slice(pid: int) -> list[dict]:
                 t = collected.filter(pc.equal(collected["partition_id"], pid))
@@ -515,7 +485,6 @@ def validate(
     stage_t["commit_io"] += time.time() - t1
 
     stage_t["commit"] = time.time() - t0 - sum(stage_t.values())
-    stage_t.update(constraint_t)  # overlapped thread-side walls, reported only
     summary["stages"] = {k: round(v, 2) for k, v in stage_t.items()}
     summary.update({
         "wall_s": wall,

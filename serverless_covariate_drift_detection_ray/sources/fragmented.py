@@ -171,6 +171,12 @@ def data_blocks(rows: int, rows_per_block: int = 262_144, floor: int = 4) -> int
     return max(floor, rows // rows_per_block)
 
 
+# rows below which a bytes read is not cut into another featurize task, once
+# every CPU has one: EngineConfig.batch_size's default, the stage's per-call
+# row cap
+TASK_ROWS = 1024
+
+
 def cluster_cpus() -> int:
     import ray
 
@@ -181,21 +187,29 @@ def read_blocks(fragments: list[FragmentInfo], columns: list[str] | None) -> int
     """Block count ``read_images`` reads ``fragments`` with, from the
     manifest alone.
 
-    A key read (no ``bytes`` column: ids, hashes, partition ids for the
-    constraint shuffles) is KB-scale and gets ``data_blocks`` — Ray's split
-    cut 9 single-row-group fragments into 54 blocks of 48 rows, and the
-    constraint executions queued dozens of tiny tasks behind featurize. A
-    bytes read is compute-bound per row: one block per fragment, raised to
-    the cluster width only when fragments are fewer than CPUs.
+    A key read (no ``bytes`` column: ids, hashes, partition ids) is KB-scale
+    and gets ``data_blocks`` — Ray's split cut 9 single-row-group fragments
+    into 54 blocks of 48 rows. A bytes read feeds featurize, one task per
+    block: ``min(max(fragments, CPUs), max(CPUs, ceil(rows / TASK_ROWS)))``.
+    That is at least one task per CPU; past that, no task below
+    ``TASK_ROWS`` rows (the stage's per-call row cap), and never more tasks
+    than fragments once fragments outnumber CPUs. A small table thus runs
+    in one wave of fragment groups (the 9-fragment, 2,592-row perfbench
+    table in 3 tasks at 3 CPUs) instead of queueing short tasks behind
+    Ray's 0.1 s dispatch poll (``ray.wait(..., timeout=0.1)``,
+    ``ray/data/_internal/execution/streaming_executor_state.py:499-504``).
 
-    A raised count splits fragments after the read, and Ray does not fuse a
-    read with a split factor above 1 into the map after it: that read stays
-    its own operator, its blocks cross the object store, and featurize runs
-    one task per split block. One block per fragment keeps the read fused
-    into featurize."""
+    Fewer blocks than fragments group whole fragments into one read task,
+    which Ray still fuses into the featurize map. A count above the
+    fragments (fewer fragments than CPUs) splits fragments after the read,
+    and Ray does not fuse a read with a split factor above 1 into the map
+    after it: that read stays its own operator, its blocks cross the object
+    store, and featurize runs one task per split block."""
+    rows = sum(f.rows for f in fragments)
     if columns is not None and "bytes" not in columns:
-        return data_blocks(sum(f.rows for f in fragments))
-    return max(len(fragments), cluster_cpus())
+        return data_blocks(rows)
+    cpus = cluster_cpus()
+    return min(max(len(fragments), cpus), max(cpus, -(-rows // TASK_ROWS)))
 
 
 def read_images(

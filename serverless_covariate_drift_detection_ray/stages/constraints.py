@@ -1,11 +1,13 @@
 """Shuffle-based constraints: PK uniqueness and phash near-duplicate clusters.
 
 These are the engine's wide operations (SURVEY.md §2.7 items 2 and 4). Both run
-over a column-pruned re-read of the table — only (image_id, phash,
-partition_id) ever enter a shuffle; the heavy ``bytes`` column never does.
-Each check has one shape below its driver gate and one above it, and the two
-shapes share their kernels, so crossing a gate never changes the output.
-Above the gates every exchange is the engine's keyed one
+over the key table (``KEY_SCHEMA``: image_id, phash, partition_id), which
+the featurize pass emits as its 'key' rows — only keys ever enter a shuffle;
+the heavy ``bytes`` column never does. Each check takes the keys as a
+Dataset, or as a ``pa.Table`` the driver already holds, and returns the same
+kind. Each has one shape below its driver gate and one above it, and all
+shapes share their kernels, so neither the gate nor the input kind ever
+changes the output. Above the gates every exchange is the engine's keyed one
 (``functions.exchange``).
 
   * Uniqueness: per-block (image_id → count, min partition) partials, folded
@@ -47,6 +49,10 @@ VIOLATION_SCHEMA = pa.schema(
     ]
 )
 
+# the constraint checks' input: one row per table row
+KEY_SCHEMA = pa.schema([("image_id", pa.string()), ("phash", pa.int64()),
+                        ("partition_id", pa.int32())])
+
 SCREEN_MAX_ROWS = 50_000_000  # rows whose id hashes the driver screens (8 B each)
 # per-(id, block) partial rows the driver will collect for the fold — the
 # fan-out bound: distinct dup ids can each appear in many blocks
@@ -66,6 +72,12 @@ def _id_hashes(batch: pa.Table) -> pa.Table:
     # hash identically and would screen as a duplicate)
     ids = batch["image_id"].drop_null().to_numpy(zero_copy_only=False)
     return pa.table({"h": pa.array(hash64(ids).astype(np.int64))})
+
+
+def _repeated(h: np.ndarray) -> np.ndarray:
+    """The screen: id hashes that occur more than once, sorted."""
+    uniq, counts = np.unique(h, return_counts=True)
+    return uniq[counts > 1]
 
 
 def _id_partials(batch: pa.Table, dup_hashes: np.ndarray | None) -> pa.Table:
@@ -102,20 +114,28 @@ def _fold_partials(t: pa.Table) -> pa.Table:
     }, schema=VIOLATION_SCHEMA)
 
 
-def check_uniqueness(ds) -> "ray.data.Dataset":  # noqa: F821
+def check_uniqueness(ds):
     """image_id PK check: violations for every id appearing more than once.
 
-    Up to ``SCREEN_MAX_ROWS`` rows a cheap *screen* runs first: per-block
+    A driver-held key table runs the screen, the partials and the fold
+    right here and returns a table. For a Dataset, up to
+    ``SCREEN_MAX_ROWS`` rows the same cheap *screen* runs first: per-block
     id hashes stream to the driver (8 B/id) and a numpy unique finds the
     repeated ones; when none exist (the common case) nothing else runs, and
     otherwise only rows with a repeated hash become partials. Above it,
     every non-null row becomes a partial. The partials then fold on the
     driver up to ``DUP_FOLD_ROWS_MAX`` rows, and in ``_key_shuffle`` buckets
     beyond: all partials of an id share its bucket, so the in-bucket sum is
-    the global count.
+    the global count. A Dataset in gives a Dataset out.
     """
     import ray
     import ray.data
+
+    if isinstance(ds, pa.Table):
+        dup_hashes = _repeated(_id_hashes(ds)["h"].to_numpy())
+        if dup_hashes.size == 0:
+            return VIOLATION_SCHEMA.empty_table()
+        return _fold_partials(_id_partials(ds, dup_hashes))
 
     dup_hashes = None
     if ds.count() <= SCREEN_MAX_ROWS:
@@ -124,9 +144,8 @@ def check_uniqueness(ds) -> "ray.data.Dataset":  # noqa: F821
         # of empty blocks comes back without the column
         hs = ds.map_batches(_id_hashes, batch_format="pyarrow",
                             zero_copy_batch=True).to_pandas()
-        allh = hs["h"].to_numpy() if len(hs) else np.empty(0, np.int64)
-        uniq, counts = np.unique(allh, return_counts=True)
-        dup_hashes = uniq[counts > 1]  # np.unique output is sorted
+        dup_hashes = _repeated(hs["h"].to_numpy() if len(hs)
+                               else np.empty(0, np.int64))
         if dup_hashes.size == 0:
             return _empty_violations()
 
@@ -140,9 +159,8 @@ def check_uniqueness(ds) -> "ray.data.Dataset":  # noqa: F821
         return _empty_violations()
     if n_parts <= DUP_FOLD_ROWS_MAX:
         # driver fold: replaces a groupby exchange (~1.5 s fixed cost at any
-        # input size) and runs eagerly here — inside validate()'s background
-        # setup thread, overlapping featurize. 0-row input blocks come back
-        # without a schema, so only non-empty blocks are concatenated
+        # input size). 0-row input blocks come back without a schema, so
+        # only non-empty blocks are concatenated
         return ray.data.from_arrow(_fold_partials(pa.concat_tables(
             [t for t in ray.get(parts.to_arrow_refs()) if t.num_rows])))
 
@@ -195,18 +213,24 @@ def _band_edges(keys: np.ndarray, items: np.ndarray, vals: np.ndarray,
     return a[close], b[close]
 
 
-def check_neardup(ds, cfg: EngineConfig) -> "ray.data.Dataset":  # noqa: F821
+def check_neardup(ds, cfg: EngineConfig):
     """phash near-duplicate clusters (SURVEY.md §2.7 item 4), driver-coordinated.
 
     The phash column is 8 B/row, so up to ``NEARDUP_DRIVER_MAX`` rows the
-    whole candidate search runs as vectorized numpy on the driver: band the
-    distinct values, verify each band's groups with ``_band_edges``, then
-    connected components by scatter-min label propagation. Only the final
+    whole candidate search runs as vectorized numpy on the driver
+    (``_flag_clusters``). A driver-held key table is flagged right here
+    (``_flag_rows``) and a table returned; for a Dataset only the final
     violation-row emit is distributed (broadcast flagged values → filter
-    per batch). Beyond the driver bound, ``check_neardup_distributed`` runs
-    the same algorithm — same output contract.
+    per batch), and a Dataset returned. Beyond the driver bound,
+    ``check_neardup_distributed`` runs the same algorithm — same output
+    contract.
     """
-    hmax, min_cluster = cfg.neardup_hamming_max, cfg.neardup_min_cluster
+    hmax = cfg.neardup_hamming_max
+    if isinstance(ds, pa.Table):
+        u = _block_uniques(ds)
+        flag_vals, reps = _flag_clusters(u["v"].to_numpy(), u["c"].to_numpy(),
+                                         cfg)
+        return _flag_rows(ds, flag_vals, reps, hmax)
 
     # choose the path BEFORE collecting anything: row count bounds the
     # distinct-phash count, so the driver collect is provably bounded
@@ -222,13 +246,22 @@ def check_neardup(ds, cfg: EngineConfig) -> "ray.data.Dataset":  # noqa: F821
         vals, inv = np.unique(part.v.to_numpy(np.int64), return_inverse=True)
         mult = np.zeros(vals.size, dtype=np.int64)
         np.add.at(mult, inv, part.c.to_numpy(np.int64))
+    return _emit_flagged(ds, *_flag_clusters(vals, mult, cfg), hmax)
 
+
+def _flag_clusters(vals: np.ndarray, mult: np.ndarray,
+                   cfg: EngineConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The driver near-dup search over distinct phash ``vals`` (ascending)
+    with row multiplicities ``mult``: band the values, verify each band's
+    groups with ``_band_edges``, then connected components by scatter-min
+    label propagation. Returns the flagged values (sorted) and their
+    cluster reps."""
     # vals ascend, so a stable argsort per band keeps each group's indices
     # in value order
     pair_a, pair_b = [], []
     for keys in phash_bands(vals, 3).T:
         order = np.argsort(keys, kind="stable")
-        a, b = _band_edges(keys[order], order, vals, hmax)
+        a, b = _band_edges(keys[order], order, vals, cfg.neardup_hamming_max)
         pair_a.append(a)
         pair_b.append(b)
     a, b = np.concatenate(pair_a), np.concatenate(pair_b)
@@ -236,55 +269,58 @@ def check_neardup(ds, cfg: EngineConfig) -> "ray.data.Dataset":  # noqa: F821
     # connected components: shared scatter-min + pointer-jumping kernel
     labels = cc_labels(vals.size, a, b)
     csize = np.bincount(labels, weights=mult.astype(np.float64))
-    flagged = csize[labels] >= min_cluster
+    flagged = csize[labels] >= cfg.neardup_min_cluster
     # labels are min indices and vals ascend: the cluster rep is its
     # smallest phash value; flagged values come out sorted
-    return _emit_flagged(ds, vals[flagged], vals[labels[flagged]], hmax)
+    return vals[flagged], vals[labels[flagged]]
+
+
+def _flag_rows(batch: pa.Table, flag_vals: np.ndarray, reps: np.ndarray,
+               hmax: int) -> pa.Table:
+    """One violation row per ``batch`` row whose phash is in the sorted
+    int64 ``flag_vals``, observed = "cluster-%016x" of its value's aligned
+    int64 cluster rep in ``reps``. Null phash rows never match
+    (phash_nonnull flags them)."""
+    if flag_vals.size == 0:
+        return VIOLATION_SCHEMA.empty_table()
+    ph_null = pc.is_null(batch["phash"]).to_numpy(zero_copy_only=False)
+    # fill_null BEFORE to_numpy: a null would upcast the column to
+    # float64 and drop low bits of 64-bit values (lossy ≥ 2^53)
+    ph = pc.fill_null(batch["phash"], 0).to_numpy(
+        zero_copy_only=False).astype(np.int64)
+    pos = np.minimum(np.searchsorted(flag_vals, ph), flag_vals.size - 1)
+    mask = (flag_vals[pos] == ph) & ~ph_null
+    hit = batch.filter(pa.array(mask))
+    n = hit.num_rows
+    if n == 0:
+        return VIOLATION_SCHEMA.empty_table()
+    return pa.table({
+        "partition_id": hit["partition_id"].cast(pa.int32()),
+        "image_id": hit["image_id"],
+        "check": pa.array(["neardup_phash"] * n),
+        "column": pa.array(["phash"] * n),
+        "observed": pa.array(["cluster-%016x" % (r & 0xFFFFFFFFFFFFFFFF)
+                              for r in reps[pos[mask]].tolist()]),
+        "expected": pa.array([f"hamming>{hmax}"] * n),
+    }, schema=VIOLATION_SCHEMA)
 
 
 def _emit_flagged(ds, flag_vals: np.ndarray, reps: np.ndarray,
                   hmax: int) -> "ray.data.Dataset":  # noqa: F821
-    """Broadcast flagged-value emit shared by BOTH near-dup paths: one
-    violation row per input ROW whose phash is in the flagged set, observed
-    = "cluster-%016x" of the cluster rep — so crossing the
-    driver/distributed gate never changes the output contract.
-    ``flag_vals`` must be sorted int64; ``reps`` is the aligned int64 rep
-    array. Null phash rows never match (phash_nonnull flags them); the int64
-    re-cast keeps the probe exact when a null upcast the batch column to
-    float64."""
+    """Broadcast flagged-value emit shared by BOTH Dataset near-dup paths:
+    ``_flag_rows`` over every block, so crossing the driver/distributed
+    gate never changes the output contract."""
     import ray
 
     if flag_vals.size == 0:
         return _empty_violations()
-    rep_str = np.array(["cluster-%016x" % (r & 0xFFFFFFFFFFFFFFFF)
-                        for r in reps.tolist()], dtype=object)
-    wrapped = {"ref": ray.put((flag_vals, rep_str))}
+    wrapped = {"ref": ray.put((flag_vals, reps))}
 
     def emit_violations(batch: pa.Table) -> pa.Table:
         # stateless task: the broadcast probe is a shared-memory zero-copy
         # ray.get per call (no actor spawn, scales with free CPUs and reuses
         # warm workers — a 2-actor pool ceiling cost ~2s of the commit tail)
-        fv, fr = ray.get(wrapped["ref"])
-        ph_null = pc.is_null(batch["phash"]).to_numpy(zero_copy_only=False)
-        # fill_null BEFORE to_numpy: a null would upcast the column to
-        # float64 and drop low bits of 64-bit values (lossy ≥ 2^53)
-        ph = pc.fill_null(batch["phash"], 0).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        pos = np.minimum(np.searchsorted(fv, ph), fv.size - 1)
-        mask = (fv[pos] == ph) & ~ph_null
-        hit = batch.filter(pa.array(mask))
-        n = hit.num_rows
-        if n == 0:
-            return VIOLATION_SCHEMA.empty_table()
-        hit_reps = fr[pos[mask]]
-        return pa.table({
-            "partition_id": hit["partition_id"].cast(pa.int32()),
-            "image_id": hit["image_id"],
-            "check": pa.array(["neardup_phash"] * n),
-            "column": pa.array(["phash"] * n),
-            "observed": pa.array(hit_reps.astype(str)),
-            "expected": pa.array([f"hamming>{hmax}"] * n),
-        }, schema=VIOLATION_SCHEMA)
+        return _flag_rows(batch, *ray.get(wrapped["ref"]), hmax)
 
     return ds.map_batches(emit_violations, batch_format="pyarrow",
                           zero_copy_batch=True)

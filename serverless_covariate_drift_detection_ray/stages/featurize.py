@@ -15,7 +15,9 @@ computes, vectorized:
     sample (smallest hash64(image_id) keys — invariant to block boundaries).
 
 Output is a union-schema table of 'violation' and 'partial' rows — a few KB per
-block — so the raw bytes never enter a shuffle (SURVEY.md §7 "wide binary rows").
+block — plus one 'key' row per input row, ``(partition_id, image_id, phash)``:
+the constraint checks' input, so no second scan of the table reads it. The
+raw bytes never enter a shuffle (SURVEY.md §7 "wide binary rows").
 
 Row-level sampling uses hash64(image_id, seed) thresholds, never block-local
 randomness, so results are identical at any parallelism level and under resume.
@@ -38,9 +40,10 @@ _LEVELS_SQ = _LEVELS * _LEVELS
 
 OUT_SCHEMA = pa.schema(
     [
-        ("kind", pa.string()),          # 'violation' | 'partial'
+        ("kind", pa.string()),          # 'violation' | 'partial' | 'key'
         ("partition_id", pa.int32()),
         ("image_id", pa.string()),
+        ("phash", pa.int64()),          # key rows only
         ("check", pa.string()),
         ("column", pa.string()),
         ("observed", pa.string()),
@@ -264,6 +267,7 @@ class FeaturizeAndSketch:
                 "kind": pa.array(["violation"] * nv),
                 "partition_id": pa.array(v_part, pa.int32()),
                 "image_id": pa.array(v_id, pa.string()),
+                "phash": pa.nulls(nv, pa.int64()),
                 "check": pa.array(v_check, pa.string()),
                 "column": pa.array(v_col, pa.string()),
                 "observed": pa.array(v_obs, pa.string()),
@@ -276,6 +280,7 @@ class FeaturizeAndSketch:
                 "kind": pa.array(["partial"] * len(partials)),
                 "partition_id": pa.array([p for p, _ in partials], pa.int32()),
                 "image_id": pa.array([None] * len(partials), pa.string()),
+                "phash": pa.nulls(len(partials), pa.int64()),
                 "check": pa.array([None] * len(partials), pa.string()),
                 "column": pa.array([None] * len(partials), pa.string()),
                 "observed": pa.array([None] * len(partials), pa.string()),
@@ -283,8 +288,18 @@ class FeaturizeAndSketch:
                 "state": pa.array([ps.to_bytes() for _, ps in partials], pa.binary()),
                 "n_rows": pa.array([ps.n_rows for _, ps in partials], pa.int64()),
             }, schema=OUT_SCHEMA))
-        if not tables:
-            return OUT_SCHEMA.empty_table()
+        # the constraint keys, one row per input row, as the table holds them
+        blank = pa.nulls(n, pa.string())
+        tables.append(pa.table({
+            "kind": pa.array(["key"] * n),
+            "partition_id": batch["partition_id"].cast(pa.int32()),
+            "image_id": batch["image_id"].cast(pa.string()),
+            "phash": batch["phash"].cast(pa.int64()),
+            "check": blank, "column": blank, "observed": blank,
+            "expected": blank,
+            "state": pa.nulls(n, pa.binary()),
+            "n_rows": pa.nulls(n, pa.int64()),
+        }, schema=OUT_SCHEMA))
         return pa.concat_tables(tables)
 
 

@@ -134,3 +134,22 @@ def test_cc_min_label_distributed_full_int64_range(ray_session, monkeypatch,
         assert np.array_equal(out["node"].to_numpy(), nodes_ref)
         assert np.array_equal(out["lab"].to_numpy(), rep_ref)
         assert np.array_equal(out["size"].to_numpy(), size_ref)
+
+
+def test_cc_rounds_on_schemaless_empty_edges(ray_session, monkeypatch):
+    """Ray's repartition of 0 rows hands on blocks without a schema; the
+    distributed rounds then type their empty labels from the schema they
+    pass the exchange, and an empty graph comes back as the typed empty
+    result."""
+    import pyarrow as pa
+    import ray.data
+
+    from serverless_covariate_drift_detection_ray.functions import graph
+
+    monkeypatch.setattr(graph, "CC_DRIVER_MAX_EDGES", -1)
+    typed_empty = pa.table({"va": pa.array([], pa.int64()),
+                            "vb": pa.array([], pa.int64())})
+    cc = graph.connected_components(
+        ray.data.from_arrow(typed_empty).repartition(4))
+    assert cc.schema().names == ["node", "lab", "size"]
+    assert cc.count() == 0

@@ -81,6 +81,23 @@ class TestRowCap:
         assert parts.num_rows == 4
         assert sum(parts["n_rows"].to_pylist()) == 250
 
+    def test_one_key_row_per_input_row(self, fragment):
+        """The constraint keys ride in the stage's output: one 'key' row per
+        input row, in input order, carrying the row's image_id, phash and
+        partition_id and nothing else."""
+        from serverless_covariate_drift_detection_ray.stages.constraints import (
+            KEY_SCHEMA)
+
+        got = fz.featurize_task(fragment, EngineConfig(batch_size=64))
+        keys = got.filter(pc.equal(got["kind"], "key"))
+        assert keys.select(KEY_SCHEMA.names).equals(
+            fragment.select(KEY_SCHEMA.names).cast(KEY_SCHEMA))
+        rest = [c for c in fz.OUT_SCHEMA.names
+                if c not in ("kind", *KEY_SCHEMA.names)]
+        assert all(keys[c].null_count == keys.num_rows for c in rest)
+        assert got.filter(pc.invert(pc.equal(got["kind"], "key")))[
+            "phash"].null_count == got.num_rows - keys.num_rows
+
     def test_empty_block_returns_typed_empty_table(self, fragment):
         got = fz.featurize_task(fragment.slice(0, 0), EngineConfig(batch_size=64))
         assert got.num_rows == 0

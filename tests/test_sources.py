@@ -205,8 +205,10 @@ def test_zone_map_pruning(ray_session, tmp_path):
 def test_read_images_blocks_follow_manifest(ray_session, tmp_path):
     """read_images' contract: the block count comes from the manifest, not
     Ray's CPU-scaled split. A key read (no ``bytes``) gets
-    ``max(4, rows // 262_144)`` blocks; a bytes read one block per selected
-    fragment, raised to the CPU count when fragments are fewer. Resume
+    ``max(4, rows // 262_144)`` blocks; a bytes read
+    ``min(max(fragments, CPUs), max(CPUs, ceil(rows / 1024)))``: one block
+    a CPU at least, no more blocks than fragments past that, and whole
+    fragments grouped until a block holds 1,024 rows. Resume
     (``skip_partitions``) and pruned (``predicate``) reads follow the same
     rule over the fragments they keep, and every row survives."""
     import numpy as np
@@ -246,9 +248,10 @@ def test_read_images_blocks_follow_manifest(ray_session, tmp_path):
 
     # key read: the data-scaled floor, whatever the fragment count
     assert read(columns=["image_id", "partition_id"]) == (4, rows)
-    # bytes read: one block per fragment once fragments outnumber CPUs
-    assert read() == (n_frags, rows)
-    assert read(columns=["image_id", "bytes"]) == (n_frags, rows)
+    # bytes read of ncpu + 2 fragments and 10 * (ncpu + 2) rows: one block
+    # a CPU, the fragments grouped
+    assert read() == (ncpu, rows)
+    assert read(columns=["image_id", "bytes"]) == (ncpu, rows)
     # resume keeps 2 fragments (< CPUs): raised to the CPU count
     skip = set(range(1, n_frags // 2))
     assert read(skip_partitions=skip) == (ncpu, 20)
@@ -263,7 +266,15 @@ def test_read_images_blocks_follow_manifest(ray_session, tmp_path):
     big = [FragmentInfo(id=i, file="", rows=262_144 * 3, partition_id=0)
            for i in range(3)]
     assert read_blocks(big, ["image_id"]) == 9
+    # bytes: 3 fragments of 786,432 rows are 2,304 1,024-row tasks, cut
+    # back to max(3 fragments, CPUs)
     assert read_blocks(big, None) == max(3, ncpu)
+    # many small fragments group to the 1,024-row floor, never below a
+    # block a CPU
+    small = [FragmentInfo(id=i, file="", rows=288, partition_id=0)
+             for i in range(40)]
+    assert read_blocks(small, None) == max(ncpu, 12)
+    assert read_blocks(small[:9], None) == ncpu
 
 
 def test_snapshot_time_travel(ray_session, tmp_path):

@@ -197,16 +197,17 @@ class TestRepartitionInvariance:
 class TestReadLayout:
     def test_summary_records_read_blocks(self, run):
         """A run reports the layout it read with, and it follows the rule:
-        one images block per fragment (>= CPUs), max(4, rows // 262_144)
-        key blocks."""
+        min(max(fragments, CPUs), max(CPUs, ceil(rows / 1024))) images
+        blocks, and no key read."""
         from serverless_covariate_drift_detection_ray.sources.fragmented import (
             cluster_cpus,
         )
 
         manifest = TableManifest.load(run["fix"])
+        cpus = cluster_cpus()
         assert run["summary"]["read_blocks"] == {
-            "images": max(len(manifest.fragments), cluster_cpus()),
-            "keys": max(4, manifest.num_rows // 262_144),
+            "images": min(max(len(manifest.fragments), cpus),
+                          max(cpus, -(-manifest.num_rows // 1024))),
         }
 
     def test_block_layout_never_changes_an_answer(self, run, tmp_path_factory,
@@ -220,6 +221,15 @@ class TestReadLayout:
         from serverless_covariate_drift_detection_ray.sources import fragmented as F
 
         base = tmp_path_factory.mktemp("layout")
+        featurize = V.featurize_partials
+        blocks = []  # featurize output blocks of each run: its read layout
+
+        def counted(*a, **k):
+            out = featurize(*a, **k)
+            blocks.append(out.num_blocks())
+            return out
+
+        monkeypatch.setattr(V, "featurize_partials", counted)
 
         def run_once(name):
             out = str(base / name)
@@ -234,9 +244,10 @@ class TestReadLayout:
         for mod in (F, V):  # override_num_blocks=None: Ray's own split
             monkeypatch.setattr(mod, "read_blocks", lambda *a, **k: None)
         s_auto, verdicts_auto, digest_auto = run_once("auto")
-        # the layouts really differ (Ray splits the tiny key read finer)
+        # the images layouts really differ (Ray splits the tiny table finer)
         assert s_auto["read_blocks"]["images"] is None
-        assert s_auto["read_blocks"]["keys"] != s_rule["read_blocks"]["keys"]
+        assert blocks[0] == s_rule["read_blocks"]["images"]
+        assert blocks[1] != blocks[0]
         assert verdicts_rule and verdicts_rule == verdicts_auto
         assert digest_rule == digest_auto
 
@@ -909,3 +920,98 @@ def test_jpeg_partition_lossy_path_end_to_end(run):
     row = t.slice(0, 1).to_pylist()[0]
     img = decode_image(row["bytes"], "jpeg")
     assert img.shape[:2] == (row["h"], row["w"])
+
+
+class TestOneScan:
+    """validate() scans the image files once: featurize emits the
+    constraint keys, the checks run on them, and nothing reads the table
+    again."""
+
+    # summary["stages"] keys, which perfbench/layers.py VALIDATE_STAGES reads
+    STAGES = {"featurize", "split", "bg_ids_read", "bg_uniq_setup",
+              "bg_neardup_setup", "constraints_join", "constraints",
+              "merge_partials", "drift", "commit_io", "quarantine", "commit"}
+
+    def test_stage_keys(self, run):
+        assert set(run["summary"]["stages"]) == self.STAGES
+
+    def test_one_image_file_read(self, run, tmp_path, monkeypatch):
+        """A fresh pass runs one Ray Data execution, the featurize pass:
+        one ReadParquet operator, and read_images is never asked for key
+        columns."""
+        from ray.data._internal.execution.streaming_executor import (
+            StreamingExecutor)
+
+        from serverless_covariate_drift_detection_ray.pipelines import validate as V
+
+        plans, reads = [], []
+        execute, read_images = StreamingExecutor.execute, V.read_images
+
+        def counted_execute(self, dag, *a, **k):
+            ops, stack = [], [dag]
+            while stack:
+                op = stack.pop()
+                ops.append(op.name)
+                stack.extend(op.input_dependencies)
+            plans.append(ops)
+            return execute(self, dag, *a, **k)
+
+        def counted_read(*a, **k):
+            reads.append(k.get("columns"))
+            return read_images(*a, **k)
+
+        monkeypatch.setattr(StreamingExecutor, "execute", counted_execute)
+        monkeypatch.setattr(V, "read_images", counted_read)
+        validate(run["fix"], run["ref_dir"], str(tmp_path / "out"),
+                 run["cfg"], resume=False)
+        reads_parquet = [op for ops in plans for op in ops
+                         if "ReadParquet" in op]
+        assert reads_parquet == ["ReadParquet->MapBatches(featurize_task)"]
+        assert len(plans) == 1
+        assert reads == [None]
+
+    def test_distributed_split_writes_same_answers(self, run, tmp_path,
+                                                   monkeypatch):
+        """Past REDUCED_DRIVER_MAX the keys stay a Dataset and take the
+        checks' Dataset paths and the union; the verdict files and the
+        violations are byte-identical to the driver side's."""
+        from serverless_covariate_drift_detection_ray.pipelines import fit as F
+
+        monkeypatch.setattr(F, "REDUCED_DRIVER_MAX", 0)
+        out = str(tmp_path / "out")
+        validate(run["fix"], run["ref_dir"], out, run["cfg"], resume=False)
+        assert _verdict_files(out) == _verdict_files(run["out_dir"])
+        assert _violations_digest(out) == _violations_digest(run["out_dir"])
+
+    @pytest.mark.parametrize("reduced_max", [None, 0],
+                             ids=["driver", "distributed"])
+    def test_no_schema_records(self, run, tmp_path, caplog, monkeypatch,
+                               reduced_max):
+        """fit + validate(resume=False) hand Ray no block whose schema
+        differs from its operator's, on the driver split and the
+        distributed one."""
+        from serverless_covariate_drift_detection_ray.pipelines import fit as F
+
+        if reduced_max is not None:
+            monkeypatch.setattr(F, "REDUCED_DRIVER_MAX", reduced_max)
+        ref = str(tmp_path / "ref")
+
+        def both():
+            fit(run["fix"], ref, run["cfg"])
+            validate(run["fix"], ref, str(tmp_path / "out"), run["cfg"],
+                     resume=False)
+
+        assert _schema_changes(caplog, both) == []
+
+    def test_global_data_context_untouched(self, run, tmp_path, monkeypatch):
+        """featurize's block-size hint goes on its own Dataset's context
+        copy, never on the global one (set to a value of the test's own
+        first, so an earlier run cannot hide a leak)."""
+        from ray.data import DataContext
+
+        ctx = DataContext.get_current()
+        monkeypatch.setattr(ctx, "target_max_block_size", 96 << 20)
+        fit(run["fix"], str(tmp_path / "ref"), run["cfg"])
+        validate(run["fix"], str(tmp_path / "ref"), str(tmp_path / "out"),
+                 run["cfg"], resume=False)
+        assert DataContext.get_current().target_max_block_size == 96 << 20
