@@ -22,6 +22,10 @@ DEFAULT_MARGINALS: dict[str, tuple[float, float, int]] = {
 
 FMT_CATEGORIES = ("png", "bmp", "lossy8", "jpeg")
 
+# rows of one featurize stage call: batch_size's default, and the fewest rows
+# read_blocks gives a featurize task once every CPU has one
+STAGE_ROWS = 1024
+
 
 @dataclass
 class EngineConfig:
@@ -44,7 +48,7 @@ class EngineConfig:
     neardup_min_cluster: int = 3       # cluster size that counts as a violation
     # per-call row cap of the featurize stage inside one fused read task
     # (the task maps a whole read block; this is not a Ray batch size)
-    batch_size: int = 1024
+    batch_size: int = STAGE_ROWS
     freeze_time: str | None = None     # fixed verdict timestamp for byte-stable goldens
     quarantine: bool = False           # opt-in dead-letter sink (re-reads violating fragments)
     quarantine_max_rows: int = 1_000_000  # skip (with a summary note) beyond this

@@ -26,11 +26,14 @@ from ..state.partials import PartialState
 from ..state.reference import ReferenceState
 from .config import EngineConfig
 
-# reduced-stream rows (partials + domain violations + one key row per input
-# row) the driver will collect; beyond this the split/merge and the
-# constraint checks run distributed (a pathological partition where every
-# row violates must not ride through the driver)
+# partial + domain-violation rows the driver will collect; beyond this the
+# split/merge and the constraint checks run distributed (a pathological
+# partition where every row violates must not ride through the driver)
 REDUCED_DRIVER_MAX = 500_000
+
+# key rows (one per input row, ~30 B each in KEY_SCHEMA) the driver will
+# collect with them: the checks' driver kernels then take the key table
+KEYS_DRIVER_MAX = 5_000_000
 
 # the block-size bound featurize_partials declares for its output: a
 # 1,024-row stage call writes ~100 KB of partials and ~40 KB of key rows
@@ -82,7 +85,14 @@ def featurize_partials(ds, cfg: EngineConfig,
     featurize task at a time. ``FEATURIZE_BLOCK_BYTES`` is set on this
     Dataset's own ``DataContext`` (each Dataset holds a private copy), so
     every CPU gets a task from the start and the global context is left as
-    it was."""
+    it was.
+
+    The same private context keeps the output blocks in read order
+    (``preserve_order``): the partials reach ``merge_per_partition`` in that
+    order, and the sketch merge's float sums and t-digest compression depend
+    on it, so a rerun of the same layout writes the same stats bytes. The
+    outputs are KB-scale and materialized whole, so holding an early
+    finisher until its predecessors land costs nothing measurable."""
     out = ds.map_batches(
         partial(featurize_task, cfg=cfg, manifest_broadcast=manifest_broadcast),
         batch_format="pyarrow",
@@ -90,6 +100,7 @@ def featurize_partials(ds, cfg: EngineConfig,
         zero_copy_batch=True,
     )
     out.context.target_max_block_size = FEATURIZE_BLOCK_BYTES
+    out.context.execution_options.preserve_order = True
     return out.materialize()
 
 
@@ -106,16 +117,19 @@ def _kind_rows(kind: str, schema: pa.Schema):
     return fn
 
 
-def split_reduced(reduced):
-    """Split the featurize output into (violation rows, partial rows, key
-    rows).
+def split_reduced(reduced, n_keys: int):
+    """Split the featurize output of ``n_keys`` input rows (one key row
+    each, so the manifest's row count) into (violation rows, partial rows,
+    key rows).
 
-    While the reduced stream fits (``REDUCED_DRIVER_MAX`` rows, the key
-    rows included) it is collected once and split on the driver, and all
-    three come back as ``pa.Table``s (``VIOLATION_SCHEMA``,
-    ``STATE_ROW_SCHEMA``, ``KEY_SCHEMA``). Beyond that the split stays
-    distributed and all three come back as Datasets."""
-    if reduced.count() <= REDUCED_DRIVER_MAX:
+    While the partials and violations fit (``REDUCED_DRIVER_MAX`` rows) and
+    the keys do too (``KEYS_DRIVER_MAX``), the stream is collected once and
+    split on the driver, and all three come back as ``pa.Table``s
+    (``VIOLATION_SCHEMA``, ``STATE_ROW_SCHEMA``, ``KEY_SCHEMA``). Beyond
+    either bound the split stays distributed and all three come back as
+    Datasets."""
+    if reduced.count() - n_keys <= REDUCED_DRIVER_MAX and \
+            n_keys <= KEYS_DRIVER_MAX:
         tbl = pa.concat_tables([OUT_SCHEMA.empty_table(), *(
             reduced.iter_batches(batch_size=1 << 16, batch_format="pyarrow"))])
         return tuple(_kind_rows(kind, schema)(tbl)
@@ -139,10 +153,13 @@ def _merge_stripe(tbl: pa.Table, pids: list, cfg: EngineConfig,
 
 
 def merge_per_partition(partials, cfg: EngineConfig,
-                        ref_state_dir: str | None = None) -> tuple:
-    """Merge the partial rows into one state row per partition; returns
+                        ref_state_dir: str | None = None):
+    """Merge the partial rows into one state row per partition. Submits
+    the merge and returns the function that waits for its result:
     ``(per-partition rows sorted by partition_id, drift verdicts)``, the
-    verdicts empty unless ``ref_state_dir`` is given.
+    verdicts empty unless ``ref_state_dir`` is given. The driver-side
+    stripe tasks run while the caller does other driver work before the
+    wait; the groupby side runs when waited on.
 
     Driver-collected partials within DRIVER_MERGE_MAX_PARTIALS merge in a
     handful of stripe tasks — the merge is GIL-bound Python (driver threads
@@ -161,22 +178,25 @@ def merge_per_partition(partials, cfg: EngineConfig,
         n_stripes = min(8, pids.size)
         tbl_ref = ray.put(partials)
         stripe = ray.remote(_merge_stripe)
-        chunks = ray.get([
-            stripe.remote(tbl_ref, pids[i::n_stripes].tolist(), cfg,
-                          ref_state_dir) for i in range(n_stripes)])
-        rows = [m for m, _ in chunks]
-        verdicts = [v for _, v in chunks]
-    else:
+        refs = [stripe.remote(tbl_ref, pids[i::n_stripes].tolist(), cfg,
+                              ref_state_dir) for i in range(n_stripes)]
+
+        def wait() -> tuple:
+            chunks = ray.get(refs)
+            return _merged([m for m, _ in chunks], [v for _, v in chunks])
+        return wait
+
+    def run_groupby() -> tuple:
         import ray.data
 
-        if isinstance(partials, pa.Table):
-            partials = ray.data.from_arrow(partials)
+        ds = ray.data.from_arrow(partials) if isinstance(partials, pa.Table) \
+            else partials
 
         def merge_group(batch: pa.Table) -> pa.Table:
             pid = int(batch["partition_id"][0].as_py())
             return _merged_state_row(pid, merge_partials_table(batch, cfg))
 
-        grouped = partials.groupby("partition_id").map_groups(
+        grouped = ds.groupby("partition_id").map_groups(
             merge_group, batch_format="pyarrow").materialize()
         rows = list(grouped.iter_batches(batch_size=None,
                                          batch_format="pyarrow"))
@@ -184,6 +204,11 @@ def merge_per_partition(partials, cfg: EngineConfig,
             partial(drift_verdicts_batch, cfg=cfg, ref_state_dir=ref_state_dir),
             batch_format="pyarrow", batch_size=None,
         ).iter_batches(batch_size=None, batch_format="pyarrow"))
+        return _merged(rows, verdicts)
+    return run_groupby
+
+
+def _merged(rows: list, verdicts: list) -> tuple:
     per_part = pa.concat_tables(
         [STATE_ROW_SCHEMA.empty_table(), *rows]).sort_by("partition_id")
     return per_part, pa.concat_tables(
@@ -197,8 +222,9 @@ def _merged_partition_state(manifest: TableManifest, pids: set[int],
     the per-partition rows merged in partition_id order."""
     skip = set(manifest.partition_ids()) - pids
     reduced = featurize_partials(read_images(manifest, skip_partitions=skip), cfg)
-    _, partials, _ = split_reduced(reduced)
-    per_part, _ = merge_per_partition(partials, cfg)
+    _, partials, _ = split_reduced(
+        reduced, sum(f.rows for f in manifest.select_fragments(pids)))
+    per_part, _ = merge_per_partition(partials, cfg)()
     return merge_partials_table(per_part, cfg)
 
 

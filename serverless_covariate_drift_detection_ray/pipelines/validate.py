@@ -6,14 +6,17 @@
                                        fused in; stateless tasks; bytes
                                        never shuffle]
       → split: violations | per-block partials | keys (one row per image)
+      → partials → merge per partition → drift   [stripe tasks, drift fused in,
+                                                  submitted first so they run
+                                                  while the driver checks the
+                                                  keys; groupby past the
+                                                  driver cap]
       → keys → uniqueness + near-dup    [driver kernels on the key table;
                                          _key_shuffle exchanges past the
                                          split's driver cap]
       → violations = domain ++ uniqueness ++ near-dup  [Arrow concat; a
                                                         Dataset union past
                                                         the cap]
-      → merge partials per partition → drift     [stripe tasks, drift fused in;
-                                                  groupby past the driver cap]
       → violations size gate: driver collect up to VIOLATIONS_DRIVER_MAX,
                               groupby("partition_id") beyond it
       → one writer per partition (_write_partition_violations; clean
@@ -260,7 +263,9 @@ def validate(
     checks' driver side and their exchanges past the cap),
     ``constraints_join`` (the three violation sources joined) and
     ``constraints`` (the joined Dataset executed; 0 on the driver),
-    ``merge_partials`` (with the drift checks; ``drift`` stays 0.0),
+    ``merge_partials`` (with the drift checks; ``drift`` stays 0.0: the
+    driver's submit and final wait, the stripe tasks running on the workers
+    while the driver checks the keys between them),
     ``commit_io``, ``quarantine`` (when on) and ``commit`` (the rest).
     The ``bg_`` names date from when these ran on a helper thread."""
     import ray.data
@@ -317,8 +322,19 @@ def validate(
     # violations | per-block partials | keys: tables on the driver while the
     # reduced stream fits, Datasets beyond (fit.split_reduced)
     t1 = time.time()
-    domain_viol, partials, keys = split_reduced(reduced)
+    domain_viol, partials, keys = split_reduced(reduced, rows_todo)
     stage_t["split"] = time.time() - t1
+
+    # ---- merge sketch partials per partition, with the drift checks vs
+    # the frozen reference fused into the merge tasks (stateless tasks over
+    # the WARM featurize worker processes, the reference window loaded once
+    # per worker via the module cache in stages.drift — the reference's
+    # SingletonMeta contract). The stripe tasks are submitted here and run
+    # while the driver checks the keys below; the groupby side runs when
+    # waited on ----
+    t1 = time.time()
+    merged = merge_per_partition(partials, cfg, ref_state_dir)
+    t_merge = time.time() - t1
 
     # uniqueness is table-wide: a resumed partition's keys still count, so
     # they are read back (key columns only) when partitions were skipped
@@ -356,14 +372,9 @@ def validate(
         n_viol = violations.count()
     stage_t["constraints"] = time.time() - t1
 
-    # ---- merge sketch partials per partition, with the drift checks vs
-    # the frozen reference fused into the merge tasks (stateless tasks over
-    # the WARM featurize worker processes, the reference window loaded once
-    # per worker via the module cache in stages.drift — the reference's
-    # SingletonMeta contract) ----
     t1 = time.time()
-    per_part, verdicts = merge_per_partition(partials, cfg, ref_state_dir)
-    stage_t["merge_partials"] = time.time() - t1
+    per_part, verdicts = merged()
+    stage_t["merge_partials"] = t_merge + time.time() - t1
     stage_t["drift"] = 0.0  # fused into merge_partials
 
     ts = cfg.freeze_time or time.strftime("%d/%m/%Y %H:%M:%S.000000", time.gmtime())

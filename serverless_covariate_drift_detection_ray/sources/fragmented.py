@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..pipelines.config import STAGE_ROWS
 from ..state.atomic import atomic_write_bytes, atomic_write_json
 
 MANIFEST = "manifest.json"
@@ -171,12 +172,6 @@ def data_blocks(rows: int, rows_per_block: int = 262_144, floor: int = 4) -> int
     return max(floor, rows // rows_per_block)
 
 
-# rows below which a bytes read is not cut into another featurize task, once
-# every CPU has one: EngineConfig.batch_size's default, the stage's per-call
-# row cap
-TASK_ROWS = 1024
-
-
 def cluster_cpus() -> int:
     import ray
 
@@ -190,10 +185,13 @@ def read_blocks(fragments: list[FragmentInfo], columns: list[str] | None) -> int
     A key read (no ``bytes`` column: ids, hashes, partition ids) is KB-scale
     and gets ``data_blocks`` — Ray's split cut 9 single-row-group fragments
     into 54 blocks of 48 rows. A bytes read feeds featurize, one task per
-    block: ``min(max(fragments, CPUs), max(CPUs, ceil(rows / TASK_ROWS)))``.
+    block: ``min(max(fragments, CPUs), max(CPUs, ceil(rows / STAGE_ROWS)))``.
     That is at least one task per CPU; past that, no task below
-    ``TASK_ROWS`` rows (the stage's per-call row cap), and never more tasks
-    than fragments once fragments outnumber CPUs. A small table thus runs
+    ``STAGE_ROWS`` rows (one stage call at the default ``batch_size``), and
+    never more tasks than fragments once fragments outnumber CPUs. The rule
+    sizes tasks by the default call, not the run's ``batch_size``: a smaller
+    call cap cuts a task's rows into more calls, not the table into more
+    tasks. A small table thus runs
     in one wave of fragment groups (the 9-fragment, 2,592-row perfbench
     table in 3 tasks at 3 CPUs) instead of queueing short tasks behind
     Ray's 0.1 s dispatch poll (``ray.wait(..., timeout=0.1)``,
@@ -209,7 +207,7 @@ def read_blocks(fragments: list[FragmentInfo], columns: list[str] | None) -> int
     if columns is not None and "bytes" not in columns:
         return data_blocks(rows)
     cpus = cluster_cpus()
-    return min(max(len(fragments), cpus), max(cpus, -(-rows // TASK_ROWS)))
+    return min(max(len(fragments), cpus), max(cpus, -(-rows // STAGE_ROWS)))
 
 
 def read_images(

@@ -65,6 +65,54 @@ class TestFusedPass:
         assert not any(name.startswith("ReadParquet->MapBatches")
                        for name in tasks)
 
+    def test_output_keeps_read_order(self, ray_session, manifest):
+        """The output blocks come back in read order whichever task ends
+        first, so the order-sensitive sketch merge sees its partials in the
+        same order on every run: the key rows list the table's ids in
+        fragment order."""
+        import ray
+
+        out = featurize_partials(read_images(manifest), EngineConfig())
+        got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+        keys = got.filter(pc.equal(got["kind"], "key"))["image_id"]
+        want = pa.concat_tables([
+            pq.read_table(os.path.join(manifest.root, f.file),
+                          columns=["image_id"])
+            for f in manifest.fragments])["image_id"]
+        assert keys.cast(pa.string()).equals(want.cast(pa.string()))
+
+
+class TestSplitGate:
+    """``split_reduced`` gates the partial and violation rows and the key
+    rows on their own bounds: a pass with many images but few partials
+    stays on the driver."""
+
+    @pytest.fixture(scope="class")
+    def reduced(self, ray_session, manifest):
+        out = featurize_partials(read_images(manifest), EngineConfig())
+        n_keys = sum(f.rows for f in manifest.fragments)
+        return out, n_keys, out.count() - n_keys
+
+    @pytest.mark.parametrize("rest_off,keys_off,on_driver", [
+        (0, 0, True), (-1, 0, False), (0, -1, False)],
+        ids=["both-at-bound", "partials-over", "keys-over"])
+    def test_gates(self, reduced, monkeypatch, rest_off, keys_off,
+                   on_driver):
+        """Each bound is set at its exact count plus an offset: the
+        partial + violation rows alone decide ``REDUCED_DRIVER_MAX``, the
+        key rows alone ``KEYS_DRIVER_MAX``."""
+        from serverless_covariate_drift_detection_ray.pipelines import fit as F
+
+        out, n_keys, n_rest = reduced
+        assert n_keys > n_rest > 0
+        monkeypatch.setattr(F, "REDUCED_DRIVER_MAX", n_rest + rest_off)
+        monkeypatch.setattr(F, "KEYS_DRIVER_MAX", n_keys + keys_off)
+        parts = F.split_reduced(out, n_keys)
+        assert all(isinstance(p, pa.Table) == on_driver for p in parts)
+        if on_driver:
+            assert parts[2].num_rows == n_keys
+            assert parts[0].num_rows + parts[1].num_rows == n_rest
+
 
 class TestRowCap:
     def test_block_is_sliced_at_batch_size(self, fragment):

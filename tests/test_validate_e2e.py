@@ -1004,14 +1004,38 @@ class TestOneScan:
         assert _schema_changes(caplog, both) == []
 
     def test_global_data_context_untouched(self, run, tmp_path, monkeypatch):
-        """featurize's block-size hint goes on its own Dataset's context
-        copy, never on the global one (set to a value of the test's own
-        first, so an earlier run cannot hide a leak)."""
+        """featurize's block-size hint and output order go on its own
+        Dataset's context copy, never on the global one (set to values of
+        the test's own first, so an earlier run cannot hide a leak)."""
         from ray.data import DataContext
 
         ctx = DataContext.get_current()
         monkeypatch.setattr(ctx, "target_max_block_size", 96 << 20)
+        monkeypatch.setattr(ctx.execution_options, "preserve_order", False)
         fit(run["fix"], str(tmp_path / "ref"), run["cfg"])
         validate(run["fix"], str(tmp_path / "ref"), str(tmp_path / "out"),
                  run["cfg"], resume=False)
-        assert DataContext.get_current().target_max_block_size == 96 << 20
+        ctx = DataContext.get_current()
+        assert ctx.target_max_block_size == 96 << 20
+        assert ctx.execution_options.preserve_order is False
+
+
+def test_stats_blobs_repeat_byte_for_byte(ray_session, tmp_path):
+    """Two validate(resume=False) passes over ``small`` commit the same
+    stats blobs and column stats, byte for byte: the sketch merge is
+    order-sensitive, and its partials arrive in read order."""
+    fix = ensure_fixture("small")
+    cfg = EngineConfig(freeze_time="01/01/2026 00:00:00.000000")
+    ref = str(tmp_path / "ref")
+    fit(fix, ref, cfg)
+
+    def committed(out: str) -> dict:
+        validate(fix, ref, out, cfg, resume=False)
+        return {os.path.relpath(f, out): open(f, "rb").read()
+                for sub in ("stats_blobs", "column_stats")
+                for f in glob.glob(os.path.join(out, sub, "**", "*"),
+                                   recursive=True) if os.path.isfile(f)}
+
+    first = committed(str(tmp_path / "a"))
+    assert len(first) >= 2 * len(TableManifest.load(fix).partition_ids())
+    assert committed(str(tmp_path / "b")) == first
