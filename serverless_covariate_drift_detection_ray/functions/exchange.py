@@ -225,6 +225,14 @@ def _as_dataset(out):
     return ray.data.from_arrow(out) if isinstance(out, pa.Table) else out
 
 
+def _as_table(out) -> pa.Table:
+    """A ``_key_shuffle`` result of Arrow outputs as one table on the driver."""
+    import ray
+
+    return out if isinstance(out, pa.Table) else \
+        pa.concat_tables(ray.get(out.to_arrow_refs()))
+
+
 @functools.cache
 def _remote(f):
     """``ray.remote(f)``, made once a process."""

@@ -16,7 +16,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .exchange import _as_dataset, _key_shuffle
+from .exchange import _as_dataset, _key_shuffle, _remote
 
 CC_DRIVER_MAX_EDGES = 5_000_000  # 16 B/edge -> <= 80 MB edge list on driver
 
@@ -65,10 +65,12 @@ def connected_components(edges, nodes=None):
     (|id| >= 2^53, e.g. phash values) stay bit-exact.
 
     Up to ``CC_DRIVER_MAX_EDGES`` edges the edge list is collected and
-    solved by ``cc_min_label``; above it ``_cc_rounds`` solves it where the
-    edges are. The labels then meet ``nodes`` in one ``_key_shuffle`` on the
-    node, and one on the label sums each component's size (on the driver,
-    when the driver holds every label and there are no ``nodes``)."""
+    solved by ``cc_min_label``, and the labels stay on the driver: they are
+    broadcast to ``nodes`` (``_label_nodes``) and the driver sums each
+    component's size. Above it ``_cc_rounds`` solves it where the edges
+    are; the labels then meet ``nodes`` in one ``_key_shuffle`` on the
+    node, and one on the label sums each component's size. ``nodes`` lists
+    each id once."""
     import ray
     import ray.data
 
@@ -84,12 +86,50 @@ def connected_components(edges, nodes=None):
         labels = pa.table({"node": node, "lab": lab})
     else:
         labels = _cc_rounds(edges)
+    if isinstance(labels, pa.Table):  # solved on the driver: size it there
+        return (ray.data.from_arrow(_sized(labels)) if nodes is None
+                else _label_nodes(labels, nodes))
     if nodes is not None:
         labels = _key_shuffle([labels, nodes], ["node"], _adopt,
                               [_label_rows, _node_rows], "pyarrow")
-    elif isinstance(labels, pa.Table):  # solved on the driver: size it there
-        return ray.data.from_arrow(_sized(labels))
     return _as_dataset(_key_shuffle(labels, ["lab"], _sized, None, "pyarrow"))
+
+
+def _label_nodes(labels: pa.Table, nodes):
+    """``connected_components``' output from the driver's ``labels`` (node,
+    lab; sorted by node) and ``nodes``, with no exchange: a task a nodes
+    block looks its ids up in the broadcast labels (``_split_nodes``), and
+    the labeled nodes' weights, bounded by the label table, come back to
+    the driver, which sizes the components (an endpoint that ``nodes`` does
+    not list weighs 1)."""
+    import ray
+    import ray.data
+
+    if isinstance(nodes, pa.Table):
+        nodes = ray.data.from_arrow(nodes)
+    split = _remote(_split_nodes).options(num_returns=2)
+    lab_ref = ray.put(labels)
+    parts = [split.remote(ref, lab_ref)
+             for bundle in nodes.iter_internal_ref_bundles()
+             for ref, meta in bundle.blocks if meta.num_rows]
+    node, w = _ids(labels["node"]), np.ones(labels.num_rows, np.int64)
+    for t in ray.get([listed for _, listed in parts]):
+        w[np.searchsorted(node, _ids(t["node"]))] = _ids(t["w"])
+    sized = _sized(labels.append_column("w", pa.array(w)))
+    return ray.data.from_arrow_refs([ray.put(sized), *(p for p, _ in parts)])
+
+
+def _split_nodes(block, labels: pa.Table) -> tuple:
+    """One nodes block against the labels: its nodes in no edge, each a
+    component of its own ``(node, lab = node, size = w)``, and its labeled
+    nodes' ``(node, w)``."""
+    from ray.data.block import BlockAccessor
+
+    t = _node_rows(BlockAccessor.for_block(block).to_arrow())
+    hit = pc.is_in(t["node"], value_set=labels.column("node").combine_chunks())
+    alone = t.filter(pc.invert(hit))
+    return (pa.table({"node": alone["node"], "lab": alone["node"],
+                      "size": alone["w"]}), t.filter(hit).select(["node", "w"]))
 
 
 def _ids(col) -> np.ndarray:

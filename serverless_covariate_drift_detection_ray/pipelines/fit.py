@@ -18,10 +18,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.exchange import _as_table, _key_shuffle
 from ..sources.fragmented import TableManifest, read_images
 from ..stages.constraints import KEY_SCHEMA, VIOLATION_SCHEMA
 from ..stages.drift import VERDICT_SCHEMA, drift_verdicts_batch
-from ..stages.featurize import OUT_SCHEMA, featurize_task
+from ..stages.featurize import featurize_task
 from ..state.partials import PartialState
 from ..state.reference import ReferenceState
 from .config import EngineConfig
@@ -39,8 +40,8 @@ KEYS_DRIVER_MAX = 5_000_000
 # 1,024-row stage call writes ~100 KB of partials and ~40 KB of key rows
 FEATURIZE_BLOCK_BYTES = 8 << 20
 
-# partial-state rows above which the per-partition merge runs as a distributed
-# groupby instead of driver-submitted stripe tasks (~100 KB per partial row)
+# partial-state rows above which the per-partition merge runs in a
+# _key_shuffle instead of driver-submitted stripe tasks (~100 KB per partial row)
 DRIVER_MERGE_MAX_PARTIALS = 20_000
 
 # one merged sketch state per partition: what the drift checks and the
@@ -48,19 +49,17 @@ DRIVER_MERGE_MAX_PARTIALS = 20_000
 STATE_ROW_SCHEMA = pa.schema([("partition_id", pa.int32()),
                               ("state", pa.binary()), ("n_rows", pa.int64())])
 
+# a merge task's output: its state rows (kind "state") and drift verdicts
+# (kind "verdict") in one table
+MERGED_SCHEMA = pa.schema([("kind", pa.string()), *STATE_ROW_SCHEMA, *(
+    f for f in VERDICT_SCHEMA if f.name != "partition_id")])
+
 
 def merge_partials_table(batch: pa.Table, cfg: EngineConfig) -> PartialState:
     states = [PartialState.from_bytes(blob.as_py()) for blob in batch["state"]]
     if not states:
         return PartialState(cfg.marginals, cfg.fmt_categories)
     return PartialState.merge_many(states, cfg.ref_sample_cap)
-
-
-def _merged_state_row(pid: int, merged: PartialState) -> pa.Table:
-    """THE single-row ``STATE_ROW_SCHEMA`` table — one definition shared by
-    both merge branches so the shape can't silently fork."""
-    return pa.table({"partition_id": [int(pid)], "state": [merged.to_bytes()],
-                     "n_rows": [merged.n_rows]}, schema=STATE_ROW_SCHEMA)
 
 
 def featurize_partials(ds, cfg: EngineConfig,
@@ -130,10 +129,14 @@ def split_reduced(reduced, n_keys: int):
     Datasets."""
     if reduced.count() - n_keys <= REDUCED_DRIVER_MAX and \
             n_keys <= KEYS_DRIVER_MAX:
-        tbl = pa.concat_tables([OUT_SCHEMA.empty_table(), *(
-            reduced.iter_batches(batch_size=1 << 16, batch_format="pyarrow"))])
-        return tuple(_kind_rows(kind, schema)(tbl)
-                     for kind, schema in _SPLIT)
+        # each block cut to its kinds' columns as it lands, so the key rows
+        # never travel in the wide featurize schema
+        blocks = [b for b in reduced.iter_batches(batch_size=None,
+                                                  batch_format="pyarrow")
+                  if b.num_rows]
+        return tuple(pa.concat_tables([schema.empty_table(), *(
+            _kind_rows(kind, schema)(b) for b in blocks)])
+            for kind, schema in _SPLIT)
     return tuple(reduced.map_batches(_kind_rows(kind, schema),
                                      batch_format="pyarrow",
                                      zero_copy_batch=True)
@@ -141,15 +144,23 @@ def split_reduced(reduced, n_keys: int):
 
 
 def _merge_stripe(tbl: pa.Table, pids: list, cfg: EngineConfig,
-                  ref_state_dir: str | None) -> tuple:
-    out = [_merged_state_row(pid, merge_partials_table(
-        tbl.filter(pc.equal(tbl["partition_id"], int(pid))), cfg))
-        for pid in pids]
-    merged = pa.concat_tables(out)
-    if ref_state_dir is None:
-        return merged, VERDICT_SCHEMA.empty_table()
-    return merged, drift_verdicts_batch(merged, cfg=cfg,
-                                        ref_state_dir=ref_state_dir)
+                  ref_state_dir: str | None) -> pa.Table:
+    """THE merge kernel, run by a stripe task and by a ``_key_shuffle``
+    bucket alike: each of ``pids``' partial rows in ``tbl`` merged into one
+    state row (kind "state"), then, with ``ref_state_dir``, the drift
+    checks on those rows (kind "verdict"), in one ``MERGED_SCHEMA`` table."""
+    states = [merge_partials_table(
+        tbl.filter(pc.equal(tbl["partition_id"], pid)), cfg) for pid in pids]
+    rows = pa.table({
+        "partition_id": pa.array(pids, pa.int32()),
+        "state": pa.array([s.to_bytes() for s in states], pa.binary()),
+        "n_rows": pa.array([s.n_rows for s in states], pa.int64())})
+    verdicts = (drift_verdicts_batch(rows, cfg=cfg, ref_state_dir=ref_state_dir)
+                if ref_state_dir and pids else VERDICT_SCHEMA.empty_table())
+    return pa.concat_tables([MERGED_SCHEMA.empty_table(), *(
+        t.append_column("kind", pa.array([kind] * t.num_rows, pa.string()))
+        for kind, t in (("state", rows), ("verdict", verdicts)))],
+        promote_options="default")
 
 
 def merge_per_partition(partials, cfg: EngineConfig,
@@ -159,17 +170,18 @@ def merge_per_partition(partials, cfg: EngineConfig,
     ``(per-partition rows sorted by partition_id, drift verdicts)``, the
     verdicts empty unless ``ref_state_dir`` is given. The driver-side
     stripe tasks run while the caller does other driver work before the
-    wait; the groupby side runs when waited on.
+    wait; the exchange runs when waited on.
 
     Driver-collected partials within DRIVER_MERGE_MAX_PARTIALS merge in a
     handful of stripe tasks — the merge is GIL-bound Python (driver threads
     measured 1.5 s serial vs 3.1 s under an 8-thread pool), so parallelism
     must be process-level, and stripes rather than per-partition tasks
-    keep the submit overhead down. With ``ref_state_dir`` each stripe runs
-    the drift checks on its merged rows as soon as its merge finishes (the
-    stateless ``drift_verdicts_batch`` kernel, warm-worker module cache).
-    Beyond the gate — or when the split stayed distributed — the same merge
-    runs as a groupby on ``partition_id``."""
+    keep the submit overhead down. Beyond the gate — or when the split
+    stayed distributed — the partials meet in one ``_key_shuffle`` on
+    partition_id, each bucket a stripe. Either way a task runs the drift
+    checks on the partitions it merged (the stateless
+    ``drift_verdicts_batch`` kernel, warm-worker module cache), and a
+    partition's partials merge in the order they are given."""
     import ray
 
     if isinstance(partials, pa.Table) and \
@@ -180,40 +192,21 @@ def merge_per_partition(partials, cfg: EngineConfig,
         stripe = ray.remote(_merge_stripe)
         refs = [stripe.remote(tbl_ref, pids[i::n_stripes].tolist(), cfg,
                               ref_state_dir) for i in range(n_stripes)]
+        return lambda: _merged(ray.get(refs))
 
-        def wait() -> tuple:
-            chunks = ray.get(refs)
-            return _merged([m for m, _ in chunks], [v for _, v in chunks])
-        return wait
+    def bucket(t: pa.Table) -> pa.Table:
+        pids = np.unique(t["partition_id"].to_numpy()).tolist()
+        return _merge_stripe(t, pids, cfg, ref_state_dir)
 
-    def run_groupby() -> tuple:
-        import ray.data
-
-        ds = ray.data.from_arrow(partials) if isinstance(partials, pa.Table) \
-            else partials
-
-        def merge_group(batch: pa.Table) -> pa.Table:
-            pid = int(batch["partition_id"][0].as_py())
-            return _merged_state_row(pid, merge_partials_table(batch, cfg))
-
-        grouped = ds.groupby("partition_id").map_groups(
-            merge_group, batch_format="pyarrow").materialize()
-        rows = list(grouped.iter_batches(batch_size=None,
-                                         batch_format="pyarrow"))
-        verdicts = [] if ref_state_dir is None else list(grouped.map_batches(
-            partial(drift_verdicts_batch, cfg=cfg, ref_state_dir=ref_state_dir),
-            batch_format="pyarrow", batch_size=None,
-        ).iter_batches(batch_size=None, batch_format="pyarrow"))
-        return _merged(rows, verdicts)
-    return run_groupby
+    return lambda: _merged([_as_table(_key_shuffle(
+        partials, ["partition_id"], bucket, None, "pyarrow",
+        schema=MERGED_SCHEMA))])
 
 
-def _merged(rows: list, verdicts: list) -> tuple:
-    per_part = pa.concat_tables(
-        [STATE_ROW_SCHEMA.empty_table(), *rows]).sort_by("partition_id")
-    return per_part, pa.concat_tables(
-        [VERDICT_SCHEMA.empty_table(),
-         *(v.cast(VERDICT_SCHEMA) for v in verdicts)])
+def _merged(parts: list) -> tuple:
+    t = pa.concat_tables([MERGED_SCHEMA.empty_table(), *parts])
+    return (_kind_rows("state", STATE_ROW_SCHEMA)(t).sort_by("partition_id"),
+            _kind_rows("verdict", VERDICT_SCHEMA)(t))
 
 
 def _merged_partition_state(manifest: TableManifest, pids: set[int],

@@ -24,8 +24,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.exchange import (_as_dataset, _group_fold, _key_fold,
-                                  _key_shuffle, _pa_from_pandas, _salt_buckets)
+from ..functions.exchange import (_as_dataset, _as_table, _group_fold,
+                                  _key_fold, _key_shuffle, _pa_from_pandas,
+                                  _salt_buckets)
 from ..functions.stats import chi2_test_counts, ks_2samp
 from ..sources.fragmented import cluster_cpus, data_blocks
 from .config import scratch_root
@@ -564,15 +565,13 @@ def heavy_hitter_users(sf_dir: str):
     """Exact top-5 heavy hitters (the CMS sketch is the at-scale screen —
     tested against this exact answer in unit tests): per-user ``_key_fold``
     counts, each bucket cut to its top 5, their top 5 on the driver."""
-    import ray
-
     def top(t: pa.Table) -> pa.Table:
         return t.sort_by([("n", "descending"),
                           ("user_id", "ascending")]).slice(0, 5)
 
     cuts = _key_fold(_read_blocked(sf_dir, "events", ["user_id"]),
                      ["user_id"], {"n": (None, "count_all")}, finish=top)
-    return top(pa.concat_tables(ray.get(_as_dataset(cuts).to_arrow_refs())))
+    return top(_as_table(cuts))
 
 
 HEAVY_HITTERS_SQL = """

@@ -9,20 +9,18 @@
       → partials → merge per partition → drift   [stripe tasks, drift fused in,
                                                   submitted first so they run
                                                   while the driver checks the
-                                                  keys; groupby past the
-                                                  driver cap]
-      → keys → uniqueness + near-dup    [driver kernels on the key table;
-                                         _key_shuffle exchanges past the
-                                         split's driver cap]
-      → violations = domain ++ uniqueness ++ near-dup  [Arrow concat; a
-                                                        Dataset union past
-                                                        the cap]
-      → violations size gate: driver collect up to VIOLATIONS_DRIVER_MAX,
-                              groupby("partition_id") beyond it
+                                                  keys]
+      → keys → uniqueness + near-dup    [driver kernels on the key table]
+      → violations = domain ++ uniqueness ++ near-dup  [Arrow concat]
       → one writer per partition (_write_partition_violations; clean
         partitions get an empty file)
       → quarantine from the written files        [cfg.quarantine]
       → per-partition commit (verdicts + column_stats + lineage)
+
+Past its driver cap each keyed step runs the same kernel in the buckets of
+the one keyed exchange (``functions.exchange._key_shuffle``): the merge
+(``fit.DRIVER_MERGE_MAX_PARTIALS``), the key checks (the split's caps in
+fit.py) and the violations writer (``VIOLATIONS_DRIVER_MAX``).
 
 A ``validate(resume=False)`` within the split's driver cap runs one Ray Data
 execution, the featurize pass; a resumed run adds one key-column read of the
@@ -30,10 +28,10 @@ skipped partitions, because uniqueness is table-wide. Block counts come from
 the manifest (``sources.fragmented.read_blocks``) and are reported as
 ``summary["read_blocks"]``.
 
-The size gate only decides where each partition's violation rows are
-gathered: both sides hand them to the same writer, so the files, the
-per-check counts, the quarantine and the commit do not depend on which side
-ran (``summary["violations_streamed"]`` says which did).
+The violations cap only decides where each partition's rows are gathered:
+both sides hand them to the same writer, so the files, the per-check counts,
+the quarantine and the commit do not depend on which side ran
+(``summary["violations_streamed"]`` says which did).
 """
 
 from __future__ import annotations
@@ -47,6 +45,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..functions.exchange import _as_table, _key_shuffle
 from ..sources.fragmented import TableManifest, read_blocks, read_images
 from ..stages.constraints import (KEY_SCHEMA, VIOLATION_SCHEMA, check_neardup,
                                   check_uniqueness)
@@ -60,8 +59,9 @@ from .fit import featurize_partials, merge_per_partition, split_reduced
 CONSTRAINT_CHECKS = ("unique_image_id", "neardup_phash")
 
 
-# total violation rows collected to the driver; beyond this, each partition's
-# rows reach the writer through a groupby instead (set 0 to force that side)
+# total violation rows collected to the driver (cheaper than any exchange at
+# small sizes, measured); beyond this, the writers run in the buckets of a
+# _key_shuffle on partition_id (set 0 to force that side)
 VIOLATIONS_DRIVER_MAX = 1_000_000
 
 # what _write_partition_violations returns: one row per constraint check plus
@@ -383,25 +383,26 @@ def validate(
     # ---- violations: the size gate only picks how each partition's rows
     # reach the one writer; every todo partition's file lands before the
     # quarantine reads it and before any lineage marker. commit_io times
-    # the writes; it leaves out the driver collect but holds the groupby's
-    # shuffle, which runs fused with the writes ----
+    # the writes; it leaves out the driver collect but holds the exchange's
+    # split tasks, whose fold tasks are the writers ----
     streamed = n_viol > VIOLATIONS_DRIVER_MAX
     with ThreadPoolExecutor(max_workers=8) as wpool:
         if streamed:
             todo_set = set(todo)
 
-            def write_group(t: pa.Table) -> pa.Table:
+            def write_bucket(t: pa.Table) -> pa.Table:
                 # a duplicate's min locus can be a resumed partition: its
                 # committed file stays, as on the driver side
-                if t["partition_id"][0].as_py() not in todo_set:
-                    return VIOLATION_COUNTS_SCHEMA.empty_table()
-                return _write_partition_violations(store, t)
+                pids = np.unique(t["partition_id"].to_numpy())
+                return pa.concat_tables([VIOLATION_COUNTS_SCHEMA.empty_table(), *(
+                    _write_partition_violations(
+                        store, t.filter(pc.equal(t["partition_id"], pid)))
+                    for pid in pids.tolist() if pid in todo_set)])
 
-            if isinstance(violations, pa.Table):
-                violations = ray.data.from_arrow(violations)
             t1 = time.time()
-            counts = violations.groupby("partition_id").map_groups(
-                write_group, batch_format="pyarrow").take_all()
+            counts = _as_table(_key_shuffle(
+                violations, ["partition_id"], write_bucket, None,
+                "pyarrow")).to_pylist()
         else:
             collected = violations if isinstance(violations, pa.Table) else \
                 pa.concat_tables([VIOLATION_SCHEMA.empty_table(), *(

@@ -5,15 +5,16 @@ over the key table (``KEY_SCHEMA``: image_id, phash, partition_id), which
 the featurize pass emits as its 'key' rows — only keys ever enter a shuffle;
 the heavy ``bytes`` column never does. Each check takes the keys as a
 Dataset, or as a ``pa.Table`` the driver already holds, and returns the same
-kind. Each has one shape below its driver gate and one above it, and all
-shapes share their kernels, so neither the gate nor the input kind ever
-changes the output. Above the gates every exchange is the engine's keyed one
-(``functions.exchange``).
+kind. Both kinds run the same kernels, so the input kind never changes the
+output. Every exchange of a Dataset input is the engine's keyed one
+(``functions.exchange``); near-dup alone keeps a size gate
+(``NEARDUP_DRIVER_MAX``) between a driver search over a Dataset's distinct
+phash values and the fully distributed one.
 
   * Uniqueness: per-block (image_id → count, min partition) partials, folded
-    by one function — on the driver up to ``DUP_FOLD_ROWS_MAX`` partial rows,
-    in ``_key_shuffle`` buckets on image_id beyond. Up to ``SCREEN_MAX_ROWS``
-    an id-hash screen first narrows the partials to ids whose hash repeats.
+    by one function. A driver-held table is screened first (only ids whose
+    hash repeats become partials) and folded on the driver; a Dataset's
+    partials fold in ``_key_shuffle`` buckets on image_id.
   * Near-dup: band keys are 21/21/22-bit phash slices — two images within
     Hamming distance ≤ 2 share ≥ 1 band (pigeonhole). One band kernel
     verifies each band group's candidate pairs; connected components over
@@ -24,7 +25,6 @@ changes the output. Above the gates every exchange is the engine's keyed one
 from __future__ import annotations
 
 import logging
-from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -53,10 +53,6 @@ VIOLATION_SCHEMA = pa.schema(
 KEY_SCHEMA = pa.schema([("image_id", pa.string()), ("phash", pa.int64()),
                         ("partition_id", pa.int32())])
 
-SCREEN_MAX_ROWS = 50_000_000  # rows whose id hashes the driver screens (8 B each)
-# per-(id, block) partial rows the driver will collect for the fold — the
-# fan-out bound: distinct dup ids can each appear in many blocks
-DUP_FOLD_ROWS_MAX = 2_000_000
 NEARDUP_DRIVER_MAX = 50_000_000  # distinct phash values the driver will hold (8 B each)
 NEARDUP_BAND_CAP = 1024  # distinct values verified per band group
 
@@ -67,29 +63,11 @@ def _empty_violations() -> "ray.data.Dataset":  # noqa: F821
     return ray.data.from_arrow(VIOLATION_SCHEMA.empty_table())
 
 
-def _id_hashes(batch: pa.Table) -> pa.Table:
-    # nulls excluded: PK uniqueness is over non-null keys only (two nulls
-    # hash identically and would screen as a duplicate)
-    ids = batch["image_id"].drop_null().to_numpy(zero_copy_only=False)
-    return pa.table({"h": pa.array(hash64(ids).astype(np.int64))})
-
-
-def _repeated(h: np.ndarray) -> np.ndarray:
-    """The screen: id hashes that occur more than once, sorted."""
-    uniq, counts = np.unique(h, return_counts=True)
-    return uniq[counts > 1]
-
-
-def _id_partials(batch: pa.Table, dup_hashes: np.ndarray | None) -> pa.Table:
+def _id_partials(batch: pa.Table) -> pa.Table:
     """Per-block (image_id, cnt, min partition_id) partials over non-null ids
     (SQL PK semantics: null never equals null — featurize's image_id_nonnull
-    check flags them). With ``dup_hashes`` only rows whose id hash the
-    screen found repeated become partials."""
+    check flags them)."""
     batch = batch.filter(pc.is_valid(batch["image_id"]))
-    if dup_hashes is not None:
-        h = hash64(batch["image_id"].to_numpy(
-            zero_copy_only=False)).astype(np.int64)
-        batch = batch.filter(pa.array(probe_sorted(dup_hashes, h)))
     g = batch.group_by("image_id", use_threads=False).aggregate(
         [("image_id", "count"), ("partition_id", "min")])
     return pa.table({"image_id": g["image_id"], "cnt": g["image_id_count"],
@@ -118,56 +96,24 @@ def check_uniqueness(ds):
     """image_id PK check: violations for every id appearing more than once.
 
     A driver-held key table runs the screen, the partials and the fold
-    right here and returns a table. For a Dataset, up to
-    ``SCREEN_MAX_ROWS`` rows the same cheap *screen* runs first: per-block
-    id hashes stream to the driver (8 B/id) and a numpy unique finds the
-    repeated ones; when none exist (the common case) nothing else runs, and
-    otherwise only rows with a repeated hash become partials. Above it,
-    every non-null row becomes a partial. The partials then fold on the
-    driver up to ``DUP_FOLD_ROWS_MAX`` rows, and in ``_key_shuffle`` buckets
-    beyond: all partials of an id share its bucket, so the in-bucket sum is
-    the global count. A Dataset in gives a Dataset out.
+    right here and returns a table: a numpy unique over the id hashes
+    (8 B/id) finds the repeated ones, and only rows with a repeated hash
+    become partials. A Dataset is one ``_key_shuffle`` on image_id: each
+    block's partials (``_id_partials``) meet in their id's bucket, so the
+    in-bucket sum (``_fold_partials``) is the global count. A Dataset in
+    gives a Dataset out.
     """
-    import ray
-    import ray.data
-
     if isinstance(ds, pa.Table):
-        dup_hashes = _repeated(_id_hashes(ds)["h"].to_numpy())
-        if dup_hashes.size == 0:
-            return VIOLATION_SCHEMA.empty_table()
-        return _fold_partials(_id_partials(ds, dup_hashes))
-
-    dup_hashes = None
-    if ds.count() <= SCREEN_MAX_ROWS:
-        # one bulk to_pandas transfer — iter_batches pays ~10x per-batch
-        # driver overhead at this row count (verify-skill note); a frame
-        # of empty blocks comes back without the column
-        hs = ds.map_batches(_id_hashes, batch_format="pyarrow",
-                            zero_copy_batch=True).to_pandas()
-        dup_hashes = _repeated(hs["h"].to_numpy() if len(hs)
-                               else np.empty(0, np.int64))
-        if dup_hashes.size == 0:
-            return _empty_violations()
-
-    # the one pass that touches the raw table after the screen; both folds
-    # consume these partials, never the raw rows again
-    parts = ds.map_batches(partial(_id_partials, dup_hashes=dup_hashes),
-                           batch_format="pyarrow",
-                           zero_copy_batch=True).materialize()
-    n_parts = parts.count()
-    if n_parts == 0:
-        return _empty_violations()
-    if n_parts <= DUP_FOLD_ROWS_MAX:
-        # driver fold: replaces a groupby exchange (~1.5 s fixed cost at any
-        # input size). 0-row input blocks come back without a schema, so
-        # only non-empty blocks are concatenated
-        return ray.data.from_arrow(_fold_partials(pa.concat_tables(
-            [t for t in ray.get(parts.to_arrow_refs()) if t.num_rows])))
-
-    log.warning("uniqueness: %d partial rows exceed the driver fold bound — "
-                "folding in key buckets", n_parts)
-    return _as_dataset(_key_shuffle(parts, ["image_id"], _fold_partials, None,
-                                    "pyarrow"))
+        # nulls excluded first: two nulls hash alike and would screen as a
+        # duplicate
+        ds = ds.filter(pc.is_valid(ds["image_id"]))
+        h = hash64(ds["image_id"].to_numpy(zero_copy_only=False))
+        u, n = np.unique(h, return_counts=True)
+        return _fold_partials(_id_partials(
+            ds.filter(pa.array(probe_sorted(u[n > 1], h)))))
+    return _as_dataset(_key_shuffle(ds, ["image_id"], _fold_partials,
+                                    _id_partials, "pyarrow",
+                                    schema=VIOLATION_SCHEMA))
 
 
 def _block_uniques(batch: pa.Table) -> pa.Table:

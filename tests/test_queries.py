@@ -199,6 +199,22 @@ def test_key_shuffle_keeps_equal_keys_in_one_call(ray_session):
     assert empty.column_names == ["k", "s", "n", "call"]
 
 
+def test_package_has_no_ray_groupby():
+    """Every keyed exchange in the package is ``_key_shuffle``: no source
+    file calls Ray's sort-based ``map_groups`` or imports its aggregate
+    functions (``ray.data.aggregate``)."""
+    import pathlib
+
+    import serverless_covariate_drift_detection_ray as pkg
+
+    root = pathlib.Path(pkg.__file__).parent
+    hits = [f"{p.relative_to(root)}:{i}"
+            for p in sorted(root.rglob("*.py"))
+            for i, line in enumerate(p.read_text().splitlines(), 1)
+            if "map_groups" in line or "ray.data.aggregate" in line]
+    assert hits == []
+
+
 @pytest.mark.parametrize("name", ["cusum_changepoint_events",
                                   "ewma_control_events",
                                   "seasonality_profile_events"])

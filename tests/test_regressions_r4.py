@@ -65,13 +65,11 @@ def test_write_plots_rejects_mixed_histogram_configs(tmp_path):
     assert any(p.endswith("hist_w.svg") for p in written)
 
 
-def test_uniqueness_dup_fold_gate_parity(ray_session, monkeypatch, caplog):
-    """The PK-uniqueness driver fold must emit exactly what the key-bucket
-    fold emits, with and without the id-hash screen: one row per
-    duplicated KEY, observed = exact global count, partition_id = min
-    locus; the bucket fold logs no block schema change. DUP_FOLD_ROWS_MAX
-    = -1 forces the bucket fold, and SCREEN_MAX_ROWS = -1 then skips the
-    screen as inputs above it do."""
+def test_uniqueness_dup_fold_gate_parity(ray_session, caplog):
+    """The PK-uniqueness Dataset path (one key shuffle on image_id) must
+    emit exactly what the driver table path (id-hash screen + driver fold)
+    emits: one row per duplicated KEY, observed = exact global count,
+    partition_id = min locus; the shuffle logs no block schema change."""
     import ray.data
 
     from serverless_covariate_drift_detection_ray.stages import constraints as C
@@ -83,23 +81,19 @@ def test_uniqueness_dup_fold_gate_parity(ray_session, monkeypatch, caplog):
                   "partition_id": pa.array(parts, pa.int32())})
     ds = ray.data.from_arrow(t).repartition(5).materialize()
 
-    def run():
-        df = C.check_uniqueness(ds).to_pandas()
+    def ordered(df):
         return (df.sort_values("image_id").reset_index(drop=True)
                 if len(df) else df)
 
-    fold = run()
-    monkeypatch.setattr(C, "DUP_FOLD_ROWS_MAX", -1)  # fan-out bound trips
+    fold = ordered(C.check_uniqueness(t).to_pandas())
     out = []
-    changes = _schema_changes(caplog, lambda: out.append(run()))
-    monkeypatch.setattr(C, "SCREEN_MAX_ROWS", -1)  # every row a partial
-    changes += _schema_changes(caplog, lambda: out.append(run()))
-    via_rows_gate, unscreened = out
+    changes = _schema_changes(
+        caplog, lambda: out.append(C.check_uniqueness(ds).to_pandas()))
+    shuffled = ordered(out[0])
     assert list(fold.image_id) == ["dup-a", "dup-b"]
     assert list(fold.observed) == ["3", "2"]
     assert list(fold.partition_id) == [1, 0]  # min partition locus
-    pd.testing.assert_frame_equal(fold, unscreened)
-    pd.testing.assert_frame_equal(fold, via_rows_gate)
+    pd.testing.assert_frame_equal(fold, shuffled)
     assert not changes, changes
 
 
@@ -108,8 +102,8 @@ def test_uniqueness_dup_fold_gate_parity(ray_session, monkeypatch, caplog):
                          ids=["empty", "all_null", "empty_blocks"])
 def test_uniqueness_on_sparse_blocks(ray_session, ids, dups):
     """A table with no non-null image_id has no PK duplicate, and 0-row
-    blocks (more blocks than rows) must not break the screen's collect or
-    the driver fold."""
+    blocks (more blocks than rows, some without a schema) must not break
+    the key shuffle: it types an empty result from VIOLATION_SCHEMA."""
     import ray.data
 
     from serverless_covariate_drift_detection_ray.stages import constraints as C

@@ -280,18 +280,27 @@ class TestStreamedViolations:
         pd.testing.assert_frame_equal(a, b)
 
 
-    def test_groupby_merge_matches_stripe_merge(self, run, tmp_path_factory,
+    def test_shuffle_merge_matches_stripe_merge(self, run, tmp_path_factory,
                                                 monkeypatch):
         """Past DRIVER_MERGE_MAX_PARTIALS the driver-collected partials merge
-        in a groupby with the drift checks run after it; verdicts and
-        violations must equal the stripe-task merge's."""
+        in a key shuffle on partition_id whose buckets run the stripe
+        kernel, drift checks included; verdicts, violations and the stats
+        blobs must equal the stripe-task merge's (a bucket merges each
+        partition's partials in the order the stripes do)."""
         from serverless_covariate_drift_detection_ray.pipelines import fit as F
 
         monkeypatch.setattr(F, "DRIVER_MERGE_MAX_PARTIALS", 0)
-        out = str(tmp_path_factory.mktemp("groupby_merge") / "out")
+        out = str(tmp_path_factory.mktemp("shuffle_merge") / "out")
         validate(run["fix"], run["ref_dir"], out, run["cfg"])
         assert _verdict_files(out) == _verdict_files(run["out_dir"])
         assert _violations_digest(out) == _violations_digest(run["out_dir"])
+
+        def blobs(d: str) -> dict:
+            return {os.path.relpath(f, d): open(f, "rb").read()
+                    for f in glob.glob(os.path.join(d, "stats_blobs", "**",
+                                                    "*"), recursive=True)
+                    if os.path.isfile(f)}
+        assert blobs(out) and blobs(out) == blobs(run["out_dir"])
 
 
 class TestReportSink:
@@ -922,6 +931,19 @@ def test_jpeg_partition_lossy_path_end_to_end(run):
     assert img.shape[:2] == (row["h"], row["w"])
 
 
+# the driver caps test_no_schema_records forces to 0, by the module that
+# reads each; "neardup" forces the distributed split too, since only a
+# Dataset of keys reaches NEARDUP_DRIVER_MAX
+_FORCED = {
+    "driver": [],
+    "distributed": [("fit", "REDUCED_DRIVER_MAX")],
+    "merge": [("fit", "DRIVER_MERGE_MAX_PARTIALS")],
+    "violations": [("validate", "VIOLATIONS_DRIVER_MAX")],
+    "neardup": [("fit", "REDUCED_DRIVER_MAX"),
+                ("constraints", "NEARDUP_DRIVER_MAX")],
+}
+
+
 class TestOneScan:
     """validate() scans the image files once: featurize emits the
     constraint keys, the checks run on them, and nothing reads the table
@@ -983,22 +1005,27 @@ class TestOneScan:
         assert _verdict_files(out) == _verdict_files(run["out_dir"])
         assert _violations_digest(out) == _violations_digest(run["out_dir"])
 
-    @pytest.mark.parametrize("reduced_max", [None, 0],
-                             ids=["driver", "distributed"])
+    @pytest.mark.parametrize(
+        "scale,forced", [(s, k) for s in ("tiny", "small") for k in _FORCED],
+        ids=[*_FORCED, *(f"small-{k}" for k in _FORCED)])
     def test_no_schema_records(self, run, tmp_path, caplog, monkeypatch,
-                               reduced_max):
+                               scale, forced):
         """fit + validate(resume=False) hand Ray no block whose schema
-        differs from its operator's, on the driver split and the
-        distributed one."""
+        differs from its operator's, on ``tiny`` and ``small``, by default
+        and with each driver cap forced to 0 (``_FORCED``)."""
         from serverless_covariate_drift_detection_ray.pipelines import fit as F
+        from serverless_covariate_drift_detection_ray.pipelines import validate as V
+        from serverless_covariate_drift_detection_ray.stages import constraints as C
 
-        if reduced_max is not None:
-            monkeypatch.setattr(F, "REDUCED_DRIVER_MAX", reduced_max)
+        mods = {"fit": F, "validate": V, "constraints": C}
+        for mod, name in _FORCED[forced]:
+            monkeypatch.setattr(mods[mod], name, 0)
+        fix = run["fix"] if scale == "tiny" else ensure_fixture(scale)
         ref = str(tmp_path / "ref")
 
         def both():
-            fit(run["fix"], ref, run["cfg"])
-            validate(run["fix"], ref, str(tmp_path / "out"), run["cfg"],
+            fit(fix, ref, run["cfg"])
+            validate(fix, ref, str(tmp_path / "out"), run["cfg"],
                      resume=False)
 
         assert _schema_changes(caplog, both) == []
