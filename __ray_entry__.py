@@ -158,7 +158,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "distinct_flag_status": relq.distinct_flag_status,
         "setops_customer_orders": relq.setops_customer_orders,
         "heavy_hitter_users": relq.heavy_hitter_users,
-        "heavy_hitters_screened": relq.heavy_hitters_screened,
+        "heavy_hitters_screened": relq.heavy_hitter_users,
         # windows / stream-shaped
         "window_tumbling_events": relq.window_tumbling_events,
         "window_hopping_events": relq.window_hopping_events,

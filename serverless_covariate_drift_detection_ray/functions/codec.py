@@ -261,26 +261,3 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
         return float("inf")
     return float(20.0 * np.log10(255.0) - 10.0 * np.log10(mse))
 
-
-# ---------------------------------------------------------------------------
-# External-codec stubs (multimodal plumbing; libs absent in-sandbox)
-# ---------------------------------------------------------------------------
-
-EXTERNAL_FMTS = ("jpeg", "webp")
-
-
-def decode_external(data: bytes, fmt: str) -> "np.ndarray":
-    """Decode hook for codecs a cluster image supplies as native libraries
-    (libjpeg-turbo/libwebp/PIL). The Ray-side plumbing — schema, actor
-    signature, batch sizing — is real and tested (tests/test_multimodal.py);
-    swap this body for ``PIL.Image.open`` / ``cv2.imdecode`` on a cluster
-    with the libs baked in. In-sandbox, ``jpeg`` falls back to the pure-numpy
-    baseline decoder (functions/jpeg.py — correct, ~100x slower than
-    libjpeg's SIMD path); ``webp`` has no baseline and fails loudly."""
-    if fmt not in EXTERNAL_FMTS:
-        raise ValueError(f"unknown external format {fmt!r}")
-    if fmt == "jpeg":
-        return decode_jpeg(data)
-    raise NotImplementedError(
-        f"{fmt} decode requires an image library not present in this sandbox"
-    )

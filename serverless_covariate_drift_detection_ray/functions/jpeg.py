@@ -3,10 +3,10 @@ numpy + stdlib — makes the engine's lossy image path REAL in a sandbox with
 no libjpeg/PIL (round-2 verdict item 8). The reference decodes any
 PIL-supported format on ingress
 (/root/reference/dimensionality_reduction_api/app/schemas/dr.py:15-30); this
-module is the in-sandbox baseline for the `jpeg` slice of that surface, and
-``functions.codec.decode_external`` remains the named swap point for a
-cluster image with libjpeg baked in (which is ~100x faster — the Huffman
-bit loop here is Python).
+module is the in-sandbox baseline for the `jpeg` slice of that surface.
+Featurize reaches it through ``functions.codec.decode_image``'s format
+table, the one place a libjpeg-backed decoder would plug in (~100x faster:
+the Huffman bit loop here is Python).
 
 Scope: baseline sequential DCT, 8-bit precision, grayscale or YCbCr,
 4:4:4 and 4:2:0 sampling, restart markers on decode. The DCT/IDCT,

@@ -871,21 +871,18 @@ def kmeans_embeddings(sf_dir: str, k: int = 8, iters: int = 5):
 
 
 def build_ivf_index(sf_dir: str, index_dir: str,
-                    n_cells: int = IVF_N_CELLS,
-                    centroids: np.ndarray | None = None) -> dict:
+                    n_cells: int = IVF_N_CELLS) -> dict:
     """Build (or reuse) the on-disk IVF index for the embeddings table.
 
     Layout: ``index_dir/meta.json`` (centroids + source fingerprint + the
     MANIFEST of cell files — queries read only manifest-listed files, so
-    half-appended orphans are invisible), ``index_dir/cells/cell=NN/
-    *.parquet`` (corpus rows hive-partitioned by nearest-centroid cell).
-    Crash-safe: cells land under a tmp dir first and the meta.json write
-    publishes the index last; a stale/partial build (fingerprint mismatch
-    or missing meta) is rebuilt. ``centroids`` skips training (the append
-    path and parity tests hand frozen centroids in)."""
+    stray files in a cell directory are invisible), ``index_dir/cells/
+    cell=NN/*.parquet`` (corpus rows hive-partitioned by nearest-centroid
+    cell). Crash-safe: cells land under a tmp dir first and the meta.json
+    write publishes the index last; a stale/partial build (fingerprint
+    mismatch, missing meta, or a meta without the cells manifest) is
+    rebuilt."""
     import json
-
-    import ray
 
     import pyarrow.parquet as pq_
 
@@ -897,15 +894,6 @@ def build_ivf_index(sf_dir: str, index_dir: str,
     st = os.stat(src)
     n_rows = pq_.ParquetFile(src).metadata.num_rows
     fingerprint = f"{n_rows}:{st.st_size}:{st.st_mtime_ns}"
-    if centroids is not None:
-        # explicit centroids are part of the index identity: without this a
-        # later call handing in DIFFERENT frozen centroids would hit the
-        # source-only fingerprint and silently get cells assigned under the
-        # cached build's centroids — wrong nearest-cell routing, no error
-        import hashlib
-
-        carr = np.ascontiguousarray(np.asarray(centroids, dtype=np.float64))
-        fingerprint += ":c" + hashlib.sha256(carr.tobytes()).hexdigest()[:16]
     meta_path = os.path.join(index_dir, "meta.json")
     if os.path.exists(meta_path):
         with open(meta_path) as fh:
@@ -916,8 +904,7 @@ def build_ivf_index(sf_dir: str, index_dir: str,
             return meta
 
     ds = _read_blocked(sf_dir, "embeddings", ["vec_id", "embedding"])
-    if centroids is None:
-        centroids = _ivf_train_centroids(sf_dir, n_cells)
+    centroids = _ivf_train_centroids(sf_dir, n_cells)
 
     cells_tmp = os.path.join(index_dir, "cells.tmp")
     cells_dir = os.path.join(index_dir, "cells")
@@ -935,8 +922,7 @@ def build_ivf_index(sf_dir: str, index_dir: str,
     meta = {"sf_dir": sf_dir, "source_rows": n_rows,
             "fingerprint": fingerprint, "n_cells": n_cells,
             "centroids": centroids.tolist(),
-            "files": _list_cell_files(cells_dir),
-            "appended": []}
+            "files": _list_cell_files(cells_dir)}
     tmp = meta_path + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(meta, fh)
@@ -945,7 +931,7 @@ def build_ivf_index(sf_dir: str, index_dir: str,
 
 
 def _cell_assigner(centroids: np.ndarray):
-    """Shared build/append stage: corpus rows (queries never enter the
+    """The index build's split stage: corpus rows (queries never enter the
     index) -> (cell, vec_id, embedding) by nearest centroid. The centroid
     matrix is broadcast once and read zero-copy per task."""
     import ray
@@ -985,80 +971,6 @@ def _list_cell_files(root: str) -> dict[str, list[str]]:
     return files
 
 
-def append_ivf_index(index_dir: str, new_parquet: str) -> dict:
-    """Extend a built IVF index with a new source fragment WITHOUT
-    retraining centroids — the index twin of ``extend_reference``
-    (state/reference.py): the frozen model (centroids) stays fixed, new
-    rows are assigned and appended, and the paired fingerprint/manifest
-    update publishes LAST, atomically. Crash mid-append leaves orphan
-    files that no query ever reads (queries open only manifest-listed
-    files); re-running the same append is a no-op (source fingerprint
-    recorded in meta['appended'])."""
-    import json
-    import shutil
-
-    import ray.data
-
-    import pyarrow.parquet as pq_
-
-    meta_path = os.path.join(index_dir, "meta.json")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    if "files" not in meta or "appended" not in meta:
-        # pre-manifest layout: build_ivf_index's rebuild gate protects the
-        # query path, but append has no cells manifest to extend — fail
-        # loudly instead of a raw KeyError deep in the append bookkeeping
-        raise ValueError(
-            f"IVF index at {index_dir} uses a pre-manifest layout (no "
-            "files/appended in meta.json) and cannot be appended to; "
-            "rebuild it with build_ivf_index first")
-    st = os.stat(new_parquet)
-    frag_rows = pq_.ParquetFile(new_parquet).metadata.num_rows
-    frag_fp = f"{frag_rows}:{st.st_size}:{st.st_mtime_ns}"
-    if any(a["fingerprint"] == frag_fp for a in meta["appended"]):
-        return meta  # idempotent re-append
-    centroids = np.asarray(meta["centroids"], dtype=np.float64)
-
-    k = len(meta["appended"])
-    app_tmp = os.path.join(index_dir, f"append.tmp.{k}")
-    shutil.rmtree(app_tmp, ignore_errors=True)
-    os.makedirs(app_tmp, exist_ok=True)
-    ds = ray.data.read_parquet(new_parquet, columns=["vec_id", "embedding"])
-    ds.map_batches(_cell_assigner(centroids), batch_format="pyarrow",
-                   zero_copy_batch=True).write_parquet(
-        app_tmp, partition_cols=["cell"])
-
-    # move fragment files into the live cell dirs under unique names; they
-    # stay invisible until the manifest (meta.json) publishes them
-    cells_dir = os.path.join(index_dir, "cells")
-    new_files: dict[str, list[str]] = {}
-    for d in sorted(os.listdir(app_tmp)):
-        if not d.startswith("cell="):
-            continue
-        cell = d.split("=", 1)[1]
-        dst_dir = os.path.join(cells_dir, d)
-        os.makedirs(dst_dir, exist_ok=True)
-        for i, f in enumerate(sorted(os.listdir(os.path.join(app_tmp, d)))):
-            if not f.endswith(".parquet"):
-                continue
-            name = f"a{k}-{i}-{f}"
-            os.replace(os.path.join(app_tmp, d, f),
-                       os.path.join(dst_dir, name))
-            new_files.setdefault(cell, []).append(name)
-    shutil.rmtree(app_tmp, ignore_errors=True)
-
-    for cell, names in new_files.items():
-        meta["files"].setdefault(cell, []).extend(names)
-    meta["appended"].append({"source": new_parquet, "rows": frag_rows,
-                             "fingerprint": frag_fp})
-    meta["source_rows"] = meta["source_rows"] + frag_rows
-    tmp = meta_path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(meta, fh)
-    os.replace(tmp, meta_path)
-    return meta
-
-
 def ann_ivf_persistent(sf_dir: str, nprobe: int = IVF_NPROBE):
     """Top-k cosine via the persistent IVF index: build once per
     (source, row-count) into /tmp, then answer queries by reading ONLY the
@@ -1077,7 +989,7 @@ def ann_ivf_persistent(sf_dir: str, nprobe: int = IVF_NPROBE):
 def _ivf_query(index_dir: str, sf_dir: str, nprobe: int = IVF_NPROBE):
     """Probed-cell query pass against an already-built index: opens only
     the manifest-listed files of the nprobe nearest cells per query (a
-    half-appended index is invisible until its meta publishes)."""
+    half-built index is invisible until its meta publishes)."""
     import json
 
     import ray

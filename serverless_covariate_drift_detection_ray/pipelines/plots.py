@@ -185,58 +185,6 @@ def render_drift_heatmap_svg(partitions: list[int], checks: list[str],
     return "\n".join(parts)
 
 
-_MIME = {"png": "image/png", "bmp": "image/bmp",
-         "jpeg": "image/jpeg", "jpg": "image/jpeg"}
-
-
-def write_gallery(dump_dir: str, path: str | None = None,
-                  max_per_partition: int = 8) -> str:
-    """One self-contained HTML gallery over a ``dump_images`` output dir —
-    the reference's dataset/transform gallery (ml/plot.py:52-115) without
-    matplotlib: images embed as base64 data URIs grouped by partition,
-    captions in ink tokens. ``dump_images`` already bounds the file count
-    (limit × tasks), and this caps again per partition, so the page stays
-    debug-sized against any input scale."""
-    import base64
-
-    path = path or os.path.join(dump_dir, "gallery.html")
-    sections: list[str] = []
-    n_imgs = 0
-    for part in sorted(os.listdir(dump_dir)):
-        pdir = os.path.join(dump_dir, part)
-        if not (part.startswith("partition_id=") and os.path.isdir(pdir)):
-            continue
-        cells = []
-        for name in sorted(os.listdir(pdir))[:max_per_partition]:
-            ext = name.rsplit(".", 1)[-1].lower()
-            if ext not in _MIME:
-                continue
-            with open(os.path.join(pdir, name), "rb") as fh:
-                b64 = base64.b64encode(fh.read()).decode("ascii")
-            cells.append(
-                f'<figure style="margin:4px;display:inline-block;'
-                f'text-align:center">'
-                f'<img src="data:{_MIME[ext]};base64,{b64}" width="64" '
-                f'height="64" style="image-rendering:pixelated" '
-                f'alt="{escape(name)}"/>'
-                f'<figcaption style="font:10px sans-serif;color:{_INK2}">'
-                f'{escape(name.rsplit(".", 1)[0])}</figcaption></figure>')
-            n_imgs += 1
-        if cells:
-            sections.append(
-                f'<h2 style="font:600 13px sans-serif;color:{_INK}">'
-                f'{escape(part)}</h2>' + "".join(cells))
-    html = (f'<!doctype html><html><body style="background:{_SURFACE};'
-            f'margin:16px"><h1 style="font:600 15px sans-serif;'
-            f'color:{_INK}">image gallery — {n_imgs} samples</h1>'
-            + "".join(sections) + "</body></html>")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(html)
-    os.replace(tmp, path)
-    return path
-
-
 def write_plots(out_dir: str, plots_dir: str | None = None) -> list[str]:
     """Render the run's figures from committed artifacts into
     ``<out_dir>/plots/``; returns the written paths. Histograms come from

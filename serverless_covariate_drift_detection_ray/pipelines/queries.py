@@ -580,78 +580,6 @@ ORDER BY n DESC, user_id LIMIT 5
 """
 
 
-def heavy_hitters_screened(sf_dir: str, k: int = 5, m: int = 1024):
-    """Certified screen-then-verify top-k: the at-scale heavy-hitter path.
-
-    ``heavy_hitter_users`` shuffles every distinct key; at web scale (billions
-    of distinct users) that groupby is the bottleneck. This variant instead:
-
-    1. scans once, emitting each block's local top-``m`` (candidates) plus the
-       block's m-th-largest count (threshold);
-    2. certifies: a user absent from EVERY block's top-m has total count
-       <= sum of block thresholds, so if the exact k-th candidate count beats
-       that bound the true top-k is provably inside the candidate set;
-    3. scans again counting ONLY the candidate ids (broadcast set, no shuffle),
-       and merges the per-block candidate counts driver-side (<= blocks x m
-       rows — metadata-sized).
-
-    Two cheap column scans + a tiny merge instead of a full distinct-key
-    shuffle. Falls back to the exact groupby if the certificate fails (near-
-    uniform key distribution) — honest, logged, never silently wrong."""
-    import ray
-
-    ds = _read_blocked(sf_dir, "events", ["user_id"])
-
-    def screen(batch: pa.Table) -> pa.Table:
-        """Local top-m (user_id, c) rows + one sentinel row
-        (user_id=-1, c=block threshold). Real ids are non-negative."""
-        v, c = np.unique(batch["user_id"].to_numpy(), return_counts=True)
-        if v.size > m:
-            idx = np.argpartition(c, -m)[-m:]
-            thresh = int(c[idx].min())
-            v, c = v[idx], c[idx]
-        else:
-            thresh = 0
-        return pa.table({
-            "user_id": pa.array(np.append(v, -1)),
-            "c": pa.array(np.append(c, thresh).astype(np.int64)),
-        })
-
-    scr = ds.map_batches(screen, batch_format="pyarrow", zero_copy_batch=True
-                         ).to_pandas()  # <= blocks x (m+1) rows: metadata-sized
-    thresh_sum = int(scr.loc[scr.user_id < 0, "c"].sum())
-    cand = np.unique(scr.loc[scr.user_id >= 0, "user_id"].to_numpy())
-    cand_ref = ray.put(cand)
-
-    wrapped = {"ref": cand_ref}
-
-    def count_candidates(batch: pa.Table) -> pa.Table:
-        # broadcast-task stage: the candidate set reads zero-copy from the
-        # object store per call; tasks reuse the workers the screen warmed
-        # (actor-pool spawn costs more than this whole stage)
-        cand = ray.get(wrapped["ref"])
-        u = batch["user_id"].to_numpy()
-        v, c = np.unique(u[np.isin(u, cand)], return_counts=True)
-        return pa.table({"user_id": pa.array(v),
-                         "c": pa.array(c.astype(np.int64))})
-
-    exact = ds.map_batches(count_candidates, batch_format="pyarrow",
-                           zero_copy_batch=True).to_pandas()
-    tot = exact.groupby("user_id", sort=False)["c"].sum().reset_index(name="n")
-    tot = tot.sort_values(["n", "user_id"], ascending=[False, True]).head(k)
-    # certificate: a user outside every block top-m has total <= thresh_sum,
-    # so the true top-k is inside `cand` iff the k-th candidate beats it
-    if len(tot) < k or int(tot.n.iloc[-1]) <= thresh_sum:
-        import logging
-
-        logging.getLogger(__name__).warning(
-            "heavy-hitter certificate failed (kth=%s <= bound=%d): "
-            "falling back to the exact groupby",
-            int(tot.n.iloc[-1]) if len(tot) else None, thresh_sum)
-        return heavy_hitter_users(sf_dir)
-    return _pa_from_pandas(tot.reset_index(drop=True), preserve_index=False)
-
-
 # ---------------------------------------------------------------------------
 # Windowed / stream-shaped aggregates over the events log
 # ---------------------------------------------------------------------------

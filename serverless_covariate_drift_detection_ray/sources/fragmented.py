@@ -25,7 +25,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..pipelines.config import STAGE_ROWS
-from ..state.atomic import atomic_write_bytes, atomic_write_json
+from ..state.atomic import atomic_write_json
 
 MANIFEST = "manifest.json"
 
@@ -137,10 +137,8 @@ class TableManifest:
         atomic_write_json(os.path.join(self.root, MANIFEST), payload, indent=1)
 
     @classmethod
-    def load(cls, root: str, version: int | None = None) -> "TableManifest":
-        """Load the head manifest, or a pinned snapshot (time travel)."""
-        name = MANIFEST if version is None else _snapshot_name(version)
-        with open(os.path.join(root, name)) as fh:
+    def load(cls, root: str) -> "TableManifest":
+        with open(os.path.join(root, MANIFEST)) as fh:
             payload = json.load(fh)
         return cls(
             root=root,
@@ -253,50 +251,14 @@ def read_images(
         override_num_blocks=read_blocks(frags, columns), **kwargs)
 
 
-def _snapshot_name(version: int) -> str:
-    return f"manifest-v{version:05d}.json"
-
-
-def create_snapshot(root: str) -> int:
-    """Pin the CURRENT head manifest as an immutable numbered snapshot
-    (Iceberg/Lance-style time travel). Snapshot files are tiny JSON copies;
-    while one exists, ``gc_orphans`` treats every fragment it references as
-    live, so ``TableManifest.load(root, version=N)`` keeps reading the
-    exact pre-compaction/pre-ingest data until ``drop_snapshot``."""
-    versions = list_snapshots(root)
-    n = (versions[-1] + 1) if versions else 1
-    src = os.path.join(root, MANIFEST)
-    dst = os.path.join(root, _snapshot_name(n))
-    with open(src, "rb") as fh:
-        payload = fh.read()
-    atomic_write_bytes(dst, payload)
-    return n
-
-
-def list_snapshots(root: str) -> list[int]:
-    out = []
-    for name in os.listdir(root):
-        if name.startswith("manifest-v") and name.endswith(".json"):
-            out.append(int(name[len("manifest-v"):-len(".json")]))
-    return sorted(out)
-
-
-def drop_snapshot(root: str, version: int) -> None:
-    """Unpin a snapshot; its exclusively-referenced files become
-    reclaimable by the next ``gc_orphans``."""
-    os.remove(os.path.join(root, _snapshot_name(version)))
-
-
 def gc_orphans(root: str) -> list[str]:
-    """Delete every ``frag-*.parquet`` that neither the head manifest nor
-    any pinned snapshot references — the reclamation step for compaction
-    (old fragments stay on disk by default so in-flight readers of the
-    pre-compaction manifest never lose files; run GC once no reader can
-    hold the old manifest). Converges: covers files leaked by any earlier
-    interrupted compaction too."""
+    """Delete every ``frag-*.parquet`` the head manifest does not
+    reference: the reclamation step for compaction and clustering (old
+    fragments stay on disk by default so in-flight readers of the
+    pre-rewrite manifest never lose files; run GC once no reader can hold
+    the old manifest). Converges: covers files leaked by any earlier
+    interrupted rewrite too."""
     live = {f.file for f in TableManifest.load(root).fragments}
-    for v in list_snapshots(root):
-        live |= {f.file for f in TableManifest.load(root, version=v).fragments}
     removed = []
     for name in os.listdir(root):
         if name.startswith("frag-") and name.endswith(".parquet") \
@@ -327,9 +289,9 @@ def compact_fragments(root: str, target_rows: int = 1_000_000,
     into streamable blocks). Crash-safe ordering: new files land first, the
     manifest flips via its atomic tmp+rename ``save()``. Old files are NOT
     deleted by default — a long-running reader that resolved the old
-    manifest keeps its files (Lance-style snapshot semantics); reclamation
-    is ``gc_orphans`` (or ``gc=True`` when no concurrent reader exists),
-    which also converges over files leaked by interrupted runs."""
+    manifest keeps its files; reclamation is ``gc_orphans`` (or
+    ``gc=True`` when no concurrent reader exists), which also converges
+    over files leaked by interrupted runs."""
     import ray
 
     man = TableManifest.load(root)
@@ -412,7 +374,8 @@ def cluster_fragments(root: str, by: str = "phash",
     the same slice-write over ``read_images(...).sort(by)`` — the
     manifest/commit protocol below is unchanged either way. Crash-safe
     ordering matches compaction: new files land first, the manifest flips
-    via atomic save, old files await ``gc_orphans``."""
+    via atomic save, and the old files stay on disk for readers of the old
+    manifest until ``gc_orphans`` (or ``gc=True``)."""
     import ray
 
     man = TableManifest.load(root)

@@ -186,3 +186,39 @@ def test_zero_pixel_image_flags_its_row(fragment, fmt):
     assert not any(v["check"] == "phash_match_decoded" and
                    v["image_id"] == ids[i] for v in vio)
     assert pixel_mean_count(out) == pixel_mean_count(stage(fragment)) - 1
+
+
+@pytest.mark.parametrize("fmt", ["png", "bmp", "lossy8"])
+def test_undecodable_image_flags_its_row(fragment, fmt):
+    """A payload whose header parses but whose body is cut short raises in
+    the decoder: its row gets a decode_ok violation naming the exception
+    (routed, not raised), and every other row of the block still gets
+    featurized."""
+    cfg = EngineConfig()
+    stage = fz.FeaturizeAndSketch(cfg)
+    ids = fragment["image_id"].to_numpy(zero_copy_only=False).astype(object)
+    i = int(np.nonzero(hash64(ids) < stage.decode_thresh)[0][0])
+    w, h = fragment["w"][i].as_py(), fragment["h"][i].as_py()
+    data = encode_image(np.full((h, w), 128, np.uint8), fmt)
+    bytes_col = fragment["bytes"].to_pylist()
+    fmt_col = fragment["fmt"].to_pylist()
+    bytes_col[i], fmt_col[i] = data[:len(data) // 2], fmt
+    broken = fragment.set_column(
+        fragment.schema.get_field_index("bytes"), "bytes",
+        pa.array(bytes_col, fragment.schema.field("bytes").type),
+    ).set_column(fragment.schema.get_field_index("fmt"), "fmt",
+                 pa.array(fmt_col, fragment.schema.field("fmt").type))
+
+    def n_rows_and_pixels(out):
+        parts = out.filter(pc.equal(out["kind"], "partial"))
+        state = PartialState.from_bytes(parts["state"][0].as_py())
+        return state.n_rows, state.stats["pixel_mean"].count
+
+    out = stage(broken)
+    vio = [v for v in out.filter(pc.equal(out["kind"], "violation")).to_pylist()
+           if v["image_id"] == ids[i]]
+    assert [(v["check"], v["expected"]) for v in vio] == [
+        ("decode_ok", "decodable")]
+    assert vio[0]["observed"].isidentifier()  # the exception's class name
+    rows, pixels = n_rows_and_pixels(stage(fragment))
+    assert n_rows_and_pixels(out) == (rows, pixels - 1)

@@ -605,17 +605,6 @@ def test_grouped_tdigest_quantiles_close_to_exact(ray_session):
         assert (rel < 0.01).all(), (c, rel)
 
 
-def test_heavy_hitter_screen_fallback_matches_exact(ray_session):
-    """With m=1 the screen certificate must fail on flat counts and the
-    fallback must still return the exact answer."""
-    import __ray_entry__ as e
-    from serverless_covariate_drift_detection_ray.pipelines import queries as q
-
-    exact = _canon(_to_df(q.heavy_hitter_users(SF)))
-    screened = _canon(_to_df(q.heavy_hitters_screened(SF, m=1)))
-    pd.testing.assert_frame_equal(screened, exact, check_dtype=False)
-
-
 def test_shuffle_orders_seed_determinism(ray_session):
     """Same seed -> same permutation; different seed -> different one.
     Content preservation is the SQL oracle's job."""
@@ -686,16 +675,20 @@ def test_ks_by_window_matches_numpy_oracle(ray_session):
     assert got.is_drift.mean() < 0.05
 
 
-def test_tfidf_two_shuffle_matches_broadcast(ray_session):
-    """The open-vocabulary (two-shuffle) TF-IDF path must agree exactly with
-    the broadcast fast path the oracle pins."""
-    import pyarrow.parquet as pq
-
+def test_tfidf_two_shuffle_matches_broadcast(ray_session, monkeypatch):
+    """Forcing the merged-vocabulary gate to 0 routes TF-IDF through the
+    open-vocabulary (two-shuffle) path; it must agree exactly with the
+    broadcast fast path the oracle pins."""
     from serverless_covariate_drift_detection_ray.pipelines import textops as T
 
     fast = T.tfidf_top_terms(SF).to_pandas()
-    n_docs = pq.ParquetFile(f"{SF}/documents.parquet").metadata.num_rows
-    slow = T._tfidf_two_shuffle(SF, n_docs).to_pandas()
+    calls = []
+    two_shuffle = T._tfidf_two_shuffle
+    monkeypatch.setattr(T, "_tfidf_two_shuffle",
+                        lambda *a: calls.append(a) or two_shuffle(*a))
+    monkeypatch.setattr(T, "VOCAB_BROADCAST_MAX", 0)
+    slow = T.tfidf_top_terms(SF).to_pandas()
+    assert len(calls) == 1
     key = ["doc_id", "top_term", "score"]
     a = fast[key].sort_values(key).reset_index(drop=True)
     b = slow[key].sort_values(key).reset_index(drop=True)
@@ -776,47 +769,6 @@ def test_ivf_index_holds_one_file_per_cell(ray_session, tmp_path):
     assert n_files == sum(len(f) for f in meta["files"].values())
 
 
-def test_ivf_append_matches_full_rebuild(ray_session, tmp_path):
-    """Incremental IVF append (extend-reference semantics: frozen centroids,
-    manifest+fingerprint published last) must answer probed queries
-    IDENTICALLY to a full rebuild over base+fragment with the same
-    centroids — same cells, same exact within-cell math."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    from serverless_covariate_drift_detection_ray.pipelines import ann
-
-    src = pq.read_table(f"{SF}/embeddings.parquet")
-    ids = src["vec_id"].to_numpy()
-    corpus = ids >= ann.N_QUERIES
-    # split the corpus in half by vec_id parity; queries ride with part 1
-    part1 = src.filter(~corpus | (ids % 2 == 0))
-    part2 = src.filter(corpus & (ids % 2 == 1))
-    p1 = str(tmp_path / "embeddings.parquet")  # build_ivf expects this name
-    p2 = str(tmp_path / "frag2.parquet")
-    pq.write_table(part1, p1)
-    pq.write_table(part2, p2)
-
-    # frozen centroids shared by both sides (trained on the full source)
-    cents = ann._ivf_train_centroids(SF, ann.IVF_N_CELLS)
-
-    idx_a = str(tmp_path / "idx_append")
-    ann.build_ivf_index(str(tmp_path), idx_a, centroids=cents)
-    meta = ann.append_ivf_index(idx_a, p2)
-    assert meta["source_rows"] == part1.num_rows + part2.num_rows
-    # idempotent: re-appending the same fragment is a no-op
-    meta2 = ann.append_ivf_index(idx_a, p2)
-    assert meta2["source_rows"] == meta["source_rows"]
-
-    idx_b = str(tmp_path / "idx_full")
-    ann.build_ivf_index(SF, idx_b, centroids=cents)
-
-    appended = _canon(_to_df(ann._ivf_query(idx_a, SF)))
-    rebuilt = _canon(_to_df(ann._ivf_query(idx_b, SF)))
-    pd.testing.assert_frame_equal(appended, rebuilt, check_exact=True)
-
-
 def test_entity_clusters_distributed_path_matches_driver(ray_session,
                                                         monkeypatch, caplog):
     """Forcing the edge gate to 0 routes entity clustering through the
@@ -883,15 +835,23 @@ def test_pagerank_mass_conservation(ray_session):
         _canon(full), _canon(again), check_exact=True)
 
 
-def test_unigram_logprob_two_shuffle_matches_broadcast(ray_session, monkeypatch):
-    """Forcing the vocab gate to 0 routes the unigram LM through the
+@pytest.mark.parametrize("gate", ["PARTIALS_COLLECT_MAX",
+                                  "VOCAB_BROADCAST_MAX"])
+def test_unigram_logprob_two_shuffle_matches_broadcast(ray_session,
+                                                       monkeypatch, gate):
+    """Forcing either gate to 0 routes the unigram LM through the
     two-shuffle bucketed path; scores must match the broadcast path (both
     round to 6 decimals)."""
     from serverless_covariate_drift_detection_ray.pipelines import textops as T
 
     fast = _canon(_to_df(T.unigram_logprob_documents(SF)))
-    monkeypatch.setattr(T, "PARTIALS_COLLECT_MAX", 0)
+    calls = []
+    two_shuffle = T._unigram_two_shuffle
+    monkeypatch.setattr(T, "_unigram_two_shuffle",
+                        lambda *a: calls.append(a) or two_shuffle(*a))
+    monkeypatch.setattr(T, gate, 0)
     slow = _canon(_to_df(T.unigram_logprob_documents(SF)))
+    assert len(calls) == 1
     pd.testing.assert_frame_equal(fast, slow, check_dtype=False)
 
 

@@ -1,7 +1,7 @@
 """Round-3 regression tests: null image_id handling, cross-partition PK
 duplicates in the quarantine sink (driver vs streamed parity), reference-state
-shape guards, IVF index identity, running-totals kernel bit-identity, and the
-degenerate single-window KS oracle."""
+shape guards, running-totals kernel bit-identity, and the degenerate
+single-window KS oracle."""
 
 import glob
 import json
@@ -96,49 +96,10 @@ def test_drift_stage_rejects_state_fit_under_other_fmt_domain(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# IVF index identity / append guards
+# single-window KS: engine vs oracle on a degenerate stream
 # ---------------------------------------------------------------------------
 
 SF = "/root/testdata/sf0.001"
-
-
-def test_append_ivf_premanifest_meta_raises(tmp_path):
-    from serverless_covariate_drift_detection_ray.pipelines.ann import (
-        append_ivf_index,
-    )
-
-    idx = tmp_path / "ivf"
-    idx.mkdir()
-    (idx / "meta.json").write_text(json.dumps(
-        {"centroids": [[0.0]], "fingerprint": "x"}))
-    with pytest.raises(ValueError, match="pre-manifest"):
-        append_ivf_index(str(idx), "/nonexistent.parquet")
-
-
-def test_build_ivf_explicit_centroids_not_served_from_trained_cache(
-        ray_session, tmp_path):
-    """An explicit-centroids build must NOT silently reuse an index built
-    with trained centroids for the same source."""
-    from serverless_covariate_drift_detection_ray.pipelines.ann import (
-        build_ivf_index,
-    )
-
-    idx = str(tmp_path / "ivf")
-    meta1 = build_ivf_index(SF, idx, n_cells=4)
-    dim = len(meta1["centroids"][0])
-    rng = np.random.default_rng(3)
-    custom = rng.normal(size=(4, dim))
-    meta2 = build_ivf_index(SF, idx, n_cells=4, centroids=custom)
-    assert meta2["fingerprint"] != meta1["fingerprint"]
-    np.testing.assert_allclose(np.array(meta2["centroids"]), custom)
-    # idempotent: same explicit centroids again → cache hit, no rebuild
-    meta3 = build_ivf_index(SF, idx, n_cells=4, centroids=custom)
-    assert meta3["fingerprint"] == meta2["fingerprint"]
-
-
-# ---------------------------------------------------------------------------
-# single-window KS: engine vs oracle on a degenerate stream
-# ---------------------------------------------------------------------------
 
 
 def test_ks_by_window_single_hour_matches_oracle(ray_session, tmp_path):
@@ -275,7 +236,7 @@ def test_quarantine_null_ids_and_cross_partition_dups(dup_fixture,
 
 
 # ---------------------------------------------------------------------------
-# histogram hi-edge, fingerprint identity, tabular null-fill, empty projection
+# histogram hi-edge, fingerprint identity, empty projection
 # ---------------------------------------------------------------------------
 
 
@@ -320,20 +281,6 @@ def test_config_fingerprint_distinguishes_dataclass_checks():
     assert len({f_a, f_b, f_a2}) == 3
     # determinism: same instance values → same fingerprint
     assert f_a == config_fingerprint(EngineConfig(drift_checks=("ks", CheckA())))
-
-
-def test_tabular_jsonl_missing_field_null_fills(ray_session, tmp_path):
-    """A JSONL row omitting an optional field (absent key) null-fills to
-    the target schema instead of raising KeyError."""
-    from serverless_covariate_drift_detection_ray.sources.tabular import read_table
-
-    p = tmp_path / "rows.jsonl"
-    p.write_text('{"a": 1, "b": "x"}\n{"a": 2, "b": "y"}\n')
-    schema = pa.schema([("a", pa.int64()), ("b", pa.string()),
-                        ("c", pa.float64())])
-    t = read_table(str(p), fmt="jsonl", schema=schema).take_all()
-    assert [r["c"] for r in t] == [None, None]
-    assert [r["a"] for r in t] == [1, 2]
 
 
 def test_read_images_all_pruned_keeps_projected_schema(ray_session,

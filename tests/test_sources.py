@@ -1,87 +1,9 @@
-"""Multi-format source round-trips (sources/tabular.py): the same events
-aggregate must be format-invariant across parquet / CSV / JSONL, and
-write_table must produce re-readable partitioned output."""
+"""Fragment-addressable table layout (sources/fragmented.py): compaction,
+clustering, zone-map pruning, schema evolution and the read block plan."""
 
 import os
 
 import pyarrow as pa
-import pyarrow.parquet as pq
-import pytest
-
-from serverless_covariate_drift_detection_ray.sources.tabular import (
-    read_table,
-    write_table,
-)
-
-SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def text_copies(tmp_path_factory):
-    """The sf0.001 events table re-landed as CSV and JSONL under /tmp,
-    timestamps as ISO-8601 strings (the wire form text formats carry)."""
-    root = tmp_path_factory.mktemp("events_text")
-    tbl = pq.read_table(f"{SF}/events.parquet")
-    # arrow strftime's %S includes the fractional seconds already
-    iso = pa.compute.strftime(tbl["ts"], format="%Y-%m-%dT%H:%M:%S")
-    txt = tbl.set_column(tbl.schema.get_field_index("ts"), "ts", iso)
-    import pyarrow.csv as pcsv
-
-    pcsv.write_csv(txt, os.path.join(root, "events.csv"))
-    txt.to_pandas().to_json(os.path.join(root, "events.jsonl"),
-                            orient="records", lines=True,
-                            date_format="iso")
-    return str(root), tbl.schema
-
-
-def _agg(ds):
-    from ray.data.aggregate import Count, Sum
-
-    out = (ds.groupby("event_type")
-           .aggregate(Count(alias_name="n"), Sum("value", alias_name="sv"))
-           .to_pandas().sort_values("event_type").reset_index(drop=True))
-    out["sv"] = out["sv"].round(6)
-    return out
-
-
-def test_csv_jsonl_match_parquet(ray_session, text_copies):
-    root, schema = text_copies
-    want = _agg(read_table(f"{SF}/events.parquet",
-                           columns=["event_type", "value", "ts"]))
-    got_csv = _agg(read_table(os.path.join(root, "events.csv"), "csv",
-                              columns=["event_type", "value", "ts"],
-                              schema=schema))
-    got_jsonl = _agg(read_table(os.path.join(root, "events.jsonl"), "jsonl",
-                                columns=["event_type", "value", "ts"],
-                                schema=schema))
-    assert want.equals(got_csv)
-    assert want.equals(got_jsonl)
-
-
-def test_timestamp_normalization(ray_session, text_copies):
-    root, schema = text_copies
-    ds = read_table(os.path.join(root, "events.csv"), "csv",
-                    columns=["ts", "event_id"], schema=schema)
-    t = ds.take_batch(5, batch_format="pyarrow")
-    assert pa.types.is_timestamp(t["ts"].type)
-    orig = pq.read_table(f"{SF}/events.parquet", columns=["event_id", "ts"])
-    odf = orig.to_pandas().set_index("event_id")["ts"]
-    tdf = t.to_pandas().set_index("event_id")["ts"]
-    assert (odf.loc[tdf.index] == tdf).all()
-
-
-def test_write_roundtrip(ray_session, tmp_path):
-    src = read_table(f"{SF}/events.parquet",
-                     columns=["event_id", "event_type", "value"])
-    out = str(tmp_path / "out_parquet")
-    write_table(src, out, "parquet")
-    files = os.listdir(out)
-    assert files and all(f.endswith(".parquet") for f in files)
-    back = read_table(out)
-    assert back.count() == src.count()
-
-    with pytest.raises(ValueError):
-        write_table(src, str(tmp_path / "x"), "orc")
 
 
 def test_compact_fragments_preserves_table(ray_session, tmp_path):
@@ -277,65 +199,6 @@ def test_read_images_blocks_follow_manifest(ray_session, tmp_path):
     assert read_blocks(small[:9], None) == ncpu
 
 
-def test_snapshot_time_travel(ray_session, tmp_path):
-    """create_snapshot pins the pre-compaction manifest: gc keeps its
-    files, load(version=) reads the exact old data, and drop_snapshot +
-    gc_orphans reclaims them."""
-    import os
-
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from serverless_covariate_drift_detection_ray.sources.fragmented import (
-        TableManifest,
-        compact_fragments,
-        create_snapshot,
-        drop_snapshot,
-        gc_orphans,
-        list_snapshots,
-        write_fragment,
-    )
-
-    root = str(tmp_path)
-    man = TableManifest(root=root)
-    for fid in range(4):
-        t = pa.table({
-            "image_id": [f"im{fid}_{i}" for i in range(10)],
-            "v": pa.array(range(fid * 10, fid * 10 + 10), pa.int64()),
-            "fragment_id": pa.array([fid] * 10, pa.int64()),
-            "partition_id": pa.array([0] * 10, pa.int32()),
-        })
-        man.fragments.append(write_fragment(root, fid, 0, t))
-    man.partitions = {0: {}}
-    man.save()
-
-    def data(m):
-        parts = [pq.read_table(f"{root}/{f.file}").to_pandas()
-                 for f in m.fragments]
-        return (pd.concat(parts)[["image_id", "v"]]
-                .sort_values("image_id").reset_index(drop=True))
-
-    before = data(man)
-    old_files = {f.file for f in man.fragments}
-    v1 = create_snapshot(root)
-    assert list_snapshots(root) == [v1]
-
-    compact_fragments(root, target_rows=100, gc=True)
-    # snapshot pins the old fragments: gc (ran via gc=True) kept them
-    assert old_files <= {p for p in os.listdir(root) if p.endswith(".parquet")}
-    # time travel reads the exact pre-compaction bytes
-    pd.testing.assert_frame_equal(data(TableManifest.load(root, version=v1)),
-                                  before)
-    # head reads the compacted layout with identical contents
-    pd.testing.assert_frame_equal(data(TableManifest.load(root)), before)
-
-    drop_snapshot(root, v1)
-    removed = gc_orphans(root)
-    assert set(removed) == old_files
-    assert list_snapshots(root) == []
-
-
 def test_schema_evolution_old_fragment_null_fills(ray_session, tmp_path):
     """A fragment written before a column existed (schema evolution) reads
     back null-filled through the manifest path — evolution is tolerated at
@@ -382,6 +245,7 @@ def test_cluster_fragments_tightens_zone_maps(ray_session, tmp_path):
     from serverless_covariate_drift_detection_ray.sources.fragmented import (
         TableManifest,
         cluster_fragments,
+        gc_orphans,
         write_fragment,
     )
 
@@ -419,10 +283,16 @@ def test_cluster_fragments_tightens_zone_maps(ray_session, tmp_path):
                 .sort_values("image_id").reset_index(drop=True))
 
     before = content(pre)
-    man2 = cluster_fragments(root, by="phash", target_rows=20, gc=True)
+    old_files = {f.file for f in pre.fragments}
+    man2 = cluster_fragments(root, by="phash", target_rows=20)
     # same rows, same partition membership
     import pandas as pd
     pd.testing.assert_frame_equal(before, content(man2))
+    # new files first, atomic manifest flip, gc later: a reader holding the
+    # pre-cluster manifest still reads it whole until gc_orphans runs
+    assert old_files.isdisjoint(f.file for f in man2.fragments)
+    pd.testing.assert_frame_equal(before, content(pre))
+    assert set(gc_orphans(root)) == old_files
     assert man2.num_rows == 120
     assert sorted({f.partition_id for f in man2.fragments}) == [0, 1]
     # per partition: 3 fragments with DISJOINT, sorted phash ranges
@@ -444,57 +314,6 @@ def test_cluster_fragments_tightens_zone_maps(ray_session, tmp_path):
     man3 = cluster_fragments(root, by="phash", target_rows=20, gc=True)
     pd.testing.assert_frame_equal(before, content(man3))
     assert len(man3.fragments) == len(man2.fragments)
-
-
-def test_cluster_fragments_respects_snapshots(ray_session, tmp_path):
-    """A pinned snapshot keeps the pre-cluster layout readable (time
-    travel) and GC-protected until dropped — clustering follows the same
-    new-files-first / atomic-manifest-flip / gc-later protocol as
-    compaction."""
-    import numpy as np
-    import pyarrow as pa
-
-    from serverless_covariate_drift_detection_ray.sources.fragmented import (
-        TableManifest,
-        cluster_fragments,
-        create_snapshot,
-        drop_snapshot,
-        gc_orphans,
-        write_fragment,
-    )
-
-    root = str(tmp_path / "snap")
-    os.makedirs(root)
-    man = TableManifest(root=root)
-    rng = np.random.Generator(np.random.PCG64(3))
-    keys = rng.permutation(np.arange(40, dtype=np.int64))
-    for fid in range(2):
-        v = keys[fid * 20:(fid + 1) * 20]
-        t = pa.table({
-            "image_id": pa.array([f"i{x}" for x in v]),
-            "phash": pa.array(v),
-            "fragment_id": pa.array(np.full(20, fid, np.int64)),
-            "partition_id": pa.array(np.zeros(20, np.int32)),
-        })
-        man.fragments.append(write_fragment(root, fid, 0, t))
-    man.partitions = {0: {}}
-    man.save()
-
-    ver = create_snapshot(root)
-    old_files = {f.file for f in TableManifest.load(root).fragments}
-    cluster_fragments(root, by="phash", target_rows=20, gc=True)
-    # snapshot pins the old fragments: gc (already run via gc=True) kept them
-    on_disk = {p for p in os.listdir(root) if p.endswith(".parquet")}
-    assert old_files <= on_disk
-    # time travel reads the exact pre-cluster table
-    pinned = TableManifest.load(root, version=ver)
-    assert {f.file for f in pinned.fragments} == old_files
-    assert pinned.num_rows == 40
-    # dropping the snapshot releases them to the next gc
-    drop_snapshot(root, ver)
-    removed = set(gc_orphans(root))
-    assert removed == old_files
-    assert TableManifest.load(root).num_rows == 40
 
 
 def test_cluster_and_compact_handle_schema_evolution(ray_session, tmp_path):
