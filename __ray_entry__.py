@@ -519,7 +519,8 @@ ROWS_ONLY_EVIDENCE: dict[str, str] = {
     "kmeans_embeddings": "tests/test_queries.py::"
                          "test_kmeans_matches_numpy_lloyd_and_inertia_monotone",
     "minhash_neardup_documents": "tests/test_queries.py (recall vs exact "
-                                 "jaccard pairs + gate-forced parity)",
+                                 "jaccard pairs + exact jaccard of every "
+                                 "pair, star-link branch forced)",
     "mmd_embeddings_drift": "tests/test_queries.py::"
                             "test_mmd_embeddings_verdicts (+ golden/"
                             "determinism tests in tests/test_stats.py)",

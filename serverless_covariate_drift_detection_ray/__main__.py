@@ -168,9 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.cmd == "score-window":
-        # serving path: small windows run fully in-process (no Ray session);
-        # score_window only fans out above its row gate, and then Ray Data
-        # auto-inits a local session
+        # serving path: every window runs fully in-process (no Ray session)
         from .pipelines.serve import score_window
 
         print(json.dumps(score_window(args.window, args.state,

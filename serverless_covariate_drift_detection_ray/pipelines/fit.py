@@ -3,8 +3,7 @@
 ``read(reference partitions) → featurize_partials → split_reduced →
 merge_per_partition → merge in partition_id order → median-heuristic σ →
 save reference_state/``. ``validate()`` runs the same three passes over the
-partitions it tests (with the drift checks fused into the merge), and
-``score_window`` fans large windows out through ``featurize_partials``.
+partitions it tests (with the drift checks fused into the merge).
 
 The reference analogue: encode the detector split and ``detector.fit(X_ref)``
 (/root/reference/ml/training.py:423-460).
@@ -39,10 +38,6 @@ KEYS_DRIVER_MAX = 5_000_000
 # the block-size bound featurize_partials declares for its output: a
 # 1,024-row stage call writes ~100 KB of partials and ~40 KB of key rows
 FEATURIZE_BLOCK_BYTES = 8 << 20
-
-# partial-state rows above which the per-partition merge runs in a
-# _key_shuffle instead of driver-submitted stripe tasks (~100 KB per partial row)
-DRIVER_MERGE_MAX_PARTIALS = 20_000
 
 # one merged sketch state per partition: what the drift checks and the
 # commit consume
@@ -172,20 +167,19 @@ def merge_per_partition(partials, cfg: EngineConfig,
     stripe tasks run while the caller does other driver work before the
     wait; the exchange runs when waited on.
 
-    Driver-collected partials within DRIVER_MERGE_MAX_PARTIALS merge in a
-    handful of stripe tasks — the merge is GIL-bound Python (driver threads
-    measured 1.5 s serial vs 3.1 s under an 8-thread pool), so parallelism
-    must be process-level, and stripes rather than per-partition tasks
-    keep the submit overhead down. Beyond the gate — or when the split
-    stayed distributed — the partials meet in one ``_key_shuffle`` on
-    partition_id, each bucket a stripe. Either way a task runs the drift
-    checks on the partitions it merged (the stateless
+    A partials table the split collected merges in a handful of stripe
+    tasks over one ``ray.put`` of it — the merge is GIL-bound Python
+    (driver threads measured 1.5 s serial vs 3.1 s under an 8-thread
+    pool), so parallelism must be process-level, and stripes rather than
+    per-partition tasks keep the submit overhead down. A Dataset of
+    partials (the split stayed distributed) meets in one ``_key_shuffle``
+    on partition_id, each bucket a stripe. Either way a task runs the
+    drift checks on the partitions it merged (the stateless
     ``drift_verdicts_batch`` kernel, warm-worker module cache), and a
     partition's partials merge in the order they are given."""
     import ray
 
-    if isinstance(partials, pa.Table) and \
-            partials.num_rows <= DRIVER_MERGE_MAX_PARTIALS:
+    if isinstance(partials, pa.Table):
         pids = np.unique(partials["partition_id"].to_numpy())
         n_stripes = min(8, pids.size)
         tbl_ref = ray.put(partials)

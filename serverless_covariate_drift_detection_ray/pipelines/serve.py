@@ -16,15 +16,10 @@ violation rows.
 Execution shape: EXACTLY the batch pipeline's kernels —
 ``FeaturizeAndSketch`` for stats/violations and the resolved check plugins
 for the tests — so a served verdict is bit-identical to what the batch
-pass would emit for the same rows (pinned in tests). Small windows (the
-serving case) run in-process with zero Ray tasks: the callable-class stage
-is constructed directly, which is the same code the stateless featurize
-tasks run. Windows above SERVE_DRIVER_MAX_ROWS go through the batch
-pipeline's own featurize pass (``fit.featurize_partials``), but that does
-not fan out: ``ray.data.from_arrow(table)`` is one block, so the window runs
-as ONE featurize task (its rows cut to ``cfg.batch_size`` per stage call).
-Slicing the window into blocks would change the t-digest ``stats``
-quantiles, which are merge-order dependent; it waits for exact sketches.
+pass would emit for the same rows (pinned in tests). Every window runs
+in-process with zero Ray tasks: the driver already holds it, and the
+callable-class stage is constructed directly, which is the same code the
+stateless featurize tasks run.
 """
 
 from __future__ import annotations
@@ -36,9 +31,8 @@ import pyarrow as pa
 from ..stages.drift import VERDICT_SCHEMA, DriftTestActor
 from ..stages.featurize import FeaturizeAndSketch
 from .config import EngineConfig
-from .fit import featurize_partials, merge_partials_table
+from .fit import merge_partials_table
 
-SERVE_DRIVER_MAX_ROWS = 100_000  # in-process gate; larger windows fan out
 WINDOW_PARTITION_ID = 0  # a served window is one anonymous partition
 
 
@@ -80,15 +74,7 @@ def score_window(window, ref_state_dir: str,
 
         cfg = dataclasses.replace(cfg, alpha=float(alpha))
     table = _load_window(window)
-
-    if table.num_rows <= SERVE_DRIVER_MAX_ROWS:
-        reduced = FeaturizeAndSketch(cfg, None)(table)
-    else:
-        import ray.data
-
-        reduced = pa.concat_tables(list(
-            featurize_partials(ray.data.from_arrow(table), cfg).iter_batches(
-                batch_size=1 << 16, batch_format="pyarrow")))
+    reduced = FeaturizeAndSketch(cfg, None)(table)
 
     import numpy as np
     import pyarrow.compute as pc

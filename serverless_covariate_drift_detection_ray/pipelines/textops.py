@@ -266,17 +266,17 @@ HOT_BAND_CAP = 512  # all-pairs bound per band bucket; beyond it, star-link
 def _word_hash_table(batch: pa.Table) -> pa.Table:
     """(doc_id, words) where words = sorted distinct 64-bit word hashes.
 
-    The compact per-doc token representation shipped through the verify
-    joins — word hashes instead of raw text keep join payloads small;
-    Jaccard over 64-bit hashes equals word-set Jaccard up to negligible
-    collision probability."""
+    The compact per-doc token representation each MinHash band row carries
+    to its bucket's verify — word hashes instead of raw text keep the
+    shuffle small; Jaccard over 64-bit hashes equals word-set Jaccard up to
+    negligible collision probability."""
     texts = batch["text"].to_numpy(zero_copy_only=False)
     words = []
     for t in texts:
         ws = sorted({w for w in (t or "").split(" ") if w})
         h = hash64(np.asarray(ws, dtype=object)) if ws else np.empty(0, np.uint64)
-        # binary blob (sorted int64 array bytes): Arrow hash joins reject
-        # list-typed payload columns, binary passes through fine
+        # binary blob (sorted int64 array bytes): one flat buffer that
+        # _verify_pairs reads without a Python loop
         words.append(np.unique(h).astype(np.int64).tobytes())
     return pa.table({
         "doc_id": batch["doc_id"],
@@ -284,239 +284,136 @@ def _word_hash_table(batch: pa.Table) -> pa.Table:
     })
 
 
-def _attach_words(pairs_ds, sf_dir: str, key: str, out_col: str,
-                  finish=None):
-    """Bucketed distributed join: attach per-doc token-hash blobs to pair rows.
-
-    Pair rows and doc rows share one schema and meet in ``_key_shuffle``
-    buckets on ``key``, merged vectorized (pandas) within each bucket — a
-    hash join with a bounded call count (Ray 2.49's per-group overhead
-    makes one-group-per-key infeasible, and its join operator has ~10 s+
-    fixed aggregator cost per side at this scale), then ``finish`` on the
-    merged rows if given. Only the candidate docs' token blobs survive the
-    inner merge, so nothing corpus-sized is broadcast or collected. Doc-id
-    columns stay < 2^32, so the float64 round-trip that nullable-int
-    columns take in pandas is exact."""
-    other = "doc_b" if key == "doc_a" else "doc_a"
-    schema_cols = ["doc_a", "doc_b", "words_a", "words_b"]
-
-    def widen(batch: pa.Table) -> pa.Table:
-        cols = {}
-        for c in schema_cols:
-            if c in batch.column_names:
-                # a doc id read back through pandas may be float64: the
-                # key hash must see both sides' ids as int64
-                cols[c] = (batch[c] if c.startswith("words")
-                           else batch[c].cast(pa.int64()))
-            elif c.startswith("words"):
-                cols[c] = pa.nulls(batch.num_rows, pa.binary())
-            else:
-                cols[c] = pa.nulls(batch.num_rows, pa.int64())
-        return pa.table(cols)
-
-    def tag_pairs(batch: pa.Table) -> pa.Table:
-        if out_col in batch.column_names:
-            batch = batch.drop_columns([out_col])
-        return widen(batch)
-
-    def tag_docs(batch: pa.Table) -> pa.Table:
-        t = _word_hash_table(batch)
-        return widen(pa.table({key: t["doc_id"], out_col: t["words"]}))
-
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        # doc rows have no partner id; pair rows always carry both doc ids
-        is_doc = df[other].isna()
-        d = df.loc[is_doc, [key, out_col]]
-        p = df.loc[~is_doc].drop(columns=[out_col])
-        m = p.merge(d, on=key, how="inner")
-        return m if finish is None else finish(m)
-
-    return _key_shuffle([pairs_ds, _read_docs(sf_dir, ["doc_id", "text"])],
-                        [key], merge, [tag_pairs, tag_docs])
+def _verify_pairs(blobs: pa.Array, ia: np.ndarray, ib: np.ndarray
+                  ) -> np.ndarray:
+    """Exact Jaccard of the blob pairs (ia, ib) of ``blobs`` (sorted-int64
+    word-hash arrays). Each blob becomes a matrix row padded with
+    negatives distinct across the matrix, so a pair's intersection is the
+    count of adjacent equal values in sort(concat(row a, row b)): a
+    vectorized (n, 2W) sort, 8,192 pairs at a time in one reused buffer
+    (a fresh n x 2W matrix costs more in first-touch page faults than its
+    sort)."""
+    lens = pc.binary_length(blobs).to_numpy().astype(np.int64) // 8
+    offsets = np.frombuffer(blobs.buffers()[1], np.int32)[
+        blobs.offset:blobs.offset + len(blobs) + 1]
+    vals = np.frombuffer(blobs.buffers()[2] or b"", np.uint8)[
+        offsets[0]:offsets[-1]].view(np.int64)
+    w = max(int(lens.max(initial=0)), 1)
+    mat = -(np.arange(lens.size * w, dtype=np.int64) + 1).reshape(-1, w)
+    mat[np.repeat(np.arange(lens.size), lens),
+        np.arange(vals.size) - np.repeat(np.cumsum(lens) - lens, lens)] = vals
+    chunk = 8192
+    buf = np.empty((min(chunk, len(ia)), 2 * w), np.int64)
+    inter = np.empty(len(ia), np.int64)
+    for s in range(0, len(ia), chunk):
+        c = buf[:min(chunk, len(ia) - s)]
+        c[:, :w] = mat[ia[s:s + chunk]]
+        c[:, w:] = mat[ib[s:s + chunk]]
+        c.sort(axis=1)  # only adjacency counts: any sort order of ties
+        inter[s:s + chunk] = (c[:, 1:] == c[:, :-1]).sum(axis=1)
+    union = lens[ia] + lens[ib] - inter
+    return np.where(union > 0, inter / np.maximum(union, 1), 0.0)
 
 
-# verify-path gate: doc token blobs are broadcast only when the corpus is
-# provably small (parquet metadata count — no scan); otherwise the bucketed
-# ``_key_shuffle`` join runs. 200k docs × ~25 tokens × 8 B ≈ 40 MB broadcast.
-VERIFY_BROADCAST_MAX_DOCS = 200_000
-
-
-def _jaccard_blobs(wa, wb) -> np.ndarray:
-    """Exact Jaccard over pairs of sorted-int64-array blobs."""
-    jac = np.zeros(len(wa), dtype=np.float64)
-    for i in range(len(wa)):
-        a = np.frombuffer(wa[i], dtype=np.int64)
-        b = np.frombuffer(wb[i], dtype=np.int64)
-        inter = np.intersect1d(a, b, assume_unique=True).size
-        union = a.size + b.size - inter
-        jac[i] = inter / union if union else 0.0
-    return jac
+_NEARDUP_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                             ("jaccard", pa.float64())])
 
 
 def minhash_neardup_documents(sf_dir: str, threshold: float = 0.8):
-    """shingle→minhash→band→bucket groupby→candidate pairs→exact-Jaccard verify.
+    """shingle→minhash→band→bucket→candidate pairs→exact-Jaccard verify,
+    the banding recipe of *Mining of Massive Datasets* ch. 3: the
+    candidates of a band bucket are verified in that bucket.
 
-    No whole-corpus broadcast, no unbounded driver collect:
-
-    1. band buckets emit candidate pairs; a bucket hotter than HOT_BAND_CAP
-       does all-pairs over its first CAP ids and star-links the rest to the
-       bucket minimum (O(M) instead of O(M²), cluster connectivity preserved
-       for dedup; logged, never silent).
-    2. verify: when the corpus is provably small (parquet metadata row count
-       ≤ VERIFY_BROADCAST_MAX_DOCS), the doc token-hash matrix broadcasts
-       (``ray.put`` once, zero-copy read per group) and exact Jaccard runs
-       AFTER the pair-distinct — one verification per unique pair (the same
-       pair surfaces from ~2 bands, so dedup-first halves the dominant
-       kernel; the raw-pair exchange is 16 B/candidate); otherwise the
-       verify is two bucketed joins (_attach_words) that never hold more
-       than a bucket in memory.
-    3. pair-distinct via a ``_key_shuffle`` on the pair (vectorized
-       ``np.unique`` per bucket) — a bounded call count instead of one Ray
-       group per pair.
+    1. each doc's band rows carry its sorted word-hash blob
+       (``_word_hash_table``) and meet in a ``_key_shuffle`` on the
+       composite (band, band hash) key; nothing corpus-sized is broadcast
+       or collected.
+    2. a bucket emits each band key's candidate pairs; a band key hotter
+       than HOT_BAND_CAP does all-pairs over its first CAP ids and
+       star-links the rest to its minimum (O(M) instead of O(M²), cluster
+       connectivity preserved for dedup; logged, never silent). The bucket
+       keeps each pair once and verifies it with exact Jaccard over the
+       blobs of its own rows (``_verify_pairs``).
+    3. one ``_key_shuffle`` on the pair keeps each verified pair once
+       across buckets (the same pair surfaces from ~2 bands).
     """
-    import ray
-
     ds = _read_docs(sf_dir, ["doc_id", "text"])
 
-    def add_bucket_key(batch: pa.Table) -> pa.Table:
-        # composite single int64 (band, band hash) key; every row of one
-        # bkey meets in one _key_shuffle bucket, so pair emission inside
-        # the bucket is exact per band bucket
-        sig = minhash_signatures(batch)
-        bh = sig["band_hash"].to_numpy().astype(np.uint64)
-        b = sig["band"].to_numpy().astype(np.uint64)
-        key = splitmix64(bh ^ (b << np.uint64(56))).astype(np.int64)
-        return pa.table({"doc_id": sig["doc_id"], "bkey": pa.array(key)})
-
-    def _emit_pairs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """All-pairs (capped + star-linked) over one band bucket's doc ids."""
-        if ids.size > HOT_BAND_CAP:
+    def _emit_pairs(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """All-pairs (capped + star-linked) over one band key's rows."""
+        if pos.size > HOT_BAND_CAP:
             import logging
 
             logging.getLogger(__name__).warning(
                 "hot minhash band bucket (%d docs): star-linking beyond %d",
-                ids.size, HOT_BAND_CAP)
-            head = ids[:HOT_BAND_CAP]
+                pos.size, HOT_BAND_CAP)
+            head = pos[:HOT_BAND_CAP]
             ai, bi = np.triu_indices(head.size, k=1)
-            return (np.concatenate([head[ai], np.full(ids.size - HOT_BAND_CAP, ids[0])]),
-                    np.concatenate([head[bi], ids[HOT_BAND_CAP:]]))
-        ai, bi = np.triu_indices(ids.size, k=1)
-        return ids[ai], ids[bi]
+            return (np.concatenate([head[ai], np.full(pos.size - HOT_BAND_CAP, pos[0])]),
+                    np.concatenate([head[bi], pos[HOT_BAND_CAP:]]))
+        ai, bi = np.triu_indices(pos.size, k=1)
+        return pos[ai], pos[bi]
 
-    n_docs = _read(sf_dir, "documents", ["doc_id"]).count()  # metadata-only
-    broadcast = n_docs <= VERIFY_BROADCAST_MAX_DOCS
-    state_ref = None
-    if broadcast:
-        blobs = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
-            _word_hash_table, batch_format="pyarrow", zero_copy_batch=True
-        ).to_pandas()
-        # padded token matrix: each row is the doc's sorted distinct word
-        # hashes padded with GLOBALLY-distinct negatives, so the per-pair
-        # intersection is |dups| in sort(concat(rowA, rowB)) — a fully
-        # vectorized (n, 2W) sort + adjacent-equal count, O(W log W) per pair
-        # vs the O(W^2) broadcast-compare it replaces
-        order = np.argsort(blobs.doc_id.to_numpy(), kind="mergesort")
-        ids_sorted = blobs.doc_id.to_numpy()[order].astype(np.int64)
-        arrs = [np.frombuffer(blobs.words.iloc[i], dtype=np.int64) for i in order]
-        width = max((a.size for a in arrs), default=1) or 1
-        mat = np.empty((len(arrs), width), dtype=np.int64)
-        lens = np.empty(len(arrs), dtype=np.int64)
-        for i, a in enumerate(arrs):
-            mat[i, :a.size] = a
-            mat[i, a.size:] = -(np.arange(a.size, width, dtype=np.int64)
-                                + i * width + 1)
-            lens[i] = a.size
-        state_ref = ray.put((mat, lens, ids_sorted))
+    def band_rows(batch: pa.Table) -> pa.Table:
+        # composite single int64 (band, band hash) key; every row of one
+        # bkey meets in one _key_shuffle bucket, so pair emission inside
+        # the bucket is exact per band bucket
+        sig = minhash_signatures(batch)
+        if not sig.num_rows:  # no doc of the batch has a word
+            batch = batch.slice(0, 0)
+        bh = sig["band_hash"].to_numpy().astype(np.uint64)
+        b = sig["band"].to_numpy().astype(np.uint64)
+        key = splitmix64(bh ^ (b << np.uint64(56))).astype(np.int64)
+        # sig holds N_BANDS runs of the batch's docs, in batch order
+        words = _word_hash_table(batch)["words"].combine_chunks()
+        return pa.table({"doc_id": sig["doc_id"], "bkey": pa.array(key),
+                         "words": pa.concat_arrays([words] * N_BANDS)})
 
-    def _verify_pairs(a: np.ndarray, b: np.ndarray,
-                      state: tuple) -> np.ndarray:
-        """Exact Jaccard for pair arrays against the broadcast token matrix
-        (sorted-row concat + adjacent-equal count; pads globally distinct)."""
-        smat, slens, sids = state
-        ia = np.searchsorted(sids, a)
-        ib = np.searchsorted(sids, b)
-        w = smat.shape[1]
-        c = np.empty((len(a), 2 * w), np.int64)
-        np.take(smat, ia, axis=0, out=c[:, :w])
-        np.take(smat, ib, axis=0, out=c[:, w:])
-        c.sort(axis=1, kind="stable")
-        inter = (c[:, 1:] == c[:, :-1]).sum(axis=1)
-        union = slens[ia] + slens[ib] - inter
-        return np.where(union > 0, inter / np.maximum(union, 1), 0.0)
-
-    _PAIR_EMPTY = {"pair": pd.array([], dtype="int64")}
-
-    def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        """Candidate pairs as one composite int64 key (a<<32|b), emitted
-        segment-wise per bkey inside the bucket. Pairs shuffle
-        UNVERIFIED to the distinct stage: the same pair surfaces from ~2
-        bands on the bench corpus (measured multiplicity 2.08x), so
-        verifying after the distinct halves the exact-Jaccard work — the
-        dominant stage — while the raw-pair exchange is only 16 B/candidate
-        (~85 MB at 5.3M candidates, negligible next to the kernel)."""
-        d = df.drop_duplicates(["bkey", "doc_id"]).sort_values(["bkey", "doc_id"])
-        bk = d.bkey.to_numpy()
-        ids = d.doc_id.to_numpy()
+    def verify_bucket(t: pa.Table) -> pa.Table:
+        bk = t["bkey"].to_numpy()
+        ids = t["doc_id"].to_numpy()
+        order = np.lexsort((ids, bk))
+        bk, ids = bk[order], ids[order]
+        # one row per (band key, doc)
+        keep = np.r_[True, (bk[1:] != bk[:-1]) | (ids[1:] != ids[:-1])]
+        order, bk, ids = order[keep], bk[keep], ids[keep]
         # segment boundaries per bkey; skip singleton segments outright
         starts = np.flatnonzero(np.r_[True, bk[1:] != bk[:-1]])
         ends = np.r_[starts[1:], bk.size]
         outs_a, outs_b = [], []
         for s, e in zip(starts, ends):
             if e - s >= 2:
-                a, b = _emit_pairs(ids[s:e])
+                a, b = _emit_pairs(np.arange(s, e))
                 outs_a.append(a)
                 outs_b.append(b)
         if not outs_a:
-            return pd.DataFrame(dict(_PAIR_EMPTY))
-        a = np.concatenate(outs_a).astype(np.int64)
-        b = np.concatenate(outs_b).astype(np.int64)
-        if b.size and int(max(a.max(), b.max())) >= (1 << 31):
+            return _NEARDUP_SCHEMA.empty_table()
+        ra, rb = np.concatenate(outs_a), np.concatenate(outs_b)
+        a, b = ids[ra].astype(np.int64), ids[rb].astype(np.int64)
+        if int(max(a.max(), b.max())) >= (1 << 31):
             # the composite pair key packs two ids into one SIGNED int64:
             # a << 32 overflows (and the arithmetic-shift decode breaks) at
             # a >= 2^31, not 2^32 — a corpus with larger doc ids needs a
             # (a, b) two-column dedupe instead; fail loudly rather than
             # silently alias pairs
             raise ValueError("doc_id >= 2^31: composite pair key would alias")
-        return pd.DataFrame({"pair": (a << 32) | b})
+        # each pair once within the bucket, then verified against the
+        # blobs of the rows it came from
+        _, first = np.unique((a << 32) | b, return_index=True)
+        ra, rb, a, b = ra[first], rb[first], a[first], b[first]
+        rows, inv = np.unique(np.r_[ra, rb], return_inverse=True)
+        blobs = t["words"].take(order[rows]).combine_chunks()
+        jac = _round(_verify_pairs(blobs, inv[:a.size], inv[a.size:]), 4)
+        hit = jac >= threshold
+        return pa.table([a[hit], b[hit], jac[hit]], schema=_NEARDUP_SCHEMA)
 
-    candidates = _key_shuffle(ds, ["bkey"], bucket_pairs, add_bucket_key)
+    def distinct_pairs(t: pa.Table) -> pa.Table:
+        pair = (t["doc_a"].to_numpy() << 32) | t["doc_b"].to_numpy()
+        return t.take(np.unique(pair, return_index=True)[1])
 
-    if broadcast:
-        def dedup_then_verify(df: pd.DataFrame) -> pd.DataFrame:
-            """Distinct pairs of this bucket, then ONE exact-Jaccard
-            verification per unique pair against the broadcast token matrix
-            (zero-copy ray.get per bucket)."""
-            pair = np.unique(df.pair.to_numpy())
-            a = (pair >> 32).astype(np.int64)
-            b = (pair & 0xFFFFFFFF).astype(np.int64)
-            jac = _round(_verify_pairs(a, b, ray.get(state_ref)), 4)
-            keep = jac >= threshold
-            return pd.DataFrame({"doc_a": a[keep], "doc_b": b[keep],
-                                 "jaccard": jac[keep]})
-
-        return _key_shuffle(candidates, ["pair"], dedup_then_verify)
-
-    def dedup_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        pair = np.unique(df.pair.to_numpy())
-        return pd.DataFrame({
-            "doc_a": (pair >> 32).astype(np.int64),
-            "doc_b": (pair & 0xFFFFFFFF).astype(np.int64),
-        })
-
-    def verify(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({
-            # union null-columns come back float64; doc ids < 2^32 are exact
-            "doc_a": df.doc_a.to_numpy().astype(np.int64),
-            "doc_b": df.doc_b.to_numpy().astype(np.int64),
-            "jaccard": _round(_jaccard_blobs(df.words_a.to_numpy(),
-                                             df.words_b.to_numpy()), 4),
-        })
-        return out[out.jaccard >= threshold]
-
-    # at-scale fallback: bucketed semi-join re-read, no driver state
-    uniq = _key_shuffle(candidates, ["pair"], dedup_bucket)
-    j = _attach_words(uniq, sf_dir, "doc_a", "words_a")
-    return _attach_words(j, sf_dir, "doc_b", "words_b", verify)
+    verified = _key_shuffle(ds, ["bkey"], verify_bucket, band_rows, "pyarrow")
+    return _key_shuffle(verified, ["doc_a", "doc_b"], distinct_pairs, None,
+                        "pyarrow")
 
 
 def simhash_documents(sf_dir: str):

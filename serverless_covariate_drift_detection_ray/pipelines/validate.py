@@ -19,8 +19,8 @@
 
 Past its driver cap each keyed step runs the same kernel in the buckets of
 the one keyed exchange (``functions.exchange._key_shuffle``): the merge
-(``fit.DRIVER_MERGE_MAX_PARTIALS``), the key checks (the split's caps in
-fit.py) and the violations writer (``VIOLATIONS_DRIVER_MAX``).
+and the key checks (the split's caps in fit.py) and the violations writer
+(``VIOLATIONS_DRIVER_MAX``).
 
 A ``validate(resume=False)`` within the split's driver cap runs one Ray Data
 execution, the featurize pass; a resumed run adds one key-column read of the

@@ -61,7 +61,7 @@ class FeaturizeAndSketch:
     (/root/reference/detector_api/app/utils.py:4-14). The pipelines run it
     through the stateless ``featurize_task`` wrapper below, whose module
     cache keeps one instance per worker process; ``score_window`` calls it
-    in-process."""
+    in-process on the whole window, whatever its size."""
 
     def __init__(self, cfg: EngineConfig, manifest_broadcast: dict | None = None):
         self.cfg = cfg

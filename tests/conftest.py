@@ -22,6 +22,29 @@ def _schema_changes(caplog, run) -> list[str]:
             if "different schema" in r.getMessage()]
 
 
+def _executions(monkeypatch, run) -> list[list[str]]:
+    """The Ray Data executions ``run()`` starts, each as the operator names
+    of its plan (output operator first)."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    plans, execute = [], StreamingExecutor.execute
+
+    def counted_execute(self, dag, *a, **k):
+        ops, stack = [], [dag]
+        while stack:
+            op = stack.pop()
+            ops.append(op.name)
+            stack.extend(op.input_dependencies)
+        plans.append(ops)
+        return execute(self, dag, *a, **k)
+
+    with monkeypatch.context() as m:
+        m.setattr(StreamingExecutor, "execute", counted_execute)
+        run()
+    return plans
+
+
 @pytest.fixture(scope="session")
 def ray_session():
     import ray

@@ -10,7 +10,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 import pytest
-from conftest import _schema_changes
+from conftest import _executions, _schema_changes
 
 SF = "/root/testdata/sf0.001"
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
@@ -491,17 +491,47 @@ def test_dedup_semantic_above_gate_consistent(ray_session):
     assert int(out.cluster_size.sum()) == n
 
 
-def test_minhash_fallback_join_path_matches_broadcast(ray_session, monkeypatch):
-    """The at-scale bucketed-join verify (no broadcast) must produce the same
-    pairs as the gated broadcast path."""
+@pytest.mark.parametrize("cap", [None, 4], ids=["default_cap", "cap4"])
+def test_minhash_pairs_are_exact_jaccard(ray_session, monkeypatch, cap):
+    """Every pair is verified in its band bucket: its jaccard is the
+    word-set Jaccard of the two texts rounded to 4 places, at least the
+    threshold, and each pair comes out once. HOT_BAND_CAP = 4 sends every
+    band key of more than 4 docs through the star-link branch, whose
+    pairs are a strict subset of the uncapped candidates."""
     import __ray_entry__ as e
-    from serverless_covariate_drift_detection_ray.pipelines import textops
+    import pyarrow.parquet as pq
 
-    broadcast = _to_df(e.queries()["minhash_neardup_documents"](SF))
-    monkeypatch.setattr(textops, "VERIFY_BROADCAST_MAX_DOCS", 0)
-    fallback = _to_df(e.queries()["minhash_neardup_documents"](SF))
-    assert set(zip(broadcast.doc_a, broadcast.doc_b)) == set(
-        zip(fallback.doc_a, fallback.doc_b))
+    from serverless_covariate_drift_detection_ray.pipelines import textops
+    from serverless_covariate_drift_detection_ray.pipelines.queries import _round
+
+    query = e.queries()["minhash_neardup_documents"]
+    mh = full = _to_df(query(SF))
+    if cap is not None:
+        monkeypatch.setattr(textops, "HOT_BAND_CAP", cap)
+        mh = _to_df(query(SF))
+    pairs = list(zip(mh.doc_a, mh.doc_b))
+    assert pairs and len(set(pairs)) == len(pairs)
+    assert all(a < b for a, b in pairs)
+
+    docs = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text"])
+    words = {i: {w for w in (t or "").split(" ") if w} for i, t in zip(
+        docs["doc_id"].to_pylist(), docs["text"].to_pylist())}
+    exact = _round([len(words[a] & words[b]) / len(words[a] | words[b])
+                    for a, b in pairs], 4)
+    assert (mh.jaccard.to_numpy() == exact).all()
+    assert (exact >= 0.8).all()
+    if cap is not None:
+        assert set(pairs) < set(zip(full.doc_a, full.doc_b))
+
+
+def test_minhash_execution_budget(ray_session, monkeypatch):
+    """The in-bucket verify runs three Ray Data executions: the documents
+    read feeding the band shuffle, the verified pairs feeding the
+    pair-distinct shuffle, and the read-back of the result."""
+    import __ray_entry__ as e
+
+    query = e.queries()["minhash_neardup_documents"]
+    assert len(_executions(monkeypatch, lambda: _to_df(query(SF)))) == 3
 
 
 def test_tdigest_quantiles_close_to_exact(ray_session):

@@ -11,7 +11,7 @@ import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
 import pytest
-from conftest import _schema_changes
+from conftest import _executions, _schema_changes
 
 from bench import _violations_digest
 from serverless_covariate_drift_detection_ray.fixtures.gen import ensure_fixture
@@ -278,29 +278,6 @@ class TestStreamedViolations:
         a = load(run["out_dir"], "verdicts")
         b = load(out2, "verdicts")
         pd.testing.assert_frame_equal(a, b)
-
-
-    def test_shuffle_merge_matches_stripe_merge(self, run, tmp_path_factory,
-                                                monkeypatch):
-        """Past DRIVER_MERGE_MAX_PARTIALS the driver-collected partials merge
-        in a key shuffle on partition_id whose buckets run the stripe
-        kernel, drift checks included; verdicts, violations and the stats
-        blobs must equal the stripe-task merge's (a bucket merges each
-        partition's partials in the order the stripes do)."""
-        from serverless_covariate_drift_detection_ray.pipelines import fit as F
-
-        monkeypatch.setattr(F, "DRIVER_MERGE_MAX_PARTIALS", 0)
-        out = str(tmp_path_factory.mktemp("shuffle_merge") / "out")
-        validate(run["fix"], run["ref_dir"], out, run["cfg"])
-        assert _verdict_files(out) == _verdict_files(run["out_dir"])
-        assert _violations_digest(out) == _violations_digest(run["out_dir"])
-
-        def blobs(d: str) -> dict:
-            return {os.path.relpath(f, d): open(f, "rb").read()
-                    for f in glob.glob(os.path.join(d, "stats_blobs", "**",
-                                                    "*"), recursive=True)
-                    if os.path.isfile(f)}
-        assert blobs(out) and blobs(out) == blobs(run["out_dir"])
 
 
 class TestReportSink:
@@ -827,25 +804,19 @@ def test_score_window_matches_batch_verdicts(run):
     assert all(c["alpha"] == 1e-9 for c in strict["checks"])
 
 
-def test_score_window_fan_out_matches_in_process(run, monkeypatch):
-    """Windows above SERVE_DRIVER_MAX_ROWS fan out through the batch
-    pipeline's stateless featurize pass; one fragment (a single featurize
-    batch) must score exactly as the in-process path scores it."""
-    from serverless_covariate_drift_detection_ray.pipelines import serve
+def test_score_window_runs_no_ray_data_execution(run, monkeypatch):
+    """A served window runs in-process at any size: scoring a fragment
+    starts no Ray Data execution."""
+    from serverless_covariate_drift_detection_ray.pipelines.serve import score_window
 
     manifest = TableManifest.load(run["fix"])
     pid = next(p for p, k in run["kinds"].items() if k == "violations")
     frag = next(f for f in manifest.fragments if f.partition_id == pid)
-    assert frag.rows <= run["cfg"].batch_size
-    path = os.path.join(run["fix"], frag.file)
-
-    local = serve.score_window(path, run["ref_dir"], run["cfg"])
-    monkeypatch.setattr(serve, "SERVE_DRIVER_MAX_ROWS", 0)
-    fanned = serve.score_window(path, run["ref_dir"], run["cfg"])
-    assert local["violations"] and local["checks"]
-    for key in ("checks", "violations", "stats"):
-        # repr: NaN statistics compare equal, -0.0 and 0.0 do not
-        assert repr(fanned[key]) == repr(local[key]), key
+    res = []
+    assert _executions(monkeypatch, lambda: res.append(score_window(
+        os.path.join(run["fix"], frag.file), run["ref_dir"],
+        run["cfg"]))) == []
+    assert res[0]["violations"] and res[0]["checks"]
 
 
 def _verdict_files(out_dir: str) -> dict:
@@ -937,7 +908,6 @@ def test_jpeg_partition_lossy_path_end_to_end(run):
 _FORCED = {
     "driver": [],
     "distributed": [("fit", "REDUCED_DRIVER_MAX")],
-    "merge": [("fit", "DRIVER_MERGE_MAX_PARTIALS")],
     "violations": [("validate", "VIOLATIONS_DRIVER_MAX")],
     "neardup": [("fit", "REDUCED_DRIVER_MAX"),
                 ("constraints", "NEARDUP_DRIVER_MAX")],
@@ -961,31 +931,18 @@ class TestOneScan:
         """A fresh pass runs one Ray Data execution, the featurize pass:
         one ReadParquet operator, and read_images is never asked for key
         columns."""
-        from ray.data._internal.execution.streaming_executor import (
-            StreamingExecutor)
-
         from serverless_covariate_drift_detection_ray.pipelines import validate as V
 
-        plans, reads = [], []
-        execute, read_images = StreamingExecutor.execute, V.read_images
-
-        def counted_execute(self, dag, *a, **k):
-            ops, stack = [], [dag]
-            while stack:
-                op = stack.pop()
-                ops.append(op.name)
-                stack.extend(op.input_dependencies)
-            plans.append(ops)
-            return execute(self, dag, *a, **k)
+        reads, read_images = [], V.read_images
 
         def counted_read(*a, **k):
             reads.append(k.get("columns"))
             return read_images(*a, **k)
 
-        monkeypatch.setattr(StreamingExecutor, "execute", counted_execute)
         monkeypatch.setattr(V, "read_images", counted_read)
-        validate(run["fix"], run["ref_dir"], str(tmp_path / "out"),
-                 run["cfg"], resume=False)
+        plans = _executions(monkeypatch, lambda: validate(
+            run["fix"], run["ref_dir"], str(tmp_path / "out"), run["cfg"],
+            resume=False))
         reads_parquet = [op for ops in plans for op in ops
                          if "ReadParquet" in op]
         assert reads_parquet == ["ReadParquet->MapBatches(featurize_task)"]
@@ -995,8 +952,11 @@ class TestOneScan:
     def test_distributed_split_writes_same_answers(self, run, tmp_path,
                                                    monkeypatch):
         """Past REDUCED_DRIVER_MAX the keys stay a Dataset and take the
-        checks' Dataset paths and the union; the verdict files and the
-        violations are byte-identical to the driver side's."""
+        checks' Dataset paths and the union, and the partials merge in a
+        key shuffle on partition_id whose buckets run the stripe kernel,
+        drift checks included; the verdict files, the violations and the
+        stats blobs are byte-identical to the driver side's (a bucket
+        merges each partition's partials in the order the stripes do)."""
         from serverless_covariate_drift_detection_ray.pipelines import fit as F
 
         monkeypatch.setattr(F, "REDUCED_DRIVER_MAX", 0)
@@ -1004,6 +964,13 @@ class TestOneScan:
         validate(run["fix"], run["ref_dir"], out, run["cfg"], resume=False)
         assert _verdict_files(out) == _verdict_files(run["out_dir"])
         assert _violations_digest(out) == _violations_digest(run["out_dir"])
+
+        def blobs(d: str) -> dict:
+            return {os.path.relpath(f, d): open(f, "rb").read()
+                    for f in glob.glob(os.path.join(d, "stats_blobs", "**",
+                                                    "*"), recursive=True)
+                    if os.path.isfile(f)}
+        assert blobs(out) and blobs(out) == blobs(run["out_dir"])
 
     @pytest.mark.parametrize(
         "scale,forced", [(s, k) for s in ("tiny", "small") for k in _FORCED],
