@@ -181,8 +181,14 @@ def _rbf_kernel(a: np.ndarray, b: np.ndarray, sigma: float, chunk: int = 512) ->
     out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
     for i in range(0, a.shape[0], chunk):
         ai = a[i : i + chunk]
-        d2 = (ai * ai).sum(axis=1)[:, None] + sb[None, :] - 2.0 * (ai @ b.T)
-        np.exp(-gamma * np.maximum(d2, 0.0), out=out[i : i + chunk])
+        # the same operations in the same order, written into ``out``: one
+        # chunk-sized temporary (the Gram product) instead of three
+        d2 = out[i : i + chunk]
+        np.add((ai * ai).sum(axis=1)[:, None], sb[None, :], out=d2)
+        d2 -= 2.0 * (ai @ b.T)
+        np.maximum(d2, 0.0, out=d2)
+        d2 *= -gamma
+        np.exp(d2, out=d2)
     return out
 
 

@@ -46,6 +46,11 @@ def make_verdict(pid: int, check: str, column: str, stat: float, p: float,
 
 @runtime_checkable
 class Check(Protocol):
+    """A named drift check. ``compare`` may run concurrently with the other
+    checks (``score_window`` runs each check as its own thread-pool task),
+    so it must not mutate shared state (the reference, the partial state,
+    the config, module globals) and must seed any RNG from its arguments."""
+
     name: str
 
     def compare(self, pid: int, ref: ReferenceState, ps: PartialState,

@@ -80,12 +80,20 @@ class DriftTestActor:
             return self.cfg.freeze_time
         return datetime.now(timezone.utc).strftime(TS_FORMAT)
 
-    def verdicts_for_partition(self, pid: int, ps: PartialState) -> list[dict]:
+    def verdicts_for_partition(self, pid: int, ps: PartialState,
+                               pool=None) -> list[dict]:
+        """Every check's verdict rows for one partition, in check order.
+        With ``pool`` (a ``concurrent.futures.ThreadPoolExecutor``) each
+        check's ``compare`` runs as one pool task; each seeds its own RNG
+        from (run seed, partition id), so the rows are the same either way."""
         ts = self._now()
-        out: list[dict] = []
-        for chk in self.checks:
-            out.extend(chk.compare(pid, self.ref, ps, self.cfg, ts))
-        return out
+
+        def compare(chk) -> list[dict]:
+            return chk.compare(pid, self.ref, ps, self.cfg, ts)
+
+        runs = map(compare, self.checks) if pool is None else pool.map(
+            compare, self.checks)
+        return [row for rows in runs for row in rows]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows: list[dict] = []
@@ -113,14 +121,16 @@ _WORKER_CACHE: dict = {}
 
 def drift_verdicts_batch(batch: pa.Table, *, cfg: EngineConfig,
                          ref_state_dir: str) -> pa.Table:
-    """Stateless-task drift stage: ``map_batches(partial(drift_verdicts_batch,
-    cfg=..., ref_state_dir=...))``. State loads once per (worker process,
-    ref_state_dir, cfg) via the module cache."""
+    """Stateless-task drift stage, run by the merge stripes. State loads
+    once per (worker process, ref_state_dir, stored state, cfg) via the
+    module cache: a refit or ``extend_reference`` into the same directory
+    writes a new ``state_sha``, and the next task reloads."""
     tester = _WORKER_CACHE.get(ref_state_dir)
     # dataclass equality re-validates the config per task (unpickled copies
     # compare by value; custom Check instances without __eq__ force a rebuild
     # — correct, just slower for that exotic path)
-    if tester is None or tester.cfg != cfg:
+    if (tester is None or tester.cfg != cfg or tester.ref.meta.get("state_sha")
+            != ReferenceState.stored_sha(ref_state_dir)):
         tester = DriftTestActor(cfg, ref_state_dir)
         _WORKER_CACHE.clear()  # one live ref window per worker — bound memory
         _WORKER_CACHE[ref_state_dir] = tester

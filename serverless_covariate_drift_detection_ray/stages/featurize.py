@@ -54,17 +54,69 @@ OUT_SCHEMA = pa.schema(
 )
 
 
+def _image_row(data: bytes, fmt: str, dims: bool, decode: bool,
+               expect: tuple[int, int] | None, verify: bool) -> tuple:
+    """One sampled row's codec work: ``(violations, moments, small)``, the
+    row's ``(check, column, observed, expected)`` violations in the order
+    its checks ran, its pixel ``(mean, std)`` (None when it was not decoded)
+    and its ``phash_gray_small`` resize (None unless ``verify``). ``dims``
+    checks the header against ``expect`` (None: not comparable); ``decode``
+    decodes for the pixel marginal. Reads nothing shared, so rows may run on
+    any thread."""
+    violations = []
+    if dims:
+        try:
+            dw, dh, _ = image_dims(data, fmt)
+        except Exception as exc:  # struct.error / zlib.error / ValueError
+            return [("decodable", "bytes", type(exc).__name__,
+                     "decodable header")], None, None
+        if expect is not None and (dw, dh) != expect:
+            violations.append(("dims_match_decoded", "w,h", f"{dw}x{dh}",
+                               f"{expect[0]}x{expect[1]}"))
+    if not decode:
+        return violations, None, None
+    try:
+        img = decode_image(data, fmt)
+    except Exception as exc:
+        violations.append(("decode_ok", "bytes", type(exc).__name__,
+                           "decodable"))
+        return violations, None, None
+    if img.size == 0:  # a 0-pixel image has no intensity marginal
+        violations.append(("decode_ok", "bytes", f"empty shape {img.shape}",
+                           "decodable"))
+        return violations, None, None
+    # intensity histogram instead of a float64 image copy: s1/s2 are the
+    # same exact integers either way (hist @ levels sums integer products
+    # < 2^53), so mean/std are bit-identical — without the per-image
+    # ascontiguousarray(float64) allocation
+    hist = np.bincount(img.reshape(-1), minlength=256).astype(np.float64)
+    s1 = float(hist @ _LEVELS)
+    s2 = float(hist @ _LEVELS_SQ)
+    m = s1 / img.size
+    moments = (m, float(np.sqrt(max(s2 / img.size - m * m, 0.0))))
+    return violations, moments, phash_gray_small(img) if verify else None
+
+
 class FeaturizeAndSketch:
     """Callable-class stage: the broadcast manifest-id set is fetched once per
     instance (``ray.put`` → ``ray.get`` in ``__init__``), mirroring the
     reference's singleton-per-process model cache
     (/root/reference/detector_api/app/utils.py:4-14). The pipelines run it
     through the stateless ``featurize_task`` wrapper below, whose module
-    cache keeps one instance per worker process; ``score_window`` calls it
-    in-process on the whole window, whatever its size."""
+    cache keeps one instance per worker process and gives it no pool (a Ray
+    task holds one CPU); ``score_window`` calls it in-process on the whole
+    window, whatever its size, with its process-wide thread pool.
 
-    def __init__(self, cfg: EngineConfig, manifest_broadcast: dict | None = None):
+    With ``pool`` (a ``concurrent.futures.ThreadPoolExecutor``) the sampled
+    rows' codec work (header dims, decode, histogram, phash resize) runs in
+    one contiguous chunk of rows per pool worker; without it the same
+    function runs inline. Either way one ordered loop emits the results, so
+    the output is byte-identical with or without a pool."""
+
+    def __init__(self, cfg: EngineConfig, manifest_broadcast: dict | None = None,
+                 pool=None):
         self.cfg = cfg
+        self.pool = pool
         self.fmt_list = list(cfg.fmt_categories)
         self.fmt_index = {f: i for i, f in enumerate(cfg.fmt_categories)}
         self.dims_thresh = np.uint64(min(cfg.sample_threshold(cfg.dims_check_fraction), 2**64 - 1))
@@ -156,61 +208,51 @@ class FeaturizeAndSketch:
                      lambda i: str(ids[i]), "in manifest")
 
         # --- sampled per-image checks (codecs are inherently per-image) ---
-        # ONE loop over the union of the dims- and decode-sampled rows so each
-        # image's bytes materialize from Arrow exactly once (the two separate
-        # loops paid two per-row binary copies when both fractions are 1.0)
+        # ONE pass over the union of the dims- and decode-sampled rows so each
+        # image's bytes materialize from Arrow exactly once. ``_image_row``
+        # does a row's codec work; contiguous chunks of rows run on the pool
+        # (zlib inflate and the numpy kernels release the GIL), then one
+        # ordered loop emits the results in row order, so the output does
+        # not depend on the pool.
         decodable = ~empty_bytes & fmt_known
         dims_mask = decodable & (id_hash < self.dims_thresh)
         decode_mask = decodable & (id_hash < self.decode_thresh)
+        verify = cfg.phash_verify & ~phash_null
         bytes_col = batch["bytes"]
+        rows = np.nonzero(dims_mask | decode_mask)[0].tolist()
+
+        def run(chunk: list[int]) -> list[tuple]:
+            # null w/h can't be compared (already flagged w/h_nonnull);
+            # the header-decodability check still runs for the row
+            return [_image_row(bytes_col[i].as_py(), str(fmt[i]),
+                               dims_mask[i], decode_mask[i],
+                               None if w_null[i] or h_null[i]
+                               else (int(w[i]), int(h[i])), verify[i])
+                    for i in chunk]
+
+        # one contiguous chunk of rows per pool worker, or one inline
+        n_chunks = 1 if self.pool is None else self.pool._max_workers
+        bounds = [len(rows) * j // n_chunks for j in range(n_chunks + 1)]
+        chunks = [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        runs = map(run, chunks) if self.pool is None else self.pool.map(
+            run, chunks)
+        results = [r for part in runs for r in part]
 
         pm_part: list[int] = []
         pm_val: list[float] = []
         ps_val: list[float] = []
         ver_idx: list[int] = []
-        ver_ph: list[int] = []
-        for i in np.nonzero(dims_mask | decode_mask)[0]:
-            i = int(i)
-            f = str(fmt[i])
-            data = bytes_col[i].as_py()
-            if dims_mask[i]:
-                try:
-                    dw, dh, _ = image_dims(data, f)
-                except Exception as exc:  # struct.error / zlib.error / ValueError
-                    add_one(i, "decodable", "bytes", type(exc).__name__,
-                            "decodable header")
-                    continue
-                # null w/h can't be compared (already flagged w/h_nonnull);
-                # the header-decodability check above still ran for the row
-                if not (w_null[i] or h_null[i]) and (
-                        dw != int(w[i]) or dh != int(h[i])):
-                    add_one(i, "dims_match_decoded", "w,h",
-                            f"{dw}x{dh}", f"{int(w[i])}x{int(h[i])}")
-            if not decode_mask[i]:
-                continue
-            try:
-                img = decode_image(data, f)
-            except Exception as exc:
-                add_one(i, "decode_ok", "bytes", type(exc).__name__, "decodable")
-                continue
-            if img.size == 0:  # a 0-pixel image has no intensity marginal
-                add_one(i, "decode_ok", "bytes", f"empty shape {img.shape}",
-                        "decodable")
-                continue
-            # intensity histogram instead of a float64 image copy: s1/s2 are
-            # the same exact integers either way (hist @ levels sums integer
-            # products < 2^53), so mean/std are bit-identical — without the
-            # per-image ascontiguousarray(float64) allocation
-            hist = np.bincount(img.reshape(-1), minlength=256).astype(np.float64)
-            s1 = float(hist @ _LEVELS)
-            s2 = float(hist @ _LEVELS_SQ)
-            m = s1 / img.size
-            pm_part.append(int(part_ids[i]))
-            pm_val.append(m)
-            ps_val.append(float(np.sqrt(max(s2 / img.size - m * m, 0.0))))
-            if cfg.phash_verify and not phash_null[i]:
+        ver_ph: list = []
+        for i, (row_violations, moments, small) in zip(rows, results):
+            for v in row_violations:
+                add_one(i, *v)
+            if moments is not None:
+                pm_part.append(int(part_ids[i]))
+                pm_val.append(moments[0])
+                ps_val.append(moments[1])
+            if small is not None:
                 ver_idx.append(i)
-                ver_ph.append(phash_gray_small(img))
+                ver_ph.append(small)
         if ver_idx:
             # per-row fidelity, batched: the phash column must match the
             # decoded pixels (BASELINE.json input_hint invariant); lossy

@@ -66,3 +66,11 @@ class ReferenceState:
                 "restore before reusing this window")
         state = PartialState.from_bytes(blob)
         return cls(state, meta["sigma"], meta)
+
+    @staticmethod
+    def stored_sha(in_dir: str) -> str | None:
+        """The ``state_sha`` fingerprint ``save`` wrote for the state now in
+        ``in_dir`` (None for a state saved without one): a refit or
+        ``extend_reference`` into the same directory changes it."""
+        with open(os.path.join(in_dir, META_FILE)) as fh:
+            return json.load(fh).get("state_sha")

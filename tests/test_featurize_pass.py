@@ -152,6 +152,18 @@ class TestRowCap:
         assert got.schema.equals(fz.OUT_SCHEMA)
 
 
+def _replace_rows(table: pa.Table, rows: dict[int, dict]) -> pa.Table:
+    """``table`` with ``rows[i][column]`` written into row ``i``."""
+    for col in {c for values in rows.values() for c in values}:
+        values = table[col].to_pylist()
+        for i, row in rows.items():
+            if col in row:
+                values[i] = row[col]
+        table = table.set_column(table.schema.get_field_index(col), col,
+                                 pa.array(values, table.schema.field(col).type))
+    return table
+
+
 @pytest.mark.parametrize("fmt", ["png", "bmp", "lossy8"])
 def test_zero_pixel_image_flags_its_row(fragment, fmt):
     """A 0x0 image decodes to an empty array: its row gets a decode_ok
@@ -161,15 +173,8 @@ def test_zero_pixel_image_flags_its_row(fragment, fmt):
     stage = fz.FeaturizeAndSketch(cfg)
     ids = fragment["image_id"].to_numpy(zero_copy_only=False).astype(object)
     i = int(np.nonzero(hash64(ids) < stage.decode_thresh)[0][0])
-    empty = encode_image(np.zeros((0, 0), np.uint8), fmt)
-    bytes_col = fragment["bytes"].to_pylist()
-    fmt_col = fragment["fmt"].to_pylist()
-    bytes_col[i], fmt_col[i] = empty, fmt
-    broken = fragment.set_column(
-        fragment.schema.get_field_index("bytes"), "bytes",
-        pa.array(bytes_col, fragment.schema.field("bytes").type),
-    ).set_column(fragment.schema.get_field_index("fmt"), "fmt",
-                 pa.array(fmt_col, fragment.schema.field("fmt").type))
+    broken = _replace_rows(fragment, {i: {
+        "bytes": encode_image(np.zeros((0, 0), np.uint8), fmt), "fmt": fmt}})
 
     def pixel_mean_count(out):
         parts = out.filter(pc.equal(out["kind"], "partial"))
@@ -200,14 +205,8 @@ def test_undecodable_image_flags_its_row(fragment, fmt):
     i = int(np.nonzero(hash64(ids) < stage.decode_thresh)[0][0])
     w, h = fragment["w"][i].as_py(), fragment["h"][i].as_py()
     data = encode_image(np.full((h, w), 128, np.uint8), fmt)
-    bytes_col = fragment["bytes"].to_pylist()
-    fmt_col = fragment["fmt"].to_pylist()
-    bytes_col[i], fmt_col[i] = data[:len(data) // 2], fmt
-    broken = fragment.set_column(
-        fragment.schema.get_field_index("bytes"), "bytes",
-        pa.array(bytes_col, fragment.schema.field("bytes").type),
-    ).set_column(fragment.schema.get_field_index("fmt"), "fmt",
-                 pa.array(fmt_col, fragment.schema.field("fmt").type))
+    broken = _replace_rows(fragment, {i: {"bytes": data[:len(data) // 2],
+                                          "fmt": fmt}})
 
     def n_rows_and_pixels(out):
         parts = out.filter(pc.equal(out["kind"], "partial"))
@@ -222,3 +221,49 @@ def test_undecodable_image_flags_its_row(fragment, fmt):
     assert vio[0]["observed"].isidentifier()  # the exception's class name
     rows, pixels = n_rows_and_pixels(stage(fragment))
     assert n_rows_and_pixels(out) == (rows, pixels - 1)
+
+
+def test_pool_output_equals_inline(fragment):
+    """On a thread pool the stage returns the inline output byte for byte,
+    over a block that carries every per-row outcome of the codec pass,
+    spread over the pool's chunks: a header that does not parse, a body
+    cut short, a 0-pixel image, a dims and a phash mismatch, and a JPEG
+    row that decodes clean."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from serverless_covariate_drift_detection_ray.functions.phash import phash64
+
+    cfg = EngineConfig(decode_fraction=1.0)
+    w, h = fragment["w"][60].as_py(), fragment["h"][60].as_py()
+    png = encode_image(np.full((h, w), 128, np.uint8), "png")
+    photo = (np.arange(40 * 56 * 3) % 251).astype(np.uint8).reshape(40, 56, 3)
+    batch = _replace_rows(fragment, {
+        3: {"bytes": b"not an image"},
+        60: {"bytes": png[:len(png) // 2], "fmt": "png"},
+        120: {"bytes": encode_image(np.zeros((0, 0), np.uint8), "bmp"),
+              "fmt": "bmp"},
+        180: {"w": fragment["w"][180].as_py() + 1},
+        200: {"phash": fragment["phash"][200].as_py() ^ 0xFF},
+        240: {"bytes": encode_image(photo, "jpeg"), "fmt": "jpeg", "w": 56,
+              "h": 40, "phash": phash64(photo)},
+    })
+    inline = fz.FeaturizeAndSketch(cfg)(batch)
+    with ThreadPoolExecutor(4) as pool:
+        pooled = fz.FeaturizeAndSketch(cfg, pool=pool)(batch)
+    assert pooled.equals(inline)
+
+    ids = fragment["image_id"].to_pylist()
+    vio = inline.filter(pc.equal(inline["kind"], "violation"))
+    got = set(zip(vio["image_id"].to_pylist(), vio["check"].to_pylist()))
+    assert {(ids[3], "decodable"), (ids[60], "decode_ok"),
+            (ids[120], "decode_ok"), (ids[180], "dims_match_decoded"),
+            (ids[200], "phash_match_decoded")} <= got
+    assert not {c for i, c in got if i == ids[240]}
+
+
+def test_featurize_task_stage_has_no_pool(fragment):
+    """A Ray task holds one CPU: the stage ``featurize_task`` caches runs
+    its codec work inline, never on a thread pool."""
+    fz.featurize_task(fragment, EngineConfig(batch_size=64))
+    assert fz._WORKER_CACHE
+    assert all(st.pool is None for st in fz._WORKER_CACHE.values())

@@ -819,6 +819,107 @@ def test_score_window_runs_no_ray_data_execution(run, monkeypatch):
     assert res[0]["violations"] and res[0]["checks"]
 
 
+def test_drift_checks_on_a_pool_equal_sequential(run):
+    """With a thread pool every check's ``compare`` runs as its own task;
+    each seeds its own RNG, so the rows equal the sequential ones, in
+    check order."""
+    import dataclasses
+    import json
+    from concurrent.futures import ThreadPoolExecutor
+
+    import pyarrow.compute as pc
+
+    from serverless_covariate_drift_detection_ray.pipelines.fit import (
+        merge_partials_table)
+    from serverless_covariate_drift_detection_ray.stages.checks import (
+        CHECK_REGISTRY)
+    from serverless_covariate_drift_detection_ray.stages.drift import (
+        DriftTestActor)
+    from serverless_covariate_drift_detection_ray.stages.featurize import (
+        FeaturizeAndSketch)
+
+    cfg = dataclasses.replace(run["cfg"], drift_checks=tuple(CHECK_REGISTRY))
+    manifest = TableManifest.load(run["fix"])
+    pid = next(p for p, k in run["kinds"].items() if k == "drift-blur-2.0")
+    frag = next(f for f in manifest.fragments if f.partition_id == pid)
+    out = FeaturizeAndSketch(cfg)(pq.read_table(os.path.join(run["fix"],
+                                                             frag.file)))
+    state = merge_partials_table(
+        out.filter(pc.equal(out["kind"], "partial")), cfg)
+    tester = DriftTestActor(cfg, run["ref_dir"])
+    want = tester.verdicts_for_partition(pid, state)
+    with ThreadPoolExecutor(4) as pool:
+        got = tester.verdicts_for_partition(pid, state, pool)
+    assert json.dumps(got) == json.dumps(want)
+    checks = [r["check"] for r in want]
+    assert sorted(set(checks), key=checks.index) == list(CHECK_REGISTRY)
+
+
+def test_score_window_from_two_threads_equals_serial(run):
+    """Windows scored from two threads at once share the one scoring pool
+    and return what each returns scored alone."""
+    import json
+    import sys
+    import threading
+
+    from serverless_covariate_drift_detection_ray.pipelines.serve import score_window
+
+    manifest = TableManifest.load(run["fix"])
+    paths = [os.path.join(run["fix"], next(
+        f.file for f in manifest.fragments
+        if run["kinds"][f.partition_id] == kind))
+        for kind in ("violations", "drift-blur-2.0")]
+
+    def score(path: str) -> str:
+        return json.dumps(score_window(path, run["ref_dir"], run["cfg"]),
+                          sort_keys=True)
+
+    serial = [score(p) for p in paths]
+    got: dict[int, list[str]] = {}
+    threads = [threading.Thread(target=lambda k=k: got.__setitem__(
+        k, [score(paths[k]) for _ in range(3)])) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the two callers finely
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {k: [serial[k]] * 3 for k in range(2)}
+
+
+def test_warm_drift_workers_reload_an_extended_reference(run, tmp_path):
+    """The merge stripes' drift cache follows the stored reference: after
+    ``extend_reference`` rewrites the reference in place, warm workers test
+    against the extended window, not the state they loaded before."""
+    import dataclasses
+    import shutil
+
+    from serverless_covariate_drift_detection_ray.pipelines.fit import (
+        extend_reference)
+
+    cfg = dataclasses.replace(run["cfg"], quarantine=False)
+    ref_dir = str(tmp_path / "ref")
+    shutil.copytree(run["ref_dir"], ref_dir)
+    for k in range(2):  # every worker warms its cache on the old state
+        validate(run["fix"], ref_dir, str(tmp_path / f"warm{k}"), cfg,
+                 resume=False)
+    clean = [pid for pid, kind in run["kinds"].items() if kind == "clean"]
+    ext = extend_reference(run["fix"], ref_dir, clean, cfg)
+    out = str(tmp_path / "after")
+    validate(run["fix"], ref_dir, out, cfg, resume=False)
+    v = pd.concat([pq.read_table(f).to_pandas() for f in glob.glob(
+        os.path.join(out, "verdicts", "*", "*.parquet"))])
+    ks = v[v.check == "ks"]
+    assert ks.partition_id.nunique() == len(run["kinds"])
+    want = {c: ext.state.hists[c].total for c in cfg.marginals}
+    assert want["w"] == ext.state.n_rows
+    assert {(r.column, r.n_ref) for r in ks.itertuples()} == set(want.items())
+
+
 def _verdict_files(out_dir: str) -> dict:
     return {os.path.relpath(f, out_dir): open(f, "rb").read()
             for f in glob.glob(os.path.join(out_dir, "verdicts", "*",
