@@ -1,4 +1,16 @@
-"""Connected components over edge lists — the shared clustering kernel.
+"""Candidate pairs and connected components — the shared blocking and
+clustering kernels.
+
+``run_pairs`` is the one all-pairs step of every blocked pair search: the
+phash near-dup band groups (stages/constraints.py), MinHash band buckets
+and set-Jaccard groups (pipelines/textops.py), fuzzy-match blocks and
+triangle wedges (pipelines/queries.py). It pairs the rows of each run of
+equal keys in a sorted key array, the banding recipe of *Mining of Massive
+Datasets* ch. 3. Its one hot-run policy: a run longer than the caller's
+cap (``HOT_RUN_CAP`` for the approximate searches, none for the exact
+ones) pairs its first ``cap`` rows all-pairs and links each later row to
+the run's first row, so a hot run costs O(cap² + M) pairs and stays one
+component. ``unique_pairs`` keeps each distinct pair once.
 
 One entry, ``connected_components``, serves every clustering path: the
 phash near-dup clusters (stages/constraints.py), semantic dedup
@@ -12,6 +24,8 @@ Convergence is O(log n) rounds thanks to the pointer-jumping contraction;
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -19,6 +33,52 @@ import pyarrow.compute as pc
 from .exchange import _as_dataset, _key_shuffle, _remote
 
 CC_DRIVER_MAX_EDGES = 5_000_000  # 16 B/edge -> <= 80 MB edge list on driver
+HOT_RUN_CAP = 512  # rows of a run paired all-pairs; later rows star-link
+
+log = logging.getLogger(__name__)
+
+
+def run_pairs(keys: np.ndarray, cap: int | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)``, ``i < j``, of every two rows in the same run
+    of equal adjacent ``keys`` (sorted, so a run is a key's every row).
+
+    Runs of one size batch into one ``triu_indices`` matrix. A run longer
+    than ``cap`` pairs its first ``cap`` rows all-pairs and links each
+    later row to the run's first row, logged once per capped run size.
+    Callers pass ``cap`` from their own module, so a Ray task's kernel
+    carries the value its driver set."""
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sizes = np.diff(np.r_[starts, keys.size])
+    pair_i, pair_j = [], []
+    for m in np.unique(sizes):
+        if m < 2:
+            continue
+        first = starts[sizes == m]
+        head = int(m) if cap is None else min(int(m), cap)
+        iu, ju = np.triu_indices(head, 1)
+        pair_i.append((first[:, None] + iu).ravel())
+        pair_j.append((first[:, None] + ju).ravel())
+        if head < m:
+            log.warning("run_pairs: %d runs of %d rows pair their first %d "
+                        "rows; the rest star-link to the run's first row",
+                        first.size, m, head)
+            pair_i.append(np.repeat(first, m - head))
+            pair_j.append((first[:, None] + np.arange(head, m)).ravel())
+    if not pair_i:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    return np.concatenate(pair_i), np.concatenate(pair_j)
+
+
+def unique_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Positions of the first occurrence of each distinct pair
+    ``(a[k], b[k])`` of two int64 columns, ordered by ``(a, b)``: any ids,
+    as no two are packed into one key."""
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    keep = np.ones(a.size, bool)
+    keep[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return order[keep]
 
 
 def cc_labels(n: int, ai: np.ndarray, bi: np.ndarray,

@@ -27,6 +27,7 @@ import pyarrow.compute as pc
 from ..functions.exchange import (_as_dataset, _as_table, _group_fold,
                                   _key_fold, _key_shuffle, _pa_from_pandas,
                                   _salt_buckets)
+from ..functions.graph import run_pairs
 from ..functions.stats import chi2_test_counts, ks_2samp
 from ..sources.fragmented import cluster_cpus, data_blocks
 from .config import scratch_root
@@ -3952,13 +3953,14 @@ def fuzzy_match_parts(sf_dir: str, max_dist: int = 2):
     ds = _read_cpu_blocked(sf_dir, "part", ["p_partkey", "p_name", "p_brand"])
     w = max(LEN_BAND_W, max_dist + 1)
 
-    def pairs(df: pd.DataFrame) -> pd.DataFrame:
+    def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.sort_values("blk", kind="stable")
         keys = df.p_partkey.to_numpy()
         names = df.p_name.to_numpy()
         brands = df.p_brand.to_numpy()
         lens = df._len.to_numpy()
         nat = df._native.to_numpy()
-        i, j = np.triu_indices(len(df), k=1)
+        i, j = run_pairs(df.blk.to_numpy())
         # borrowed×borrowed pairs replay one band up — natives only there;
         # brand equality re-checked so a blk-hash collision stays harmless
         keep = ((np.abs(lens[i] - lens[j]) <= max_dist) & (nat[i] | nat[j])
@@ -3976,10 +3978,6 @@ def fuzzy_match_parts(sf_dir: str, max_dist: int = 2):
             "name_b": names[j][hit],
             "dist": d[hit],
         })
-
-    def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.concat([pairs(g) for _, g in df.groupby("blk", sort=False)],
-                         ignore_index=True)
 
     return _key_shuffle(ds, ["blk"], bucket_pairs,
                         lambda b: _len_band_explode(b, max_dist, w))
@@ -5479,9 +5477,9 @@ def triangle_count_parts(sf_dir: str, min_support: int = 2):
     # closure pairs (neighbors > center only, so each triangle {a<b<c}
     # probes exactly once, at apex a) in a single run scan.
     def wedge_rows(c: np.ndarray, o: np.ndarray):
-        """Shared bucket kernel core: (wedge denominator, probe pairs).
-        Same-sized neighbor runs are batched into one matrix (the
-        edges_bucket shape)."""
+        """Shared bucket kernel core: (wedge denominator, probe pairs),
+        the pairs of each center's oriented neighbor run
+        (``graph.run_pairs``)."""
         order = np.lexsort((o, c))
         c, o = c[order], o[order]
         starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
@@ -5489,21 +5487,8 @@ def triangle_count_parts(sf_dir: str, min_support: int = 2):
         denom = float((sizes * (sizes - 1) / 2).sum())
         m = o > c  # oriented adjacency; run order and o-sortedness survive
         c2, o2 = c[m], o[m]
-        va_all, vb_all = [], []
-        if c2.size:
-            st2 = np.flatnonzero(np.r_[True, c2[1:] != c2[:-1]])
-            sz2 = np.diff(np.r_[st2, c2.size])
-            for mm in np.unique(sz2):
-                if mm < 2:
-                    continue
-                gsel = np.flatnonzero(sz2 == mm)
-                mat = o2[st2[gsel][:, None] + np.arange(int(mm))[None, :]]
-                iu, ju = np.triu_indices(int(mm), 1)
-                va_all.append(mat[:, iu].ravel())
-                vb_all.append(mat[:, ju].ravel())
-        va = (np.concatenate(va_all) if va_all else np.empty(0, np.int64))
-        vb = (np.concatenate(vb_all) if vb_all else np.empty(0, np.int64))
-        return denom, va, vb
+        i, j = run_pairs(c2)
+        return denom, o2[i], o2[j]
 
     def tag_sym(batch: pa.Table) -> pa.Table:
         bu = batch["u"].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -15,8 +15,10 @@ violation rows.
 
 Execution shape: EXACTLY the batch pipeline's kernels —
 ``FeaturizeAndSketch`` for stats/violations and the resolved check plugins
-for the tests — so a served verdict is bit-identical to what the batch
-pass would emit for the same rows (pinned in tests). Every window runs
+for the tests, through the same per-process cached tester
+(``stages.drift.cached_tester``, which reloads when the stored reference
+changes) — so a served verdict is bit-identical to what the batch pass
+would emit for the same rows (pinned in tests). Every window runs
 in-process with zero Ray tasks: the driver already holds it, and the
 callable-class stage is constructed directly, which is the same code the
 stateless featurize tasks run. Its two heavy phases run on one
@@ -35,7 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pyarrow as pa
 
-from ..stages.drift import VERDICT_SCHEMA, DriftTestActor
+from ..stages.drift import VERDICT_SCHEMA, cached_tester
 from ..stages.featurize import FeaturizeAndSketch
 from .config import EngineConfig
 from .fit import merge_partials_table
@@ -116,9 +118,10 @@ def score_window(window, ref_state_dir: str,
     pids = np.unique(table["partition_id"].to_numpy())
     pid = int(pids[0]) if pids.size == 1 else WINDOW_PARTITION_ID
 
-    # same per-window tests as the batch pipeline's drift stage — the state
-    # loads through DriftTestActor exactly as the drift tasks load it
-    tester = DriftTestActor(cfg, ref_state_dir)
+    # same per-window tests as the batch pipeline's drift stage, against
+    # the same per-process cached tester: the reference loads once, and
+    # again only when the stored state or the config changes
+    tester = cached_tester(cfg, ref_state_dir)
     rows = tester.verdicts_for_partition(pid, merged, pool)
     verdicts = pa.Table.from_pylist(rows, schema=VERDICT_SCHEMA)
 

@@ -17,9 +17,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import hash64, hash_family, splitmix64
 from ..functions.exchange import (_group_fold, _key_fold, _key_shuffle,
                                   _pa_from_pandas, _salt_buckets)
+from ..functions.graph import HOT_RUN_CAP, run_pairs, unique_pairs
+from ..functions.hashing import hash64, hash_family, splitmix64
 from .queries import _read, _round
 
 STOPWORDS = ("the", "a", "of", "and", "to")
@@ -157,45 +158,48 @@ FROM documents
 # ---------------------------------------------------------------------------
 
 
-def _pairs_per_group(ds, pairs):
-    """``pairs`` over each (lang, source) group of ``ds``, the groups met by
-    ``_key_shuffle``. A doc with a NULL lang or source pairs nothing, as
-    the twins' equality join matches no NULL."""
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        keyed = df[df.lang.notna() & df.source.notna()]
-        return pd.concat([pairs(keyed.iloc[:0]), *(
-            pairs(g) for _, g in keyed.groupby(["lang", "source"], sort=False))],
-            ignore_index=True)
+def _set_jaccard_pairs(sf_dir: str, token_set, threshold: float):
+    """Every (doc_a < doc_b) pair of one (lang, source) group whose
+    Jaccard over ``token_set(text)`` is at least ``threshold``, rounded to
+    4 places. A ``_key_shuffle`` meets each group in one bucket, sorted by
+    (lang, source, doc_id); ``graph.run_pairs`` pairs each group's run
+    and ``_verify_pairs`` takes the exact Jaccard over each doc's sorted
+    token-hash blob (``_hash_blob``). A doc with a NULL lang or source
+    pairs nothing, as the twins' equality join matches no NULL."""
+    ds = _read_docs(sf_dir, ["doc_id", "text", "lang", "source"])
 
-    return _key_shuffle(ds, ["lang", "source"], per_bucket)
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.and_(pc.is_valid(t["lang"]), pc.is_valid(t["source"])))
+        t = t.sort_by([("lang", "ascending"), ("source", "ascending"),
+                       ("doc_id", "ascending")])
+        lang = t["lang"].to_numpy(zero_copy_only=False)
+        source = t["source"].to_numpy(zero_copy_only=False)
+        group = np.cumsum(np.r_[True, (lang[1:] != lang[:-1])
+                                | (source[1:] != source[:-1])])
+        i, j = run_pairs(group)
+        if not i.size:
+            return _NEARDUP_SCHEMA.empty_table()
+        blobs = pa.array([_hash_blob(token_set(x or "")) for x in
+                          t["text"].to_numpy(zero_copy_only=False)], pa.binary())
+        jac = _verify_pairs(blobs, i, j)
+        hit = jac >= threshold
+        ids = t["doc_id"].to_numpy()
+        return pa.table([ids[i[hit]], ids[j[hit]], _round(jac[hit], 4)],
+                        schema=_NEARDUP_SCHEMA)
+
+    return _key_shuffle(ds, ["lang", "source"], per_bucket, None, "pyarrow")
+
+
+def _words(text: str) -> set:
+    return {w for w in text.split(" ") if w}
 
 
 def jaccard_neardup_pairs(sf_dir: str, threshold: float = 0.8):
     """All-pairs word-set Jaccard inside each (lang, source) group
-    (``_pairs_per_group``). The group keys bound the pair count; at scale
+    (``_set_jaccard_pairs``). The group keys bound the pair count; at scale
     the MinHash-LSH variant below replaces the all-pairs step with band
     buckets."""
-    ds = _read_docs(sf_dir, ["doc_id", "text", "lang", "source"])
-
-    def pairs(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("doc_id")
-        sets = _tokens(df.text).map(set).to_list()
-        ids = df.doc_id.to_numpy()
-        rows = []
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                inter = len(sets[i] & sets[j])
-                union = len(sets[i] | sets[j])
-                jac = inter / union if union else 0.0
-                if jac >= threshold:
-                    rows.append((int(ids[i]), int(ids[j]), float(_round(jac, 4))))
-        if not rows:
-            return pd.DataFrame({"doc_a": pd.array([], dtype="int64"),
-                                 "doc_b": pd.array([], dtype="int64"),
-                                 "jaccard": pd.array([], dtype="float64")})
-        return pd.DataFrame(rows, columns=["doc_a", "doc_b", "jaccard"])
-
-    return _pairs_per_group(ds, pairs)
+    return _set_jaccard_pairs(sf_dir, _words, threshold)
 
 
 JACCARD_SQL = """
@@ -228,8 +232,7 @@ def minhash_signatures(batch: pa.Table) -> pa.Table:
     doc_ids = batch["doc_id"].to_numpy()
     words, bounds = [], [0]
     for t in texts:
-        ws = sorted({w for w in (t or "").split(" ") if w})
-        words.extend(ws)
+        words.extend(sorted(_words(t or "")))
         bounds.append(len(words))
     if not words:
         return pa.table({"doc_id": pa.array([], pa.int64()),
@@ -260,9 +263,6 @@ def minhash_signatures(batch: pa.Table) -> pa.Table:
     })
 
 
-HOT_BAND_CAP = 512  # all-pairs bound per band bucket; beyond it, star-link
-
-
 def _word_hash_table(batch: pa.Table) -> pa.Table:
     """(doc_id, words) where words = sorted distinct 64-bit word hashes.
 
@@ -271,23 +271,25 @@ def _word_hash_table(batch: pa.Table) -> pa.Table:
     shuffle small; Jaccard over 64-bit hashes equals word-set Jaccard up to
     negligible collision probability."""
     texts = batch["text"].to_numpy(zero_copy_only=False)
-    words = []
-    for t in texts:
-        ws = sorted({w for w in (t or "").split(" ") if w})
-        h = hash64(np.asarray(ws, dtype=object)) if ws else np.empty(0, np.uint64)
-        # binary blob (sorted int64 array bytes): one flat buffer that
-        # _verify_pairs reads without a Python loop
-        words.append(np.unique(h).astype(np.int64).tobytes())
     return pa.table({
         "doc_id": batch["doc_id"],
-        "words": pa.array(words, pa.binary()),
+        "words": pa.array([_hash_blob(_words(t or "")) for t in texts],
+                          pa.binary()),
     })
+
+
+def _hash_blob(tokens: set) -> bytes:
+    """The distinct 64-bit hashes of ``tokens``, sorted, as int64 bytes: one
+    flat binary value that ``_verify_pairs`` reads without a Python loop."""
+    h = (hash64(np.asarray(sorted(tokens), dtype=object)) if tokens
+         else np.empty(0, np.uint64))
+    return np.unique(h).astype(np.int64).tobytes()
 
 
 def _verify_pairs(blobs: pa.Array, ia: np.ndarray, ib: np.ndarray
                   ) -> np.ndarray:
-    """Exact Jaccard of the blob pairs (ia, ib) of ``blobs`` (sorted-int64
-    word-hash arrays). Each blob becomes a matrix row padded with
+    """Exact Jaccard of the blob pairs (ia, ib) of ``blobs`` (``_hash_blob``
+    token-hash arrays). Each blob becomes a matrix row padded with
     negatives distinct across the matrix, so a pair's intersection is the
     count of adjacent equal values in sort(concat(row a, row b)): a
     vectorized (n, 2W) sort, 8,192 pairs at a time in one reused buffer
@@ -328,31 +330,20 @@ def minhash_neardup_documents(sf_dir: str, threshold: float = 0.8):
        (``_word_hash_table``) and meet in a ``_key_shuffle`` on the
        composite (band, band hash) key; nothing corpus-sized is broadcast
        or collected.
-    2. a bucket emits each band key's candidate pairs; a band key hotter
-       than HOT_BAND_CAP does all-pairs over its first CAP ids and
-       star-links the rest to its minimum (O(M) instead of O(M²), cluster
-       connectivity preserved for dedup; logged, never silent). The bucket
-       keeps each pair once and verifies it with exact Jaccard over the
-       blobs of its own rows (``_verify_pairs``).
+    2. a bucket emits each band key's candidate pairs with
+       ``graph.run_pairs`` at ``HOT_RUN_CAP``: a band key of more docs
+       pairs its first CAP ids all-pairs and star-links the rest to its
+       minimum (O(M) instead of O(M²), cluster connectivity preserved for
+       dedup; logged, never silent). The bucket keeps each pair once and
+       verifies it with exact Jaccard over the blobs of its own rows
+       (``_verify_pairs``).
     3. one ``_key_shuffle`` on the pair keeps each verified pair once
        across buckets (the same pair surfaces from ~2 bands).
+
+    Pairs dedupe on the two id columns (``graph.unique_pairs``), so any
+    int64 doc id works.
     """
     ds = _read_docs(sf_dir, ["doc_id", "text"])
-
-    def _emit_pairs(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """All-pairs (capped + star-linked) over one band key's rows."""
-        if pos.size > HOT_BAND_CAP:
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "hot minhash band bucket (%d docs): star-linking beyond %d",
-                pos.size, HOT_BAND_CAP)
-            head = pos[:HOT_BAND_CAP]
-            ai, bi = np.triu_indices(head.size, k=1)
-            return (np.concatenate([head[ai], np.full(pos.size - HOT_BAND_CAP, pos[0])]),
-                    np.concatenate([head[bi], pos[HOT_BAND_CAP:]]))
-        ai, bi = np.triu_indices(pos.size, k=1)
-        return pos[ai], pos[bi]
 
     def band_rows(batch: pa.Table) -> pa.Table:
         # composite single int64 (band, band hash) key; every row of one
@@ -377,30 +368,14 @@ def minhash_neardup_documents(sf_dir: str, threshold: float = 0.8):
         # one row per (band key, doc)
         keep = np.r_[True, (bk[1:] != bk[:-1]) | (ids[1:] != ids[:-1])]
         order, bk, ids = order[keep], bk[keep], ids[keep]
-        # segment boundaries per bkey; skip singleton segments outright
-        starts = np.flatnonzero(np.r_[True, bk[1:] != bk[:-1]])
-        ends = np.r_[starts[1:], bk.size]
-        outs_a, outs_b = [], []
-        for s, e in zip(starts, ends):
-            if e - s >= 2:
-                a, b = _emit_pairs(np.arange(s, e))
-                outs_a.append(a)
-                outs_b.append(b)
-        if not outs_a:
+        ra, rb = run_pairs(bk, HOT_RUN_CAP)
+        if not ra.size:
             return _NEARDUP_SCHEMA.empty_table()
-        ra, rb = np.concatenate(outs_a), np.concatenate(outs_b)
-        a, b = ids[ra].astype(np.int64), ids[rb].astype(np.int64)
-        if int(max(a.max(), b.max())) >= (1 << 31):
-            # the composite pair key packs two ids into one SIGNED int64:
-            # a << 32 overflows (and the arithmetic-shift decode breaks) at
-            # a >= 2^31, not 2^32 — a corpus with larger doc ids needs a
-            # (a, b) two-column dedupe instead; fail loudly rather than
-            # silently alias pairs
-            raise ValueError("doc_id >= 2^31: composite pair key would alias")
         # each pair once within the bucket, then verified against the
         # blobs of the rows it came from
-        _, first = np.unique((a << 32) | b, return_index=True)
-        ra, rb, a, b = ra[first], rb[first], a[first], b[first]
+        first = unique_pairs(ids[ra], ids[rb])
+        ra, rb = ra[first], rb[first]
+        a, b = ids[ra].astype(np.int64), ids[rb].astype(np.int64)
         rows, inv = np.unique(np.r_[ra, rb], return_inverse=True)
         blobs = t["words"].take(order[rows]).combine_chunks()
         jac = _round(_verify_pairs(blobs, inv[:a.size], inv[a.size:]), 4)
@@ -408,8 +383,8 @@ def minhash_neardup_documents(sf_dir: str, threshold: float = 0.8):
         return pa.table([a[hit], b[hit], jac[hit]], schema=_NEARDUP_SCHEMA)
 
     def distinct_pairs(t: pa.Table) -> pa.Table:
-        pair = (t["doc_a"].to_numpy() << 32) | t["doc_b"].to_numpy()
-        return t.take(np.unique(pair, return_index=True)[1])
+        return t.take(unique_pairs(t["doc_a"].to_numpy(),
+                                   t["doc_b"].to_numpy()))
 
     verified = _key_shuffle(ds, ["bkey"], verify_bucket, band_rows, "pyarrow")
     return _key_shuffle(verified, ["doc_a", "doc_b"], distinct_pairs, None,
@@ -712,39 +687,13 @@ FROM documents
 
 def ngram_jaccard_pairs(sf_dir: str, n: int = 3, threshold: float = 0.8):
     """All-pairs character n-gram (shingle) Jaccard inside (lang, source)
-    groups (``_pairs_per_group``) — the n-gram-level sibling of word-set
+    groups (``_set_jaccard_pairs``) — the n-gram-level sibling of word-set
     ``jaccard_neardup_pairs`` (at scale the MinHash banding replaces the
-    all-pairs step; this is the oracle-exact variant). Gram sets are hashed
-    to int64 so the per-pair intersect is a sorted-array op, not Python
-    string sets."""
-    from ..functions.hashing import hash64
+    all-pairs step; this is the oracle-exact variant)."""
+    def grams(t: str) -> set:
+        return {t[i:i + n] for i in range(len(t) - n + 1)}
 
-    ds = _read_docs(sf_dir, ["doc_id", "text", "lang", "source"])
-
-    def pairs(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("doc_id")
-        ids = df.doc_id.to_numpy()
-        grams = []
-        for t in df.text.to_numpy():
-            t = t or ""
-            gs = {t[i:i + n] for i in range(len(t) - n + 1)}
-            grams.append(np.unique(hash64(np.asarray(sorted(gs), dtype=object)))
-                         if gs else np.empty(0, np.uint64))
-        rows = []
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                inter = np.intersect1d(grams[i], grams[j], assume_unique=True).size
-                union = grams[i].size + grams[j].size - inter
-                jac = inter / union if union else 0.0
-                if jac >= threshold:
-                    rows.append((int(ids[i]), int(ids[j]), float(_round(jac, 4))))
-        if not rows:
-            return pd.DataFrame({"doc_a": pd.array([], dtype="int64"),
-                                 "doc_b": pd.array([], dtype="int64"),
-                                 "jaccard": pd.array([], dtype="float64")})
-        return pd.DataFrame(rows, columns=["doc_a", "doc_b", "jaccard"])
-
-    return _pairs_per_group(ds, pairs)
+    return _set_jaccard_pairs(sf_dir, grams, threshold)
 
 
 NGRAM_JACCARD_SQL = """

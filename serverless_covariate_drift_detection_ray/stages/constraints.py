@@ -16,27 +16,28 @@ phash values and the fully distributed one.
     hash repeats become partials) and folded on the driver; a Dataset's
     partials fold in ``_key_shuffle`` buckets on image_id.
   * Near-dup: band keys are 21/21/22-bit phash slices — two images within
-    Hamming distance ≤ 2 share ≥ 1 band (pigeonhole). One band kernel
-    verifies each band group's candidate pairs; connected components over
-    the verified edges weighted by row multiplicity give the clusters.
-    Groups are capped at ``NEARDUP_BAND_CAP`` values (the skew escape hatch).
+    Hamming distance ≤ 2 share ≥ 1 band (pigeonhole). Both paths sort a
+    band's distinct values by band key, pair each band group with
+    ``graph.run_pairs`` and keep the pairs within Hamming distance
+    (``hamming_leq_pairs``); connected components over the verified edges
+    weighted by row multiplicity give the clusters. A band group of more
+    than ``HOT_RUN_CAP`` values (the skew escape hatch) pairs its smallest
+    ``HOT_RUN_CAP`` values all-pairs and checks each larger value against
+    the group's smallest only.
 """
 
 from __future__ import annotations
-
-import logging
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.exchange import _as_dataset, _key_fold, _key_shuffle
-from ..functions.graph import cc_labels, connected_components
+from ..functions.graph import (HOT_RUN_CAP, cc_labels, connected_components,
+                               run_pairs)
 from ..functions.hashing import hash64, probe_sorted
 from ..functions.phash import hamming_leq_pairs, phash_bands
 from ..pipelines.config import EngineConfig
-
-log = logging.getLogger(__name__)
 
 VIOLATION_SCHEMA = pa.schema(
     [
@@ -54,7 +55,6 @@ KEY_SCHEMA = pa.schema([("image_id", pa.string()), ("phash", pa.int64()),
                         ("partition_id", pa.int32())])
 
 NEARDUP_DRIVER_MAX = 50_000_000  # distinct phash values the driver will hold (8 B each)
-NEARDUP_BAND_CAP = 1024  # distinct values verified per band group
 
 
 def _empty_violations() -> "ray.data.Dataset":  # noqa: F821
@@ -127,38 +127,6 @@ def _block_uniques(batch: pa.Table) -> pa.Table:
                      "c": pa.array(c.astype(np.int64))})
 
 
-def _band_edges(keys: np.ndarray, items: np.ndarray, vals: np.ndarray,
-                hmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """The near-dup candidate kernel shared by both paths: verified index
-    pairs ``(a, b)`` into ``vals`` with Hamming distance ≤ ``hmax``.
-
-    ``keys`` are band keys sorted ascending and ``items`` the aligned
-    indices into ``vals``, ascending in value (signed int64 order) within
-    each key. Same-sized band groups batch into one matrix; a group keeps
-    its ``NEARDUP_BAND_CAP`` smallest values, so edges between values that
-    only co-occur past the cap of a degenerate hot band are missed."""
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    sizes = np.diff(np.r_[starts, keys.size])
-    pair_a, pair_b = [], []
-    for m in np.unique(sizes):
-        if m < 2:
-            continue
-        gsel = np.flatnonzero(sizes == m)
-        mm = min(int(m), NEARDUP_BAND_CAP)
-        if mm < m:
-            log.warning("neardup: %d band groups capped %d → %d",
-                        gsel.size, m, mm)
-        mat = items[starts[gsel][:, None] + np.arange(mm)[None, :]]
-        iu, ju = np.triu_indices(mm, 1)
-        pair_a.append(mat[:, iu].ravel())
-        pair_b.append(mat[:, ju].ravel())
-    if not pair_a:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    a, b = np.concatenate(pair_a), np.concatenate(pair_b)
-    close = hamming_leq_pairs(vals, a, b, hmax)
-    return a[close], b[close]
-
-
 def check_neardup(ds, cfg: EngineConfig):
     """phash near-duplicate clusters (SURVEY.md §2.7 item 4), driver-coordinated.
 
@@ -198,8 +166,9 @@ def check_neardup(ds, cfg: EngineConfig):
 def _flag_clusters(vals: np.ndarray, mult: np.ndarray,
                    cfg: EngineConfig) -> tuple[np.ndarray, np.ndarray]:
     """The driver near-dup search over distinct phash ``vals`` (ascending)
-    with row multiplicities ``mult``: band the values, verify each band's
-    groups with ``_band_edges``, then connected components by scatter-min
+    with row multiplicities ``mult``: band the values, pair each band
+    group (``run_pairs``), keep the pairs within ``neardup_hamming_max``,
+    then connected components by scatter-min
     label propagation. Returns the flagged values (sorted) and their
     cluster reps."""
     # vals ascend, so a stable argsort per band keeps each group's indices
@@ -207,9 +176,11 @@ def _flag_clusters(vals: np.ndarray, mult: np.ndarray,
     pair_a, pair_b = [], []
     for keys in phash_bands(vals, 3).T:
         order = np.argsort(keys, kind="stable")
-        a, b = _band_edges(keys[order], order, vals, cfg.neardup_hamming_max)
-        pair_a.append(a)
-        pair_b.append(b)
+        i, j = run_pairs(keys[order], HOT_RUN_CAP)
+        a, b = order[i], order[j]
+        close = hamming_leq_pairs(vals, a, b, cfg.neardup_hamming_max)
+        pair_a.append(a[close])
+        pair_b.append(b[close])
     a, b = np.concatenate(pair_a), np.concatenate(pair_b)
 
     # connected components: shared scatter-min + pointer-jumping kernel
@@ -275,8 +246,9 @@ def _emit_flagged(ds, flag_vals: np.ndarray, reps: np.ndarray,
 def check_neardup_distributed(ds, cfg: EngineConfig) -> "ray.data.Dataset":  # noqa: F821
     """At-scale near-dup path with DRIVER-IDENTICAL semantics: distinct
     (phash, multiplicity) by ``_key_fold`` → band-explode the distinct values
-    → one ``_key_shuffle`` on the band key verifying each band group with
-    ``_band_edges`` into EDGES over values (16 B/pair) → one GLOBAL
+    → one ``_key_shuffle`` on the band key pairing each band group with
+    ``run_pairs`` and verifying the pairs into EDGES over values (16 B/pair)
+    → one GLOBAL
     ``connected_components`` over those edges and every distinct value,
     weighted by multiplicity → components of weight ≥ min_cluster flag
     their values → the same broadcast flagged-value emit as the driver path.
@@ -302,9 +274,11 @@ def check_neardup_distributed(ds, cfg: EngineConfig) -> "ray.data.Dataset":  # n
         bk = t["band_key"].to_numpy()
         v = t["v"].to_numpy().astype(np.int64)
         order = np.lexsort((v, bk))  # per band, values ascending
-        a, b = _band_edges(bk[order], order, v, hmax)
-        return pa.table({"va": pa.array(v[a], pa.int64()),
-                         "vb": pa.array(v[b], pa.int64())})
+        i, j = run_pairs(bk[order], HOT_RUN_CAP)
+        a, b = order[i], order[j]
+        close = hamming_leq_pairs(v, a, b, hmax)
+        return pa.table({"va": pa.array(v[a[close]], pa.int64()),
+                         "vb": pa.array(v[b[close]], pa.int64())})
 
     edges = _key_shuffle(distinct, ["band_key"], edges_bucket, explode,
                          "pyarrow")

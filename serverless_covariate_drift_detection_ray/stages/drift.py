@@ -15,6 +15,7 @@ parallelism level (SURVEY.md §4).
 
 from __future__ import annotations
 
+import threading
 from datetime import datetime, timezone
 
 import pyarrow as pa
@@ -47,7 +48,7 @@ class DriftTestActor:
     """Callable-class stage: ``__init__`` loads the frozen reference state
     once (the load-once-per-process singleton pattern,
     /root/reference/detector_api/app/detector.py:38-42; the worker cache in
-    ``drift_verdicts_batch`` keeps one per process); ``__call__`` tests each
+    ``cached_tester`` keeps one per process); ``__call__`` tests each
     partition-state row against it."""
 
     def __init__(self, cfg: EngineConfig, ref_state_dir: str):
@@ -117,21 +118,31 @@ class DriftTestActor:
 # ---------------------------------------------------------------------------
 
 _WORKER_CACHE: dict = {}
+_CACHE_LOCK = threading.Lock()
+
+
+def cached_tester(cfg: EngineConfig, ref_state_dir: str) -> DriftTestActor:
+    """This process's ``DriftTestActor`` for ``ref_state_dir``, loaded once
+    per (directory, stored state, cfg) and shared by the merge stripes'
+    drift tasks and ``serve.score_window``: a refit or ``extend_reference``
+    into the same directory writes a new ``state_sha``, and the next call
+    reloads. One live reference is kept, which bounds memory."""
+    with _CACHE_LOCK:  # windows may be scored from several threads
+        tester = _WORKER_CACHE.get(ref_state_dir)
+        # dataclass equality re-validates the config per call (unpickled
+        # copies compare by value; custom Check instances without __eq__
+        # force a rebuild — correct, just slower for that exotic path)
+        if (tester is None or tester.cfg != cfg
+                or tester.ref.meta.get("state_sha")
+                != ReferenceState.stored_sha(ref_state_dir)):
+            tester = DriftTestActor(cfg, ref_state_dir)
+            _WORKER_CACHE.clear()
+            _WORKER_CACHE[ref_state_dir] = tester
+        return tester
 
 
 def drift_verdicts_batch(batch: pa.Table, *, cfg: EngineConfig,
                          ref_state_dir: str) -> pa.Table:
-    """Stateless-task drift stage, run by the merge stripes. State loads
-    once per (worker process, ref_state_dir, stored state, cfg) via the
-    module cache: a refit or ``extend_reference`` into the same directory
-    writes a new ``state_sha``, and the next task reloads."""
-    tester = _WORKER_CACHE.get(ref_state_dir)
-    # dataclass equality re-validates the config per task (unpickled copies
-    # compare by value; custom Check instances without __eq__ force a rebuild
-    # — correct, just slower for that exotic path)
-    if (tester is None or tester.cfg != cfg or tester.ref.meta.get("state_sha")
-            != ReferenceState.stored_sha(ref_state_dir)):
-        tester = DriftTestActor(cfg, ref_state_dir)
-        _WORKER_CACHE.clear()  # one live ref window per worker — bound memory
-        _WORKER_CACHE[ref_state_dir] = tester
-    return tester(batch)
+    """Stateless-task drift stage, run by the merge stripes, against the
+    worker's cached tester (``cached_tester``)."""
+    return cached_tester(cfg, ref_state_dir)(batch)

@@ -1,7 +1,9 @@
-"""Property tests for the shared connected-components kernel
-(functions/graph.py, used by semantic dedup, entity clusters and the phash
-cluster passes): labels must equal a ground-truth union-find over
-arbitrary edge lists, on both sides of the driver-solve gate."""
+"""Property tests for the shared graph kernels (functions/graph.py): the
+candidate-pair kernel of every blocked all-pairs step must equal a
+brute-force enumeration of each run's pairs, and the connected-components
+labels (semantic dedup, entity clusters, the phash cluster passes) must
+equal a ground-truth union-find over arbitrary edge lists, on both sides
+of the driver-solve gate."""
 
 import numpy as np
 import pytest
@@ -10,6 +12,47 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from serverless_covariate_drift_detection_ray.functions.graph import cc_min_label as _cc_min_label
+from serverless_covariate_drift_detection_ray.functions.graph import run_pairs, unique_pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2**63, 2**63 - 1), st.integers(0, 40)),
+                max_size=12, unique_by=lambda r: r[0]),
+       st.integers(1, 6))
+def test_run_pairs_match_brute_force(runs, cap):
+    """Sorted keys with runs of 0-40 rows: uncapped, every two rows of a
+    run pair once with i < j; capped, a run's first ``cap`` rows pair
+    all-pairs and each later row pairs with the run's first row only."""
+    runs = sorted(runs)
+    keys = np.repeat(np.array([k for k, _ in runs], np.int64),
+                     [m for _, m in runs])
+    rows, start = [], 0
+    for _, m in runs:
+        rows.append(list(range(start, start + m)))
+        start += m
+
+    def got(c):
+        i, j = run_pairs(keys, c)
+        return sorted(zip(i.tolist(), j.tolist()))
+
+    assert got(None) == sorted((r[x], r[y]) for r in rows
+                               for x in range(len(r))
+                               for y in range(x + 1, len(r)))
+    assert got(cap) == sorted(
+        [(r[x], r[y]) for r in rows for x in range(min(cap, len(r)))
+         for y in range(x + 1, min(cap, len(r)))]
+        + [(r[0], r[y]) for r in rows for y in range(cap, len(r))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                max_size=40))
+def test_unique_pairs_keep_each_first(pairs):
+    a = np.array([p for p, _ in pairs], np.int64) * (1 << 40)
+    b = np.array([q for _, q in pairs], np.int64) * (1 << 40)
+    first = unique_pairs(a, b)
+    assert [pairs[k] for k in first] == sorted(set(pairs))
+    assert first.tolist() == [pairs.index(p) for p in sorted(set(pairs))]
 
 
 def _union_find(a, b):

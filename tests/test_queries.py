@@ -495,7 +495,7 @@ def test_dedup_semantic_above_gate_consistent(ray_session):
 def test_minhash_pairs_are_exact_jaccard(ray_session, monkeypatch, cap):
     """Every pair is verified in its band bucket: its jaccard is the
     word-set Jaccard of the two texts rounded to 4 places, at least the
-    threshold, and each pair comes out once. HOT_BAND_CAP = 4 sends every
+    threshold, and each pair comes out once. HOT_RUN_CAP = 4 sends every
     band key of more than 4 docs through the star-link branch, whose
     pairs are a strict subset of the uncapped candidates."""
     import __ray_entry__ as e
@@ -507,7 +507,7 @@ def test_minhash_pairs_are_exact_jaccard(ray_session, monkeypatch, cap):
     query = e.queries()["minhash_neardup_documents"]
     mh = full = _to_df(query(SF))
     if cap is not None:
-        monkeypatch.setattr(textops, "HOT_BAND_CAP", cap)
+        monkeypatch.setattr(textops, "HOT_RUN_CAP", cap)
         mh = _to_df(query(SF))
     pairs = list(zip(mh.doc_a, mh.doc_b))
     assert pairs and len(set(pairs)) == len(pairs)
@@ -522,6 +522,30 @@ def test_minhash_pairs_are_exact_jaccard(ray_session, monkeypatch, cap):
     assert (exact >= 0.8).all()
     if cap is not None:
         assert set(pairs) < set(zip(full.doc_a, full.doc_b))
+
+
+def test_minhash_pairs_of_doc_ids_past_2_31(ray_session, tmp_path):
+    """Doc ids of any int64 size pair: the same documents with every id
+    offset by 2^40 give the same pairs, offset alike."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from serverless_covariate_drift_detection_ray.pipelines.textops import (
+        minhash_neardup_documents)
+
+    off = 1 << 40
+    docs = pq.read_table(f"{SF}/documents.parquet")
+    pq.write_table(docs.set_column(
+        docs.schema.get_field_index("doc_id"), "doc_id",
+        pc.add(docs["doc_id"], off)), tmp_path / "documents.parquet")
+    want = _to_df(minhash_neardup_documents(SF))
+    got = _to_df(minhash_neardup_documents(str(tmp_path)))
+    assert len(want)
+    want = want.assign(doc_a=want.doc_a + off, doc_b=want.doc_b + off)
+    cols = ["doc_a", "doc_b"]
+    pd.testing.assert_frame_equal(
+        got.sort_values(cols).reset_index(drop=True),
+        want.sort_values(cols).reset_index(drop=True))
 
 
 def test_minhash_execution_budget(ray_session, monkeypatch):

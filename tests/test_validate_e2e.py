@@ -479,6 +479,46 @@ class TestNeardupDistributedParity:
         assert not changes, changes
 
 
+    def test_hot_band_group_star_links_past_the_cap(self, ray_session,
+                                                    caplog, monkeypatch):
+        """A band group of more values than the hot-run cap pairs its
+        smallest ``cap`` values all-pairs and checks each later value
+        against the group's smallest: two values close only to that first
+        value still join its cluster, on both paths."""
+        import pandas as pd
+        import pyarrow as pa
+        import ray.data
+
+        from serverless_covariate_drift_detection_ray.pipelines.config import EngineConfig
+        from serverless_covariate_drift_detection_ray.stages import constraints as C
+
+        cap = 4
+        monkeypatch.setattr(C, "HOT_RUN_CAP", cap)
+        # all six share band 0 (bits 0-20 zero). The three after 0 are 3+
+        # bits from everything; the last two differ from 0 in bands 1 and 2
+        # (Hamming 2), so band 0 alone brings them to 0, and from each
+        # other by 4.
+        phs = [0] + [7 << (42 + 3 * k) for k in range(cap - 1)] + [
+            (1 << 61) | (1 << 22), (1 << 62) | (1 << 21)]
+        t = pa.table({
+            "image_id": pa.array([f"img-{i:03d}" for i in range(len(phs))]),
+            "phash": pa.array(phs, pa.int64()),
+            "partition_id": pa.array([0] * len(phs), pa.int32()),
+        })
+        cfg = EngineConfig(freeze_time="01/01/2026 00:00:00.000000",
+                           neardup_hamming_max=2, neardup_min_cluster=3)
+        sort_cols = ["image_id", "observed"]
+        driver = C.check_neardup(t, cfg).to_pandas().sort_values(
+            sort_cols).reset_index(drop=True)
+        dist, changes = _distributed_neardup(
+            C, ray.data.from_arrow(t).repartition(3).materialize(), cfg,
+            sort_cols, caplog, monkeypatch)
+        assert list(driver.image_id) == ["img-000", "img-004", "img-005"]
+        assert set(driver.observed) == {"cluster-%016x" % 0}
+        pd.testing.assert_frame_equal(driver, dist)
+        assert not changes, changes
+
+
 class TestResumeConfigInvalidation:
     def test_config_change_invalidates_resume(self, ray_session, tmp_path):
         """Partitions committed under a different config must RERUN on
@@ -889,6 +929,52 @@ def test_score_window_from_two_threads_equals_serial(run):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == {k: [serial[k]] * 3 for k in range(2)}
+
+
+def _fragment_path(run, kind: str) -> str:
+    manifest = TableManifest.load(run["fix"])
+    return os.path.join(run["fix"], next(
+        f.file for f in manifest.fragments
+        if run["kinds"][f.partition_id] == kind))
+
+
+def test_score_window_loads_the_reference_once(run, monkeypatch):
+    """Windows in a row share the process's cached drift tester: the
+    reference state is read and decoded for the first window only."""
+    from serverless_covariate_drift_detection_ray.pipelines.serve import score_window
+    from serverless_covariate_drift_detection_ray.stages import drift
+
+    built = []
+
+    class Counted(drift.DriftTestActor):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(drift, "DriftTestActor", Counted)
+    monkeypatch.setattr(drift, "_WORKER_CACHE", {})
+    for kind in ("violations", "drift-blur-2.0"):
+        score_window(_fragment_path(run, kind), run["ref_dir"], run["cfg"])
+    assert built == [(run["cfg"], run["ref_dir"])]
+
+
+def test_score_window_follows_an_extended_reference(run, tmp_path):
+    """After ``extend_reference`` rewrites the reference in place, the next
+    served window tests against the extended state, not the cached one."""
+    import shutil
+
+    from serverless_covariate_drift_detection_ray.pipelines.fit import (
+        extend_reference)
+    from serverless_covariate_drift_detection_ray.pipelines.serve import score_window
+
+    ref_dir = str(tmp_path / "ref")
+    shutil.copytree(run["ref_dir"], ref_dir)
+    path = _fragment_path(run, "drift-blur-2.0")
+    before = score_window(path, ref_dir, run["cfg"])
+    clean = [pid for pid, kind in run["kinds"].items() if kind == "clean"]
+    ext = extend_reference(run["fix"], ref_dir, clean, run["cfg"])
+    after = score_window(path, ref_dir, run["cfg"])
+    assert before["n_ref"] < after["n_ref"] == ext.state.n_rows
 
 
 def test_warm_drift_workers_reload_an_extended_reference(run, tmp_path):
